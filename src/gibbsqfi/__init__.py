@@ -46,6 +46,7 @@ from .dsf import (
     build_cross_dsf,
     build_dsf,
     chi_lines,
+    commutator_moments,
     functional_F,
     moment,
     sum_rule_report,

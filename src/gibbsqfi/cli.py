@@ -12,7 +12,7 @@ import argparse
 import csv
 import io
 import json
-import os
+import math
 import sys
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
@@ -20,14 +20,8 @@ from dataclasses import dataclass
 from . import families as fam
 from .dsf import build_dsf, sum_rule_report
 from .hilbert import HermitianOperator, gibbs_state, read_operator_json, write_operator_json
-from .inequalities import run_verification_suite
-from .metrics import (
-    metric_from_dsf,
-    metric_mc_oracle,
-    metric_series_A,
-    metric_series_B,
-    metric_spectral,
-)
+from .inequalities import _worker_count, run_verification_suite
+from .metrics import _evaluate, _Frame, _moment_order
 from .models import BosonModel, SpinModel, boson_build, spin_build
 
 __all__ = ["main", "JobConfig", "run_metric_job"]
@@ -56,8 +50,13 @@ class JobConfig:
             problems.append("model: required object (model spec or matrix paths)")
             model = {}
         beta = raw.get("beta", 1.0)
-        if not isinstance(beta, (int, float)) or beta <= 0:
-            problems.append(f"beta: must be a positive number, got {beta!r}")
+        try:
+            # json reads 1e400 as inf and NaN as nan; bool is an int subclass
+            valid = not isinstance(beta, bool) and math.isfinite(beta) and beta > 0
+        except (TypeError, OverflowError):
+            valid = False
+        if not valid:
+            problems.append(f"beta: must be a finite positive number, got {beta!r}")
             beta = 1.0
         family_ids = raw.get("families", [])
         if not isinstance(family_ids, list):
@@ -110,11 +109,13 @@ def parse_family_expanding(text: str) -> list[fam.MonotoneFamily]:
 
 
 def _parse_method(spec: str):
+    """(metrics.METHODS route, L) for a spec such as "spectral" or "seriesA:6"."""
     base, _, arg = spec.partition(":")
-    if base in ("oracle", "spectral", "dsf"):
+    route = {"oracle": "mc_oracle", "spectral": "spectral", "dsf": "dsf_sum"}.get(base)
+    if route is not None:
         if arg:
             raise ValueError(f"method {base!r} takes no argument")
-        return base, None
+        return route, None
     if base in ("seriesA", "seriesB"):
         try:
             L = int(arg)
@@ -122,7 +123,7 @@ def _parse_method(spec: str):
             raise ValueError(f"method {spec!r}: truncation L must be an integer") from None
         if L < 1:
             raise ValueError(f"method {spec!r}: truncation L must be >= 1")
-        return base, L
+        return ("series_A" if base == "seriesA" else "series_B"), L
     raise ValueError(f"unknown method {spec!r}")
 
 
@@ -168,41 +169,18 @@ def _sweep_points(config: JobConfig):
     return [(name, float(v)) for v in config.sweep["grid"]]
 
 
-def _num_threads() -> int:
-    raw = os.environ.get("QFI_NUM_THREADS", "1")
-    try:
-        return max(1, int(raw))
-    except ValueError:
-        return 1
-
-
-def _rows_for_point(config: JobConfig, point):
+def _rows_for_point(config: JobConfig, point, T, S):
+    """Rows of one sweep point: one frame, every (family, method) pair on it."""
     name, value = point
-    beta = config.beta
-    override = None
-    if name == "beta":
-        beta = value
-    elif name is not None:
-        override = (name, value)
-    T, S = _resolve_model(config.model, override)
+    beta = value if name == "beta" else config.beta
     state = gibbs_state(HermitianOperator(beta * T.matrix))
-    spectrum = None
+    routes = [(spec, *_parse_method(spec)) for spec in config.methods]
+    chain_order = max((_moment_order(route, L) for _, route, L in routes if L), default=0)
+    frame = _Frame(state, S, chain_order)
     rows = []
     for family in config.families:
-        for method_spec in config.methods:
-            base, L = _parse_method(method_spec)
-            if base == "oracle":
-                result = metric_mc_oracle(state, S, family)
-            elif base == "spectral":
-                result = metric_spectral(state, S, family)
-            elif base == "dsf":
-                if spectrum is None:
-                    spectrum = build_dsf(state, S)
-                result = metric_from_dsf(spectrum, family)
-            elif base == "seriesA":
-                result = metric_series_A(state, S, family, L)
-            else:
-                result = metric_series_B(state, S, family, L)
+        for method_spec, route, L in routes:
+            result = _evaluate(frame, family, route, L)
             rows.append(
                 {
                     "family": family.label,
@@ -219,12 +197,19 @@ def _rows_for_point(config: JobConfig, point):
 def run_metric_job(config: JobConfig) -> tuple[list[dict], list[str]]:
     """All output rows for a job, in canonical order, plus warnings."""
     points = _sweep_points(config)
-    threads = _num_threads()
+    # a beta sweep only rescales T, so its model is built once per job
+    shared = _resolve_model(config.model) if points[0][0] in (None, "beta") else None
+
+    def job(point):
+        T, S = shared if shared is not None else _resolve_model(config.model, point)
+        return _rows_for_point(config, point, T, S)
+
+    threads = _worker_count()
     if threads > 1 and len(points) > 1:
         with ThreadPoolExecutor(max_workers=threads) as pool:
-            per_point = list(pool.map(lambda p: _rows_for_point(config, p), points))
+            per_point = list(pool.map(job, points))
     else:
-        per_point = [_rows_for_point(config, p) for p in points]
+        per_point = [job(p) for p in points]
     rows = [row for chunk in per_point for row in chunk]
     warnings = [
         f"series truncation outside convergence radius: {row['family']} {row['method']} {row['parameter']}"

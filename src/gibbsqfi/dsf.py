@@ -16,6 +16,7 @@ import numpy as np
 
 from .hilbert import (
     GibbsState,
+    ObservableInEigenbasis,
     as_operator,
     duhamel_weight_matrix,
     nested_commutator,
@@ -27,6 +28,7 @@ __all__ = [
     "build_dsf",
     "build_cross_dsf",
     "moment",
+    "commutator_moments",
     "functional_F",
     "bogoliubov_duhamel",
     "bogoliubov_duhamel_quadrature",
@@ -151,9 +153,12 @@ def build_dsf(state: GibbsState, S, centered: bool = False) -> LineSpectrum:
 
     The elastic omega = 0 line collects the diagonal matrix elements; with
     ``centered`` the observable is replaced by S - <S> first (which only
-    changes the elastic weight).
+    changes the elastic weight).  S may also be ``to_eigenbasis(state, S)``.
     """
-    S_eig = to_eigenbasis(state, S).elements
+    rotated = S if isinstance(S, ObservableInEigenbasis) else to_eigenbasis(state, S)
+    if rotated.basis is not state.decomposition:
+        raise ValueError("S is rotated into the eigenbasis of another state")
+    S_eig = rotated.elements
     lam = state.decomposition.eigenvalues
     mean = float(np.dot(state.weights, np.diag(S_eig).real))
     if centered:
@@ -203,6 +208,24 @@ def moment(Q: LineSpectrum, p: int) -> float:
     if p == 0:
         return float(np.sum(Q.weights))
     return float(np.sum(Q.omegas ** p * Q.weights))
+
+
+def commutator_moments(state: GibbsState, S, order: int) -> list[float]:
+    """Moments M_q = (-1)^q <R_q(S) S>, q = 0..order, from iterated commutators.
+
+    R_q = [T, R_{q-1}] stays in the original basis, independent of the
+    eigenvectors behind ``moment``.  <R_q S> = tr(R_q P) with P = S rho.
+    """
+    S_matrix = as_operator(S).matrix
+    T_matrix = state.generator_matrix()
+    P_transposed = (S_matrix @ state.rho_matrix()).T
+    R = S_matrix
+    out = []
+    for q in range(order + 1):
+        if q > 0:
+            R = T_matrix @ R - R @ T_matrix
+        out.append((-1.0) ** q * float(np.sum(R * P_transposed).real))
+    return out
 
 
 def bogoliubov_duhamel(state: GibbsState, A, B) -> float:

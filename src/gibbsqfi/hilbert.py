@@ -314,13 +314,14 @@ def read_operator_json(path) -> tuple[HermitianOperator, float]:
     with open(path, "r", encoding="utf-8") as fh:
         payload = json.load(fh)
     dim = int(payload["dim"])
-    entries = payload["entries"]
-    if len(entries) != dim or any(len(row) != dim for row in entries):
-        raise ValueError(f"entries of {path} do not form a {dim}x{dim} matrix")
-    m = np.array(
-        [[complex(cell[0], cell[1]) for cell in row] for row in entries],
-        dtype=complex,
-    )
+    cells = np.array(payload["entries"])  # ragged nesting raises ValueError
+    if cells.dtype.kind not in "biuf" or cells.shape != (dim, dim, 2):
+        raise ValueError(
+            f"entries of {path} do not form a {dim}x{dim} matrix of [re, im] numbers"
+        )
+    m = np.empty((dim, dim), dtype=complex)
+    m.real = cells[..., 0]
+    m.imag = cells[..., 1]
     asymmetry = float(np.max(np.abs(m - m.conj().T)))
     return HermitianOperator(0.5 * (m + m.conj().T)), asymmetry
 

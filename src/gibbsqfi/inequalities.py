@@ -23,12 +23,13 @@ from .hilbert import (
     gibbs_state,
     nested_commutator,
     thermal_average,
+    to_eigenbasis,
 )
 from .metrics import (
-    _build_frame,
+    _Frame,
+    _max_coupled_omega,
     _oracle_value,
     _spectral_value,
-    _support_max_omega,
     cross_metric,
 )
 
@@ -102,7 +103,7 @@ def chain_check(state: GibbsState, S) -> list[InequalityReport]:
     (see GEOMETRIC_MC_CROSSOVER) and the report may honestly fail beyond
     it.  run_verification_suite accounts for the regime.
     """
-    frame = _build_frame(state, S)
+    frame = _Frame(state, S)
     values = {name: _checked(frame, f) for name, f in fam.named_families().items()}
     return [
         _report(f"chain:{a}<={b}", values[a], values[b])
@@ -125,7 +126,7 @@ def commutator_bounds(state: GibbsState, S) -> list[InequalityReport]:
     0 <= d2_MC - d2_B <= C/24 with C = <[[S, T], S]>; each bound yields a
     nonnegativity and an upper-bound report.
     """
-    frame = _build_frame(state, S)
+    frame = _Frame(state, S)
     d2 = {name: _checked(frame, fam.named_families()[name]) for name in ("bures", "bkm", "mc")}
     c = _double_commutator_mean(state, S)
     gaps = [
@@ -144,7 +145,7 @@ def geometric_mean_checks(state: GibbsState, S, d: float) -> list[InequalityRepo
     """Geometric-mean bounds, including the power-difference pair at offset d."""
     if not 0.0 <= d <= 1.5:
         raise ValueError("pair offset d must lie in [0, 3/2]")
-    frame = _build_frame(state, S)
+    frame = _Frame(state, S)
     named = fam.named_families()
     v = {name: _checked(frame, f) for name, f in named.items()}
     lo, hi = fam.half_pair(d).members
@@ -265,6 +266,7 @@ class VerificationSummary:
 
 
 def _worker_count() -> int:
+    """Worker threads from QFI_NUM_THREADS (default 1; unparsable means 1)."""
     raw = os.environ.get("QFI_NUM_THREADS", "1")
     try:
         return max(1, int(raw))
@@ -282,7 +284,7 @@ def _run_trial(entropy, dims):
     reports = []
     gm_out = 0
     gm_crossings = 0
-    in_regime = 0.5 * _support_max_omega(state, S) <= GEOMETRIC_MC_CROSSOVER
+    in_regime = 0.5 * _max_coupled_omega(to_eigenbasis(state, S)) <= GEOMETRIC_MC_CROSSOVER
     for report in chain_check(state, S):
         if report.name == "chain:geometric<=mc" and not in_regime:
             gm_out += 1

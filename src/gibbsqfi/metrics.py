@@ -7,9 +7,15 @@ The routes are mutually cross-checking:
   * ``metric_spectral``    -- filter-function form with the stable
                               log-mean kernel;
   * ``metric_from_dsf``    -- line sum over a structure-factor comb;
-  * ``metric_series_A/B``  -- truncated moment expansions around the BKM
-                              and MC points, built from iterated
-                              commutators.
+  * ``metric_series_A/B``  -- one truncated moment expansion, around the
+                              BKM point in the odd moments (A) or the MC
+                              point in the even moments (B), with moments
+                              from iterated commutators.
+
+The family enters only through its filter or series coefficients, so
+every route reads one frame per (state, S) (``_Frame``); its commutator
+chain stays in the original basis, so the series still cross-check the
+eigenbasis routes.
 
 All metrics carry the 1/4 normalization that makes the Bures member one
 quarter of the fidelity susceptibility (see fidelity_susceptibility).
@@ -18,19 +24,13 @@ quarter of the fidelity susceptibility (see fidelity_susceptibility).
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from functools import cached_property
 
 import numpy as np
 
 from . import families as fam
-from .dsf import LineSpectrum, bogoliubov_duhamel, build_cross_dsf, build_dsf
-from .hilbert import (
-    GibbsState,
-    HermitianOperator,
-    as_operator,
-    duhamel_weight_matrix,
-    thermal_average,
-    to_eigenbasis,
-)
+from .dsf import LineSpectrum, build_cross_dsf, build_dsf, commutator_moments
+from .hilbert import GibbsState, ObservableInEigenbasis, duhamel_weight_matrix, to_eigenbasis
 
 __all__ = [
     "MetricDiagnostics",
@@ -77,29 +77,51 @@ def _nonnegative(raw: float, scale: float, method: str) -> float:
     return raw
 
 
-@dataclass
 class _Frame:
-    """Family-independent eigen-data shared by the closed-sum routes."""
+    """Family-independent data of one (state, S), shared by every route.
 
-    state: GibbsState
-    s_eig: np.ndarray
-    abs2: np.ndarray
-    x: np.ndarray
-    kernel: np.ndarray
-    mean: float
-    degenerate_pairs: int
+    The attributes are what the closed-sum routes need; ``dsf``,
+    ``max_omega`` and ``moments`` are computed on first use and kept.
+    chain_order is the highest commutator moment the frame provides.
+    """
+
+    def __init__(self, state: GibbsState, S, chain_order: int = 0):
+        self.state = state
+        self.S = S  # as given; the commutator chain reads it in the original basis
+        self.chain_order = chain_order
+        self.rotated = to_eigenbasis(state, S)
+        self.s_eig = self.rotated.elements
+        lam = state.decomposition.eigenvalues
+        self.x = 0.5 * (lam[:, None] - lam[None, :])  # (1/2) ln(rho_n / rho_m)
+        self.kernel = duhamel_weight_matrix(state)
+        self.abs2 = np.abs(self.s_eig) ** 2
+        self.mean = float(np.dot(state.weights, np.diag(self.s_eig).real))
+        off = ~np.eye(state.dim, dtype=bool)
+        window = (np.abs(2.0 * self.x) < _DEGENERATE_WINDOW) & off
+        self.degenerate_pairs = int(np.sum(window))
+
+    @cached_property
+    def dsf(self) -> LineSpectrum:
+        return build_dsf(self.state, self.rotated)
+
+    @cached_property
+    def max_omega(self) -> float:
+        """Largest Bohr frequency carrying weight of S."""
+        return _max_coupled_omega(self.rotated)
+
+    @cached_property
+    def moments(self) -> list[float]:
+        """M_0..M_chain_order from one commutator chain."""
+        return commutator_moments(self.state, self.S, self.chain_order)
 
 
-def _build_frame(state: GibbsState, S) -> _Frame:
-    s_eig = to_eigenbasis(state, S).elements
-    lam = state.decomposition.eigenvalues
-    x = 0.5 * (lam[:, None] - lam[None, :])  # (1/2) ln(rho_n / rho_m)
-    kernel = duhamel_weight_matrix(state)
-    abs2 = np.abs(s_eig) ** 2
-    mean = float(np.dot(state.weights, np.diag(s_eig).real))
-    off = ~np.eye(state.dim, dtype=bool)
-    degenerate = int(np.sum((np.abs(2.0 * x) < _DEGENERATE_WINDOW) & off))
-    return _Frame(state, s_eig, abs2, x, kernel, mean, degenerate)
+def _max_coupled_omega(rotated: ObservableInEigenbasis) -> float:
+    """Largest |T_n - T_m| over the pairs where S has a nonzero element."""
+    lam = rotated.basis.eigenvalues
+    mags = np.abs(rotated.elements)
+    coupled = mags > 1e-14 * max(float(mags.max()), 1e-300)
+    gaps = np.abs(lam[:, None] - lam[None, :])
+    return float(np.max(np.where(coupled, gaps, 0.0)))
 
 
 def _spectral_value(frame: _Frame, family: fam.MonotoneFamily) -> float:
@@ -127,19 +149,29 @@ def _oracle_value(frame: _Frame, family: fam.MonotoneFamily) -> float:
     return _nonnegative(0.25 * gross, 0.25 * gross, "mc_oracle")
 
 
+def _evaluate(
+    frame: _Frame, family: fam.MonotoneFamily, method: str, L: int | None = None
+) -> MetricResult:
+    """The metric by one of METHODS on a prepared frame (L for the series)."""
+    if method == "dsf_sum":
+        return metric_from_dsf(frame.dsf, family)
+    if method in ("series_A", "series_B"):
+        return _series(frame, family, method, L)
+    route = {"spectral": _spectral_value, "mc_oracle": _oracle_value}[method]
+    return MetricResult(
+        route(frame, family),
+        method,
+        MetricDiagnostics(degenerate_pairs_handled=frame.degenerate_pairs),
+    )
+
+
 def metric_spectral(state: GibbsState, S, family: fam.MonotoneFamily) -> MetricResult:
     """Metric via the filter function: (1/4)[sum g_f(x) W |S_mn|^2 - <S>^2].
 
     x = (1/2) ln(rho_n/rho_m) and W is the log-mean kernel, so degenerate
     eigenvalue pairs take their finite limit automatically.
     """
-    frame = _build_frame(state, S)
-    value = _spectral_value(frame, family)
-    return MetricResult(
-        value,
-        "spectral",
-        MetricDiagnostics(degenerate_pairs_handled=frame.degenerate_pairs),
-    )
+    return _evaluate(_Frame(state, S), family, "spectral")
 
 
 def metric_mc_oracle(state: GibbsState, S, family: fam.MonotoneFamily) -> MetricResult:
@@ -150,13 +182,7 @@ def metric_mc_oracle(state: GibbsState, S, family: fam.MonotoneFamily) -> Metric
     1e-10 in log weight use the analytic limit rho_m.  Serves as the
     reference for every other route.
     """
-    frame = _build_frame(state, S)
-    value = _oracle_value(frame, family)
-    return MetricResult(
-        value,
-        "mc_oracle",
-        MetricDiagnostics(degenerate_pairs_handled=frame.degenerate_pairs),
-    )
+    return _evaluate(_Frame(state, S), family, "mc_oracle")
 
 
 def _bkm_kernel(omegas: np.ndarray) -> np.ndarray:
@@ -196,31 +222,40 @@ def metric_from_dsf(Q: LineSpectrum, family: fam.MonotoneFamily) -> MetricResult
     return MetricResult(value, "dsf_sum", MetricDiagnostics())
 
 
-def _moments_from_commutators(state: GibbsState, S, orders) -> dict[int, float]:
-    """Moments M_q = (-1)^q <R_q(S) S> from genuine iterated commutators."""
-    S_op = as_operator(S)
-    T_matrix = state.generator_matrix()
-    rho = state.rho_matrix()
-    wanted = sorted(set(orders))
-    out: dict[int, float] = {}
-    R = S_op.matrix.copy()
-    for q in range(wanted[-1] + 1):
-        if q > 0:
-            R = T_matrix @ R - R @ T_matrix
-        if q in wanted:
-            value = complex(np.trace(rho @ R @ S_op.matrix))
-            out[q] = (-1.0) ** q * value.real
-    return out
+def _moment_order(method: str, L: int) -> int:
+    """Highest commutator moment series_A or series_B reads at truncation L."""
+    return 2 * L - (method == "series_A")
 
 
-def _support_max_omega(state: GibbsState, S) -> float:
-    """Largest Bohr frequency carrying weight of S."""
-    s_eig = to_eigenbasis(state, S).elements
-    lam = state.decomposition.eigenvalues
-    mags = np.abs(s_eig)
-    coupled = mags > 1e-14 * max(float(mags.max()), 1e-300)
-    gaps = np.abs(lam[:, None] - lam[None, :])
-    return float(np.max(np.where(coupled, gaps, 0.0)))
+def _series(frame: _Frame, family: fam.MonotoneFamily, method: str, L: int) -> MetricResult:
+    """Truncated moment expansion around a base metric, on a frame.
+
+    series_A: base d^2_BKM = (1/4)[sum W |S_mn|^2 - <S>^2], moments
+    M_{2l-1} and g-series coefficients.  series_B: base d^2_MC =
+    (1/4)[<S^2> - <S>^2], moments M_{2l} and ghat-series coefficients.
+    The value is base + (1/4) sum_{l=1}^{L} (1/2)^q a_l(f) M_q.
+    """
+    if L < 1:
+        raise ValueError("L must be a positive integer")
+    odd = method == "series_A"
+    if odd:
+        base = float(np.sum(frame.kernel * frame.abs2))
+    else:
+        base = float(np.dot(frame.state.weights, frame.abs2.sum(axis=0)))
+    coeffs = fam.taylor_coeffs(family, "g" if odd else "g_hat", L)
+    radius = (fam.g_series_radius if odd else fam.g_hat_series_radius)(family)
+    total = 0.25 * (base - frame.mean ** 2)
+    term = 0.0
+    for l in range(1, L + 1):
+        q = 2 * l - odd
+        term = 0.25 * 0.5 ** q * coeffs[l - 1] * frame.moments[q]
+        total += term
+    ok = 0.5 * frame.max_omega < radius
+    return MetricResult(
+        total,
+        method,
+        MetricDiagnostics(truncation=L, convergence_radius_ok=ok, last_term=abs(term)),
+    )
 
 
 def metric_series_A(
@@ -233,25 +268,7 @@ def metric_series_A(
     The radius flag reports whether max|w|/2 lies inside the convergence
     radius of the g-series; outside it the value is reported but suspect.
     """
-    if L < 1:
-        raise ValueError("L must be a positive integer")
-    mean = thermal_average(state, S)
-    base = bogoliubov_duhamel(state, S, S) - mean ** 2
-    coeffs = fam.taylor_coeffs(family, "g", L)
-    moments = _moments_from_commutators(state, S, [2 * l - 1 for l in range(1, L + 1)])
-    last = 0.0
-    total = 0.25 * base
-    for l in range(1, L + 1):
-        term = 0.25 * 0.5 ** (2 * l - 1) * coeffs[l - 1] * moments[2 * l - 1]
-        total += term
-        last = term
-    radius = fam.g_series_radius(family)
-    ok = 0.5 * _support_max_omega(state, S) < radius
-    return MetricResult(
-        total,
-        "series_A",
-        MetricDiagnostics(truncation=L, convergence_radius_ok=ok, last_term=abs(last)),
-    )
+    return _evaluate(_Frame(state, S, _moment_order("series_A", L)), family, "series_A", L)
 
 
 def metric_series_B(
@@ -262,26 +279,7 @@ def metric_series_B(
     d^2_f ~ d^2_MC + (1/4) sum_{l=1}^{L} (1/2)^{2l} a_{2l}(f) M_{2l} with
     the ghat-series coefficients; radius diagnostics as in series A.
     """
-    if L < 1:
-        raise ValueError("L must be a positive integer")
-    S_op = as_operator(S)
-    s_squared = HermitianOperator(S_op.matrix @ S_op.matrix)
-    base = thermal_average(state, s_squared) - thermal_average(state, S_op) ** 2
-    coeffs = fam.taylor_coeffs(family, "g_hat", L)
-    moments = _moments_from_commutators(state, S_op, [2 * l for l in range(1, L + 1)])
-    last = 0.0
-    total = 0.25 * base
-    for l in range(1, L + 1):
-        term = 0.25 * 0.5 ** (2 * l) * coeffs[l - 1] * moments[2 * l]
-        total += term
-        last = term
-    radius = fam.g_hat_series_radius(family)
-    ok = 0.5 * _support_max_omega(state, S_op) < radius
-    return MetricResult(
-        total,
-        "series_B",
-        MetricDiagnostics(truncation=L, convergence_radius_ok=ok, last_term=abs(last)),
-    )
+    return _evaluate(_Frame(state, S, _moment_order("series_B", L)), family, "series_B", L)
 
 
 def metric_difference_to_bkm(state: GibbsState, S, family: fam.MonotoneFamily) -> float:

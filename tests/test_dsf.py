@@ -85,6 +85,17 @@ class TestBuildDsf:
                 math.exp(-om) * q.weights[i], rel=1e-11, abs=1e-25
             )
 
+    def test_prerotated_observable(self):
+        state, s = random_instance(21, 5)
+        rotated = hb.to_eigenbasis(state, s)
+        direct, given = dsf.build_dsf(state, s), dsf.build_dsf(state, rotated)
+        assert np.array_equal(direct.omegas, given.omegas)
+        assert np.array_equal(direct.weights, given.weights)
+        assert direct.mean_s == given.mean_s
+        other, _ = random_instance(22, 5)
+        with pytest.raises(ValueError):
+            dsf.build_dsf(other, rotated)
+
     def test_violating_input_rejected(self):
         with pytest.raises(ArithmeticError, match="detailed balance"):
             dsf._assemble([1.0, -1.0], [0.5, 0.5], "diagonal", 2, 0.0)
@@ -135,6 +146,16 @@ class TestMoments:
         q = dsf.build_cross_dsf(qubit, SX, SY)
         with pytest.raises(ValueError):
             dsf.moment(q, 1)
+
+
+    def test_commutator_moments_match_line_moments(self):
+        for seed in (3, 4):
+            state, s = random_instance(seed, 6)
+            q = dsf.build_dsf(state, s)
+            algebraic = dsf.commutator_moments(state, s, 7)
+            assert len(algebraic) == 8
+            for p, value in enumerate(algebraic):
+                assert value == pytest.approx(dsf.moment(q, p), rel=1e-10, abs=1e-12)
 
 
 class TestFunctionalF:

@@ -251,3 +251,11 @@ class TestJsonFormat:
         path.write_text(json.dumps({"dim": 2, "entries": [[[1.0, 0.0]]]}))
         with pytest.raises(ValueError):
             hb.read_operator_json(path)
+
+    @pytest.mark.parametrize("cell", [[0.0], [0.0, 0.0, 5.0], ["0", "0"]])
+    def test_malformed_cell(self, tmp_path, cell):
+        path = tmp_path / "bad.json"
+        entries = [[[1.0, 0.0], cell], [[0.0, 0.0], [1.0, 0.0]]]
+        path.write_text(json.dumps({"dim": 2, "entries": entries}))
+        with pytest.raises(ValueError):
+            hb.read_operator_json(path)
