@@ -169,11 +169,19 @@ def _sweep_points(config: JobConfig):
     return [(name, float(v)) for v in config.sweep["grid"]]
 
 
+def _gibbs(beta: float, T):
+    """Gibbs state of beta * T; a product that overflows is a usage error."""
+    try:
+        return gibbs_state(HermitianOperator(beta * T.matrix))
+    except ValueError as exc:
+        raise UsageError(f"beta * T with beta = {beta!r}: {exc}") from None
+
+
 def _rows_for_point(config: JobConfig, point, T, S):
     """Rows of one sweep point: one frame, every (family, method) pair on it."""
     name, value = point
     beta = value if name == "beta" else config.beta
-    state = gibbs_state(HermitianOperator(beta * T.matrix))
+    state = _gibbs(beta, T)
     routes = [(spec, *_parse_method(spec)) for spec in config.methods]
     chain_order = max((_moment_order(route, L) for _, route, L in routes if L), default=0)
     frame = _Frame(state, S, chain_order)
@@ -296,7 +304,7 @@ def _cmd_verify(args) -> int:
 def _cmd_moments(args) -> int:
     config = _load_config(args)
     T, S = _resolve_model(config.model)
-    state = gibbs_state(HermitianOperator(config.beta * T.matrix))
+    state = _gibbs(config.beta, T)
     rows = [
         {
             "p": row.p,
@@ -320,7 +328,7 @@ def _cmd_moments(args) -> int:
 def _cmd_model(args) -> int:
     config = _load_config(args)
     T, S = _resolve_model(config.model)
-    state = gibbs_state(HermitianOperator(config.beta * T.matrix))
+    state = _gibbs(config.beta, T)
     spectrum = build_dsf(state, S)
     summary = {
         "dim": T.dim,

@@ -19,7 +19,6 @@ from .hilbert import (
     ObservableInEigenbasis,
     as_operator,
     duhamel_weight_matrix,
-    nested_commutator,
     to_eigenbasis,
 )
 
@@ -215,6 +214,8 @@ def commutator_moments(state: GibbsState, S, order: int) -> list[float]:
 
     R_q = [T, R_{q-1}] stays in the original basis, independent of the
     eigenvectors behind ``moment``.  <R_q S> = tr(R_q P) with P = S rho.
+    This is the one commutator chain: functional_F, sum_rule_report and
+    the metric series all read it.
     """
     S_matrix = as_operator(S).matrix
     T_matrix = state.generator_matrix()
@@ -224,7 +225,14 @@ def commutator_moments(state: GibbsState, S, order: int) -> list[float]:
     for q in range(order + 1):
         if q > 0:
             R = T_matrix @ R - R @ T_matrix
-        out.append((-1.0) ** q * float(np.sum(R * P_transposed).real))
+        value = complex(np.sum(R * P_transposed))
+        if abs(value.imag) > 1e-10 * max(1.0, abs(value.real)):
+            warnings.warn(
+                f"commutator moment M_{q} has imaginary residue {value.imag:.3e}",
+                RuntimeWarning,
+                stacklevel=2,
+            )
+        out.append((-1.0) ** q * value.real)
     return out
 
 
@@ -271,9 +279,10 @@ def bogoliubov_duhamel_quadrature(state: GibbsState, A, B, nodes: int = 32) -> f
 def functional_F(state: GibbsState, S, p: int) -> float:
     """Functional F_p(S; S) = 2 (-1)^{p+1} <R_{p-1} R_0>, F_0 by Duhamel.
 
-    R_p are genuine iterated commutator matrices, so for p >= 1 this is an
-    algebraic route independent of the line spectrum; the sum rule
-    F_p = 2 M_{p-1} connects the two (see sum_rule_report).
+    For p >= 1 this is 2 M_{p-1} read off the shared commutator chain
+    (commutator_moments), an algebraic route independent of the line
+    spectrum; the sum rule F_p = 2 M_{p-1} connects the two (see
+    sum_rule_report).
     """
     if p < 0:
         raise ValueError("functional_F requires p >= 0")
@@ -282,15 +291,7 @@ def functional_F(state: GibbsState, S, p: int) -> float:
         raise ValueError(f"dimension mismatch: {S_op.dim} vs {state.dim}")
     if p == 0:
         return bogoliubov_duhamel(state, S_op, S_op)
-    R = nested_commutator(state.generator_matrix(), S_op, p - 1).matrix
-    value = complex(np.trace(state.rho_matrix() @ R @ S_op.matrix))
-    if abs(value.imag) > 1e-10 * max(1.0, abs(value.real)):
-        warnings.warn(
-            f"functional F_{p} has imaginary residue {value.imag:.3e}",
-            RuntimeWarning,
-            stacklevel=2,
-        )
-    return 2.0 * (-1.0) ** (p + 1) * value.real
+    return 2.0 * commutator_moments(state, S_op, p - 1)[p - 1]
 
 
 def chi_lines(Q: LineSpectrum) -> LineSpectrum:
@@ -328,21 +329,21 @@ def sum_rule_report(state: GibbsState, S, p_max: int = 6) -> list[SumRuleRow]:
 
     The p = 0 rule needs a vanishing elastic line, so that row is
     evaluated on the off-diagonal part of S in the eigenbasis of the
-    generator; the rows with p >= 1 use S unchanged.
+    generator, where F_0 = sum W |S_mn|^2; the rows with p >= 1 use S
+    unchanged and read one commutator chain for every p.
     """
+    rotated = to_eigenbasis(state, S)
+    off = rotated.elements - np.diag(np.diag(rotated.elements))
+    Q = build_dsf(state, rotated)
+    Q_off = build_dsf(state, ObservableInEigenbasis(off, state.decomposition))
+    chain = commutator_moments(state, S, p_max - 1)
     rows = []
-    Q = build_dsf(state, S)
-    U = state.decomposition.eigenvectors
-    S_eig = to_eigenbasis(state, S).elements
-    S_off_eig = S_eig - np.diag(np.diag(S_eig))
-    S_off = U @ S_off_eig @ U.conj().T
-    Q_off = build_dsf(state, S_off)
     for p in range(p_max + 1):
         if p == 0:
-            f_val = functional_F(state, S_off, 0)
+            f_val = float(np.sum(duhamel_weight_matrix(state) * np.abs(off) ** 2))
             m_val = 2.0 * moment(Q_off, -1)
         else:
-            f_val = functional_F(state, S, p)
+            f_val = 2.0 * chain[p - 1]
             m_val = 2.0 * moment(Q, p - 1)
         scale = max(abs(f_val), abs(m_val), 1e-300)
         rows.append(SumRuleRow(p, f_val, m_val, abs(f_val - m_val) / scale))

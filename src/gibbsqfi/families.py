@@ -35,6 +35,7 @@ from dataclasses import dataclass
 
 import mpmath
 import numpy as np
+from scipy.special import exprel
 
 __all__ = [
     "MonotoneFamily",
@@ -281,20 +282,12 @@ def eval_g_hat(family: MonotoneFamily, x):
     return _eval_scales(nums, dens, x)
 
 
-def _em(u):
-    """expm1(u)/u elementwise with the exact limit 1 at u = 0."""
-    u = np.asarray(u, dtype=float)
-    out = np.ones_like(u)
-    nz = u != 0.0
-    out[nz] = np.expm1(u[nz]) / u[nz]
-    return out
-
-
 def eval_f(family: MonotoneFamily, x):
     """The standard operator monotone function f at x > 0.
 
     Removable singularities (x = 1 for BKM, MC, WYD, power-difference) are
-    evaluated through expm1-stable forms, so no accuracy is lost near them.
+    evaluated through exprel(u) = (e^u - 1)/u, so no accuracy is lost near
+    them.
     """
     _require_single(family)
     x_arr = np.asarray(x, dtype=float)
@@ -312,15 +305,15 @@ def eval_f(family: MonotoneFamily, x):
     else:
         u = np.log(x_arr)
         if k == "bkm":
-            out = _em(u)
+            out = exprel(u)
         elif k == "mc":
-            out = _em(u) ** 2 * 2.0 / (x_arr + 1.0)
+            out = exprel(u) ** 2 * 2.0 / (x_arr + 1.0)
         elif k == "wyd":
             # alpha*(1-alpha)*(x-1)^2 / ((x^a - 1)(x^{1-a} - 1)); the
-            # prefactor cancels against the u-factors of the expm1 forms
-            out = _em(u) ** 2 / (_em(p * u) * _em((1.0 - p) * u))
+            # prefactor cancels against the u-factors of the exprel forms
+            out = exprel(u) ** 2 / (exprel(p * u) * exprel((1.0 - p) * u))
         else:  # pdiff: (p-1)/p * (x^p - 1)/(x^{p-1} - 1), limits included
-            out = _em(p * u) / _em((p - 1.0) * u)
+            out = exprel(p * u) / exprel((p - 1.0) * u)
     return float(out[0]) if scalar else out.reshape(np.shape(x))
 
 

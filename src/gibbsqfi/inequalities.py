@@ -16,15 +16,7 @@ import numpy as np
 
 from . import families as fam
 from .dsf import build_cross_dsf, sum_rule_report
-from .hilbert import (
-    GibbsState,
-    HermitianOperator,
-    as_operator,
-    gibbs_state,
-    nested_commutator,
-    thermal_average,
-    to_eigenbasis,
-)
+from .hilbert import GibbsState, HermitianOperator, as_operator, gibbs_state, to_eigenbasis
 from .metrics import (
     _Frame,
     _max_coupled_omega,
@@ -111,24 +103,17 @@ def chain_check(state: GibbsState, S) -> list[InequalityReport]:
     ]
 
 
-def _double_commutator_mean(state: GibbsState, S) -> float:
-    """<[[S, T], S]> via the iterated commutator and the thermal average."""
-    r1 = nested_commutator(state.generator_matrix(), S, 1).matrix
-    s_matrix = as_operator(S).matrix
-    x = s_matrix @ r1 - r1 @ s_matrix
-    return thermal_average(state, HermitianOperator(x))
-
-
 def commutator_bounds(state: GibbsState, S) -> list[InequalityReport]:
     """Double-sided commutator bounds on the metric gaps.
 
     0 <= d2_MC - d2_BKM <= C/48, 0 <= d2_BKM - d2_B <= C/48 and
-    0 <= d2_MC - d2_B <= C/24 with C = <[[S, T], S]>; each bound yields a
-    nonnegativity and an upper-bound report.
+    0 <= d2_MC - d2_B <= C/24 with C = <[[S, T], S]> = 2 M_1, the first
+    moment of the commutator chain; each bound yields a nonnegativity and
+    an upper-bound report.
     """
-    frame = _Frame(state, S)
+    frame = _Frame(state, S, chain_order=1)
     d2 = {name: _checked(frame, fam.named_families()[name]) for name in ("bures", "bkm", "mc")}
-    c = _double_commutator_mean(state, S)
+    c = 2.0 * frame.moments[1]
     gaps = [
         ("mc_minus_bkm", d2["mc"] - d2["bkm"], c / 48.0),
         ("bkm_minus_bures", d2["bkm"] - d2["bures"], c / 48.0),

@@ -13,9 +13,10 @@ The routes are mutually cross-checking:
                               from iterated commutators.
 
 The family enters only through its filter or series coefficients, so
-every route reads one frame per (state, S) (``_Frame``); its commutator
-chain stays in the original basis, so the series still cross-check the
-eigenbasis routes.
+every route reads one frame per (state, S) (``_Frame``).  Its commutator
+chain (``dsf.commutator_moments``, shared with functional_F and the sum
+rules) stays in the original basis, so the series still cross-check the
+eigenbasis routes.  The one kernel is ``scipy.special.exprel``.
 
 All metrics carry the 1/4 normalization that makes the Bures member one
 quarter of the fidelity susceptibility (see fidelity_susceptibility).
@@ -27,6 +28,7 @@ from dataclasses import dataclass, field
 from functools import cached_property
 
 import numpy as np
+from scipy.special import exprel
 
 from . import families as fam
 from .dsf import LineSpectrum, build_cross_dsf, build_dsf, commutator_moments
@@ -48,7 +50,7 @@ __all__ = [
 
 METHODS = ("mc_oracle", "spectral", "dsf_sum", "series_A", "series_B")
 
-# window where the log-mean kernel switches to its Taylor form
+# pairs closer than this in log weight are reported as degenerate
 _DEGENERATE_WINDOW = 2e-4
 
 
@@ -185,27 +187,16 @@ def metric_mc_oracle(state: GibbsState, S, family: fam.MonotoneFamily) -> Metric
     return _evaluate(_Frame(state, S), family, "mc_oracle")
 
 
-def _bkm_kernel(omegas: np.ndarray) -> np.ndarray:
-    """(1 - e^{-w})/w per line, with the value 1 at the elastic line."""
-    k = np.ones_like(omegas)
-    nz = omegas != 0.0
-    k[nz] = -np.expm1(-omegas[nz]) / omegas[nz]
-    return k
+def _line_kernel(omegas: np.ndarray, weights: np.ndarray) -> np.ndarray:
+    """Log-mean of each line weight q and its balance partner q e^{-w}.
 
-
-def _kernel_times_weight(omegas: np.ndarray, weights: np.ndarray) -> np.ndarray:
-    """(1 - e^{-w})/w * weight, stable against exp overflow at w << 0."""
-    out = np.empty(omegas.shape, dtype=float)
-    extreme = omegas < -690.0
-    safe = ~extreme
-    out[safe] = _bkm_kernel(omegas[safe]) * weights[safe]
-    if np.any(extreme):
-        # detailed balance keeps log(weight) + |omega| bounded for
-        # physical spectra; unbalanced inputs may overflow to inf
-        om = -omegas[extreme]
-        with np.errstate(over="ignore"):
-            out[extreme] = np.exp(np.log(weights[extreme]) + om - np.log(om))
-    return out
+    Equals q (1 - e^{-w})/w (q at the elastic line): q exprel(-w) for
+    w >= 0 and exp(log q - w) exprel(w) for w < 0, which stays finite where
+    e^{-w} overflows.  Unbalanced inputs may still overflow to inf.
+    """
+    with np.errstate(divide="ignore", over="ignore"):
+        larger = np.where(omegas < 0.0, np.exp(np.log(weights) - omegas), weights)
+    return larger * exprel(-np.abs(omegas))
 
 
 def metric_from_dsf(Q: LineSpectrum, family: fam.MonotoneFamily) -> MetricResult:
@@ -217,7 +208,7 @@ def metric_from_dsf(Q: LineSpectrum, family: fam.MonotoneFamily) -> MetricResult
     if Q.kind != "diagonal":
         raise ValueError("metric_from_dsf expects a diagonal spectrum")
     g = fam.eval_g(family, 0.5 * Q.omegas)
-    gross = float(np.sum(g * _kernel_times_weight(Q.omegas, Q.weights)))
+    gross = float(np.sum(g * _line_kernel(Q.omegas, Q.weights)))
     value = _nonnegative(0.25 * (gross - Q.mean_s ** 2), 0.25 * gross, "dsf_sum")
     return MetricResult(value, "dsf_sum", MetricDiagnostics())
 
@@ -290,7 +281,7 @@ def metric_difference_to_bkm(state: GibbsState, S, family: fam.MonotoneFamily) -
     """
     Q = build_dsf(state, S)
     g = fam.eval_g(family, 0.5 * Q.omegas)
-    return 0.25 * float(np.sum((g - 1.0) * _kernel_times_weight(Q.omegas, Q.weights)))
+    return 0.25 * float(np.sum((g - 1.0) * _line_kernel(Q.omegas, Q.weights)))
 
 
 def cross_metric(state: GibbsState, A, B, family: fam.MonotoneFamily) -> complex:
@@ -303,8 +294,7 @@ def cross_metric(state: GibbsState, A, B, family: fam.MonotoneFamily) -> complex
     """
     Q = build_cross_dsf(state, A, B)
     g = fam.eval_g(family, 0.5 * Q.omegas)
-    kernel = _bkm_kernel(Q.omegas)
-    return complex(0.25 * np.sum(g * kernel * Q.weights))
+    return complex(0.25 * np.sum(g * _line_kernel(Q.omegas, Q.weights)))
 
 
 def fidelity_susceptibility(state: GibbsState, S) -> float:

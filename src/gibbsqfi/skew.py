@@ -14,9 +14,8 @@ import numpy as np
 from scipy import integrate
 
 from . import families as fam
-from .dsf import bogoliubov_duhamel
-from .hilbert import GibbsState, HermitianOperator, as_operator, duhamel_weight_matrix, thermal_average, to_eigenbasis
-from .metrics import MetricDiagnostics, MetricResult, _nonnegative
+from .hilbert import GibbsState, to_eigenbasis
+from .metrics import MetricDiagnostics, MetricResult, _Frame, _nonnegative
 
 __all__ = [
     "SkewResult",
@@ -86,12 +85,9 @@ def tilde_metric(state: GibbsState, S, family: fam.MonotoneFamily) -> MetricResu
     evaluated directly from the S matrix elements (R_1 itself, being
     anti-Hermitian, is never materialized).
     """
-    abs2 = np.abs(to_eigenbasis(state, S).elements) ** 2
-    lam = state.decomposition.eigenvalues
-    x = 0.5 * (lam[:, None] - lam[None, :])
-    W = duhamel_weight_matrix(state)
-    g = fam.eval_g(family, x)
-    gross = float(np.sum(g * W * (2.0 * x) ** 2 * abs2))
+    frame = _Frame(state, S)
+    g = fam.eval_g(family, frame.x)
+    gross = float(np.sum(g * frame.kernel * (2.0 * frame.x) ** 2 * frame.abs2))
     return MetricResult(0.25 * gross, "spectral", MetricDiagnostics())
 
 
@@ -110,9 +106,7 @@ def integrated_wyd(state: GibbsState, S) -> float:
 
 
 def variance_minus_duhamel(state: GibbsState, S) -> float:
-    """Var(S) - F_0(dS; dS), the closed form matched by integrated_wyd."""
-    S_op = as_operator(S)
-    s_squared = HermitianOperator(S_op.matrix @ S_op.matrix)
-    mean = thermal_average(state, S_op)
-    variance = thermal_average(state, s_squared) - mean ** 2
-    return variance - (bogoliubov_duhamel(state, S_op, S_op) - mean ** 2)
+    """Var(S) - F_0(dS; dS) = <S^2> - sum W |S_mn|^2, matched by integrated_wyd."""
+    frame = _Frame(state, S)
+    second = float(np.dot(state.weights, frame.abs2.sum(axis=0)))
+    return second - float(np.sum(frame.kernel * frame.abs2))

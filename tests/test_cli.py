@@ -121,6 +121,24 @@ class TestMetricJobs:
         assert main(["metric", "--config", str(path)]) == 2
         assert "beta" in capsys.readouterr().err
 
+    @pytest.mark.filterwarnings("ignore:overflow encountered")
+    @pytest.mark.parametrize("command", ["metric", "moments", "model"])
+    def test_overflowing_beta_times_generator_exits_2(self, tmp_path, capsys, command):
+        # beta is finite, but beta * T overflows to inf for the spin S=2 model
+        config = write_config(
+            tmp_path,
+            {
+                "model": {"model": "spin", "S": 2, "omega0": 1.0},
+                "beta": 1e308,
+                "families": ["bkm"],
+                "methods": ["spectral"],
+            },
+        )
+        assert main([command, "--config", config]) == 2
+        captured = capsys.readouterr()
+        assert "nan" not in captured.out.lower()
+        assert "non-finite" in captured.err
+
     def test_malformed_matrix_cell_exits_2(self, tmp_path, capsys):
         t_path = tmp_path / "T.json"
         s_path = tmp_path / "S.json"

@@ -8,6 +8,7 @@ import pytest
 
 from gibbsqfi import dsf
 from gibbsqfi import hilbert as hb
+from gibbsqfi.inequalities import random_instance as gue_instance
 
 SX = np.array([[0, 1], [1, 0]], dtype=complex)
 SY = np.array([[0, -1j], [1j, 0]], dtype=complex)
@@ -96,6 +97,15 @@ class TestBuildDsf:
         with pytest.raises(ValueError):
             dsf.build_dsf(other, rotated)
 
+    def test_unbalanced_rotated_input_rejected(self, qubit):
+        # |S_01| != |S_10|: a hand-built rotated observable that is not
+        # Hermitian is caught by the detailed-balance check of build_dsf
+        rotated = hb.ObservableInEigenbasis(
+            np.array([[0.0, 1.0], [0.5, 0.0]], dtype=complex), qubit.decomposition
+        )
+        with pytest.raises(ArithmeticError, match="detailed balance"):
+            dsf.build_dsf(qubit, rotated)
+
     def test_violating_input_rejected(self):
         with pytest.raises(ArithmeticError, match="detailed balance"):
             dsf._assemble([1.0, -1.0], [0.5, 0.5], "diagonal", 2, 0.0)
@@ -175,6 +185,72 @@ class TestFunctionalF:
     def test_negative_p_rejected(self, qubit):
         with pytest.raises(ValueError):
             dsf.functional_F(qubit, SX, -1)
+
+
+def _reference_functional(state, S, p):
+    """F_p in its first form: the Duhamel product at p = 0, and
+    2 (-1)^{p+1} tr(rho R_{p-1} S) with R built by nested_commutator."""
+    if p == 0:
+        return dsf.bogoliubov_duhamel(state, S, S)
+    R = hb.nested_commutator(state.generator_matrix(), S, p - 1).matrix
+    value = np.trace(state.rho_matrix() @ R @ hb.as_operator(S).matrix).real
+    return 2.0 * (-1.0) ** (p + 1) * value
+
+
+def _reference_rows(state, S, p_max):
+    """(functional, moment_doubled) of sum_rule_report in its first form:
+    the off-diagonal part rotated back to the original basis for p = 0."""
+    U = state.decomposition.eigenvectors
+    s_eig = hb.to_eigenbasis(state, S).elements
+    s_off = U @ (s_eig - np.diag(np.diag(s_eig))) @ U.conj().T
+    q, q_off = dsf.build_dsf(state, S), dsf.build_dsf(state, s_off)
+    rows = [(_reference_functional(state, s_off, 0), 2.0 * dsf.moment(q_off, -1))]
+    for p in range(1, p_max + 1):
+        rows.append((_reference_functional(state, S, p), 2.0 * dsf.moment(q, p - 1)))
+    return rows
+
+
+def gue_corpus():
+    """30 seeded GUE (state, S) pairs of dims 2-10, spreads 0.1-10."""
+    rng = np.random.default_rng(2718)
+    corpus = []
+    for i in range(30):
+        T, S = gue_instance(rng, 2 + i % 9)
+        corpus.append((hb.gibbs_state(T), S))
+    return corpus
+
+
+class TestSharedChain:
+    """functional_F and sum_rule_report read one commutator chain and
+    match the first form of the functional to 1e-13 relative."""
+
+    def test_functional_matches_first_form(self):
+        for state, s in gue_corpus():
+            for p in range(8):
+                assert dsf.functional_F(state, s, p) == pytest.approx(
+                    _reference_functional(state, s, p), rel=1e-13, abs=0.0
+                )
+
+    def test_report_rows_match_first_form(self):
+        for state, s in gue_corpus():
+            rows = dsf.sum_rule_report(state, s, p_max=7)
+            assert [row.p for row in rows] == list(range(8))
+            for row, (functional, doubled) in zip(rows, _reference_rows(state, s, 7)):
+                assert row.functional == pytest.approx(functional, rel=1e-13, abs=0.0)
+                assert row.moment_doubled == pytest.approx(doubled, rel=1e-13, abs=0.0)
+
+    def test_report_rotates_s_once(self, monkeypatch):
+        state, s = random_instance(8, 6)
+        calls, rotate = [], hb.to_eigenbasis
+
+        def counting(*args, **kwargs):
+            calls.append(args)
+            return rotate(*args, **kwargs)
+
+        monkeypatch.setattr(dsf, "to_eigenbasis", counting)
+        monkeypatch.setattr(hb, "to_eigenbasis", counting)
+        assert len(dsf.sum_rule_report(state, s, p_max=6)) == 7
+        assert len(calls) == 1
 
 
 class TestSumRules:

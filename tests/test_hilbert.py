@@ -31,6 +31,15 @@ class TestHermitianOperator:
         with pytest.raises(ValueError, match="not Hermitian"):
             hb.HermitianOperator([[0.0, 1.0], [0.0, 0.0]])
 
+    @pytest.mark.parametrize("bad", [math.nan, math.inf, complex(0.0, math.nan)])
+    def test_rejects_non_finite(self, bad):
+        # nan - nan compares False against any tolerance, so the asymmetry
+        # check alone would pass such a matrix
+        with pytest.raises(ValueError, match="non-finite"):
+            hb.HermitianOperator([[bad]])
+        with pytest.raises(ValueError, match="non-finite"):
+            hb.HermitianOperator([[0.0, bad], [bad, 1.0]])
+
     def test_rejects_non_square(self):
         with pytest.raises(ValueError):
             hb.HermitianOperator(np.zeros((2, 3)))

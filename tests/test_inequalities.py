@@ -58,6 +58,20 @@ class TestCommutatorBounds:
         assert all(r.passed for r in reports.values())
         assert len(reports) == 6
 
+    def test_bound_matches_double_commutator_mean(self):
+        # C = <[[S, T], S]> in its first form: nested_commutator, the
+        # commutator with S and a thermal average
+        rng = np.random.default_rng(31)
+        for dim in (2, 3, 5, 8, 10):
+            T, S = ineq.random_instance(rng, dim)
+            state = hb.gibbs_state(T)
+            r1 = hb.nested_commutator(T, S, 1).matrix
+            double = hb.HermitianOperator(S.matrix @ r1 - r1 @ S.matrix)
+            reference = hb.thermal_average(state, double)
+            reports = {r.name: r for r in ineq.commutator_bounds(state, S)}
+            assert 48.0 * reports["mc_minus_bkm:bound"].rhs == pytest.approx(reference, rel=1e-13)
+            assert 24.0 * reports["mc_minus_bures:bound"].rhs == pytest.approx(reference, rel=1e-13)
+
     def test_commuting_degenerates_to_zero(self, qubit):
         for report in ineq.commutator_bounds(qubit, SZ):
             assert report.lhs == pytest.approx(0.0, abs=1e-14)
