@@ -13,6 +13,7 @@ import csv
 import io
 import json
 import math
+import os
 import sys
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
@@ -20,7 +21,7 @@ from dataclasses import dataclass
 from . import families as fam
 from .dsf import build_dsf, sum_rule_report
 from .hilbert import HermitianOperator, gibbs_state, read_operator_json, write_operator_json
-from .inequalities import _worker_count, run_verification_suite
+from .inequalities import run_verification_suite
 from .metrics import _evaluate, _Frame, _moment_order
 from .models import BosonModel, SpinModel, boson_build, spin_build
 
@@ -200,6 +201,15 @@ def _rows_for_point(config: JobConfig, point, T, S):
                 }
             )
     return rows
+
+
+def _worker_count() -> int:
+    """Worker threads from QFI_NUM_THREADS (default 1; unparsable means 1)."""
+    raw = os.environ.get("QFI_NUM_THREADS", "1")
+    try:
+        return max(1, int(raw))
+    except ValueError:
+        return 1
 
 
 def run_metric_job(config: JobConfig) -> tuple[list[dict], list[str]]:

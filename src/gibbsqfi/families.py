@@ -307,11 +307,14 @@ def eval_f(family: MonotoneFamily, x):
         if k == "bkm":
             out = exprel(u)
         elif k == "mc":
-            out = exprel(u) ** 2 * 2.0 / (x_arr + 1.0)
+            # never square exprel(u): it overflows for u above about 355
+            e = exprel(u)
+            out = e * (2.0 * e / (x_arr + 1.0))
         elif k == "wyd":
             # alpha*(1-alpha)*(x-1)^2 / ((x^a - 1)(x^{1-a} - 1)); the
             # prefactor cancels against the u-factors of the exprel forms
-            out = exprel(u) ** 2 / (exprel(p * u) * exprel((1.0 - p) * u))
+            e = exprel(u)
+            out = (e / exprel(p * u)) * (e / exprel((1.0 - p) * u))
         else:  # pdiff: (p-1)/p * (x^p - 1)/(x^{p-1} - 1), limits included
             out = exprel(p * u) / exprel((p - 1.0) * u)
     return float(out[0]) if scalar else out.reshape(np.shape(x))

@@ -3,27 +3,20 @@
 Every verifier returns InequalityReport rows with explicit slack values.
 Before any comparison the two sides are computed by both metric routes
 (filter-function and Morozova-Cencov oracle) and must agree to 1e-10, so
-no inequality is ever verified against itself.
+no inequality is ever verified against itself.  A corpus trial builds one
+frame (``metrics._Frame``) each for S and B, which every verifier reads.
 """
 
 from __future__ import annotations
 
-import os
-from concurrent.futures import ThreadPoolExecutor
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 
 import numpy as np
 
 from . import families as fam
-from .dsf import build_cross_dsf, sum_rule_report
-from .hilbert import GibbsState, HermitianOperator, as_operator, gibbs_state, to_eigenbasis
-from .metrics import (
-    _Frame,
-    _max_coupled_omega,
-    _oracle_value,
-    _spectral_value,
-    cross_metric,
-)
+from .dsf import sum_rule_report
+from .hilbert import GibbsState, HermitianOperator, as_operator, gibbs_state
+from .metrics import _cross_value, _Frame, _oracle_value, _spectral_value
 
 __all__ = [
     "InequalityReport",
@@ -60,14 +53,7 @@ class InequalityReport:
     tolerance: float
 
     def to_dict(self):
-        return {
-            "name": self.name,
-            "lhs": self.lhs,
-            "rhs": self.rhs,
-            "slack": self.slack,
-            "passed": self.passed,
-            "tolerance": self.tolerance,
-        }
+        return asdict(self)
 
 
 def _report(name: str, lhs: float, rhs: float) -> InequalityReport:
@@ -87,6 +73,19 @@ def _checked(frame, family) -> float:
     return fast
 
 
+def _values(frame: _Frame, *families: fam.MonotoneFamily) -> dict:
+    """Checked value of each family on the frame, keyed by family."""
+    return {family: _checked(frame, family) for family in families}
+
+
+def _chain_reports(v: dict) -> list[InequalityReport]:
+    named = fam.named_families()
+    return [
+        _report(f"chain:{a}<={b}", v[named[a]], v[named[b]])
+        for a, b in zip(_CHAIN, _CHAIN[1:])
+    ]
+
+
 def chain_check(state: GibbsState, S) -> list[InequalityReport]:
     """The ordering d2_B <= d2_WY <= d2_BKM <= d2_G <= d2_MC <= d2_Har.
 
@@ -95,12 +94,20 @@ def chain_check(state: GibbsState, S) -> list[InequalityReport]:
     (see GEOMETRIC_MC_CROSSOVER) and the report may honestly fail beyond
     it.  run_verification_suite accounts for the regime.
     """
-    frame = _Frame(state, S)
-    values = {name: _checked(frame, f) for name, f in fam.named_families().items()}
-    return [
-        _report(f"chain:{a}<={b}", values[a], values[b])
-        for a, b in zip(_CHAIN, _CHAIN[1:])
+    return _chain_reports(_values(_Frame(state, S), *fam.named_families().values()))
+
+
+def _commutator_reports(v: dict, c: float) -> list[InequalityReport]:
+    gaps = [
+        ("mc_minus_bkm", v[fam.MC] - v[fam.BKM], c / 48.0),
+        ("bkm_minus_bures", v[fam.BKM] - v[fam.BURES], c / 48.0),
+        ("mc_minus_bures", v[fam.MC] - v[fam.BURES], c / 24.0),
     ]
+    reports = []
+    for name, gap, bound in gaps:
+        reports.append(_report(f"{name}:nonneg", 0.0, gap))
+        reports.append(_report(f"{name}:bound", gap, bound))
+    return reports
 
 
 def commutator_bounds(state: GibbsState, S) -> list[InequalityReport]:
@@ -112,37 +119,24 @@ def commutator_bounds(state: GibbsState, S) -> list[InequalityReport]:
     an upper-bound report.
     """
     frame = _Frame(state, S, chain_order=1)
-    d2 = {name: _checked(frame, fam.named_families()[name]) for name in ("bures", "bkm", "mc")}
-    c = 2.0 * frame.moments[1]
-    gaps = [
-        ("mc_minus_bkm", d2["mc"] - d2["bkm"], c / 48.0),
-        ("bkm_minus_bures", d2["bkm"] - d2["bures"], c / 48.0),
-        ("mc_minus_bures", d2["mc"] - d2["bures"], c / 24.0),
+    return _commutator_reports(_values(frame, fam.BURES, fam.BKM, fam.MC), 2.0 * frame.moments[1])
+
+
+def _geometric_mean_reports(v: dict, d: float) -> list[InequalityReport]:
+    lo, hi = fam.half_pair(d).members
+    return [
+        _report("bkm<=geomean(bures,mc)", v[fam.BKM], np.sqrt(v[fam.BURES] * v[fam.MC])),
+        _report("geo<=geomean(bures,har)", v[fam.GEOMETRIC], np.sqrt(v[fam.BURES] * v[fam.HAR])),
+        _report(f"geo<=geomean(pair:{d:g})", v[fam.GEOMETRIC], np.sqrt(v[lo] * v[hi])),
     ]
-    reports = []
-    for name, gap, bound in gaps:
-        reports.append(_report(f"{name}:nonneg", 0.0, gap))
-        reports.append(_report(f"{name}:bound", gap, bound))
-    return reports
 
 
 def geometric_mean_checks(state: GibbsState, S, d: float) -> list[InequalityReport]:
     """Geometric-mean bounds, including the power-difference pair at offset d."""
     if not 0.0 <= d <= 1.5:
         raise ValueError("pair offset d must lie in [0, 3/2]")
-    frame = _Frame(state, S)
-    named = fam.named_families()
-    v = {name: _checked(frame, f) for name, f in named.items()}
-    lo, hi = fam.half_pair(d).members
-    v_lo = _checked(frame, lo)
-    v_hi = _checked(frame, hi)
-    return [
-        _report("bkm<=geomean(bures,mc)", v["bkm"], np.sqrt(v["bures"] * v["mc"])),
-        _report("geo<=geomean(bures,har)", v["geometric"], np.sqrt(v["bures"] * v["har"])),
-        _report(
-            f"geo<=geomean(pair:{d:g})", v["geometric"], np.sqrt(v_lo * v_hi)
-        ),
-    ]
+    families = (*fam.named_families().values(), *fam.half_pair(d).members)
+    return _geometric_mean_reports(_values(_Frame(state, S), *families), d)
 
 
 def _geometric_mean_family(f: fam.MonotoneFamily, f_bar: fam.MonotoneFamily):
@@ -160,6 +154,32 @@ def _geometric_mean_family(f: fam.MonotoneFamily, f_bar: fam.MonotoneFamily):
     )
 
 
+def _cauchy_schwarz_reports(
+    frame_a: _Frame, frame_b: _Frame, f: fam.MonotoneFamily, f_bar: fam.MonotoneFamily
+) -> list[InequalityReport]:
+    """Cauchy-Schwarz reports on two frames; frame_b is frame_a when A = B."""
+    f_tilde = _geometric_mean_family(f, f_bar)
+    lhs = abs(_cross_value(frame_a, frame_b, f_tilde)) ** 2
+    d2_f = _cross_value(frame_a, frame_a, f).real
+    d2_f_bar = _cross_value(frame_b, frame_b, f_bar).real
+    reports = [_report(f"cs:{f.label},{f_bar.label}->{f_tilde.label}", lhs, d2_f * d2_f_bar)]
+    if frame_b is frame_a:
+        w = frame_a.state.weights
+        # (1 + e^{-w}) times the line weight |dA_mn|^2 rho_m
+        pair_weights = (w[:, None] + w[None, :]) * np.abs(frame_a.centered) ** 2
+        for family, d2 in ((f, d2_f), (f_bar, d2_f_bar)):
+            classical = 0.125 * float(np.sum(fam.eval_g(family, frame_a.x) * pair_weights))
+            reports.append(_report(f"classical_bound:{family.label}", d2, classical))
+        reports.append(
+            _report(
+                "cross_bures<=cross_bkm",
+                _cross_value(frame_a, frame_a, fam.BURES).real,
+                _cross_value(frame_a, frame_a, fam.BKM).real,
+            )
+        )
+    return reports
+
+
 def cauchy_schwarz_cross(
     state: GibbsState, A, B, f: fam.MonotoneFamily, f_bar: fam.MonotoneFamily
 ) -> list[InequalityReport]:
@@ -171,33 +191,10 @@ def cauchy_schwarz_cross(
     coincide, the classical-regime upper bound (dropping the (x coth x)^-1
     factor) and the Bures <= BKM cross bound are reported as well.
     """
-    f_tilde = _geometric_mean_family(f, f_bar)
-    lhs = abs(cross_metric(state, A, B, f_tilde)) ** 2
-    rhs = cross_metric(state, A, A, f).real * cross_metric(state, B, B, f_bar).real
-    reports = [_report(f"cs:{f.label},{f_bar.label}->{f_tilde.label}", lhs, rhs)]
-    a_matrix = as_operator(A).matrix
-    b_matrix = as_operator(B).matrix
-    if a_matrix.shape == b_matrix.shape and np.array_equal(a_matrix, b_matrix):
-        Q = build_cross_dsf(state, A, A)
-        p_weights = (1.0 + np.exp(-Q.omegas)) * Q.weights.real
-        for family in (f, f_bar):
-            g = fam.eval_g(family, 0.5 * Q.omegas)
-            classical = 0.125 * float(np.sum(g * p_weights))
-            reports.append(
-                _report(
-                    f"classical_bound:{family.label}",
-                    cross_metric(state, A, A, family).real,
-                    classical,
-                )
-            )
-        reports.append(
-            _report(
-                "cross_bures<=cross_bkm",
-                cross_metric(state, A, A, fam.BURES).real,
-                cross_metric(state, A, A, fam.BKM).real,
-            )
-        )
-    return reports
+    a_op, b_op = as_operator(A), as_operator(B)
+    frame_a = _Frame(state, a_op)
+    frame_b = frame_a if np.array_equal(a_op.matrix, b_op.matrix) else _Frame(state, b_op)
+    return _cauchy_schwarz_reports(frame_a, frame_b, f, f_bar)
 
 
 def random_instance(rng: np.random.Generator, dim: int, spread: float | None = None):
@@ -239,52 +236,43 @@ class VerificationSummary:
     gm_link_crossings: int = 0
 
     def to_dict(self):
-        return {
-            "seed": self.seed,
-            "trials": self.trials,
-            "checks": self.checks,
-            "failures": [r.to_dict() for r in self.failures],
-            "passed": self.passed,
-            "gm_link_out_of_regime": self.gm_link_out_of_regime,
-            "gm_link_crossings": self.gm_link_crossings,
-        }
-
-
-def _worker_count() -> int:
-    """Worker threads from QFI_NUM_THREADS (default 1; unparsable means 1)."""
-    raw = os.environ.get("QFI_NUM_THREADS", "1")
-    try:
-        return max(1, int(raw))
-    except ValueError:
-        return 1
+        return asdict(self)
 
 
 def _run_trial(entropy, dims):
-    """One corpus trial; returns (scored reports, gm_out, gm_crossings)."""
+    """One corpus trial; returns (scored reports, gm_out, gm_crossings).
+
+    Draw order: dim, (T, S), B, pair offset d, power-difference p.
+    """
     rng = np.random.default_rng(entropy)
     dim = int(rng.choice(dims))
     T, S = random_instance(rng, dim)
     _, B = random_instance(rng, dim, spread=1.0)
+    d = float(rng.uniform(0.0, 1.5))
+    p = float(rng.uniform(0.5, 1.5))
     state = gibbs_state(T)
+    frame = _Frame(state, S, chain_order=1)
+    frame_b = _Frame(state, B)
+    values = _values(frame, *fam.named_families().values(), *fam.half_pair(d).members)
     reports = []
     gm_out = 0
     gm_crossings = 0
-    in_regime = 0.5 * _max_coupled_omega(to_eigenbasis(state, S)) <= GEOMETRIC_MC_CROSSOVER
-    for report in chain_check(state, S):
+    in_regime = 0.5 * frame.max_omega <= GEOMETRIC_MC_CROSSOVER
+    for report in _chain_reports(values):
         if report.name == "chain:geometric<=mc" and not in_regime:
             gm_out += 1
             if not report.passed:
                 gm_crossings += 1
             continue
         reports.append(report)
-    reports += commutator_bounds(state, S)
-    reports += geometric_mean_checks(state, S, float(rng.uniform(0.0, 1.5)))
-    reports += cauchy_schwarz_cross(state, S, B, fam.BURES, fam.MC)
-    reports += cauchy_schwarz_cross(state, S, B, fam.BURES, fam.HAR)
-    p = float(rng.uniform(0.5, 1.5))
-    reports += cauchy_schwarz_cross(
-        state, S, B, fam.power_difference(p), fam.power_difference(1.0 - p)
-    )
+    reports += _commutator_reports(values, 2.0 * frame.moments[1])
+    reports += _geometric_mean_reports(values, d)
+    for f, f_bar in (
+        (fam.BURES, fam.MC),
+        (fam.BURES, fam.HAR),
+        (fam.power_difference(p), fam.power_difference(1.0 - p)),
+    ):
+        reports += _cauchy_schwarz_reports(frame, frame_b, f, f_bar)
     for row in sum_rule_report(state, S):
         reports.append(
             InequalityReport(
@@ -306,23 +294,17 @@ def run_verification_suite(seed: int, trials: int, dims=(2, 3, 4, 5, 6, 7, 8)) -
     commutator bounds, the geometric-mean bounds at a random pair offset,
     the Cauchy-Schwarz cross bounds against an independent observable, and
     the moment sum rules (p = 0..6, relative error <= 1e-9).  Trials use
-    independently spawned seed streams, so they may run on worker threads
-    (QFI_NUM_THREADS) while the report stays deterministic by seed.
+    independently spawned seed streams, so the report is deterministic by
+    seed.
     """
     if trials < 1:
         raise ValueError("trials must be >= 1")
-    streams = np.random.SeedSequence(seed).spawn(trials)
-    workers = _worker_count()
-    if workers > 1 and trials > 1:
-        with ThreadPoolExecutor(max_workers=workers) as pool:
-            outcomes = list(pool.map(lambda sq: _run_trial(sq, dims), streams))
-    else:
-        outcomes = [_run_trial(sq, dims) for sq in streams]
     failures: list[InequalityReport] = []
     checks = 0
     gm_out = 0
     gm_crossings = 0
-    for reports, out, crossings in outcomes:
+    for stream in np.random.SeedSequence(seed).spawn(trials):
+        reports, out, crossings = _run_trial(stream, dims)
         checks += len(reports) + out
         gm_out += out
         gm_crossings += crossings

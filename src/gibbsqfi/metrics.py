@@ -31,8 +31,8 @@ import numpy as np
 from scipy.special import exprel
 
 from . import families as fam
-from .dsf import LineSpectrum, build_cross_dsf, build_dsf, commutator_moments
-from .hilbert import GibbsState, ObservableInEigenbasis, duhamel_weight_matrix, to_eigenbasis
+from .dsf import LineSpectrum, build_dsf, commutator_moments
+from .hilbert import GibbsState, duhamel_weight_matrix, to_eigenbasis
 
 __all__ = [
     "MetricDiagnostics",
@@ -82,8 +82,8 @@ def _nonnegative(raw: float, scale: float, method: str) -> float:
 class _Frame:
     """Family-independent data of one (state, S), shared by every route.
 
-    The attributes are what the closed-sum routes need; ``dsf``,
-    ``max_omega`` and ``moments`` are computed on first use and kept.
+    The attributes are what the closed-sum routes need; the cached
+    properties are computed on first use and kept.
     chain_order is the highest commutator moment the frame provides.
     """
 
@@ -103,27 +103,25 @@ class _Frame:
         self.degenerate_pairs = int(np.sum(window))
 
     @cached_property
+    def centered(self) -> np.ndarray:
+        """Elements of S - <S> in the eigenbasis."""
+        return self.s_eig - self.mean * np.eye(self.state.dim)
+
+    @cached_property
     def dsf(self) -> LineSpectrum:
         return build_dsf(self.state, self.rotated)
 
     @cached_property
     def max_omega(self) -> float:
-        """Largest Bohr frequency carrying weight of S."""
-        return _max_coupled_omega(self.rotated)
+        """Largest |T_n - T_m| over the pairs where S has a nonzero element."""
+        mags = np.abs(self.s_eig)
+        coupled = mags > 1e-14 * max(float(mags.max()), 1e-300)
+        return float(np.max(np.where(coupled, np.abs(2.0 * self.x), 0.0)))
 
     @cached_property
     def moments(self) -> list[float]:
         """M_0..M_chain_order from one commutator chain."""
         return commutator_moments(self.state, self.S, self.chain_order)
-
-
-def _max_coupled_omega(rotated: ObservableInEigenbasis) -> float:
-    """Largest |T_n - T_m| over the pairs where S has a nonzero element."""
-    lam = rotated.basis.eigenvalues
-    mags = np.abs(rotated.elements)
-    coupled = mags > 1e-14 * max(float(mags.max()), 1e-300)
-    gaps = np.abs(lam[:, None] - lam[None, :])
-    return float(np.max(np.where(coupled, gaps, 0.0)))
 
 
 def _spectral_value(frame: _Frame, family: fam.MonotoneFamily) -> float:
@@ -284,17 +282,22 @@ def metric_difference_to_bkm(state: GibbsState, S, family: fam.MonotoneFamily) -
     return 0.25 * float(np.sum((g - 1.0) * _line_kernel(Q.omegas, Q.weights)))
 
 
-def cross_metric(state: GibbsState, A, B, family: fam.MonotoneFamily) -> complex:
-    """Cross metric d^2_f(dA, dB) over the complex pair spectrum.
+def _cross_value(frame_a: _Frame, frame_b: _Frame, family: fam.MonotoneFamily) -> complex:
+    """(1/4) sum g_f(x) W dA dB^T over two frames of one state."""
+    g = fam.eval_g(family, frame_a.x)
+    return complex(0.25 * np.sum(g * frame_a.kernel * frame_a.centered * frame_b.centered.T))
 
-    (1/8) sum_j (w/2)^{-1} tanh(w/2) g_f(w/2) (1 + e^{-w}) q_j; the
-    tanh/cotanh factors collapse to (1 - e^{-w})/w, giving the same kernel
-    as the diagonal line sum.  Real for A = B; satisfies
-    cross_metric(A, B) = conj(cross_metric(B, A)).
+
+def cross_metric(state: GibbsState, A, B, family: fam.MonotoneFamily) -> complex:
+    """Cross metric d^2_f(dA, dB): (1/4) sum g_f(x_mn) W_mn dA_mn dB_nm.
+
+    The pair-spectrum sum (1/8) sum_j (w/2)^{-1} tanh(w/2) g_f(w/2)
+    (1 + e^{-w}) q_j of build_cross_dsf, line by line: the tanh/cotanh
+    factors collapse to (1 - e^{-w})/w, which turns the line weight
+    dA_mn dB_nm rho_m into the log-mean kernel W_mn times dA_mn dB_nm.
+    Real for A = B; cross_metric(A, B) = conj(cross_metric(B, A)).
     """
-    Q = build_cross_dsf(state, A, B)
-    g = fam.eval_g(family, 0.5 * Q.omegas)
-    return complex(0.25 * np.sum(g * _line_kernel(Q.omegas, Q.weights)))
+    return _cross_value(_Frame(state, A), _Frame(state, B), family)
 
 
 def fidelity_susceptibility(state: GibbsState, S) -> float:

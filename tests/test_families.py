@@ -5,6 +5,7 @@ independent of the package's stable evaluation paths.
 """
 
 import math
+import warnings
 
 import mpmath
 import numpy as np
@@ -96,6 +97,20 @@ class TestEvalF:
                         xx = mpmath.mpf(x)
                         ref = (p - 1) / p * (xx ** p - 1) / (xx ** (p - 1) - 1)
                 assert fam.eval_f(family, x) == pytest.approx(float(ref), rel=1e-12)
+
+    def test_large_ratio_finite_without_warnings(self):
+        # u = ln x = 400: exprel(u)^2 alone would overflow, f itself does not
+        x = math.exp(400.0)
+        with mpmath.workdps(40):
+            xx = mpmath.e ** 400
+            mc = (xx - 1) ** 2 / 400 ** 2 * 2 / (1 + xx)
+            a = mpmath.mpf("0.3")
+            wyd = a * (1 - a) * (xx - 1) ** 2 / ((xx ** a - 1) * (xx ** (1 - a) - 1))
+        with warnings.catch_warnings():
+            warnings.simplefilter("error", RuntimeWarning)
+            for family, ref in ((fam.MC, mc), (fam.wyd(0.3), wyd)):
+                assert fam.eval_f(family, x) == pytest.approx(float(ref), rel=1e-12)
+                assert fam.eval_c(family, 1.0, x) == pytest.approx(float(1 / ref), rel=1e-12)
 
     def test_domain_error(self):
         for bad in (0.0, -1.0):

@@ -6,7 +6,7 @@ import mpmath
 import numpy as np
 import pytest
 
-from gibbsqfi import families as fam, hilbert as hb, inequalities as ineq, metrics
+from gibbsqfi import dsf, families as fam, hilbert as hb, inequalities as ineq, metrics
 
 SX = np.array([[0, 1], [1, 0]], dtype=complex)
 SZ = np.diag([1.0, -1.0]).astype(complex)
@@ -178,6 +178,41 @@ class TestVerificationSuite:
         monkeypatch.setenv("QFI_NUM_THREADS", "4")
         threaded = ineq.run_verification_suite(seed=11, trials=20)
         assert serial.to_dict() == threaded.to_dict()
+
+    def test_one_frame_per_trial(self, monkeypatch):
+        # one rotation each for S, B and the sum rules; every family is
+        # checked once and no cross structure factor is assembled
+        calls = {"rotate": 0, "cross_dsf": 0}
+        checked = []
+
+        def counting(key, fn):
+            def wrapper(*args, **kwargs):
+                calls[key] += 1
+                return fn(*args, **kwargs)
+            return wrapper
+
+        rotate = counting("rotate", hb.to_eigenbasis)
+        cross_dsf = counting("cross_dsf", dsf.build_cross_dsf)
+        checked_fn = ineq._checked
+        for module in (hb, dsf, metrics, ineq):
+            if hasattr(module, "to_eigenbasis"):
+                monkeypatch.setattr(module, "to_eigenbasis", rotate)
+            if hasattr(module, "build_cross_dsf"):
+                monkeypatch.setattr(module, "build_cross_dsf", cross_dsf)
+
+        def checking(frame, family):
+            checked.append(family.label)
+            return checked_fn(frame, family)
+
+        monkeypatch.setattr(ineq, "_checked", checking)
+        for stream in np.random.SeedSequence(5).spawn(3):
+            calls.update(rotate=0, cross_dsf=0)
+            checked.clear()
+            reports, out, _ = ineq._run_trial(stream, (2, 5, 8))
+            assert len(reports) + out == 24
+            assert calls["rotate"] <= 3
+            assert calls["cross_dsf"] == 0
+            assert len(checked) == len(set(checked)) == 8
 
     def test_trials_validation(self):
         with pytest.raises(ValueError):

@@ -254,19 +254,42 @@ class TestCrossMetric:
 
     def test_literal_tanh_kernel_oracle(self):
         # (1/8) sum (w/2)^{-1} tanh(w/2) g(w/2) (1 + e^{-w}) q evaluated
-        # verbatim must match the simplified kernel used internally
+        # verbatim on the build_cross_dsf lines must match the matrix form
+        # used internally: GUE instances of dims 2-10 with spreads 0.1-100,
+        # every third one with pairs of degenerate levels
         rng = np.random.default_rng(33)
         state, a = random_instance(33, 5)
-        b = hb.HermitianOperator(random_hermitian(rng, 5))
-        q = dsf.build_cross_dsf(state, a, b)
-        for family in (fam.BURES, fam.MC, fam.wyd(0.4)):
+        instances = [(state, a, hb.HermitianOperator(random_hermitian(rng, 5)))]
+        for k in range(30):
+            dim = int(rng.integers(2, 11))
+            levels = 10.0 ** rng.uniform(-1.0, 2.0) * rng.uniform(size=dim)
+            if k % 3 == 0:
+                levels[1::2] = levels[:-1:2]
+            U = np.linalg.eigh(random_hermitian(rng, dim))[1]
+            t = (U * levels) @ U.conj().T
+            instances.append(
+                (
+                    hb.gibbs_state(0.5 * (t + t.conj().T)),
+                    hb.HermitianOperator(random_hermitian(rng, dim)),
+                    hb.HermitianOperator(random_hermitian(rng, dim)),
+                )
+            )
+        families = (fam.BURES, fam.MC, fam.HAR, fam.wyd(0.4), fam.power_difference(1.3))
+        for state, a, b in instances:
+            q = dsf.build_cross_dsf(state, a, b)
             half = 0.5 * q.omegas
             factor = np.where(
                 half == 0.0, 2.0, np.tanh(half) / np.where(half == 0, 1.0, half) * (1.0 + np.exp(-q.omegas))
             )
-            literal = 0.125 * complex(np.sum(fam.eval_g(family, half) * factor * q.weights))
-            value = metrics.cross_metric(state, a, b, family)
-            assert value == pytest.approx(literal, rel=1e-12)
+            for family in families:
+                literal = 0.125 * complex(np.sum(fam.eval_g(family, half) * factor * q.weights))
+                value = metrics.cross_metric(state, a, b, family)
+                scale = math.sqrt(
+                    metrics.metric_spectral(state, a, family).value
+                    * metrics.metric_spectral(state, b, family).value
+                )
+                assert abs(value - literal) <= 1e-12 * scale
+                assert value == pytest.approx(literal, rel=1e-12)
 
 
 class TestNamedIdentities:
