@@ -16,13 +16,13 @@ import math
 import os
 import sys
 from concurrent.futures import ThreadPoolExecutor
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 
 from . import families as fam
-from .dsf import build_dsf, sum_rule_report
+from .dsf import _Frame, build_dsf, sum_rule_report
 from .hilbert import HermitianOperator, gibbs_state, read_operator_json, write_operator_json
 from .inequalities import run_verification_suite
-from .metrics import _evaluate, _Frame, _moment_order
+from .metrics import _evaluate, _moment_order
 from .models import BosonModel, SpinModel, boson_build, spin_build
 
 __all__ = ["main", "JobConfig", "run_metric_job"]
@@ -30,6 +30,14 @@ __all__ = ["main", "JobConfig", "run_metric_job"]
 
 class UsageError(Exception):
     """Invalid configuration or arguments; maps to exit code 2."""
+
+
+def _is_finite_number(value) -> bool:
+    """A finite int or float (not bool); json reads 1e400 as inf and NaN as nan."""
+    try:
+        return type(value) in (int, float) and math.isfinite(value)
+    except OverflowError:  # an int beyond float range
+        return False
 
 
 @dataclass
@@ -51,12 +59,7 @@ class JobConfig:
             problems.append("model: required object (model spec or matrix paths)")
             model = {}
         beta = raw.get("beta", 1.0)
-        try:
-            # json reads 1e400 as inf and NaN as nan; bool is an int subclass
-            valid = not isinstance(beta, bool) and math.isfinite(beta) and beta > 0
-        except (TypeError, OverflowError):
-            valid = False
-        if not valid:
+        if not (_is_finite_number(beta) and beta > 0):
             problems.append(f"beta: must be a finite positive number, got {beta!r}")
             beta = 1.0
         family_ids = raw.get("families", [])
@@ -95,6 +98,12 @@ class JobConfig:
             ):
                 problems.append("sweep: needs {'parameter': name, 'grid': [values...]}")
                 sweep = None
+            else:
+                positive = sweep["parameter"] == "beta"
+                kind = "finite positive number" if positive else "finite number"
+                for value in sweep["grid"]:
+                    if not _is_finite_number(value) or (positive and value <= 0):
+                        problems.append(f"sweep: grid value {value!r} is not a {kind}")
         output = raw.get("output")
         if problems:
             raise UsageError("invalid config:\n  " + "\n  ".join(problems))
@@ -312,18 +321,16 @@ def _cmd_verify(args) -> int:
 
 
 def _cmd_moments(args) -> int:
+    if args.pmax < 0:
+        raise UsageError("--pmax must be >= 0")
     config = _load_config(args)
     T, S = _resolve_model(config.model)
     state = _gibbs(config.beta, T)
-    rows = [
-        {
-            "p": row.p,
-            "functional": row.functional,
-            "moment_doubled": row.moment_doubled,
-            "rel_error": row.rel_error,
-        }
-        for row in sum_rule_report(state, S, p_max=args.pmax)
-    ]
+    try:
+        rows = [asdict(row) for row in sum_rule_report(state, S, p_max=args.pmax)]
+    except ZeroDivisionError as exc:
+        problem = f"p = 0 sum rule: S couples a degenerate pair of beta * T ({exc})"
+        raise UsageError(problem) from None
     out, fmt = _resolve_output(args, config, "csv")
     if fmt == "csv":
         text = _format_rows_csv(rows, ["p", "functional", "moment_doubled", "rel_error"])

@@ -4,23 +4,20 @@ For a dense generator the structure factor is a finite comb of delta lines
 at the Bohr frequencies omega_{nm} = T_n - T_m, so all frequency integrals
 collapse to line sums with no quadrature error.  The module also provides
 the moments of the comb, the nested-commutator functionals that generate
-them algebraically, and the Bogoliubov-Duhamel inner product.
+them algebraically, and the Bogoliubov-Duhamel inner product.  Every
+(state, S) consumer reads one ``_Frame``, the only place that rotates an
+observable into the eigenbasis.
 """
 
 from __future__ import annotations
 
 import warnings
 from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 
-from .hilbert import (
-    GibbsState,
-    ObservableInEigenbasis,
-    as_operator,
-    duhamel_weight_matrix,
-    to_eigenbasis,
-)
+from .hilbert import GibbsState, as_operator, duhamel_weight_matrix, to_eigenbasis
 
 __all__ = [
     "LineSpectrum",
@@ -39,6 +36,8 @@ __all__ = [
 
 _MERGE_TOL = 1e-12  # frequencies closer than this are physically identical
 _PRUNE_REL = 1e-16  # weights this far below the peak are numerical noise
+# pairs closer than this in log weight are reported as degenerate
+_DEGENERATE_WINDOW = 2e-4
 
 
 @dataclass
@@ -147,43 +146,86 @@ def _assemble(omegas, weights, kind, dim, mean_s, noise_floor=0.0) -> LineSpectr
     return LineSpectrum(om, wt, kind, dim, float(mean_s))
 
 
+class _Frame:
+    """Family-independent data of one (state, S), shared by every consumer.
+
+    Cached properties are computed on first use; chain_order is the
+    highest commutator moment the frame provides.
+    """
+
+    def __init__(self, state: GibbsState, S, chain_order: int = 0):
+        self.state = state
+        self.S = S  # as given; the commutator chain reads it in the original basis
+        self.chain_order = chain_order
+        self.s_eig = to_eigenbasis(state, S).elements
+        lam = state.decomposition.eigenvalues
+        self.x = 0.5 * (lam[:, None] - lam[None, :])  # omega_{nm}/2 at position [n, m]
+        self.abs2 = np.abs(self.s_eig) ** 2
+        self.mean = float(np.dot(state.weights, np.diag(self.s_eig).real))
+        # the diagonal always lies in the window and is not a pair
+        self.degenerate_pairs = int(np.sum(np.abs(2.0 * self.x) < _DEGENERATE_WINDOW)) - state.dim
+
+    @cached_property
+    def kernel(self) -> np.ndarray:
+        """The Duhamel kernel W of the state."""
+        return duhamel_weight_matrix(self.state)
+
+    @cached_property
+    def centered(self) -> np.ndarray:
+        """Elements of S - <S> in the eigenbasis."""
+        return self.s_eig - self.mean * np.eye(self.state.dim)
+
+    @cached_property
+    def dsf(self) -> LineSpectrum:
+        return _line_spectrum(self, self.abs2, self.mean)
+
+    @cached_property
+    def max_omega(self) -> float:
+        """Largest |T_n - T_m| over the pairs where S has a nonzero element."""
+        mags = np.abs(self.s_eig)
+        coupled = mags > 1e-14 * max(float(mags.max()), 1e-300)
+        return float(np.max(np.where(coupled, np.abs(2.0 * self.x), 0.0)))
+
+    @cached_property
+    def moments(self) -> list[float]:
+        """M_0..M_chain_order from one commutator chain."""
+        return commutator_moments(self.state, self.S, self.chain_order)
+
+
+def _frame_pair(state: GibbsState, A, B) -> tuple[_Frame, _Frame]:
+    """Frames of A and B, rotating once when B is A."""
+    frame_a = _Frame(state, A)
+    return frame_a, (frame_a if B is A else _Frame(state, B))
+
+
+def _line_spectrum(frame: _Frame, abs2: np.ndarray, mean_s: float) -> LineSpectrum:
+    """Diagonal spectrum of eigenbasis elements |S_nm|^2: rho_m |S_nm|^2 at omega_nm."""
+    floor = 16 * np.finfo(float).eps * float(np.max(abs2))
+    weights = abs2 * frame.state.weights[None, :]
+    return _assemble(2.0 * frame.x, weights, "diagonal", frame.state.dim, mean_s, floor)
+
+
 def build_dsf(state: GibbsState, S, centered: bool = False) -> LineSpectrum:
     """Line spectrum of Q_S: weight rho_m |<n|S|m>|^2 at omega = T_n - T_m.
 
     The elastic omega = 0 line collects the diagonal matrix elements; with
     ``centered`` the observable is replaced by S - <S> first (which only
-    changes the elastic weight).  S may also be ``to_eigenbasis(state, S)``.
+    changes the elastic weight).
     """
-    rotated = S if isinstance(S, ObservableInEigenbasis) else to_eigenbasis(state, S)
-    if rotated.basis is not state.decomposition:
-        raise ValueError("S is rotated into the eigenbasis of another state")
-    S_eig = rotated.elements
-    lam = state.decomposition.eigenvalues
-    mean = float(np.dot(state.weights, np.diag(S_eig).real))
+    frame = _Frame(state, S)
     if centered:
-        S_eig = S_eig - mean * np.eye(state.dim)
-    omegas = lam[:, None] - lam[None, :]  # omega_{nm} at position [n, m]
-    weights = np.abs(S_eig) ** 2 * state.weights[None, :]
-    floor = 16 * np.finfo(float).eps * float(np.max(np.abs(S_eig)) ** 2)
-    return _assemble(
-        omegas, weights, "diagonal", state.dim, 0.0 if centered else mean, floor
-    )
+        return _line_spectrum(frame, np.abs(frame.centered) ** 2, 0.0)
+    return frame.dsf
 
 
 def build_cross_dsf(state: GibbsState, A, B) -> LineSpectrum:
     """Cross spectrum with weights <n|dA|m><m|dB|n> rho_m for Hermitian A, B."""
-    A_eig = to_eigenbasis(state, A).elements
-    B_eig = to_eigenbasis(state, B).elements
-    lam = state.decomposition.eigenvalues
-    mean_a = float(np.dot(state.weights, np.diag(A_eig).real))
-    mean_b = float(np.dot(state.weights, np.diag(B_eig).real))
-    dA = A_eig - mean_a * np.eye(state.dim)
-    dB = B_eig - mean_b * np.eye(state.dim)
-    omegas = lam[:, None] - lam[None, :]
+    frame_a, frame_b = _frame_pair(state, A, B)
+    dA, dB = frame_a.centered, frame_b.centered
     # [n, m] entry: <n|dA|m> <m|dB|n> rho_m
     weights = dA * dB.T * state.weights[None, :]
     floor = 16 * np.finfo(float).eps * float(np.max(np.abs(dA)) * np.max(np.abs(dB)))
-    return _assemble(omegas, weights, "cross", state.dim, 0.0, floor)
+    return _assemble(2.0 * frame_a.x, weights, "cross", state.dim, 0.0, floor)
 
 
 def moment(Q: LineSpectrum, p: int) -> float:
@@ -243,10 +285,8 @@ def bogoliubov_duhamel(state: GibbsState, A, B) -> float:
     (rho_n - rho_m)/(ln rho_n - ln rho_m), whose degenerate limit is rho_m;
     the diagonal contributes rho_n A_nn B_nn.
     """
-    A_eig = to_eigenbasis(state, A).elements
-    B_eig = to_eigenbasis(state, B).elements
-    W = duhamel_weight_matrix(state)
-    value = complex(np.sum(A_eig * B_eig.T * W))
+    frame_a, frame_b = _frame_pair(state, A, B)
+    value = complex(np.sum(frame_a.s_eig * frame_b.s_eig.T * frame_a.kernel))
     if abs(value.imag) > 1e-12 * max(1.0, abs(value.real)):
         warnings.warn(
             f"Duhamel product has imaginary residue {value.imag:.3e}",
@@ -263,13 +303,12 @@ def bogoliubov_duhamel_quadrature(state: GibbsState, A, B, nodes: int = 32) -> f
     closed-form kernel, as an independent check of bogoliubov_duhamel.
     Accurate to ~1e-10 for spectral ranges up to a few tens.
     """
-    A_eig = to_eigenbasis(state, A).elements
-    B_eig = to_eigenbasis(state, B).elements
+    frame_a, frame_b = _frame_pair(state, A, B)
     lw = state.log_weights
     x, w = np.polynomial.legendre.leggauss(nodes)
     taus = 0.5 * (x + 1.0)
     total = 0.0
-    pair = A_eig * B_eig.T
+    pair = frame_a.s_eig * frame_b.s_eig.T
     for tau, wq in zip(taus, w):
         kernel = np.exp((1.0 - tau) * lw[:, None] + tau * lw[None, :])
         total += 0.5 * wq * float(np.sum(pair * kernel).real)
@@ -324,30 +363,32 @@ class SumRuleRow:
     rel_error: float
 
 
+def _sum_rule_rows(frame: _Frame, p_max: int) -> list[SumRuleRow]:
+    """Sum-rule rows p = 0..p_max on a frame whose chain reaches p_max - 1."""
+    off = np.where(np.eye(frame.state.dim, dtype=bool), 0.0, frame.abs2)
+    rows = []
+    for p in range(p_max + 1):
+        if p == 0:
+            f_val = float(np.sum(frame.kernel * off))
+            m_val = 2.0 * moment(_line_spectrum(frame, off, 0.0), -1)
+        else:
+            f_val = 2.0 * frame.moments[p - 1]
+            m_val = 2.0 * moment(frame.dsf, p - 1)
+        scale = max(abs(f_val), abs(m_val), 1e-300)
+        rows.append(SumRuleRow(p, f_val, m_val, abs(f_val - m_val) / scale))
+    return rows
+
+
 def sum_rule_report(state: GibbsState, S, p_max: int = 6) -> list[SumRuleRow]:
     """Check F_p = 2 M_{p-1} for p = 0..p_max on one (state, S) instance.
 
     The p = 0 rule needs a vanishing elastic line, so that row is
     evaluated on the off-diagonal part of S in the eigenbasis of the
-    generator, where F_0 = sum W |S_mn|^2; the rows with p >= 1 use S
+    generator, where F_0 = sum W |S_mn|^2, and raises ZeroDivisionError
+    when S couples a degenerate pair; the rows with p >= 1 use S
     unchanged and read one commutator chain for every p.
     """
-    rotated = to_eigenbasis(state, S)
-    off = rotated.elements - np.diag(np.diag(rotated.elements))
-    Q = build_dsf(state, rotated)
-    Q_off = build_dsf(state, ObservableInEigenbasis(off, state.decomposition))
-    chain = commutator_moments(state, S, p_max - 1)
-    rows = []
-    for p in range(p_max + 1):
-        if p == 0:
-            f_val = float(np.sum(duhamel_weight_matrix(state) * np.abs(off) ** 2))
-            m_val = 2.0 * moment(Q_off, -1)
-        else:
-            f_val = 2.0 * chain[p - 1]
-            m_val = 2.0 * moment(Q, p - 1)
-        scale = max(abs(f_val), abs(m_val), 1e-300)
-        rows.append(SumRuleRow(p, f_val, m_val, abs(f_val - m_val) / scale))
-    return rows
+    return _sum_rule_rows(_Frame(state, S, p_max - 1), p_max)
 
 
 def write_spectrum_csv(Q: LineSpectrum, path):

@@ -4,7 +4,8 @@ Every verifier returns InequalityReport rows with explicit slack values.
 Before any comparison the two sides are computed by both metric routes
 (filter-function and Morozova-Cencov oracle) and must agree to 1e-10, so
 no inequality is ever verified against itself.  A corpus trial builds one
-frame (``metrics._Frame``) each for S and B, which every verifier reads.
+frame (``dsf._Frame``) each for S and B, which every verifier and the sum
+rules read.
 """
 
 from __future__ import annotations
@@ -14,9 +15,9 @@ from dataclasses import asdict, dataclass
 import numpy as np
 
 from . import families as fam
-from .dsf import sum_rule_report
+from .dsf import _Frame, _sum_rule_rows
 from .hilbert import GibbsState, HermitianOperator, as_operator, gibbs_state
-from .metrics import _cross_value, _Frame, _oracle_value, _spectral_value
+from .metrics import _cross_value, _oracle_value, _spectral_value
 
 __all__ = [
     "InequalityReport",
@@ -251,7 +252,7 @@ def _run_trial(entropy, dims):
     d = float(rng.uniform(0.0, 1.5))
     p = float(rng.uniform(0.5, 1.5))
     state = gibbs_state(T)
-    frame = _Frame(state, S, chain_order=1)
+    frame = _Frame(state, S, chain_order=5)  # C = 2 M_1 and the sum rules p <= 6
     frame_b = _Frame(state, B)
     values = _values(frame, *fam.named_families().values(), *fam.half_pair(d).members)
     reports = []
@@ -273,17 +274,10 @@ def _run_trial(entropy, dims):
         (fam.power_difference(p), fam.power_difference(1.0 - p)),
     ):
         reports += _cauchy_schwarz_reports(frame, frame_b, f, f_bar)
-    for row in sum_rule_report(state, S):
-        reports.append(
-            InequalityReport(
-                name=f"sum_rule:p{row.p}",
-                lhs=row.rel_error,
-                rhs=1e-9,
-                slack=1e-9 - row.rel_error,
-                passed=row.rel_error <= 1e-9,
-                tolerance=0.0,
-            )
-        )
+    for row in _sum_rule_rows(frame, 6):
+        slack = 1e-9 - row.rel_error
+        name = f"sum_rule:p{row.p}"
+        reports.append(InequalityReport(name, row.rel_error, 1e-9, slack, slack >= 0.0, 0.0))
     return reports, gm_out, gm_crossings
 
 

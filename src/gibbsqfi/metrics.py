@@ -13,10 +13,11 @@ The routes are mutually cross-checking:
                               from iterated commutators.
 
 The family enters only through its filter or series coefficients, so
-every route reads one frame per (state, S) (``_Frame``).  Its commutator
-chain (``dsf.commutator_moments``, shared with functional_F and the sum
-rules) stays in the original basis, so the series still cross-check the
-eigenbasis routes.  The one kernel is ``scipy.special.exprel``.
+every route reads one frame per (state, S) (``dsf._Frame``).  Its
+commutator chain (``dsf.commutator_moments``, shared with functional_F
+and the sum rules) stays in the original basis, so the series still
+cross-check the eigenbasis routes.  The one kernel is
+``scipy.special.exprel``.
 
 All metrics carry the 1/4 normalization that makes the Bures member one
 quarter of the fidelity susceptibility (see fidelity_susceptibility).
@@ -25,14 +26,13 @@ quarter of the fidelity susceptibility (see fidelity_susceptibility).
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from functools import cached_property
 
 import numpy as np
 from scipy.special import exprel
 
 from . import families as fam
-from .dsf import LineSpectrum, build_dsf, commutator_moments
-from .hilbert import GibbsState, duhamel_weight_matrix, to_eigenbasis
+from .dsf import LineSpectrum, _Frame, build_dsf
+from .hilbert import GibbsState
 
 __all__ = [
     "MetricDiagnostics",
@@ -49,9 +49,6 @@ __all__ = [
 ]
 
 METHODS = ("mc_oracle", "spectral", "dsf_sum", "series_A", "series_B")
-
-# pairs closer than this in log weight are reported as degenerate
-_DEGENERATE_WINDOW = 2e-4
 
 
 @dataclass
@@ -77,51 +74,6 @@ def _nonnegative(raw: float, scale: float, method: str) -> float:
             raise ArithmeticError(f"{method} produced a negative metric: {raw!r}")
         return 0.0
     return raw
-
-
-class _Frame:
-    """Family-independent data of one (state, S), shared by every route.
-
-    The attributes are what the closed-sum routes need; the cached
-    properties are computed on first use and kept.
-    chain_order is the highest commutator moment the frame provides.
-    """
-
-    def __init__(self, state: GibbsState, S, chain_order: int = 0):
-        self.state = state
-        self.S = S  # as given; the commutator chain reads it in the original basis
-        self.chain_order = chain_order
-        self.rotated = to_eigenbasis(state, S)
-        self.s_eig = self.rotated.elements
-        lam = state.decomposition.eigenvalues
-        self.x = 0.5 * (lam[:, None] - lam[None, :])  # (1/2) ln(rho_n / rho_m)
-        self.kernel = duhamel_weight_matrix(state)
-        self.abs2 = np.abs(self.s_eig) ** 2
-        self.mean = float(np.dot(state.weights, np.diag(self.s_eig).real))
-        off = ~np.eye(state.dim, dtype=bool)
-        window = (np.abs(2.0 * self.x) < _DEGENERATE_WINDOW) & off
-        self.degenerate_pairs = int(np.sum(window))
-
-    @cached_property
-    def centered(self) -> np.ndarray:
-        """Elements of S - <S> in the eigenbasis."""
-        return self.s_eig - self.mean * np.eye(self.state.dim)
-
-    @cached_property
-    def dsf(self) -> LineSpectrum:
-        return build_dsf(self.state, self.rotated)
-
-    @cached_property
-    def max_omega(self) -> float:
-        """Largest |T_n - T_m| over the pairs where S has a nonzero element."""
-        mags = np.abs(self.s_eig)
-        coupled = mags > 1e-14 * max(float(mags.max()), 1e-300)
-        return float(np.max(np.where(coupled, np.abs(2.0 * self.x), 0.0)))
-
-    @cached_property
-    def moments(self) -> list[float]:
-        """M_0..M_chain_order from one commutator chain."""
-        return commutator_moments(self.state, self.S, self.chain_order)
 
 
 def _spectral_value(frame: _Frame, family: fam.MonotoneFamily) -> float:

@@ -14,9 +14,9 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import families as fam
-from .dsf import bogoliubov_duhamel, build_dsf
-from .hilbert import GibbsState, HermitianOperator, gibbs_state, thermal_average
-from .metrics import metric_spectral
+from .dsf import _Frame
+from .hilbert import GibbsState, HermitianOperator, gibbs_state
+from .metrics import _spectral_value
 
 __all__ = [
     "SpinModel",
@@ -105,12 +105,12 @@ def spin_ratio_property(model: SpinModel, family: fam.MonotoneFamily) -> SpinRat
     deviation from the brute-force value; the ratio is the ground truth.
     """
     T, S = spin_build(model)
-    state = gibbs_state(T)
-    Q = build_dsf(state, S)
-    off = np.minimum(np.abs(np.abs(Q.omegas) - model.omega0), np.abs(Q.omegas))
+    frame = _Frame(gibbs_state(T), S)
+    omegas = frame.dsf.omegas
+    off = np.minimum(np.abs(np.abs(omegas) - model.omega0), np.abs(omegas))
     support_ok = bool(np.all(off < 1e-9))
-    brute = metric_spectral(state, S, family).value
-    base = metric_spectral(state, S, fam.BKM).value
+    brute = _spectral_value(frame, family)
+    base = _spectral_value(frame, fam.BKM)
     ratio = brute / base
     expected = fam.eval_g(family, 0.5 * model.omega0)
     half = 0.5 * model.omega0
@@ -274,13 +274,12 @@ def boson_closed_forms(model: BosonModel, family: fam.MonotoneFamily) -> BosonCl
     agree at converged cutoff.
     """
     T, S = boson_build(model)
-    state = gibbs_state(T)
+    frame = _Frame(gibbs_state(T), S)
     K, L = boson_correlators(model)
     half = 0.5 * model.k * model.omega
-    d2_bkm = 0.25 * bogoliubov_duhamel(state, S, S)
-    s_sq = HermitianOperator(S.matrix @ S.matrix)
-    d2_mc = 0.25 * (thermal_average(state, s_sq) - thermal_average(state, S) ** 2)
+    d2_bkm = 0.25 * float(np.sum(frame.kernel * frame.abs2))
+    d2_mc = 0.25 * (float(np.dot(frame.state.weights, frame.abs2.sum(axis=0))) - frame.mean ** 2)
     via_nu1 = d2_bkm + 0.25 / half * (1.0 - fam.eval_g(family, half)) * K
     via_nu2 = d2_mc - 0.25 * (1.0 - fam.eval_g_hat(family, half)) * L
-    brute = metric_spectral(state, S, family).value
+    brute = _spectral_value(frame, family)
     return BosonClosedForms(via_nu1, via_nu2, brute)

@@ -14,8 +14,9 @@ import numpy as np
 from scipy import integrate
 
 from . import families as fam
-from .hilbert import GibbsState, to_eigenbasis
-from .metrics import MetricDiagnostics, MetricResult, _Frame, _nonnegative
+from .dsf import _Frame
+from .hilbert import GibbsState
+from .metrics import MetricDiagnostics, MetricResult, _nonnegative
 
 __all__ = [
     "SkewResult",
@@ -49,7 +50,7 @@ def wyd_skew(state: GibbsState, S, alpha: float) -> SkewResult:
     """
     if not 0.0 < alpha < 1.0:
         raise ValueError("alpha must lie in (0, 1)")
-    abs2 = np.abs(to_eigenbasis(state, S).elements) ** 2
+    abs2 = _Frame(state, S).abs2
     return SkewResult(_wyd_value(state.weights, abs2, alpha), fam.wyd(alpha), alpha)
 
 
@@ -66,7 +67,7 @@ def metric_adjusted_skew(state: GibbsState, S, family: fam.MonotoneFamily) -> Sk
             f"family {family.label!r} has f(0) = 0 and admits no "
             "metric-adjusted skew information"
         )
-    abs2 = np.abs(to_eigenbasis(state, S).elements) ** 2
+    abs2 = _Frame(state, S).abs2
     w = state.weights
     rm = w[:, None]
     rn = w[None, :]
@@ -97,7 +98,7 @@ def integrated_wyd(state: GibbsState, S) -> float:
     Equals Var(S) - F_0(dS; dS), i.e. 4 (d^2_MC - d^2_BKM); evaluated by
     adaptive quadrature over cached eigen-data.
     """
-    abs2 = np.abs(to_eigenbasis(state, S).elements) ** 2
+    abs2 = _Frame(state, S).abs2
     w = state.weights
     value, _ = integrate.quad(
         lambda a: _wyd_value(w, abs2, a), 0.0, 1.0, epsabs=1e-9, epsrel=1e-10

@@ -170,6 +170,28 @@ class TestMetricJobs:
         )
         assert main(["sweep", "--config", config]) == 2
 
+    @pytest.mark.parametrize(
+        "parameter, grid, bad",
+        [
+            ("beta", "[1.0, -1.0, 0.0]", ["-1.0", "0.0"]),
+            ("omega0", "[1.0, NaN]", ["nan"]),
+            ("omega0", '[1.0, "abc"]', ["'abc'"]),
+            ("omega0", "[true, 1e400]", ["True", "inf"]),
+        ],
+    )
+    def test_bad_sweep_grid_value_exits_2(self, tmp_path, capsys, parameter, grid, bad):
+        # each bad value is one problem line; none of them reaches a sweep point
+        path = tmp_path / "job.json"
+        path.write_text(
+            '{"model": {"model": "spin", "S": 0.5, "omega0": 1.0}, "families": ["bkm"],'
+            f' "sweep": {{"parameter": "{parameter}", "grid": {grid}}}}}'
+        )
+        out = tmp_path / "never.csv"
+        assert main(["sweep", "--config", str(path), "--out", str(out)]) == 2
+        assert not out.exists()
+        problems = [line for line in capsys.readouterr().err.splitlines() if "grid value" in line]
+        assert [line.split("grid value ")[1].split(" is not")[0] for line in problems] == bad
+
     def test_json_format(self, tmp_path):
         config = write_config(tmp_path, SPIN_SWEEP)
         out = tmp_path / "rows.json"
@@ -292,7 +314,6 @@ class TestSharedFrame:
                 return fn(*args, **kwargs)
             return wrapper
 
-        monkeypatch.setattr(metrics, "to_eigenbasis", counting("rotate", hb.to_eigenbasis))
         monkeypatch.setattr(dsf, "to_eigenbasis", counting("rotate", hb.to_eigenbasis))
         monkeypatch.setattr(cli, "read_operator_json", counting("read", hb.read_operator_json))
         config = {
@@ -338,6 +359,32 @@ class TestMoments:
         rows = read_csv(out)
         assert [int(r["p"]) for r in rows] == [0, 1, 2, 3, 4]
         assert all(float(r["rel_error"]) <= 1e-9 for r in rows)
+
+    def test_negative_pmax_exits_2(self, tmp_path, capsys):
+        config = write_config(
+            tmp_path,
+            {"model": {"model": "spin", "S": 0.5, "omega0": 1.0}, "families": ["bkm"]},
+        )
+        out = tmp_path / "never.csv"
+        assert main(["moments", "--config", config, "--pmax", "-1", "--out", str(out)]) == 2
+        assert not out.exists()
+        assert "--pmax" in capsys.readouterr().err
+
+    def test_degenerate_coupled_pair_exits_2(self, tmp_path, capsys):
+        # S couples the degenerate levels 0 and 1 of T, so M_{-1} diverges
+        t_path = tmp_path / "T.json"
+        s_path = tmp_path / "S.json"
+        hb.write_operator_json(np.diag([0.0, 0.0, 1.0]).astype(complex), t_path)
+        s = np.zeros((3, 3), dtype=complex)
+        s[0, 1] = s[1, 0] = s[1, 2] = s[2, 1] = 1.0
+        hb.write_operator_json(s, s_path)
+        config = write_config(
+            tmp_path, {"model": {"T": str(t_path), "S": str(s_path)}, "families": ["bkm"]}
+        )
+        out = tmp_path / "never.csv"
+        assert main(["moments", "--config", config, "--out", str(out)]) == 2
+        assert not out.exists()
+        assert "p = 0 sum rule" in capsys.readouterr().err
 
 
 class TestModelExport:

@@ -6,7 +6,8 @@ import math
 import numpy as np
 import pytest
 
-from gibbsqfi import dsf
+from gibbsqfi import dsf, skew
+from gibbsqfi import families as fam
 from gibbsqfi import hilbert as hb
 from gibbsqfi.inequalities import random_instance as gue_instance
 
@@ -87,24 +88,21 @@ class TestBuildDsf:
             )
 
     def test_prerotated_observable(self):
+        # build_dsf is the spectrum of a frame's pre-rotated elements
         state, s = random_instance(21, 5)
-        rotated = hb.to_eigenbasis(state, s)
-        direct, given = dsf.build_dsf(state, s), dsf.build_dsf(state, rotated)
+        frame = dsf._Frame(state, s)
+        direct, given = dsf.build_dsf(state, s), frame.dsf
         assert np.array_equal(direct.omegas, given.omegas)
         assert np.array_equal(direct.weights, given.weights)
-        assert direct.mean_s == given.mean_s
-        other, _ = random_instance(22, 5)
-        with pytest.raises(ValueError):
-            dsf.build_dsf(other, rotated)
+        assert direct.mean_s == given.mean_s == frame.mean
+        assert frame.dsf is given
 
     def test_unbalanced_rotated_input_rejected(self, qubit):
-        # |S_01| != |S_10|: a hand-built rotated observable that is not
-        # Hermitian is caught by the detailed-balance check of build_dsf
-        rotated = hb.ObservableInEigenbasis(
-            np.array([[0.0, 1.0], [0.5, 0.0]], dtype=complex), qubit.decomposition
-        )
+        # |S_01| != |S_10|: elements that are not Hermitian are caught by
+        # the detailed-balance check of the line-spectrum helper
+        abs2 = np.array([[0.0, 1.0], [0.25, 0.0]])
         with pytest.raises(ArithmeticError, match="detailed balance"):
-            dsf.build_dsf(qubit, rotated)
+            dsf._line_spectrum(dsf._Frame(qubit, SX), abs2, 0.0)
 
     def test_violating_input_rejected(self):
         with pytest.raises(ArithmeticError, match="detailed balance"):
@@ -250,6 +248,36 @@ class TestSharedChain:
         monkeypatch.setattr(dsf, "to_eigenbasis", counting)
         monkeypatch.setattr(hb, "to_eigenbasis", counting)
         assert len(dsf.sum_rule_report(state, s, p_max=6)) == 7
+        assert len(calls) == 1
+
+
+class TestOneRotation:
+    """Each (state, S) consumer rotates S once, through one frame."""
+
+    CONSUMERS = {
+        "bogoliubov_duhamel": lambda state, s: dsf.bogoliubov_duhamel(state, s, s),
+        "duhamel_quadrature": lambda state, s: dsf.bogoliubov_duhamel_quadrature(state, s, s),
+        "build_cross_dsf": lambda state, s: dsf.build_cross_dsf(state, s, s),
+        "wyd_skew": lambda state, s: skew.wyd_skew(state, s, 0.3),
+        "metric_adjusted_skew": lambda state, s: skew.metric_adjusted_skew(state, s, fam.BURES),
+        "integrated_wyd": skew.integrated_wyd,
+        "tilde_metric": lambda state, s: skew.tilde_metric(state, s, fam.BURES),
+        "variance_minus_duhamel": skew.variance_minus_duhamel,
+    }
+
+    @pytest.mark.parametrize("name", sorted(CONSUMERS))
+    def test_rotates_s_once(self, name, monkeypatch):
+        state, s = random_instance(8, 6)
+        calls, rotate = [], hb.to_eigenbasis
+
+        def counting(*args, **kwargs):
+            calls.append(args)
+            return rotate(*args, **kwargs)
+
+        for module in (hb, dsf, skew):
+            if hasattr(module, "to_eigenbasis"):
+                monkeypatch.setattr(module, "to_eigenbasis", counting)
+        self.CONSUMERS[name](state, s)
         assert len(calls) == 1
 
 

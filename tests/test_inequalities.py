@@ -180,9 +180,10 @@ class TestVerificationSuite:
         assert serial.to_dict() == threaded.to_dict()
 
     def test_one_frame_per_trial(self, monkeypatch):
-        # one rotation each for S, B and the sum rules; every family is
-        # checked once and no cross structure factor is assembled
-        calls = {"rotate": 0, "cross_dsf": 0}
+        # one rotation each for S and B, one commutator chain for C and the
+        # sum rules; every family is checked once and no cross structure
+        # factor is assembled
+        calls = {"rotate": 0, "cross_dsf": 0, "chain": 0}
         checked = []
 
         def counting(key, fn):
@@ -191,14 +192,16 @@ class TestVerificationSuite:
                 return fn(*args, **kwargs)
             return wrapper
 
-        rotate = counting("rotate", hb.to_eigenbasis)
-        cross_dsf = counting("cross_dsf", dsf.build_cross_dsf)
+        patched = {
+            "to_eigenbasis": counting("rotate", hb.to_eigenbasis),
+            "build_cross_dsf": counting("cross_dsf", dsf.build_cross_dsf),
+            "commutator_moments": counting("chain", dsf.commutator_moments),
+        }
         checked_fn = ineq._checked
         for module in (hb, dsf, metrics, ineq):
-            if hasattr(module, "to_eigenbasis"):
-                monkeypatch.setattr(module, "to_eigenbasis", rotate)
-            if hasattr(module, "build_cross_dsf"):
-                monkeypatch.setattr(module, "build_cross_dsf", cross_dsf)
+            for name, wrapper in patched.items():
+                if hasattr(module, name):
+                    monkeypatch.setattr(module, name, wrapper)
 
         def checking(frame, family):
             checked.append(family.label)
@@ -206,12 +209,11 @@ class TestVerificationSuite:
 
         monkeypatch.setattr(ineq, "_checked", checking)
         for stream in np.random.SeedSequence(5).spawn(3):
-            calls.update(rotate=0, cross_dsf=0)
+            calls.update(rotate=0, cross_dsf=0, chain=0)
             checked.clear()
             reports, out, _ = ineq._run_trial(stream, (2, 5, 8))
             assert len(reports) + out == 24
-            assert calls["rotate"] <= 3
-            assert calls["cross_dsf"] == 0
+            assert calls == {"rotate": 2, "cross_dsf": 0, "chain": 1}
             assert len(checked) == len(set(checked)) == 8
 
     def test_trials_validation(self):
