@@ -195,14 +195,19 @@ def _rows_for_point(config: JobConfig, point, T, S):
     routes = [(spec, *_parse_method(spec)) for spec in config.methods]
     chain_order = max((_moment_order(route, L) for _, route, L in routes if L), default=0)
     frame = _Frame(state, S, chain_order)
+    parameter = "" if name is None else f"{name}={value:g}"
     rows = []
     for family in config.families:
         for method_spec, route, L in routes:
-            result = _evaluate(frame, family, route, L)
+            try:
+                result = _evaluate(frame, family, route, L)
+            except OverflowError as exc:  # a series moment past double range
+                where = f"{family.label} {method_spec} {parameter}".rstrip()
+                raise UsageError(f"{where}: {exc}") from None
             rows.append(
                 {
                     "family": family.label,
-                    "parameter": "" if name is None else f"{name}={value:g}",
+                    "parameter": parameter,
                     "method": method_spec,
                     "value": result.value,
                     "L": "" if result.diagnostics.truncation is None else result.diagnostics.truncation,
@@ -331,6 +336,8 @@ def _cmd_moments(args) -> int:
     except ZeroDivisionError as exc:
         problem = f"p = 0 sum rule: S couples a degenerate pair of beta * T ({exc})"
         raise UsageError(problem) from None
+    except OverflowError as exc:
+        raise UsageError(f"--pmax {args.pmax}: {exc}") from None
     out, fmt = _resolve_output(args, config, "csv")
     if fmt == "csv":
         text = _format_rows_csv(rows, ["p", "functional", "moment_doubled", "rel_error"])

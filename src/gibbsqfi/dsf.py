@@ -13,9 +13,9 @@ from __future__ import annotations
 
 import warnings
 from dataclasses import dataclass
-from functools import cached_property
 
 import numpy as np
+from scipy import sparse
 
 from .hilbert import GibbsState, as_operator, duhamel_weight_matrix, to_eigenbasis
 
@@ -38,6 +38,9 @@ _MERGE_TOL = 1e-12  # frequencies closer than this are physically identical
 _PRUNE_REL = 1e-16  # weights this far below the peak are numerical noise
 # pairs closer than this in log weight are reported as degenerate
 _DEGENERATE_WINDOW = 2e-4
+# the commutator chain runs on sparse matrices while at most this share of
+# the entries of T and R_q is nonzero, and on dense arrays after
+_SPARSE_DENSITY = 0.1
 
 
 @dataclass
@@ -146,11 +149,33 @@ def _assemble(omegas, weights, kind, dim, mean_s, noise_floor=0.0) -> LineSpectr
     return LineSpectrum(om, wt, kind, dim, float(mean_s))
 
 
+class _lazy:
+    """A member computed on first read and then stored on the instance.
+
+    Like functools.cached_property, but without its lock: before Python
+    3.12 that lock is shared by every instance, which serializes frames
+    that threads build at the same time.  A frame belongs to one thread.
+    """
+
+    def __init__(self, compute):
+        self.compute = compute
+        self.__doc__ = compute.__doc__
+
+    def __set_name__(self, owner, name):
+        self.name = name
+
+    def __get__(self, frame, owner=None):
+        if frame is None:
+            return self
+        value = frame.__dict__[self.name] = self.compute(frame)
+        return value
+
+
 class _Frame:
     """Family-independent data of one (state, S), shared by every consumer.
 
-    Cached properties are computed on first use; chain_order is the
-    highest commutator moment the frame provides.
+    Lazy members are computed on first read, once per frame; chain_order
+    is the highest commutator moment the frame provides.
     """
 
     def __init__(self, state: GibbsState, S, chain_order: int = 0):
@@ -165,28 +190,28 @@ class _Frame:
         # the diagonal always lies in the window and is not a pair
         self.degenerate_pairs = int(np.sum(np.abs(2.0 * self.x) < _DEGENERATE_WINDOW)) - state.dim
 
-    @cached_property
+    @_lazy
     def kernel(self) -> np.ndarray:
         """The Duhamel kernel W of the state."""
         return duhamel_weight_matrix(self.state)
 
-    @cached_property
+    @_lazy
     def centered(self) -> np.ndarray:
         """Elements of S - <S> in the eigenbasis."""
         return self.s_eig - self.mean * np.eye(self.state.dim)
 
-    @cached_property
+    @_lazy
     def dsf(self) -> LineSpectrum:
         return _line_spectrum(self, self.abs2, self.mean)
 
-    @cached_property
+    @_lazy
     def max_omega(self) -> float:
         """Largest |T_n - T_m| over the pairs where S has a nonzero element."""
         mags = np.abs(self.s_eig)
         coupled = mags > 1e-14 * max(float(mags.max()), 1e-300)
         return float(np.max(np.where(coupled, np.abs(2.0 * self.x), 0.0)))
 
-    @cached_property
+    @_lazy
     def moments(self) -> list[float]:
         """M_0..M_chain_order from one commutator chain."""
         return commutator_moments(self.state, self.S, self.chain_order)
@@ -254,20 +279,33 @@ def moment(Q: LineSpectrum, p: int) -> float:
 def commutator_moments(state: GibbsState, S, order: int) -> list[float]:
     """Moments M_q = (-1)^q <R_q(S) S>, q = 0..order, from iterated commutators.
 
-    R_q = [T, R_{q-1}] stays in the original basis, independent of the
-    eigenvectors behind ``moment``.  <R_q S> = tr(R_q P) with P = S rho.
+    R_q = [T, R_{q-1}] stays in the original basis and reads the generator
+    as given, independent of the eigenvectors behind ``moment``.
+    <R_q S> = tr(R_q P) with P = S rho.  While T and R_q have at most a
+    share _SPARSE_DENSITY of nonzero entries the chain runs on CSR
+    matrices (a diagonal T keeps R_q as sparse as S; a banded T widens the
+    band each order), and from the first denser R_q on dense arrays.  A
+    moment that is not finite raises OverflowError naming its order.
     This is the one commutator chain: functional_F, sum_rule_report and
     the metric series all read it.
     """
     S_matrix = as_operator(S).matrix
     T_matrix = state.generator_matrix()
-    P_transposed = (S_matrix @ state.rho_matrix()).T
-    R = S_matrix
+    limit = _SPARSE_DENSITY * S_matrix.size
+    sparse_chain = max(np.count_nonzero(T_matrix), np.count_nonzero(S_matrix)) <= limit
+    T = sparse.csr_array(T_matrix) if sparse_chain else T_matrix
+    R = sparse.csr_array(S_matrix) if sparse_chain else S_matrix
+    P_transposed = (R @ state.rho_matrix()).T
     out = []
     for q in range(order + 1):
         if q > 0:
-            R = T_matrix @ R - R @ T_matrix
-        value = complex(np.sum(R * P_transposed))
+            R = T @ R - R @ T
+            if sparse_chain and R.nnz > limit:
+                sparse_chain = False
+                T, R = T_matrix, R.toarray()
+        value = complex(R.multiply(P_transposed).sum() if sparse_chain else np.sum(R * P_transposed))
+        if not np.isfinite(value):
+            raise OverflowError(f"commutator moment M_{q} is not finite ({value.real!r})")
         if abs(value.imag) > 1e-10 * max(1.0, abs(value.real)):
             warnings.warn(
                 f"commutator moment M_{q} has imaginary residue {value.imag:.3e}",

@@ -1,9 +1,11 @@
 """Dense Hermitian operators, Gibbs states and thermal averages.
 
-Everything is exact diagonalization at desk scale (dense storage, dims up
-to a few thousand).  The inverse temperature is absorbed into the
-generator: a Gibbs state is rho = exp(-T)/Z for a Hermitian T, so callers
-that think in (H, beta) should pass beta*H.
+Everything is exact diagonalization at desk scale (dims up to a few
+thousand): operators, eigenvectors and the density matrix are stored
+dense; only the commutator chain in ``dsf`` runs on sparse matrices while
+the generator and the observable are sparse.  The inverse temperature is
+absorbed into the generator: a Gibbs state is rho = exp(-T)/Z for a
+Hermitian T, so callers that think in (H, beta) should pass beta*H.
 """
 
 from __future__ import annotations
@@ -113,15 +115,16 @@ class GibbsState:
     weights sum to one and are strictly positive; entries that underflow
     are clamped to 1e-300 and counted in ``clamped``.  ``log_weights`` is
     kept exactly as -T_m - logZ so ratios of weights never lose precision.
+    The generator T the state was built from is kept as given.
     """
 
     decomposition: SpectralDecomposition
     weights: np.ndarray
     log_weights: np.ndarray
     logZ: float
+    _generator: np.ndarray = field(repr=False)
     clamped: int = 0
     _rho_matrix: np.ndarray | None = field(default=None, repr=False)
-    _generator: np.ndarray | None = field(default=None, repr=False)
 
     @property
     def dim(self) -> int:
@@ -135,10 +138,11 @@ class GibbsState:
         return self._rho_matrix
 
     def generator_matrix(self) -> np.ndarray:
-        """The generator T rebuilt from the eigen-data (cached)."""
-        if self._generator is None:
-            U = self.decomposition.eigenvectors
-            self._generator = (U * self.decomposition.eigenvalues) @ U.conj().T
+        """The generator T in the original basis, the matrix the state was built from.
+
+        Its zero entries are exact zeros, and the commutator chain that reads
+        it does not depend on the eigenvectors.
+        """
         return self._generator
 
 
@@ -148,7 +152,8 @@ def gibbs_state(T) -> GibbsState:
     Weights are computed with a max-shift log-sum-exp, so arbitrarily
     large spectral ranges neither overflow nor underflow the partition sum.
     """
-    decomposition = eigendecompose(T)
+    op = as_operator(T)
+    decomposition = eigendecompose(op)
     lam = decomposition.eigenvalues
     shift = float(np.min(lam))
     log_norm = float(np.log(np.sum(np.exp(-(lam - shift)))))
@@ -172,6 +177,7 @@ def gibbs_state(T) -> GibbsState:
         weights=weights,
         log_weights=log_w,
         logZ=-shift + log_norm,
+        _generator=op.matrix,
         clamped=clamped,
     )
 

@@ -32,6 +32,12 @@ SPIN_SWEEP = {
     "sweep": {"parameter": "omega0", "grid": [0.5, 1.0, 2.0]},
 }
 
+OVERFLOW_SPIN = {
+    "model": {"model": "spin", "S": 3, "omega0": 2.0},
+    "families": ["bkm"],
+    "methods": ["seriesA:600"],
+}
+
 
 class TestMetricJobs:
     def test_sweep_row_count(self, tmp_path):
@@ -191,6 +197,15 @@ class TestMetricJobs:
         assert not out.exists()
         problems = [line for line in capsys.readouterr().err.splitlines() if "grid value" in line]
         assert [line.split("grid value ")[1].split(" is not")[0] for line in problems] == bad
+
+    def test_series_past_double_range_exits_2(self, tmp_path, capsys):
+        # seriesA:600 needs M_1..M_1199 and M_1023 overflows
+        config = write_config(tmp_path, OVERFLOW_SPIN)
+        out = tmp_path / "never.csv"
+        with np.errstate(over="ignore", invalid="ignore"):
+            assert main(["metric", "--config", config, "--out", str(out)]) == 2
+        assert not out.exists()
+        assert "bkm seriesA:600: commutator moment M_1023 is not finite" in capsys.readouterr().err
 
     def test_json_format(self, tmp_path):
         config = write_config(tmp_path, SPIN_SWEEP)
@@ -385,6 +400,17 @@ class TestMoments:
         assert main(["moments", "--config", config, "--out", str(out)]) == 2
         assert not out.exists()
         assert "p = 0 sum rule" in capsys.readouterr().err
+
+
+    def test_moment_past_double_range_exits_2(self, tmp_path, capsys):
+        # |omega| = 2 on every line, so M_1023 ~ 2^1023 |S|^2 overflows
+        config = write_config(tmp_path, OVERFLOW_SPIN)
+        out = tmp_path / "never.csv"
+        with np.errstate(over="ignore", invalid="ignore"):
+            code = main(["moments", "--config", config, "--pmax", "1100", "--out", str(out)])
+        assert code == 2
+        assert not out.exists()
+        assert "M_1023 is not finite" in capsys.readouterr().err
 
 
 class TestModelExport:

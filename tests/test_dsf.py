@@ -1,15 +1,22 @@
 """Line spectrum, moments, functionals and Duhamel product tests."""
 
 import csv
+import json
 import math
+import threading
+from concurrent.futures import ThreadPoolExecutor
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
+from scipy import sparse
 
 from gibbsqfi import dsf, skew
 from gibbsqfi import families as fam
 from gibbsqfi import hilbert as hb
+from gibbsqfi.cli import main
 from gibbsqfi.inequalities import random_instance as gue_instance
+from gibbsqfi.models import SpinModel, spin_build
 
 SX = np.array([[0, 1], [1, 0]], dtype=complex)
 SY = np.array([[0, -1j], [1j, 0]], dtype=complex)
@@ -249,6 +256,134 @@ class TestSharedChain:
         monkeypatch.setattr(hb, "to_eigenbasis", counting)
         assert len(dsf.sum_rule_report(state, s, p_max=6)) == 7
         assert len(calls) == 1
+
+
+def _dense_chain(T, S, rho, order):
+    """M_q = (-1)^q tr(R_q S rho), q = 0..order, with dense products only."""
+    T, S = hb.as_operator(T).matrix, hb.as_operator(S).matrix
+    R, P = S, S @ rho
+    moments = []
+    for q in range(order + 1):
+        if q > 0:
+            R = T @ R - R @ T
+        moments.append((-1.0) ** q * np.einsum("ij,ji->", R, P).real)
+    return moments
+
+
+def _count_chain_storage(monkeypatch):
+    """Counts of the chain's conversions to CSR and back to dense."""
+    counts = {"to_sparse": 0, "to_dense": 0}
+    csr, toarray = sparse.csr_array, sparse.csr_array.toarray
+
+    def to_sparse(matrix):
+        counts["to_sparse"] += 1
+        return csr(matrix)
+
+    def to_dense(self, *args, **kwargs):
+        counts["to_dense"] += 1
+        return toarray(self, *args, **kwargs)
+
+    monkeypatch.setattr(dsf, "sparse", SimpleNamespace(csr_array=to_sparse))
+    monkeypatch.setattr(sparse.csr_array, "toarray", to_dense)
+    return counts
+
+
+def _tridiagonal(rng, dim):
+    return np.triu(np.tril(random_hermitian(rng, dim), 1), -1)
+
+
+class TestSparseChain:
+    """The chain runs sparse while T and R_q are, dense after, and gives
+    the moments of the all-dense chain to 1e-13 relative."""
+
+    def test_diagonal_generator_stays_sparse(self, monkeypatch):
+        T, S = spin_build(SpinModel(30.0, 1.0))
+        state = hb.gibbs_state(0.4 * T.matrix)
+        counts = _count_chain_storage(monkeypatch)
+        moments = dsf.commutator_moments(state, S, 12)
+        assert counts == {"to_sparse": 2, "to_dense": 0}
+        reference = _dense_chain(state.generator_matrix(), S, state.rho_matrix(), 12)
+        assert moments == pytest.approx(reference, rel=1e-13, abs=0.0)
+
+    def test_banded_chain_from_matrix_files_crosses_to_dense(self, tmp_path, monkeypatch):
+        # R_q of a tridiagonal T and S has half-bandwidth q + 1: 294 nonzeros
+        # (8%) at q = 1 and 408 (11%) at q = 2, past the 10% switch
+        rng = np.random.default_rng(60)
+        T, S = _tridiagonal(rng, 60), _tridiagonal(rng, 60)
+        hb.write_operator_json(T, tmp_path / "T.json")
+        hb.write_operator_json(S, tmp_path / "S.json")
+        config = tmp_path / "job.json"
+        config.write_text(json.dumps({
+            "model": {"T": str(tmp_path / "T.json"), "S": str(tmp_path / "S.json")},
+            "beta": 0.5,
+            "families": ["bkm"],
+        }))
+        out = tmp_path / "moments.csv"
+        counts = _count_chain_storage(monkeypatch)
+        argv = ["moments", "--config", str(config), "--pmax", "14", "--out", str(out)]
+        assert main(argv) == 0
+        assert counts == {"to_sparse": 2, "to_dense": 1}
+        T_read, _ = hb.read_operator_json(tmp_path / "T.json")
+        S_read, _ = hb.read_operator_json(tmp_path / "S.json")
+        state = hb.gibbs_state(0.5 * T_read.matrix)
+        reference = _dense_chain(state.generator_matrix(), S_read, state.rho_matrix(), 13)
+        with open(out, newline="") as fh:
+            rows = list(csv.DictReader(fh))
+        functionals = [float(row["functional"]) for row in rows[1:]]
+        assert functionals == pytest.approx([2.0 * m for m in reference], rel=1e-13, abs=0.0)
+
+    def test_dense_generator_stays_dense(self, monkeypatch):
+        T, S = gue_instance(np.random.default_rng(11), 12)
+        state = hb.gibbs_state(T)
+        counts = _count_chain_storage(monkeypatch)
+        moments = dsf.commutator_moments(state, S, 9)
+        assert counts == {"to_sparse": 0, "to_dense": 0}
+        reference = _dense_chain(T, S, state.rho_matrix(), 9)
+        assert moments == pytest.approx(reference, rel=1e-13, abs=0.0)
+
+
+class TestFrameMembers:
+    """Each lazy member of a frame is computed once and owned by that frame."""
+
+    def test_computed_once_per_frame(self, monkeypatch):
+        calls = {"moments": 0, "kernel": 0}
+
+        def counting(name, function):
+            def wrapped(*args):
+                calls[name] += 1
+                return function(*args)
+            return wrapped
+
+        monkeypatch.setattr(dsf, "commutator_moments", counting("moments", dsf.commutator_moments))
+        monkeypatch.setattr(dsf, "duhamel_weight_matrix", counting("kernel", dsf.duhamel_weight_matrix))
+        state, s = random_instance(5, 5)
+        frames = [dsf._Frame(state, s, 3), dsf._Frame(state, s, 3)]
+        for frame in frames:
+            for name in ("moments", "kernel", "centered", "dsf", "max_omega"):
+                assert getattr(frame, name) is getattr(frame, name)
+        assert calls == {"moments": 2, "kernel": 2}
+        first, second = frames
+        for name in ("moments", "kernel", "centered", "dsf"):
+            assert getattr(first, name) is not getattr(second, name)
+        assert first.moments == second.moments
+
+    def test_frames_of_two_threads_build_their_chains_together(self, monkeypatch):
+        # both chains must be inside commutator_moments at once for the
+        # barrier to open; a lock shared by the frames would break it
+        barrier = threading.Barrier(2, timeout=10.0)
+        chain = dsf.commutator_moments
+
+        def meeting(*args):
+            barrier.wait()
+            return chain(*args)
+
+        monkeypatch.setattr(dsf, "commutator_moments", meeting)
+        state, s = random_instance(6, 4)
+        frames = [dsf._Frame(state, s, 2), dsf._Frame(state, s, 2)]
+        with ThreadPoolExecutor(max_workers=2) as pool:
+            futures = [pool.submit(lambda f: f.moments, frame) for frame in frames]
+            results = [future.result(timeout=30.0) for future in futures]
+        assert results[0] == results[1] == chain(state, s, 2)
 
 
 class TestOneRotation:

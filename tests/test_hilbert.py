@@ -101,6 +101,16 @@ class TestGibbsState:
         assert state.clamped == 1
         assert state.weights[1] == 1e-300
 
+    @pytest.mark.parametrize("banded", [True, False])
+    def test_generator_is_the_input(self, banded):
+        # a rebuild U diag(lambda) U^dagger fills the zeros of a banded T
+        # with roundoff and moves the dense entries in their last bits
+        h = random_hermitian(np.random.default_rng(9), 40)
+        if banded:
+            h = np.triu(np.tril(h, 1), -1)
+        state = hb.gibbs_state(h)
+        assert np.array_equal(state.generator_matrix(), hb.as_operator(h).matrix)
+
     def test_rho_matrix(self):
         rng = np.random.default_rng(4)
         h = random_hermitian(rng, 4)
