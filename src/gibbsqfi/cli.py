@@ -105,6 +105,14 @@ class JobConfig:
                     if not _is_finite_number(value) or (positive and value <= 0):
                         problems.append(f"sweep: grid value {value!r} is not a {kind}")
         output = raw.get("output")
+        if output is not None:
+            if not isinstance(output, dict):
+                problems.append(f"output: must be an object {{'path': ..., 'format': ...}}, got {output!r}")
+            else:
+                if output.get("format", "csv") not in ("csv", "json"):
+                    problems.append(f"output: format must be csv or json, got {output['format']!r}")
+                if not isinstance(output.get("path", ""), str):
+                    problems.append(f"output: path must be a string, got {output['path']!r}")
         if problems:
             raise UsageError("invalid config:\n  " + "\n  ".join(problems))
         return cls(model, float(beta), families, methods, sweep, output)
@@ -306,10 +314,8 @@ def _cmd_metric(args) -> int:
         text = _format_rows_csv(rows, ["family", "parameter", "method", "value", "L", "radius_ok"])
         if warnings:
             text = "".join(f"# warning: {w}\n" for w in warnings) + text
-    elif fmt == "json":
-        text = json.dumps({"rows": rows, "warnings": warnings}, indent=2, sort_keys=True) + "\n"
     else:
-        raise UsageError(f"unknown format {fmt!r}")
+        text = json.dumps({"rows": rows, "warnings": warnings}, indent=2, sort_keys=True) + "\n"
     _emit(text, out)
     return 0
 
@@ -317,10 +323,12 @@ def _cmd_metric(args) -> int:
 def _cmd_verify(args) -> int:
     if args.trials < 1:
         raise UsageError("--trials must be >= 1")
-    summary = run_verification_suite(args.seed, args.trials)
+    if args.seed < 0:
+        raise UsageError("--seed must be >= 0")
     out, fmt = _resolve_output(args, None, "json")
     if fmt != "json":
         raise UsageError("verify reports are JSON only")
+    summary = run_verification_suite(args.seed, args.trials)
     _emit(json.dumps(summary.to_dict(), indent=2, sort_keys=True) + "\n", out)
     return 0 if summary.passed else 1
 
@@ -341,10 +349,8 @@ def _cmd_moments(args) -> int:
     out, fmt = _resolve_output(args, config, "csv")
     if fmt == "csv":
         text = _format_rows_csv(rows, ["p", "functional", "moment_doubled", "rel_error"])
-    elif fmt == "json":
-        text = json.dumps({"rows": rows}, indent=2, sort_keys=True) + "\n"
     else:
-        raise UsageError(f"unknown format {fmt!r}")
+        text = json.dumps({"rows": rows}, indent=2, sort_keys=True) + "\n"
     _emit(text, out)
     return 0
 

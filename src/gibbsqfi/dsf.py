@@ -85,40 +85,7 @@ def _merge_lines(omegas, weights):
     return merged_om, merged_wt
 
 
-def _check_detailed_balance(omegas, weights, kind, noise_floor):
-    if not weights.size or not np.any(np.abs(weights)):
-        return
-    pos = np.nonzero(omegas > _MERGE_TOL)[0]
-    if not pos.size:
-        return
-    targets = -omegas[pos]
-    anchors = np.searchsorted(omegas, targets)
-    w_minus = np.zeros(pos.size, dtype=weights.dtype)
-    found = np.zeros(pos.size, dtype=bool)
-    for offset in (-1, 0, 1):
-        cand = anchors + offset
-        valid = (cand >= 0) & (cand < omegas.size) & ~found
-        if not np.any(valid):
-            continue
-        hit = np.zeros(pos.size, dtype=bool)
-        hit[valid] = np.abs(omegas[cand[valid]] - targets[valid]) <= 2 * _MERGE_TOL
-        w_minus[hit] = weights[cand[hit]]
-        found |= hit
-    w_plus = weights[pos]
-    expected = np.exp(-omegas[pos]) * (np.conj(w_plus) if kind == "cross" else w_plus)
-    # the floor covers lines at the rounding scale of the weights, which
-    # carry no relative accuracy
-    tolerance = 1e-12 * np.abs(w_plus) + noise_floor
-    bad = np.nonzero(np.abs(w_minus - expected) > tolerance)[0]
-    if bad.size:
-        k = bad[0]
-        raise ArithmeticError(
-            f"detailed balance violated at omega = {omegas[pos[k]]:g}: "
-            f"{w_minus[k]!r} vs {expected[k]!r}"
-        )
-
-
-def _assemble(omegas, weights, kind, dim, mean_s, noise_floor=0.0) -> LineSpectrum:
+def _assemble(omegas, weights, kind, dim, mean_s) -> LineSpectrum:
     om, wt = _merge_lines(np.asarray(omegas, float).ravel(), np.asarray(weights).ravel())
     if kind == "diagonal":
         imag = float(np.max(np.abs(wt.imag))) if np.iscomplexobj(wt) else 0.0
@@ -129,8 +96,6 @@ def _assemble(omegas, weights, kind, dim, mean_s, noise_floor=0.0) -> LineSpectr
         if wt.size and float(np.min(wt)) < -1e-12 * max(scale, 1e-300):
             raise ArithmeticError("diagonal spectrum has a negative weight")
         wt = np.maximum(wt, 0.0)
-    if kind in ("diagonal", "cross"):
-        _check_detailed_balance(om, wt, kind, noise_floor)
     if wt.size:
         magnitudes = np.abs(wt)
         positive = magnitudes > 0.0
@@ -147,6 +112,11 @@ def _assemble(omegas, weights, kind, dim, mean_s, noise_floor=0.0) -> LineSpectr
             keep = log_importance >= log_importance.max() + np.log(_PRUNE_REL)
             om, wt = om[keep], wt[keep]
     return LineSpectrum(om, wt, kind, dim, float(mean_s))
+
+
+def _dot(a: np.ndarray, b: np.ndarray):
+    """Sum of a * b over the last axis, for each pair of a stack, summed as np.dot sums."""
+    return (a[..., None, :] @ b[..., :, None])[..., 0, 0][()]
 
 
 class _lazy:
@@ -175,7 +145,10 @@ class _Frame:
     """Family-independent data of one (state, S), shared by every consumer.
 
     Lazy members are computed on first read, once per frame; chain_order
-    is the highest commutator moment the frame provides.
+    is the highest commutator moment the frame provides.  The frame of the
+    state of a stack of generators and a stack of observables of the same
+    shape holds every array with the stack's leading axes, and its scalar
+    members (mean, max_omega, moments) become arrays over the stack.
     """
 
     def __init__(self, state: GibbsState, S, chain_order: int = 0):
@@ -184,11 +157,16 @@ class _Frame:
         self.chain_order = chain_order
         self.s_eig = to_eigenbasis(state, S).elements
         lam = state.decomposition.eigenvalues
-        self.x = 0.5 * (lam[:, None] - lam[None, :])  # omega_{nm}/2 at position [n, m]
+        self.x = 0.5 * (lam[..., :, None] - lam[..., None, :])  # omega_{nm}/2 at position [n, m]
         self.abs2 = np.abs(self.s_eig) ** 2
-        self.mean = float(np.dot(state.weights, np.diag(self.s_eig).real))
+        self.mean = _dot(state.weights, self.diagonal)
         # the diagonal always lies in the window and is not a pair
-        self.degenerate_pairs = int(np.sum(np.abs(2.0 * self.x) < _DEGENERATE_WINDOW)) - state.dim
+        self.degenerate_pairs = np.sum(np.abs(2.0 * self.x) < _DEGENERATE_WINDOW, axis=(-2, -1)) - state.dim
+
+    @property
+    def diagonal(self) -> np.ndarray:
+        """Real diagonal S_nn of the eigenbasis elements."""
+        return np.diagonal(self.s_eig, axis1=-2, axis2=-1).real
 
     @_lazy
     def kernel(self) -> np.ndarray:
@@ -198,21 +176,22 @@ class _Frame:
     @_lazy
     def centered(self) -> np.ndarray:
         """Elements of S - <S> in the eigenbasis."""
-        return self.s_eig - self.mean * np.eye(self.state.dim)
+        return self.s_eig - np.multiply.outer(self.mean, np.eye(self.state.dim))
 
     @_lazy
     def dsf(self) -> LineSpectrum:
         return _line_spectrum(self, self.abs2, self.mean)
 
     @_lazy
-    def max_omega(self) -> float:
+    def max_omega(self):
         """Largest |T_n - T_m| over the pairs where S has a nonzero element."""
         mags = np.abs(self.s_eig)
-        coupled = mags > 1e-14 * max(float(mags.max()), 1e-300)
-        return float(np.max(np.where(coupled, np.abs(2.0 * self.x), 0.0)))
+        peak = np.max(mags, axis=(-2, -1), keepdims=True)
+        coupled = mags > 1e-14 * np.maximum(peak, 1e-300)
+        return np.max(np.where(coupled, np.abs(2.0 * self.x), 0.0), axis=(-2, -1))
 
     @_lazy
-    def moments(self) -> list[float]:
+    def moments(self) -> list:
         """M_0..M_chain_order from one commutator chain."""
         return commutator_moments(self.state, self.S, self.chain_order)
 
@@ -223,11 +202,32 @@ def _frame_pair(state: GibbsState, A, B) -> tuple[_Frame, _Frame]:
     return frame_a, (frame_a if B is A else _Frame(state, B))
 
 
+def _check_pair_balance(omegas: np.ndarray, lines: np.ndarray, floor, kind: str = "diagonal"):
+    """Detailed balance pair by pair: the line at -w weighs e^{-w} times the one at w.
+
+    ``lines[..., n, m]`` is the weight at ``omegas[..., n, m]``, so the
+    partner of each line is its transposed entry; a "cross" partner is
+    e^{-w} times the conjugate.  ``floor`` covers lines at the rounding
+    scale of the weights, which carry no relative accuracy.  Checked
+    before lines are merged, so nearly equal frequencies cannot pair up
+    differently at w and -w.
+    """
+    partner = np.swapaxes(lines, -1, -2)
+    expected = np.exp(-np.abs(omegas)) * (np.conj(lines) if kind == "cross" else lines)
+    bad = (omegas > _MERGE_TOL) & (np.abs(partner - expected) > 1e-12 * np.abs(lines) + floor)
+    if np.any(bad):
+        raise ArithmeticError(
+            f"detailed balance violated at omega = {omegas[bad][0]:g}: "
+            f"{partner[bad][0].item()!r} vs {expected[bad][0].item()!r}"
+        )
+
+
 def _line_spectrum(frame: _Frame, abs2: np.ndarray, mean_s: float) -> LineSpectrum:
     """Diagonal spectrum of eigenbasis elements |S_nm|^2: rho_m |S_nm|^2 at omega_nm."""
     floor = 16 * np.finfo(float).eps * float(np.max(abs2))
     weights = abs2 * frame.state.weights[None, :]
-    return _assemble(2.0 * frame.x, weights, "diagonal", frame.state.dim, mean_s, floor)
+    _check_pair_balance(2.0 * frame.x, weights, floor)
+    return _assemble(2.0 * frame.x, weights, "diagonal", frame.state.dim, mean_s)
 
 
 def build_dsf(state: GibbsState, S, centered: bool = False) -> LineSpectrum:
@@ -250,7 +250,8 @@ def build_cross_dsf(state: GibbsState, A, B) -> LineSpectrum:
     # [n, m] entry: <n|dA|m> <m|dB|n> rho_m
     weights = dA * dB.T * state.weights[None, :]
     floor = 16 * np.finfo(float).eps * float(np.max(np.abs(dA)) * np.max(np.abs(dB)))
-    return _assemble(2.0 * frame_a.x, weights, "cross", state.dim, 0.0, floor)
+    _check_pair_balance(2.0 * frame_a.x, weights, floor, "cross")
+    return _assemble(2.0 * frame_a.x, weights, "cross", state.dim, 0.0)
 
 
 def moment(Q: LineSpectrum, p: int) -> float:
@@ -276,7 +277,7 @@ def moment(Q: LineSpectrum, p: int) -> float:
     return float(np.sum(Q.omegas ** p * Q.weights))
 
 
-def commutator_moments(state: GibbsState, S, order: int) -> list[float]:
+def commutator_moments(state: GibbsState, S, order: int) -> list:
     """Moments M_q = (-1)^q <R_q(S) S>, q = 0..order, from iterated commutators.
 
     R_q = [T, R_{q-1}] stays in the original basis and reads the generator
@@ -284,18 +285,19 @@ def commutator_moments(state: GibbsState, S, order: int) -> list[float]:
     <R_q S> = tr(R_q P) with P = S rho.  While T and R_q have at most a
     share _SPARSE_DENSITY of nonzero entries the chain runs on CSR
     matrices (a diagonal T keeps R_q as sparse as S; a banded T widens the
-    band each order), and from the first denser R_q on dense arrays.  A
-    moment that is not finite raises OverflowError naming its order.
-    This is the one commutator chain: functional_F, sum_rule_report and
-    the metric series all read it.
+    band each order), and from the first denser R_q on dense arrays.  The
+    state of a stack runs one dense chain for the whole stack, and each
+    moment is an array over it.  A moment that is not finite raises
+    OverflowError naming its order.  This is the one commutator chain:
+    functional_F, sum_rule_report and the metric series all read it.
     """
     S_matrix = as_operator(S).matrix
     T_matrix = state.generator_matrix()
-    limit = _SPARSE_DENSITY * S_matrix.size
-    sparse_chain = max(np.count_nonzero(T_matrix), np.count_nonzero(S_matrix)) <= limit
+    limit = _SPARSE_DENSITY * S_matrix.shape[-1] ** 2
+    sparse_chain = S_matrix.ndim == 2 and max(np.count_nonzero(T_matrix), np.count_nonzero(S_matrix)) <= limit
     T = sparse.csr_array(T_matrix) if sparse_chain else T_matrix
     R = sparse.csr_array(S_matrix) if sparse_chain else S_matrix
-    P_transposed = (R @ state.rho_matrix()).T
+    P_transposed = np.swapaxes(R @ state.rho_matrix(), -1, -2)
     out = []
     for q in range(order + 1):
         if q > 0:
@@ -303,12 +305,17 @@ def commutator_moments(state: GibbsState, S, order: int) -> list[float]:
             if sparse_chain and R.nnz > limit:
                 sparse_chain = False
                 T, R = T_matrix, R.toarray()
-        value = complex(R.multiply(P_transposed).sum() if sparse_chain else np.sum(R * P_transposed))
-        if not np.isfinite(value):
-            raise OverflowError(f"commutator moment M_{q} is not finite ({value.real!r})")
-        if abs(value.imag) > 1e-10 * max(1.0, abs(value.real)):
+        value = np.asarray(
+            R.multiply(P_transposed).sum() if sparse_chain else np.sum(R * P_transposed, axis=(-2, -1)),
+            dtype=complex,
+        )
+        bad = ~np.isfinite(value)
+        if np.any(bad):
+            raise OverflowError(f"commutator moment M_{q} is not finite ({float(value.real[bad][0])!r})")
+        residue = np.abs(value.imag) > 1e-10 * np.maximum(1.0, np.abs(value.real))
+        if np.any(residue):
             warnings.warn(
-                f"commutator moment M_{q} has imaginary residue {value.imag:.3e}",
+                f"commutator moment M_{q} has imaginary residue {value.imag[residue][0]:.3e}",
                 RuntimeWarning,
                 stacklevel=2,
             )
@@ -368,7 +375,7 @@ def functional_F(state: GibbsState, S, p: int) -> float:
         raise ValueError(f"dimension mismatch: {S_op.dim} vs {state.dim}")
     if p == 0:
         return bogoliubov_duhamel(state, S_op, S_op)
-    return 2.0 * commutator_moments(state, S_op, p - 1)[p - 1]
+    return float(2.0 * commutator_moments(state, S_op, p - 1)[p - 1])
 
 
 def chi_lines(Q: LineSpectrum) -> LineSpectrum:
@@ -401,20 +408,36 @@ class SumRuleRow:
     rel_error: float
 
 
-def _sum_rule_rows(frame: _Frame, p_max: int) -> list[SumRuleRow]:
-    """Sum-rule rows p = 0..p_max on a frame whose chain reaches p_max - 1."""
-    off = np.where(np.eye(frame.state.dim, dtype=bool), 0.0, frame.abs2)
-    rows = []
-    for p in range(p_max + 1):
-        if p == 0:
-            f_val = float(np.sum(frame.kernel * off))
-            m_val = 2.0 * moment(_line_spectrum(frame, off, 0.0), -1)
-        else:
-            f_val = 2.0 * frame.moments[p - 1]
-            m_val = 2.0 * moment(frame.dsf, p - 1)
-        scale = max(abs(f_val), abs(m_val), 1e-300)
-        rows.append(SumRuleRow(p, f_val, m_val, abs(f_val - m_val) / scale))
-    return rows
+def _sum_rule_values(frame: _Frame, p_max: int) -> list[tuple]:
+    """(F_p, 2 M_{p-1}, relative error) for p = 0..p_max; the chain must reach p_max - 1.
+
+    The moments are sums over the eigenbasis pairs, whose lines (weight
+    rho_m |S_nm|^2 at omega_nm) are checked for detailed balance first.
+    M_{-1} leaves out the elastic pairs (|omega| <= _MERGE_TOL) and the
+    diagonal, and diverges (ZeroDivisionError) when the elastic pairs
+    weigh more than _PRUNE_REL of the heaviest line.  Each value is an
+    array over the frame's stack.
+    """
+    omegas = 2.0 * frame.x
+    lines = frame.abs2 * frame.state.weights[..., None, :]
+    floor = 16 * np.finfo(float).eps * np.max(frame.abs2, axis=(-2, -1), keepdims=True)
+    _check_pair_balance(omegas, lines, floor)
+    off_diagonal = ~np.eye(frame.state.dim, dtype=bool)
+    off = np.where(off_diagonal, lines, 0.0)
+    elastic = np.abs(omegas) <= _MERGE_TOL
+    heaviest = np.max(off, axis=(-2, -1))
+    if np.any(np.sum(np.where(elastic, off, 0.0), axis=(-2, -1)) > _PRUNE_REL * heaviest):
+        raise ZeroDivisionError("M_{-1} diverges: the spectrum has a nonzero elastic line")
+    inverse = np.divide(off, omegas, out=np.zeros_like(off), where=~elastic)
+    pairs = [(np.sum(frame.kernel * np.where(off_diagonal, frame.abs2, 0.0), axis=(-2, -1)),
+              2.0 * np.sum(inverse, axis=(-2, -1)))]
+    for p in range(1, p_max + 1):
+        weighted = lines if p == 1 else omegas ** (p - 1) * lines
+        pairs.append((2.0 * frame.moments[p - 1], 2.0 * np.sum(weighted, axis=(-2, -1))))
+    return [
+        (f_val, m_val, np.abs(f_val - m_val) / np.maximum(np.maximum(np.abs(f_val), np.abs(m_val)), 1e-300))
+        for f_val, m_val in pairs
+    ]
 
 
 def sum_rule_report(state: GibbsState, S, p_max: int = 6) -> list[SumRuleRow]:
@@ -426,7 +449,8 @@ def sum_rule_report(state: GibbsState, S, p_max: int = 6) -> list[SumRuleRow]:
     when S couples a degenerate pair; the rows with p >= 1 use S
     unchanged and read one commutator chain for every p.
     """
-    return _sum_rule_rows(_Frame(state, S, p_max - 1), p_max)
+    values = _sum_rule_values(_Frame(state, S, p_max - 1), p_max)
+    return [SumRuleRow(p, *map(float, row)) for p, row in enumerate(values)]
 
 
 def write_spectrum_csv(Q: LineSpectrum, path):

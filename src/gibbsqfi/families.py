@@ -239,30 +239,36 @@ def _log_sinhc(y):
     return out
 
 
+def _at(scale, mask):
+    """A scale at the entries of its grid selected by mask (a number applies to all)."""
+    return scale if np.ndim(scale) == 0 else np.broadcast_to(scale, mask.shape)[mask]
+
+
 def _eval_scales(nums, dens, x):
+    """prod sinhc(a x) / prod sinhc(d x); a scale is a number or an array broadcasting against x."""
     x_arr = np.asarray(x, dtype=float)
     scalar = x_arr.ndim == 0
     x_arr = np.atleast_1d(x_arr).astype(float)
     out = np.ones_like(x_arr)
     scales = nums + dens
     if scales:
-        max_scale = max(scales)
+        max_scale = functools.reduce(np.maximum, scales)
         big = np.abs(x_arr) * max_scale > _DIRECT_LIMIT
         safe = ~big
         xs = x_arr[safe]
         acc = np.ones_like(xs)
         for a in nums:
-            acc *= _sinhc(a * xs)
+            acc *= _sinhc(_at(a, safe) * xs)
         for d in dens:
-            acc /= _sinhc(d * xs)
+            acc /= _sinhc(_at(d, safe) * xs)
         out[safe] = acc
         if np.any(big):
             xb = x_arr[big]
             log_acc = np.zeros_like(xb)
             for a in nums:
-                log_acc += _log_sinhc(a * xb)
+                log_acc += _log_sinhc(_at(a, big) * xb)
             for d in dens:
-                log_acc -= _log_sinhc(d * xb)
+                log_acc -= _log_sinhc(_at(d, big) * xb)
             out[big] = np.exp(log_acc)
     return float(out[0]) if scalar else out.reshape(np.shape(x))
 
@@ -270,10 +276,26 @@ def _eval_scales(nums, dens, x):
 def eval_g(family: MonotoneFamily, x):
     """Filter function g_f(x) = (e^{2x}-1)/(2x f(e^{2x})); even, g_f(0) = 1.
 
-    Accepts scalars or arrays; defined for all real x.
+    Accepts scalars or arrays; defined for all real x.  ``family`` may
+    also be a tuple with one family per entry of the leading axis of x;
+    families with the same number of sinhc factors are evaluated together.
     """
-    nums, dens = _g_scales(family)
-    return _eval_scales(nums, dens, x)
+    if not isinstance(family, tuple):
+        return _eval_scales(*_g_scales(family), x)
+    x = np.asarray(x, dtype=float)
+    out = np.empty_like(x)
+    patterns = {}
+    for i, member in enumerate(family):
+        nums, dens = _g_scales(member)
+        patterns.setdefault((len(nums), len(dens)), []).append((i, nums, dens))
+    shape = (-1,) + (1,) * (x.ndim - 1)
+    for members in patterns.values():
+        index = [i for i, _, _ in members]
+        # scale j of every member, as an array over the members
+        nums = tuple(np.reshape(a, shape) for a in zip(*(n for _, n, _ in members)))
+        dens = tuple(np.reshape(d, shape) for d in zip(*(d for _, _, d in members)))
+        out[index] = _eval_scales(nums, dens, x[index])
+    return out
 
 
 def eval_g_hat(family: MonotoneFamily, x):
@@ -295,29 +317,32 @@ def eval_f(family: MonotoneFamily, x):
     x_arr = np.atleast_1d(x_arr).astype(float)
     if np.any(x_arr <= 0.0):
         raise ValueError("operator monotone functions are defined for x > 0")
-    k, p = family.kind, family.param
-    if k == "har":
-        out = 2.0 * x_arr / (x_arr + 1.0)
-    elif k == "bures":
-        out = (x_arr + 1.0) / 2.0
-    elif k == "geometric":
-        out = np.sqrt(x_arr)
-    else:
-        u = np.log(x_arr)
-        if k == "bkm":
-            out = exprel(u)
-        elif k == "mc":
-            # never square exprel(u): it overflows for u above about 355
-            e = exprel(u)
-            out = e * (2.0 * e / (x_arr + 1.0))
-        elif k == "wyd":
-            # alpha*(1-alpha)*(x-1)^2 / ((x^a - 1)(x^{1-a} - 1)); the
-            # prefactor cancels against the u-factors of the exprel forms
-            e = exprel(u)
-            out = (e / exprel(p * u)) * (e / exprel((1.0 - p) * u))
-        else:  # pdiff: (p-1)/p * (x^p - 1)/(x^{p-1} - 1), limits included
-            out = exprel(p * u) / exprel((p - 1.0) * u)
+    out = _f(family.kind, family.param, x_arr)
     return float(out[0]) if scalar else out.reshape(np.shape(x))
+
+
+def _f(k: str, p, x_arr: np.ndarray) -> np.ndarray:
+    """f of kind k with parameter p (a number or an array broadcasting against x_arr)."""
+    if k == "har":
+        return 2.0 * x_arr / (x_arr + 1.0)
+    if k == "bures":
+        return (x_arr + 1.0) / 2.0
+    if k == "geometric":
+        return np.sqrt(x_arr)
+    u = np.log(x_arr)
+    if k == "bkm":
+        return exprel(u)
+    if k == "mc":
+        # never square exprel(u): it overflows for u above about 355
+        e = exprel(u)
+        return e * (2.0 * e / (x_arr + 1.0))
+    if k == "wyd":
+        # alpha*(1-alpha)*(x-1)^2 / ((x^a - 1)(x^{1-a} - 1)); the
+        # prefactor cancels against the u-factors of the exprel forms
+        e = exprel(u)
+        return (e / exprel(p * u)) * (e / exprel((1.0 - p) * u))
+    # pdiff: (p-1)/p * (x^p - 1)/(x^{p-1} - 1), limits included
+    return exprel(p * u) / exprel((p - 1.0) * u)
 
 
 def eval_f_at_zero(family: MonotoneFamily) -> float:
@@ -334,12 +359,28 @@ def eval_f_at_zero(family: MonotoneFamily) -> float:
 
 
 def eval_c(family: MonotoneFamily, x, y):
-    """Morozova-Cencov function c_f(x, y) = 1/(x f(y/x)) for x, y > 0."""
+    """Morozova-Cencov function c_f(x, y) = 1/(x f(y/x)) for x, y > 0.
+
+    ``family`` may also be a tuple with one family per entry of the
+    leading axis of x and y; families of one kind are evaluated together.
+    """
     x_arr = np.asarray(x, dtype=float)
     y_arr = np.asarray(y, dtype=float)
     if np.any(x_arr <= 0.0) or np.any(y_arr <= 0.0):
         raise ValueError("Morozova-Cencov function requires positive arguments")
-    return 1.0 / (x_arr * eval_f(family, y_arr / x_arr))
+    if not isinstance(family, tuple):
+        return 1.0 / (x_arr * eval_f(family, y_arr / x_arr))
+    x_arr, y_arr = np.broadcast_arrays(x_arr, y_arr)
+    out = np.empty_like(x_arr)
+    kinds = {}
+    for i, member in enumerate(family):
+        _require_single(member)
+        kinds.setdefault(member.kind, []).append(i)
+    for kind, index in kinds.items():
+        params = [family[i].param for i in index]
+        p = None if params[0] is None else np.reshape(params, (-1,) + (1,) * (x_arr.ndim - 1))
+        out[index] = 1.0 / (x_arr[index] * _f(kind, p, y_arr[index] / x_arr[index]))
+    return out
 
 
 def g_series_radius(family: MonotoneFamily) -> float:

@@ -44,30 +44,49 @@ class HermitianOperator:
 
     The stored matrix is the Hermitian part (H + H^dagger)/2; construction
     fails on a non-finite entry or if the asymmetry exceeds ``atol`` (1e-12
-    by default).
+    by default).  A stack of equal-size matrices along leading axes, shape
+    (..., n, n), is one operator per matrix.
     """
 
     __slots__ = ("matrix",)
 
     def __init__(self, entries, atol: float = 1e-12):
         m = np.array(entries, dtype=complex)
-        if m.ndim != 2 or m.shape[0] != m.shape[1] or m.shape[0] < 1:
+        if m.ndim < 2 or m.shape[-1] != m.shape[-2] or m.shape[-1] < 1:
             raise ValueError("expected a square matrix of dimension >= 1")
         if not np.all(np.isfinite(m)):
             raise ValueError("matrix has non-finite entries")
-        asym = float(np.max(np.abs(m - m.conj().T))) if m.size else 0.0
+        m_dagger = _dagger(m)
+        asym = float(np.max(np.abs(m - m_dagger))) if m.size else 0.0
         if asym > atol:
             raise ValueError(
                 f"matrix is not Hermitian: max|H - H^dagger| = {asym:.3e} > {atol:.1e}"
             )
-        self.matrix = 0.5 * (m + m.conj().T)
+        self.matrix = 0.5 * (m + m_dagger)
 
     @property
     def dim(self) -> int:
-        return self.matrix.shape[0]
+        return self.matrix.shape[-1]
 
     def __repr__(self):
         return f"HermitianOperator(dim={self.dim})"
+
+
+def _dagger(m: np.ndarray) -> np.ndarray:
+    """Conjugate transpose of a matrix or of each matrix of a stack."""
+    return np.conj(np.swapaxes(m, -1, -2))
+
+
+def _check_each(bad, values, message: str):
+    """Raise ArithmeticError if any matrix fails a check.
+
+    ``message`` formats the first failing matrix's entry of ``values``; a
+    stack also names that matrix's index.
+    """
+    if np.any(bad):
+        i = int(np.flatnonzero(bad)[0])
+        where = f" (matrix {i} of the stack)" if np.ndim(bad) else ""
+        raise ArithmeticError(message.format(float(np.ravel(values)[i])) + where)
 
 
 def as_operator(value) -> HermitianOperator:
@@ -86,25 +105,26 @@ class SpectralDecomposition:
 
     @property
     def dim(self) -> int:
-        return self.eigenvalues.shape[0]
+        return self.eigenvalues.shape[-1]
 
 
 def eigendecompose(H) -> SpectralDecomposition:
-    """Full eigendecomposition with residual and unitarity checks."""
+    """Full eigendecomposition with residual and unitarity checks.
+
+    A stack of matrices is decomposed by one eigh call and checked matrix
+    by matrix.
+    """
     op = as_operator(H)
     vals, vecs = np.linalg.eigh(op.matrix)
-    scale = max(float(np.max(np.abs(op.matrix))), 1e-300)
-    recon = (vecs * vals) @ vecs.conj().T
-    recon_err = float(np.max(np.abs(recon - op.matrix)))
-    if recon_err > 1e-10 * scale:
-        raise ArithmeticError(
-            f"eigendecomposition residual {recon_err:.3e} exceeds 1e-10 * |H|"
-        )
-    unit_err = float(
-        np.max(np.abs(vecs.conj().T @ vecs - np.eye(op.dim)))
+    scale = np.maximum(np.max(np.abs(op.matrix), axis=(-2, -1)), 1e-300)
+    recon = (vecs * vals[..., None, :]) @ _dagger(vecs)
+    recon_err = np.max(np.abs(recon - op.matrix), axis=(-2, -1))
+    _check_each(
+        recon_err > 1e-10 * scale, recon_err,
+        "eigendecomposition residual {:.3e} exceeds 1e-10 * |H|",
     )
-    if unit_err > 1e-12:
-        raise ArithmeticError(f"eigenvector unitarity defect {unit_err:.3e}")
+    unit_err = np.max(np.abs(_dagger(vecs) @ vecs - np.eye(op.dim)), axis=(-2, -1))
+    _check_each(unit_err > 1e-12, unit_err, "eigenvector unitarity defect {:.3e}")
     return SpectralDecomposition(vals, vecs)
 
 
@@ -115,7 +135,9 @@ class GibbsState:
     weights sum to one and are strictly positive; entries that underflow
     are clamped to 1e-300 and counted in ``clamped``.  ``log_weights`` is
     kept exactly as -T_m - logZ so ratios of weights never lose precision.
-    The generator T the state was built from is kept as given.
+    The generator T the state was built from is kept as given.  The state
+    of a stack of generators holds one state per matrix: its arrays carry
+    the stack's leading axes.
     """
 
     decomposition: SpectralDecomposition
@@ -134,7 +156,7 @@ class GibbsState:
         """The density matrix in the original basis (cached)."""
         if self._rho_matrix is None:
             U = self.decomposition.eigenvectors
-            self._rho_matrix = (U * self.weights) @ U.conj().T
+            self._rho_matrix = (U * self.weights[..., None, :]) @ _dagger(U)
         return self._rho_matrix
 
     def generator_matrix(self) -> np.ndarray:
@@ -151,15 +173,17 @@ def gibbs_state(T) -> GibbsState:
 
     Weights are computed with a max-shift log-sum-exp, so arbitrarily
     large spectral ranges neither overflow nor underflow the partition sum.
+    A stack of generators gives the states of all of them from one eigh
+    call, each normalized and checked on its own.
     """
     op = as_operator(T)
     decomposition = eigendecompose(op)
     lam = decomposition.eigenvalues
-    shift = float(np.min(lam))
-    log_norm = float(np.log(np.sum(np.exp(-(lam - shift)))))
+    shift = np.min(lam, axis=-1, keepdims=True)
+    log_norm = np.log(np.sum(np.exp(-(lam - shift)), axis=-1, keepdims=True))
     log_w = -(lam - shift) - log_norm
     # one renormalization pass keeps sum(weights) at 1 to machine precision
-    log_w -= float(np.log(np.sum(np.exp(log_w))))
+    log_w -= np.log(np.sum(np.exp(log_w), axis=-1, keepdims=True))
     weights = np.exp(log_w)
     clamped = int(np.sum(weights < _WEIGHT_FLOOR))
     if clamped:
@@ -169,14 +193,13 @@ def gibbs_state(T) -> GibbsState:
             stacklevel=2,
         )
         weights = np.maximum(weights, _WEIGHT_FLOOR)
-    total = float(np.sum(weights))
-    if abs(total - 1.0) > 1e-13:
-        raise ArithmeticError(f"Gibbs weights sum to {total!r}, not 1")
+    total = np.sum(weights, axis=-1)
+    _check_each(np.abs(total - 1.0) > 1e-13, total, "Gibbs weights sum to {!r}, not 1")
     return GibbsState(
         decomposition=decomposition,
         weights=weights,
         log_weights=log_w,
-        logZ=-shift + log_norm,
+        logZ=(log_norm - shift)[..., 0],
         _generator=op.matrix,
         clamped=clamped,
     )
@@ -191,12 +214,16 @@ class ObservableInEigenbasis:
 
 
 def to_eigenbasis(state: GibbsState, A) -> ObservableInEigenbasis:
-    """Rotate a Hermitian operator into the state's eigenbasis."""
+    """Rotate a Hermitian operator into the state's eigenbasis.
+
+    For the state of a stack, A is a stack of the same shape and each
+    matrix is rotated into the eigenbasis of its own generator.
+    """
     op = as_operator(A)
-    if op.dim != state.dim:
-        raise ValueError(f"dimension mismatch: {op.dim} vs {state.dim}")
     U = state.decomposition.eigenvectors
-    elements = U.conj().T @ op.matrix @ U
+    if op.matrix.shape != U.shape:
+        raise ValueError(f"dimension mismatch: {op.matrix.shape} vs {U.shape}")
+    elements = _dagger(U) @ op.matrix @ U
     return ObservableInEigenbasis(elements, state.decomposition)
 
 
@@ -276,8 +303,8 @@ def duhamel_weight_matrix(state: GibbsState) -> np.ndarray:
     """
     log_w = state.log_weights
     w = state.weights
-    delta = log_w[None, :] - log_w[:, None]  # ln rho_n - ln rho_m
-    return np.maximum(w[:, None], w[None, :]) * exprel(-np.abs(delta))
+    delta = log_w[..., None, :] - log_w[..., :, None]  # ln rho_n - ln rho_m
+    return np.maximum(w[..., :, None], w[..., None, :]) * exprel(-np.abs(delta))
 
 
 def read_operator_json(path) -> tuple[HermitianOperator, float]:

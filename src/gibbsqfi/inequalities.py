@@ -3,19 +3,23 @@
 Every verifier returns InequalityReport rows with explicit slack values.
 Before any comparison the two sides are computed by both metric routes
 (filter-function and Morozova-Cencov oracle) and must agree to 1e-10, so
-no inequality is ever verified against itself.  A corpus trial builds one
-frame (``dsf._Frame``) each for S and B, which every verifier and the sum
-rules read.
+no inequality is ever verified against itself.  Each statement is
+evaluated on arrays over a frame's stack (``dsf._Frame``): the public
+verifiers use the unstacked frame of one (state, S); the random corpus
+groups its trials by dim and builds one stacked frame each for S and B
+per group, on which every fixed family's filter is evaluated once.
 """
 
 from __future__ import annotations
 
+import functools
 from dataclasses import asdict, dataclass
+from typing import NamedTuple
 
 import numpy as np
 
 from . import families as fam
-from .dsf import _Frame, _sum_rule_rows
+from .dsf import _Frame, _sum_rule_values
 from .hilbert import GibbsState, HermitianOperator, as_operator, gibbs_state
 from .metrics import _cross_value, _oracle_value, _spectral_value
 
@@ -32,6 +36,8 @@ __all__ = [
 ]
 
 _CHAIN = ("bures", "wy", "bkm", "geometric", "mc", "har")
+_GM_LINK = "chain:geometric<=mc"  # scored only inside GEOMETRIC_MC_CROSSOVER
+_BLOCK = 512  # trials drawn and checked together: memory stays bounded for any count
 
 # Positive root of sinh^2 x = x^2 cosh x.  The filters obey
 # g_G(x) <= g_MC(x) only for |x| <= this value, so the geometric <= MC
@@ -57,32 +63,80 @@ class InequalityReport:
         return asdict(self)
 
 
-def _report(name: str, lhs: float, rhs: float) -> InequalityReport:
-    tolerance = 1e-12 * max(abs(lhs), abs(rhs), 1e-30)
-    slack = rhs - lhs
-    return InequalityReport(name, lhs, rhs, slack, slack >= -tolerance, tolerance)
+class _Check:
+    """One statement lhs <= rhs, evaluated for every matrix of a frame's stack.
+
+    ``name`` is one string, or a tuple with one name per matrix when the
+    statement's label carries a per-trial parameter.  The tolerance is
+    1e-12 relative unless given.
+    """
+
+    def __init__(self, name, lhs, rhs, tolerance=None):
+        self.name = name
+        self.lhs = np.asarray(lhs, dtype=float)
+        self.rhs = np.broadcast_to(np.asarray(rhs, dtype=float), self.lhs.shape)
+        if tolerance is None:
+            tolerance = 1e-12 * np.maximum(np.maximum(np.abs(self.lhs), np.abs(self.rhs)), 1e-30)
+        self.tolerance = np.broadcast_to(np.asarray(tolerance, dtype=float), self.lhs.shape)
+        self.passed = self.rhs - self.lhs >= -self.tolerance
+
+    def report(self, i=()) -> InequalityReport:
+        """The report of matrix i; () for an unstacked frame."""
+        name = self.name[i] if isinstance(self.name, tuple) else self.name
+        lhs, rhs = float(self.lhs[i]), float(self.rhs[i])
+        return InequalityReport(name, lhs, rhs, rhs - lhs, bool(self.passed[i]), float(self.tolerance[i]))
 
 
-def _checked(frame, family) -> float:
-    """Spectral value cross-validated against the oracle route."""
-    fast = _spectral_value(frame, family)
+def _reports(checks: list[_Check]) -> list[InequalityReport]:
+    return [check.report() for check in checks]
+
+
+def _per_matrix(fn, *args):
+    """fn(*args), matrix by matrix over the arguments that are tuples.
+
+    A tuple holds one entry per matrix of a frame's stack (a family whose
+    parameter varies by trial, say).  Equal results collapse to one, so a
+    family shared by all matrices is evaluated once.
+    """
+    size = next((len(a) for a in args if isinstance(a, tuple)), None)
+    if size is None:
+        return fn(*args)
+    out = tuple(fn(*(a[i] if isinstance(a, tuple) else a for a in args)) for i in range(size))
+    return out[0] if len(set(out)) == 1 else out
+
+
+def _filters(frame: _Frame):
+    """g_f on the frame's grid, evaluated once per family.
+
+    The argument is one family, or a tuple with one family per matrix of
+    the frame's stack.  Frames of one state share the grid.
+    """
+    return functools.cache(lambda family: fam.eval_g(family, frame.x))
+
+
+def _checked(frame: _Frame, family, g: np.ndarray) -> np.ndarray:
+    """Spectral values from the filter g, cross-validated value by value against the oracle."""
+    fast = _spectral_value(frame, g)
     slow = _oracle_value(frame, family)
-    if abs(fast - slow) > 1e-10 * max(abs(fast), abs(slow), 1e-30):
+    bad = np.abs(fast - slow) > 1e-10 * np.maximum(np.maximum(np.abs(fast), np.abs(slow)), 1e-30)
+    if np.any(bad):
+        i = int(np.flatnonzero(bad)[0])
+        label = (family[i] if isinstance(family, tuple) else family).label
         raise ArithmeticError(
-            f"metric routes disagree for {family.label}: {fast!r} vs {slow!r}"
+            f"metric routes disagree for {label}: {float(np.ravel(fast)[i])!r} vs {float(np.ravel(slow)[i])!r}"
         )
     return fast
 
 
-def _values(frame: _Frame, *families: fam.MonotoneFamily) -> dict:
+def _values(frame: _Frame, filters, *families) -> dict:
     """Checked value of each family on the frame, keyed by family."""
-    return {family: _checked(frame, family) for family in families}
+    return {family: _checked(frame, family, filters(family)) for family in families}
 
 
-def _chain_reports(v: dict) -> list[InequalityReport]:
+def _chain_checks(v: dict) -> list[_Check]:
     named = fam.named_families()
     return [
-        _report(f"chain:{a}<={b}", v[named[a]], v[named[b]])
+        _Check(f"chain:{a}<={b}", v[named[a]], v[named[b]])
         for a, b in zip(_CHAIN, _CHAIN[1:])
     ]
 
@@ -95,20 +149,21 @@ def chain_check(state: GibbsState, S) -> list[InequalityReport]:
     (see GEOMETRIC_MC_CROSSOVER) and the report may honestly fail beyond
     it.  run_verification_suite accounts for the regime.
     """
-    return _chain_reports(_values(_Frame(state, S), *fam.named_families().values()))
+    frame = _Frame(state, S)
+    return _reports(_chain_checks(_values(frame, _filters(frame), *fam.named_families().values())))
 
 
-def _commutator_reports(v: dict, c: float) -> list[InequalityReport]:
+def _commutator_checks(v: dict, c) -> list[_Check]:
     gaps = [
         ("mc_minus_bkm", v[fam.MC] - v[fam.BKM], c / 48.0),
         ("bkm_minus_bures", v[fam.BKM] - v[fam.BURES], c / 48.0),
         ("mc_minus_bures", v[fam.MC] - v[fam.BURES], c / 24.0),
     ]
-    reports = []
+    checks = []
     for name, gap, bound in gaps:
-        reports.append(_report(f"{name}:nonneg", 0.0, gap))
-        reports.append(_report(f"{name}:bound", gap, bound))
-    return reports
+        checks.append(_Check(f"{name}:nonneg", np.zeros_like(gap), gap))
+        checks.append(_Check(f"{name}:bound", gap, bound))
+    return checks
 
 
 def commutator_bounds(state: GibbsState, S) -> list[InequalityReport]:
@@ -120,15 +175,18 @@ def commutator_bounds(state: GibbsState, S) -> list[InequalityReport]:
     an upper-bound report.
     """
     frame = _Frame(state, S, chain_order=1)
-    return _commutator_reports(_values(frame, fam.BURES, fam.BKM, fam.MC), 2.0 * frame.moments[1])
+    v = _values(frame, _filters(frame), fam.BURES, fam.BKM, fam.MC)
+    return _reports(_commutator_checks(v, 2.0 * frame.moments[1]))
 
 
-def _geometric_mean_reports(v: dict, d: float) -> list[InequalityReport]:
-    lo, hi = fam.half_pair(d).members
+def _geometric_mean_checks(v: dict, pair) -> list[_Check]:
+    """``pair`` is one half_pair family, or a tuple of one per matrix."""
+    lo = _per_matrix(lambda q: q.members[0], pair)
+    hi = _per_matrix(lambda q: q.members[1], pair)
     return [
-        _report("bkm<=geomean(bures,mc)", v[fam.BKM], np.sqrt(v[fam.BURES] * v[fam.MC])),
-        _report("geo<=geomean(bures,har)", v[fam.GEOMETRIC], np.sqrt(v[fam.BURES] * v[fam.HAR])),
-        _report(f"geo<=geomean(pair:{d:g})", v[fam.GEOMETRIC], np.sqrt(v[lo] * v[hi])),
+        _Check("bkm<=geomean(bures,mc)", v[fam.BKM], np.sqrt(v[fam.BURES] * v[fam.MC])),
+        _Check("geo<=geomean(bures,har)", v[fam.GEOMETRIC], np.sqrt(v[fam.BURES] * v[fam.HAR])),
+        _Check(_per_matrix(lambda q: f"geo<=geomean({q.label})", pair), v[fam.GEOMETRIC], np.sqrt(v[lo] * v[hi])),
     ]
 
 
@@ -136,8 +194,10 @@ def geometric_mean_checks(state: GibbsState, S, d: float) -> list[InequalityRepo
     """Geometric-mean bounds, including the power-difference pair at offset d."""
     if not 0.0 <= d <= 1.5:
         raise ValueError("pair offset d must lie in [0, 3/2]")
-    families = (*fam.named_families().values(), *fam.half_pair(d).members)
-    return _geometric_mean_reports(_values(_Frame(state, S), *families), d)
+    frame = _Frame(state, S)
+    pair = fam.half_pair(d)
+    v = _values(frame, _filters(frame), *fam.named_families().values(), *pair.members)
+    return _reports(_geometric_mean_checks(v, pair))
 
 
 def _geometric_mean_family(f: fam.MonotoneFamily, f_bar: fam.MonotoneFamily):
@@ -155,30 +215,33 @@ def _geometric_mean_family(f: fam.MonotoneFamily, f_bar: fam.MonotoneFamily):
     )
 
 
-def _cauchy_schwarz_reports(
-    frame_a: _Frame, frame_b: _Frame, f: fam.MonotoneFamily, f_bar: fam.MonotoneFamily
-) -> list[InequalityReport]:
-    """Cauchy-Schwarz reports on two frames; frame_b is frame_a when A = B."""
-    f_tilde = _geometric_mean_family(f, f_bar)
-    lhs = abs(_cross_value(frame_a, frame_b, f_tilde)) ** 2
-    d2_f = _cross_value(frame_a, frame_a, f).real
-    d2_f_bar = _cross_value(frame_b, frame_b, f_bar).real
-    reports = [_report(f"cs:{f.label},{f_bar.label}->{f_tilde.label}", lhs, d2_f * d2_f_bar)]
+def _cauchy_schwarz_checks(frame_a: _Frame, frame_b: _Frame, f, f_bar, filters) -> list[_Check]:
+    """Cauchy-Schwarz checks on two frames of one state; frame_b is frame_a when A = B.
+
+    f and f_bar are families, or tuples of one per matrix.
+    """
+    f_tilde = _per_matrix(_geometric_mean_family, f, f_bar)
+    lhs = np.abs(_cross_value(frame_a, frame_b, filters(f_tilde))) ** 2
+    d2_f = _cross_value(frame_a, frame_a, filters(f)).real
+    d2_f_bar = _cross_value(frame_b, frame_b, filters(f_bar)).real
+    name = _per_matrix(lambda a, b, t: f"cs:{a.label},{b.label}->{t.label}", f, f_bar, f_tilde)
+    checks = [_Check(name, lhs, d2_f * d2_f_bar)]
     if frame_b is frame_a:
         w = frame_a.state.weights
         # (1 + e^{-w}) times the line weight |dA_mn|^2 rho_m
-        pair_weights = (w[:, None] + w[None, :]) * np.abs(frame_a.centered) ** 2
+        pair_weights = (w[..., :, None] + w[..., None, :]) * np.abs(frame_a.centered) ** 2
         for family, d2 in ((f, d2_f), (f_bar, d2_f_bar)):
-            classical = 0.125 * float(np.sum(fam.eval_g(family, frame_a.x) * pair_weights))
-            reports.append(_report(f"classical_bound:{family.label}", d2, classical))
-        reports.append(
-            _report(
+            classical = 0.125 * np.sum(filters(family) * pair_weights, axis=(-2, -1))
+            label = _per_matrix(lambda one: f"classical_bound:{one.label}", family)
+            checks.append(_Check(label, d2, classical))
+        checks.append(
+            _Check(
                 "cross_bures<=cross_bkm",
-                _cross_value(frame_a, frame_a, fam.BURES).real,
-                _cross_value(frame_a, frame_a, fam.BKM).real,
+                _cross_value(frame_a, frame_a, filters(fam.BURES)).real,
+                _cross_value(frame_a, frame_a, filters(fam.BKM)).real,
             )
         )
-    return reports
+    return checks
 
 
 def cauchy_schwarz_cross(
@@ -195,7 +258,7 @@ def cauchy_schwarz_cross(
     a_op, b_op = as_operator(A), as_operator(B)
     frame_a = _Frame(state, a_op)
     frame_b = frame_a if np.array_equal(a_op.matrix, b_op.matrix) else _Frame(state, b_op)
-    return _cauchy_schwarz_reports(frame_a, frame_b, f, f_bar)
+    return _reports(_cauchy_schwarz_checks(frame_a, frame_b, f, f_bar, _filters(frame_a)))
 
 
 def random_instance(rng: np.random.Generator, dim: int, spread: float | None = None):
@@ -240,45 +303,56 @@ class VerificationSummary:
         return asdict(self)
 
 
-def _run_trial(entropy, dims):
-    """One corpus trial; returns (scored reports, gm_out, gm_crossings).
+class _Trial(NamedTuple):
+    """The random instance of one corpus trial."""
 
-    Draw order: dim, (T, S), B, pair offset d, power-difference p.
-    """
+    T: HermitianOperator
+    S: HermitianOperator
+    B: HermitianOperator
+    d: float  # pair offset
+    p: float  # power-difference exponent
+
+
+def _draw(entropy, dims) -> _Trial:
+    """Draw one trial; the order is dim, (T, S), B, pair offset d, exponent p."""
     rng = np.random.default_rng(entropy)
     dim = int(rng.choice(dims))
     T, S = random_instance(rng, dim)
     _, B = random_instance(rng, dim, spread=1.0)
     d = float(rng.uniform(0.0, 1.5))
     p = float(rng.uniform(0.5, 1.5))
-    state = gibbs_state(T)
-    frame = _Frame(state, S, chain_order=5)  # C = 2 M_1 and the sum rules p <= 6
-    frame_b = _Frame(state, B)
-    values = _values(frame, *fam.named_families().values(), *fam.half_pair(d).members)
-    reports = []
-    gm_out = 0
-    gm_crossings = 0
-    in_regime = 0.5 * frame.max_omega <= GEOMETRIC_MC_CROSSOVER
-    for report in _chain_reports(values):
-        if report.name == "chain:geometric<=mc" and not in_regime:
-            gm_out += 1
-            if not report.passed:
-                gm_crossings += 1
-            continue
-        reports.append(report)
-    reports += _commutator_reports(values, 2.0 * frame.moments[1])
-    reports += _geometric_mean_reports(values, d)
-    for f, f_bar in (
-        (fam.BURES, fam.MC),
-        (fam.BURES, fam.HAR),
-        (fam.power_difference(p), fam.power_difference(1.0 - p)),
-    ):
-        reports += _cauchy_schwarz_reports(frame, frame_b, f, f_bar)
-    for row in _sum_rule_rows(frame, 6):
-        slack = 1e-9 - row.rel_error
-        name = f"sum_rule:p{row.p}"
-        reports.append(InequalityReport(name, row.rel_error, 1e-9, slack, slack >= 0.0, 0.0))
-    return reports, gm_out, gm_crossings
+    return _Trial(T, S, B, d, p)
+
+
+def _stack(operators) -> HermitianOperator:
+    return HermitianOperator(np.stack([op.matrix for op in operators]))
+
+
+def _group_checks(trials: list[_Trial]) -> tuple[list[_Check], np.ndarray]:
+    """Every check of the corpus for trials of one dim, in report order.
+
+    One stacked Gibbs state, one stacked frame each for S and B, one
+    commutator chain and one filter per fixed family serve the whole
+    group.  Also returns, per trial, whether the geometric <= MC link is
+    in its regime.
+    """
+    state = gibbs_state(_stack(t.T for t in trials))
+    frame = _Frame(state, _stack(t.S for t in trials), chain_order=5)  # C = 2 M_1 and the sum rules p <= 6
+    frame_b = _Frame(state, _stack(t.B for t in trials))
+    filters = _filters(frame)
+    pair = _per_matrix(fam.half_pair, tuple(t.d for t in trials))
+    members = [_per_matrix(lambda q: q.members[i], pair) for i in (0, 1)]
+    values = _values(frame, filters, *fam.named_families().values(), *members)
+    checks = _chain_checks(values)
+    checks += _commutator_checks(values, 2.0 * frame.moments[1])
+    checks += _geometric_mean_checks(values, pair)
+    power = _per_matrix(fam.power_difference, tuple(t.p for t in trials))
+    co_power = _per_matrix(lambda p: fam.power_difference(1.0 - p), tuple(t.p for t in trials))
+    for f, f_bar in ((fam.BURES, fam.MC), (fam.BURES, fam.HAR), (power, co_power)):
+        checks += _cauchy_schwarz_checks(frame, frame_b, f, f_bar, filters)
+    for p, (_, _, rel_error) in enumerate(_sum_rule_values(frame, 6)):
+        checks.append(_Check(f"sum_rule:p{p}", rel_error, 1e-9, tolerance=0.0))
+    return checks, 0.5 * frame.max_omega <= GEOMETRIC_MC_CROSSOVER
 
 
 def run_verification_suite(seed: int, trials: int, dims=(2, 3, 4, 5, 6, 7, 8)) -> VerificationSummary:
@@ -289,7 +363,8 @@ def run_verification_suite(seed: int, trials: int, dims=(2, 3, 4, 5, 6, 7, 8)) -
     the Cauchy-Schwarz cross bounds against an independent observable, and
     the moment sum rules (p = 0..6, relative error <= 1e-9).  Trials use
     independently spawned seed streams, so the report is deterministic by
-    seed.
+    seed.  Trials are drawn in blocks of _BLOCK and checked in groups of
+    one dim; failures are reported in trial order, then in report order.
     """
     if trials < 1:
         raise ValueError("trials must be >= 1")
@@ -297,12 +372,22 @@ def run_verification_suite(seed: int, trials: int, dims=(2, 3, 4, 5, 6, 7, 8)) -
     checks = 0
     gm_out = 0
     gm_crossings = 0
-    for stream in np.random.SeedSequence(seed).spawn(trials):
-        reports, out, crossings = _run_trial(stream, dims)
-        checks += len(reports) + out
-        gm_out += out
-        gm_crossings += crossings
-        failures += [r for r in reports if not r.passed]
+    streams = np.random.SeedSequence(seed).spawn(trials)
+    for start in range(0, trials, _BLOCK):
+        block = [_draw(stream, dims) for stream in streams[start:start + _BLOCK]]
+        found = []  # (trial, position in the report order, report)
+        for dim in sorted({trial.T.dim for trial in block}):
+            members = [i for i, trial in enumerate(block) if trial.T.dim == dim]
+            group, in_regime = _group_checks([block[i] for i in members])
+            for position, check in enumerate(group):
+                checks += len(members)
+                scored = check.passed
+                if check.name == _GM_LINK:
+                    gm_out += int(np.count_nonzero(~in_regime))
+                    gm_crossings += int(np.count_nonzero(~in_regime & ~check.passed))
+                    scored = check.passed | ~in_regime
+                found += [(start + members[j], position, check.report(j)) for j in np.flatnonzero(~scored)]
+        failures += [report for *_, report in sorted(found, key=lambda item: item[:2])]
     return VerificationSummary(
         seed, trials, checks, failures, not failures, gm_out, gm_crossings
     )

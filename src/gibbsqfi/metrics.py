@@ -31,7 +31,7 @@ import numpy as np
 from scipy.special import exprel
 
 from . import families as fam
-from .dsf import LineSpectrum, _Frame, build_dsf
+from .dsf import LineSpectrum, _dot, _Frame, build_dsf
 from .hilbert import GibbsState
 
 __all__ = [
@@ -68,36 +68,44 @@ class MetricResult:
     diagnostics: MetricDiagnostics = field(default_factory=MetricDiagnostics)
 
 
-def _nonnegative(raw: float, scale: float, method: str) -> float:
-    if raw < 0.0:
-        if raw < -1e-11 * max(scale, 1e-300):
-            raise ArithmeticError(f"{method} produced a negative metric: {raw!r}")
-        return 0.0
-    return raw
+def _nonnegative(raw, scale, method: str):
+    """raw with roundoff-negative values set to 0; a truly negative value raises.
+
+    Works value by value on arrays over a frame's stack.
+    """
+    negative = raw < -1e-11 * np.maximum(scale, 1e-300)
+    if np.any(negative):
+        raise ArithmeticError(f"{method} produced a negative metric: {float(raw[negative][0])!r}")
+    return np.where(raw < 0.0, 0.0, raw)[()]
 
 
-def _spectral_value(frame: _Frame, family: fam.MonotoneFamily) -> float:
-    g = fam.eval_g(family, frame.x)
-    gross = float(np.sum(g * frame.kernel * frame.abs2))
+def _spectral_value(frame: _Frame, g: np.ndarray):
+    """(1/4)[sum g W |S_mn|^2 - <S>^2] for the filter g on the frame's grid."""
+    gross = np.sum(g * frame.kernel * frame.abs2, axis=(-2, -1))
     return _nonnegative(
         0.25 * (gross - frame.mean ** 2), 0.25 * gross, "spectral"
     )
 
 
-def _oracle_value(frame: _Frame, family: fam.MonotoneFamily) -> float:
+def _oracle_value(frame: _Frame, family):
+    """The Morozova-Cencov double sum.
+
+    ``family`` is one family for the whole frame, or a tuple with one
+    family per matrix of the frame's stack.
+    """
     w = frame.state.weights
     lw = frame.state.log_weights
-    delta = lw[None, :] - lw[:, None]
-    c = fam.eval_c(family, w[:, None], w[None, :])
+    delta = lw[..., None, :] - lw[..., :, None]
+    c = fam.eval_c(family, w[..., :, None], w[..., None, :])
     summand = c * frame.kernel ** 2 * frame.abs2
     # analytic degenerate limit of c_f(rho, rho) q^2 is rho itself
     deg = np.abs(delta) < 1e-10
-    rho_m = np.broadcast_to(w[:, None], summand.shape)
+    rho_m = np.broadcast_to(w[..., :, None], summand.shape)
     summand = np.where(deg, rho_m * frame.abs2, summand)
-    np.fill_diagonal(summand, 0.0)
-    diag = np.diag(frame.s_eig).real
-    classical = float(np.dot(w, (diag - frame.mean) ** 2))
-    gross = classical + float(np.sum(summand))
+    diagonal = np.arange(frame.state.dim)
+    summand[..., diagonal, diagonal] = 0.0
+    classical = _dot(w, (frame.diagonal - frame.mean[..., None]) ** 2)
+    gross = classical + np.sum(summand, axis=(-2, -1))
     return _nonnegative(0.25 * gross, 0.25 * gross, "mc_oracle")
 
 
@@ -109,11 +117,16 @@ def _evaluate(
         return metric_from_dsf(frame.dsf, family)
     if method in ("series_A", "series_B"):
         return _series(frame, family, method, L)
-    route = {"spectral": _spectral_value, "mc_oracle": _oracle_value}[method]
+    if method == "spectral":
+        value = _spectral_value(frame, fam.eval_g(family, frame.x))
+    elif method == "mc_oracle":
+        value = _oracle_value(frame, family)
+    else:
+        raise ValueError(f"unknown method {method!r}")
     return MetricResult(
-        route(frame, family),
+        float(value),
         method,
-        MetricDiagnostics(degenerate_pairs_handled=frame.degenerate_pairs),
+        MetricDiagnostics(degenerate_pairs_handled=int(frame.degenerate_pairs)),
     )
 
 
@@ -159,7 +172,7 @@ def metric_from_dsf(Q: LineSpectrum, family: fam.MonotoneFamily) -> MetricResult
         raise ValueError("metric_from_dsf expects a diagonal spectrum")
     g = fam.eval_g(family, 0.5 * Q.omegas)
     gross = float(np.sum(g * _line_kernel(Q.omegas, Q.weights)))
-    value = _nonnegative(0.25 * (gross - Q.mean_s ** 2), 0.25 * gross, "dsf_sum")
+    value = float(_nonnegative(0.25 * (gross - Q.mean_s ** 2), 0.25 * gross, "dsf_sum"))
     return MetricResult(value, "dsf_sum", MetricDiagnostics())
 
 
@@ -185,13 +198,13 @@ def _series(frame: _Frame, family: fam.MonotoneFamily, method: str, L: int) -> M
         base = float(np.dot(frame.state.weights, frame.abs2.sum(axis=0)))
     coeffs = fam.taylor_coeffs(family, "g" if odd else "g_hat", L)
     radius = (fam.g_series_radius if odd else fam.g_hat_series_radius)(family)
-    total = 0.25 * (base - frame.mean ** 2)
+    total = 0.25 * (base - float(frame.mean) ** 2)
     term = 0.0
     for l in range(1, L + 1):
         q = 2 * l - odd
-        term = 0.25 * 0.5 ** q * coeffs[l - 1] * frame.moments[q]
+        term = 0.25 * 0.5 ** q * coeffs[l - 1] * float(frame.moments[q])
         total += term
-    ok = 0.5 * frame.max_omega < radius
+    ok = bool(0.5 * frame.max_omega < radius)
     return MetricResult(
         total,
         method,
@@ -234,10 +247,9 @@ def metric_difference_to_bkm(state: GibbsState, S, family: fam.MonotoneFamily) -
     return 0.25 * float(np.sum((g - 1.0) * _line_kernel(Q.omegas, Q.weights)))
 
 
-def _cross_value(frame_a: _Frame, frame_b: _Frame, family: fam.MonotoneFamily) -> complex:
-    """(1/4) sum g_f(x) W dA dB^T over two frames of one state."""
-    g = fam.eval_g(family, frame_a.x)
-    return complex(0.25 * np.sum(g * frame_a.kernel * frame_a.centered * frame_b.centered.T))
+def _cross_value(frame_a: _Frame, frame_b: _Frame, g: np.ndarray):
+    """(1/4) sum g W dA dB^T over two frames of one state, for the filter g."""
+    return 0.25 * np.sum(g * frame_a.kernel * frame_a.centered * np.swapaxes(frame_b.centered, -1, -2), axis=(-2, -1))
 
 
 def cross_metric(state: GibbsState, A, B, family: fam.MonotoneFamily) -> complex:
@@ -249,7 +261,8 @@ def cross_metric(state: GibbsState, A, B, family: fam.MonotoneFamily) -> complex
     dA_mn dB_nm rho_m into the log-mean kernel W_mn times dA_mn dB_nm.
     Real for A = B; cross_metric(A, B) = conj(cross_metric(B, A)).
     """
-    return _cross_value(_Frame(state, A), _Frame(state, B), family)
+    frame_a = _Frame(state, A)
+    return complex(_cross_value(frame_a, _Frame(state, B), fam.eval_g(family, frame_a.x)))
 
 
 def fidelity_susceptibility(state: GibbsState, S) -> float:

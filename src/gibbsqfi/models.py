@@ -16,7 +16,7 @@ import numpy as np
 from . import families as fam
 from .dsf import _Frame
 from .hilbert import GibbsState, HermitianOperator, gibbs_state
-from .metrics import _spectral_value
+from .metrics import _evaluate
 
 __all__ = [
     "SpinModel",
@@ -109,8 +109,8 @@ def spin_ratio_property(model: SpinModel, family: fam.MonotoneFamily) -> SpinRat
     omegas = frame.dsf.omegas
     off = np.minimum(np.abs(np.abs(omegas) - model.omega0), np.abs(omegas))
     support_ok = bool(np.all(off < 1e-9))
-    brute = _spectral_value(frame, family)
-    base = _spectral_value(frame, fam.BKM)
+    brute = _evaluate(frame, family, "spectral").value
+    base = _evaluate(frame, fam.BKM, "spectral").value
     ratio = brute / base
     expected = fam.eval_g(family, 0.5 * model.omega0)
     half = 0.5 * model.omega0
@@ -278,8 +278,8 @@ def boson_closed_forms(model: BosonModel, family: fam.MonotoneFamily) -> BosonCl
     K, L = boson_correlators(model)
     half = 0.5 * model.k * model.omega
     d2_bkm = 0.25 * float(np.sum(frame.kernel * frame.abs2))
-    d2_mc = 0.25 * (float(np.dot(frame.state.weights, frame.abs2.sum(axis=0))) - frame.mean ** 2)
+    d2_mc = 0.25 * (float(np.dot(frame.state.weights, frame.abs2.sum(axis=0))) - float(frame.mean) ** 2)
     via_nu1 = d2_bkm + 0.25 / half * (1.0 - fam.eval_g(family, half)) * K
     via_nu2 = d2_mc - 0.25 * (1.0 - fam.eval_g_hat(family, half)) * L
-    brute = _spectral_value(frame, family)
+    brute = _evaluate(frame, family, "spectral").value
     return BosonClosedForms(via_nu1, via_nu2, brute)

@@ -342,6 +342,35 @@ class TestSharedFrame:
         assert calls == {"rotate": 3, "read": 2}
 
 
+def _must_not_run(*args, **kwargs):
+    raise AssertionError("the job ran although its settings are invalid")
+
+
+class TestOutputSettings:
+    @pytest.mark.parametrize(
+        "output, problem",
+        [
+            ("x.csv", "output: must be an object"),
+            (["x.csv"], "output: must be an object"),
+            ({"format": "xml"}, "output: format must be csv or json"),
+            ({"path": 3}, "output: path must be a string"),
+        ],
+    )
+    @pytest.mark.parametrize("command", ["metric", "moments"])
+    def test_bad_output_exits_2_before_running(self, tmp_path, capsys, monkeypatch, output, problem, command):
+        for name in ("run_metric_job", "sum_rule_report", "_resolve_model"):
+            monkeypatch.setattr(cli, name, _must_not_run)
+        config = write_config(tmp_path, {**SPIN_SWEEP, "output": output})
+        assert main([command, "--config", config]) == 2
+        assert problem in capsys.readouterr().err
+
+    def test_config_output_is_used(self, tmp_path):
+        out = tmp_path / "rows.json"
+        config = write_config(tmp_path, {**SPIN_SWEEP, "output": {"path": str(out), "format": "json"}})
+        assert main(["sweep", "--config", config]) == 0
+        assert len(json.loads(out.read_text())["rows"]) == 9
+
+
 class TestVerify:
     def test_passes_and_exits_zero(self, tmp_path):
         out = tmp_path / "report.json"
@@ -361,6 +390,17 @@ class TestVerify:
 
     def test_zero_trials_usage_error(self):
         assert main(["verify", "--seed", "1", "--trials", "0"]) == 2
+
+    def test_negative_seed_exits_2(self, capsys):
+        assert main(["verify", "--seed", "-1", "--trials", "3"]) == 2
+        assert capsys.readouterr().err.startswith("error: --seed")
+
+    def test_csv_format_rejected_before_running(self, tmp_path, capsys, monkeypatch):
+        monkeypatch.setattr(cli, "run_verification_suite", _must_not_run)
+        out = tmp_path / "report.csv"
+        assert main(["verify", "--trials", "300", "--format", "csv", "--out", str(out)]) == 2
+        assert "JSON only" in capsys.readouterr().err
+        assert not out.exists()
 
 
 class TestMoments:

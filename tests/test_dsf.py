@@ -11,7 +11,7 @@ import numpy as np
 import pytest
 from scipy import sparse
 
-from gibbsqfi import dsf, skew
+from gibbsqfi import dsf, metrics, skew
 from gibbsqfi import families as fam
 from gibbsqfi import hilbert as hb
 from gibbsqfi.cli import main
@@ -112,8 +112,23 @@ class TestBuildDsf:
             dsf._line_spectrum(dsf._Frame(qubit, SX), abs2, 0.0)
 
     def test_violating_input_rejected(self):
+        # the line at omega = -1 must weigh e^{-1} times its partner at +1
+        omegas = np.array([[0.0, 1.0], [-1.0, 0.0]])
         with pytest.raises(ArithmeticError, match="detailed balance"):
-            dsf._assemble([1.0, -1.0], [0.5, 0.5], "diagonal", 2, 0.0)
+            dsf._check_pair_balance(omegas, np.array([[0.0, 0.5], [0.5, 0.0]]), 0.0)
+
+    def test_near_equal_frequencies_keep_balance(self):
+        # a symmetric tridiagonal T has many Bohr frequencies within 1e-12
+        # of each other, which merge into different groups at w and -w;
+        # balance is checked on the pairs before they are merged
+        n = 60
+        t = np.diag(np.linspace(0.0, 3.0, n)) + 0.3 * (np.eye(n, k=1) + np.eye(n, k=-1))
+        s = np.eye(n, k=1) + np.eye(n, k=-1) + np.diag(np.linspace(-1.0, 1.0, n))
+        state = hb.gibbs_state(t)
+        spectrum = dsf.build_dsf(state, s)
+        for family in (fam.BKM, fam.MC, fam.BURES):
+            oracle = metrics.metric_mc_oracle(state, s, family).value
+            assert metrics.metric_from_dsf(spectrum, family).value == pytest.approx(oracle, rel=1e-10)
 
 
 class TestCrossDsf:

@@ -326,6 +326,24 @@ class TestEvalG:
             assert np.allclose(prod, fam.eval_g(fam.GEOMETRIC, xs) ** 2, rtol=1e-12)
 
 
+class TestPerMatrixFamilies:
+    """A tuple of families, one per leading index, equals per-family calls bit for bit."""
+
+    FAMILIES = (fam.HAR, fam.power_difference(0.3), fam.wyd(0.4), fam.power_difference(1.7), fam.BKM)
+
+    def test_eval_g(self):
+        x = np.random.default_rng(1).normal(scale=3.0, size=(5, 4, 4))
+        x[3, 0, 0] = 500.0  # past the direct sinhc range for the 1.7 member
+        expected = np.stack([fam.eval_g(f, xi) for f, xi in zip(self.FAMILIES, x)])
+        assert np.array_equal(fam.eval_g(self.FAMILIES, x), expected)
+
+    def test_eval_c(self):
+        w = np.random.default_rng(2).random((5, 4)) + 1e-3
+        x, y = w[:, :, None], w[:, None, :]
+        expected = np.stack([fam.eval_c(f, xi, yi) for f, xi, yi in zip(self.FAMILIES, x, y)])
+        assert np.array_equal(fam.eval_c(self.FAMILIES, x, y), expected)
+
+
 class TestEvalGHat:
     def test_mc_hat_is_exactly_one(self):
         assert fam.eval_g_hat(fam.MC, 1.3) == 1.0

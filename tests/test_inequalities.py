@@ -179,12 +179,14 @@ class TestVerificationSuite:
         threaded = ineq.run_verification_suite(seed=11, trials=20)
         assert serial.to_dict() == threaded.to_dict()
 
-    def test_one_frame_per_trial(self, monkeypatch):
-        # one rotation each for S and B, one commutator chain for C and the
-        # sum rules; every family is checked once and no cross structure
+    def test_one_frame_per_group(self, monkeypatch):
+        # a dim group shares one stacked eigh, one rotation each for S and
+        # B and one commutator chain (C and the sum rules); each fixed
+        # family's filter is evaluated once for the group, each per-trial
+        # power-difference family once per trial, and no cross structure
         # factor is assembled
-        calls = {"rotate": 0, "cross_dsf": 0, "chain": 0}
-        checked = []
+        calls = {"eigh": 0, "rotate": 0, "cross_dsf": 0, "chain": 0}
+        filters = []
 
         def counting(key, fn):
             def wrapper(*args, **kwargs):
@@ -197,28 +199,136 @@ class TestVerificationSuite:
             "build_cross_dsf": counting("cross_dsf", dsf.build_cross_dsf),
             "commutator_moments": counting("chain", dsf.commutator_moments),
         }
-        checked_fn = ineq._checked
         for module in (hb, dsf, metrics, ineq):
             for name, wrapper in patched.items():
                 if hasattr(module, name):
                     monkeypatch.setattr(module, name, wrapper)
+        monkeypatch.setattr(np.linalg, "eigh", counting("eigh", np.linalg.eigh))
+        eval_g = fam.eval_g
 
-        def checking(frame, family):
-            checked.append(family.label)
-            return checked_fn(frame, family)
+        def recording(family, x):
+            filters.append(family)
+            return eval_g(family, x)
 
-        monkeypatch.setattr(ineq, "_checked", checking)
-        for stream in np.random.SeedSequence(5).spawn(3):
-            calls.update(rotate=0, cross_dsf=0, chain=0)
-            checked.clear()
-            reports, out, _ = ineq._run_trial(stream, (2, 5, 8))
-            assert len(reports) + out == 24
-            assert calls == {"rotate": 2, "cross_dsf": 0, "chain": 1}
-            assert len(checked) == len(set(checked)) == 8
+        monkeypatch.setattr(fam, "eval_g", recording)
+        for dim, size in ((2, 1), (5, 4), (8, 3)):
+            trials = [ineq._draw(stream, (dim,)) for stream in np.random.SeedSequence(dim).spawn(size)]
+            calls.update(eigh=0, rotate=0, cross_dsf=0, chain=0)
+            filters.clear()
+            checks, in_regime = ineq._group_checks(trials)
+            assert len(checks) == 24
+            assert all(check.lhs.shape == (size,) for check in checks)
+            assert in_regime.shape == (size,)
+            assert calls == {"eigh": 1, "rotate": 2, "cross_dsf": 0, "chain": 1}
+            named = fam.named_families().values()
+            fixed = [f for f in filters if f in named]
+            assert sorted(f.label for f in fixed) == sorted(f.label for f in named)
+            # pair members 1/2 -+ d and the Cauchy-Schwarz pair p, 1 - p:
+            # one call each, with one family per trial
+            per_trial = [f for f in filters if f not in named]
+            assert len(per_trial) == 4
+            for families in per_trial:
+                families = families if isinstance(families, tuple) else (families,)
+                assert len(families) == size
+                assert all(f.kind == "pdiff" for f in families)
 
     def test_trials_validation(self):
         with pytest.raises(ValueError):
             ineq.run_verification_suite(seed=1, trials=0)
+
+    @pytest.mark.parametrize(
+        "seed, out_of_regime, crossings", [(0, 137, 80), (42, 147, 86)]
+    )
+    def test_golden_reports(self, seed, out_of_regime, crossings):
+        # recorded with the trial-by-trial suite that preceded the dim groups
+        expected = {
+            "seed": seed,
+            "trials": 1000,
+            "checks": 24000,
+            "failures": [],
+            "passed": True,
+            "gm_link_out_of_regime": out_of_regime,
+            "gm_link_crossings": crossings,
+        }
+        assert ineq.run_verification_suite(seed, 1000).to_dict() == expected
+
+    def test_group_rows_match_public_verifiers(self):
+        trials = [ineq._draw(stream, (3, 6)) for stream in np.random.SeedSequence(8).spawn(10)]
+        for dim in (3, 6):
+            group = [t for t in trials if t.T.dim == dim]
+            assert len(group) > 1
+            checks, _ = ineq._group_checks(group)
+            for j, t in enumerate(group):
+                rows = {row.name: row for row in (check.report(j) for check in checks)}
+                state = hb.gibbs_state(t.T)
+                expected = [
+                    *ineq.chain_check(state, t.S),
+                    *ineq.commutator_bounds(state, t.S),
+                    *ineq.geometric_mean_checks(state, t.S, t.d),
+                ]
+                for f, f_bar in (
+                    (fam.BURES, fam.MC),
+                    (fam.BURES, fam.HAR),
+                    (fam.power_difference(t.p), fam.power_difference(1.0 - t.p)),
+                ):
+                    expected += ineq.cauchy_schwarz_cross(state, t.S, t.B, f, f_bar)
+                assert len(expected) == 17
+                for report in expected:
+                    row = rows[report.name]
+                    assert row.lhs == pytest.approx(report.lhs, rel=1e-13, abs=0.0)
+                    assert row.rhs == pytest.approx(report.rhs, rel=1e-13, abs=0.0)
+                    assert row.passed == report.passed
+                for sum_rule in dsf.sum_rule_report(state, t.S, p_max=6):
+                    assert rows[f"sum_rule:p{sum_rule.p}"].lhs == pytest.approx(sum_rule.rel_error, abs=1e-15)
+
+    def test_bad_eigendecomposition_in_a_stack_raises(self, monkeypatch):
+        eigh = np.linalg.eigh
+
+        def corrupting(a, *args, **kwargs):
+            vals, vecs = eigh(a, *args, **kwargs)
+            if vals.ndim == 2 and vals.shape[0] > 1:
+                vals = vals.copy()
+                vals[1, 0] += 1e-3
+            return vals, vecs
+
+        monkeypatch.setattr(np.linalg, "eigh", corrupting)
+        with pytest.raises(ArithmeticError, match=r"residual .* \(matrix 1 of the stack\)"):
+            ineq.run_verification_suite(seed=4, trials=30)
+
+    def test_route_disagreement_in_one_trial_raises(self, monkeypatch):
+        eval_c = fam.eval_c
+
+        def skewed(family, x, y):
+            c = eval_c(family, x, y)
+            if family == fam.HAR and np.ndim(c) == 3 and c.shape[0] > 2:
+                c = c.copy()
+                c[2] *= 1.001
+            return c
+
+        monkeypatch.setattr(fam, "eval_c", skewed)
+        with pytest.raises(ArithmeticError, match="metric routes disagree for har"):
+            ineq.run_verification_suite(seed=4, trials=30)
+
+    def test_failures_in_trial_then_report_order(self, monkeypatch):
+        failing = {"chain:bures<=wy", "sum_rule:p3"}
+
+        class Failing(ineq._Check):
+            def __init__(self, name, lhs, rhs, tolerance=None):
+                if name in failing:
+                    rhs = np.asarray(lhs) - 1.0
+                super().__init__(name, lhs, rhs, tolerance)
+
+        monkeypatch.setattr(ineq, "_Check", Failing)
+        monkeypatch.setattr(ineq, "_BLOCK", 5)  # three blocks
+        dims = (2, 4, 7)
+        summary = ineq.run_verification_suite(seed=3, trials=12, dims=dims)
+        trials = [ineq._draw(stream, dims) for stream in np.random.SeedSequence(3).spawn(12)]
+        assert len({t.T.dim for t in trials}) == 3
+        assert not summary.passed
+        assert [r.name for r in summary.failures] == ["chain:bures<=wy", "sum_rule:p3"] * 12
+        for report, t in zip(summary.failures[::2], trials):
+            bures = ineq.chain_check(hb.gibbs_state(t.T), t.S)[0].lhs
+            assert report.lhs == pytest.approx(bures, rel=1e-13, abs=0.0)
 
     def test_crossings_only_out_of_regime(self):
         summary = ineq.run_verification_suite(seed=77, trials=150)
