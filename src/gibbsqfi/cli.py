@@ -20,10 +20,10 @@ from dataclasses import asdict, dataclass
 
 from . import families as fam
 from .dsf import _Frame, build_dsf, sum_rule_report
-from .hilbert import HermitianOperator, gibbs_state, read_operator_json, write_operator_json
+from .hilbert import _scaled_state, eigendecompose, read_operator_json, to_eigenbasis, write_operator_json
 from .inequalities import run_verification_suite
 from .metrics import _evaluate, _moment_order
-from .models import BosonModel, SpinModel, boson_build, spin_build
+from .models import BosonModel, SpinModel
 
 __all__ = ["main", "JobConfig", "run_metric_job"]
 
@@ -145,37 +145,46 @@ def _parse_method(spec: str):
     raise ValueError(f"unknown method {spec!r}")
 
 
-def _resolve_model(model: dict, override: tuple[str, float] | None = None):
-    """Build (T, S) from a model spec or matrix file paths."""
+def _point_model(model: dict, point=(None, None)):
+    """The validated SpinModel or BosonModel of a spec at one sweep point; None for matrix files."""
     spec = dict(model)
-    if override is not None:
-        name, value = override
+    name, value = point
+    if name is not None:
         spec[name] = value
     kind = spec.get("model")
     if kind == "spin":
         try:
-            m = SpinModel(float(spec["S"]), float(spec["omega0"]))
+            return SpinModel(float(spec["S"]), float(spec["omega0"]))
         except (KeyError, TypeError, ValueError) as exc:
             raise UsageError(f"spin model: {exc}") from None
-        return spin_build(m)
     if kind == "boson":
         try:
-            m = BosonModel(int(spec["k"]), float(spec["omega"]), int(spec["cutoff"]))
+            return BosonModel(int(spec["k"]), float(spec["omega"]), int(spec["cutoff"]))
         except (KeyError, TypeError, ValueError) as exc:
             raise UsageError(f"boson model: {exc}") from None
-        return boson_build(m)
     if kind is None and "T" in spec and "S" in spec:
-        try:
-            T, _ = read_operator_json(spec["T"])
-            S, _ = read_operator_json(spec["S"])
-        except FileNotFoundError as exc:
-            raise UsageError(f"matrix file not found: {exc.filename}") from None
-        except (KeyError, ValueError, json.JSONDecodeError) as exc:
-            raise UsageError(f"bad matrix file: {exc}") from None
-        return T, S
+        return None
     raise UsageError(
         "model must be {'model': 'spin'|'boson', ...} or {'T': path, 'S': path}"
     )
+
+
+def _resolve_model(model: dict, m):
+    """(T, S, frequency) of the model m built by _point_model, or of the spec's matrix files.
+
+    T is the unit-frequency generator: the model's generator is
+    frequency * T, and frequency is 1 for matrix files (m is None).
+    """
+    if m is not None:
+        return (*m.unit_matrices(), m.frequency)
+    try:
+        T, _ = read_operator_json(model["T"])
+        S, _ = read_operator_json(model["S"])
+    except FileNotFoundError as exc:
+        raise UsageError(f"matrix file not found: {exc.filename}") from None
+    except (KeyError, ValueError, json.JSONDecodeError) as exc:
+        raise UsageError(f"bad matrix file: {exc}") from None
+    return T, S, 1.0
 
 
 def _sweep_points(config: JobConfig):
@@ -187,31 +196,50 @@ def _sweep_points(config: JobConfig):
     return [(name, float(v)) for v in config.sweep["grid"]]
 
 
-def _gibbs(beta: float, T):
-    """Gibbs state of beta * T; a product that overflows is a usage error."""
+def _decompose(T):
+    """T's checked eigendecomposition; a failed check is a usage error."""
     try:
-        return gibbs_state(HermitianOperator(beta * T.matrix))
-    except ValueError as exc:
-        raise UsageError(f"beta * T with beta = {beta!r}: {exc}") from None
+        return eigendecompose(T)
+    except ArithmeticError as exc:
+        raise UsageError(f"T: {exc}") from None
 
 
-def _rows_for_point(config: JobConfig, point, T, S):
-    """Rows of one sweep point: one frame, every (family, method) pair on it."""
+def _gibbs(basis, T, c: float, where: str):
+    """Gibbs state of c * T from T's decomposition; a c * T past double range is a usage error."""
+    try:
+        return _scaled_state(basis, T.matrix, c)
+    except ArithmeticError as exc:
+        raise UsageError(f"beta * T at {where}: {exc}") from None
+
+
+def _single_point(config: JobConfig):
+    """(state, T, S, frequency) of a job's model at its beta: the state of beta * frequency * T."""
+    T, S, frequency = _resolve_model(config.model, _point_model(config.model))
+    state = _gibbs(_decompose(T), T, config.beta * frequency, f"beta={config.beta:g}")
+    return state, T, S, frequency
+
+
+def _label(point) -> str:
     name, value = point
-    beta = value if name == "beta" else config.beta
-    state = _gibbs(beta, T)
+    return "" if name is None else f"{name}={value:g}"
+
+
+def _rows_for_point(config: JobConfig, point, state, S, s_eig):
+    """Rows of one sweep point: one frame, every (family, method) pair on it."""
     routes = [(spec, *_parse_method(spec)) for spec in config.methods]
     chain_order = max((_moment_order(route, L) for _, route, L in routes if L), default=0)
-    frame = _Frame(state, S, chain_order)
-    parameter = "" if name is None else f"{name}={value:g}"
+    frame = _Frame(state, S, chain_order, s_eig)
+    parameter = _label(point)
     rows = []
     for family in config.families:
         for method_spec, route, L in routes:
+            where = f"{family.label} {method_spec} {parameter}".rstrip()
             try:
                 result = _evaluate(frame, family, route, L)
             except OverflowError as exc:  # a series moment past double range
-                where = f"{family.label} {method_spec} {parameter}".rstrip()
                 raise UsageError(f"{where}: {exc}") from None
+            if math.isnan(result.value):
+                raise UsageError(f"{where}: the metric is nan")
             rows.append(
                 {
                     "family": family.label,
@@ -235,21 +263,31 @@ def _worker_count() -> int:
 
 
 def run_metric_job(config: JobConfig) -> tuple[list[dict], list[str]]:
-    """All output rows for a job, in canonical order, plus warnings."""
-    points = _sweep_points(config)
-    # a beta sweep only rescales T, so its model is built once per job
-    shared = _resolve_model(config.model) if points[0][0] in (None, "beta") else None
+    """All output rows for a job, in canonical order, plus warnings.
 
-    def job(point):
-        T, S = shared if shared is not None else _resolve_model(config.model, point)
-        return _rows_for_point(config, point, T, S)
+    Every point's generator is c * T for one unit-frequency T: c is the
+    point's beta times the model's frequency.  So T is decomposed and S
+    rotated once per job, and each point only rescales the spectrum.
+    Each point's model is still built, which validates its grid value.
+    """
+    points = _sweep_points(config)
+    models = [_point_model(config.model, p) for p in points]
+    T, S, _ = _resolve_model(config.model, models[0])
+    basis = _decompose(T)
+    s_eig = to_eigenbasis(basis, S).elements
+
+    def job(point, model):
+        beta = point[1] if point[0] == "beta" else config.beta
+        c = beta * (1.0 if model is None else model.frequency)
+        state = _gibbs(basis, T, c, _label(point) or f"beta={beta:g}")
+        return _rows_for_point(config, point, state, S, s_eig)
 
     threads = _worker_count()
     if threads > 1 and len(points) > 1:
         with ThreadPoolExecutor(max_workers=threads) as pool:
-            per_point = list(pool.map(job, points))
+            per_point = list(pool.map(job, points, models))
     else:
-        per_point = [job(p) for p in points]
+        per_point = [job(p, m) for p, m in zip(points, models)]
     rows = [row for chunk in per_point for row in chunk]
     warnings = [
         f"series truncation outside convergence radius: {row['family']} {row['method']} {row['parameter']}"
@@ -337,8 +375,7 @@ def _cmd_moments(args) -> int:
     if args.pmax < 0:
         raise UsageError("--pmax must be >= 0")
     config = _load_config(args)
-    T, S = _resolve_model(config.model)
-    state = _gibbs(config.beta, T)
+    state, _, S, _ = _single_point(config)
     try:
         rows = [asdict(row) for row in sum_rule_report(state, S, p_max=args.pmax)]
     except ZeroDivisionError as exc:
@@ -357,11 +394,13 @@ def _cmd_moments(args) -> int:
 
 def _cmd_model(args) -> int:
     config = _load_config(args)
-    T, S = _resolve_model(config.model)
-    state = _gibbs(config.beta, T)
+    output = config.output or {}
+    if (args.format or output.get("format", "json")) != "json":
+        raise UsageError("model summaries are JSON only")
+    state, T, S, frequency = _single_point(config)
     spectrum = build_dsf(state, S)
     summary = {
-        "dim": T.dim,
+        "dim": state.dim,
         "beta": config.beta,
         "spectral_range": float(
             state.decomposition.eigenvalues[-1] - state.decomposition.eigenvalues[0]
@@ -370,10 +409,10 @@ def _cmd_model(args) -> int:
         "mean_S": spectrum.mean_s,
     }
     if args.out:
-        write_operator_json(T, f"{args.out}_T.json")
+        write_operator_json(frequency * T.matrix, f"{args.out}_T.json")
         write_operator_json(S, f"{args.out}_S.json")
         summary["written"] = [f"{args.out}_T.json", f"{args.out}_S.json"]
-    sys.stdout.write(json.dumps(summary, indent=2, sort_keys=True) + "\n")
+    _emit(json.dumps(summary, indent=2, sort_keys=True) + "\n", output.get("path"))
     return 0
 
 

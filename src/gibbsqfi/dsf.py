@@ -5,8 +5,9 @@ at the Bohr frequencies omega_{nm} = T_n - T_m, so all frequency integrals
 collapse to line sums with no quadrature error.  The module also provides
 the moments of the comb, the nested-commutator functionals that generate
 them algebraically, and the Bogoliubov-Duhamel inner product.  Every
-(state, S) consumer reads one ``_Frame``, the only place that rotates an
-observable into the eigenbasis.
+(state, S) consumer reads one ``_Frame``, which rotates the observable
+into the eigenbasis, or takes the rotated elements that the states of
+every c * T share (one rotation per sweep job).
 """
 
 from __future__ import annotations
@@ -16,6 +17,7 @@ from dataclasses import dataclass
 
 import numpy as np
 from scipy import sparse
+from scipy.special import exprel
 
 from .hilbert import GibbsState, as_operator, duhamel_weight_matrix, to_eigenbasis
 
@@ -41,6 +43,41 @@ _DEGENERATE_WINDOW = 2e-4
 # the commutator chain runs on sparse matrices while at most this share of
 # the entries of T and R_q is nonzero, and on dense arrays after
 _SPARSE_DENSITY = 0.1
+
+
+class _lazy:
+    """A member computed on first read and then stored on the instance.
+
+    Like functools.cached_property, but without its lock: before Python
+    3.12 that lock is shared by every instance, which serializes frames
+    that threads build at the same time.  A frame, and the structure
+    factor it builds, belong to one thread.
+    """
+
+    def __init__(self, compute):
+        self.compute = compute
+        self.__doc__ = compute.__doc__
+
+    def __set_name__(self, owner, name):
+        self.name = name
+
+    def __get__(self, instance, owner=None):
+        if instance is None:
+            return self
+        value = instance.__dict__[self.name] = self.compute(instance)
+        return value
+
+
+def _line_kernel(omegas: np.ndarray, weights: np.ndarray) -> np.ndarray:
+    """Log-mean of each line weight q and its balance partner q e^{-w}.
+
+    Equals q (1 - e^{-w})/w (q at the elastic line): q exprel(-w) for
+    w >= 0 and exp(log q - w) exprel(w) for w < 0, which stays finite where
+    e^{-w} overflows.  Unbalanced inputs may still overflow to inf.
+    """
+    with np.errstate(divide="ignore", over="ignore"):
+        larger = np.where(omegas < 0.0, np.exp(np.log(weights) - omegas), weights)
+    return larger * exprel(-np.abs(omegas))
 
 
 @dataclass
@@ -70,6 +107,11 @@ class LineSpectrum:
     def total_weight(self):
         total = self.weights.sum()
         return float(total.real) if self.kind != "cross" else complex(total)
+
+    @_lazy
+    def kernel(self) -> np.ndarray:
+        """The _line_kernel of the lines, which every family's line sum reads."""
+        return _line_kernel(self.omegas, self.weights)
 
 
 def _merge_lines(omegas, weights):
@@ -119,28 +161,6 @@ def _dot(a: np.ndarray, b: np.ndarray):
     return (a[..., None, :] @ b[..., :, None])[..., 0, 0][()]
 
 
-class _lazy:
-    """A member computed on first read and then stored on the instance.
-
-    Like functools.cached_property, but without its lock: before Python
-    3.12 that lock is shared by every instance, which serializes frames
-    that threads build at the same time.  A frame belongs to one thread.
-    """
-
-    def __init__(self, compute):
-        self.compute = compute
-        self.__doc__ = compute.__doc__
-
-    def __set_name__(self, owner, name):
-        self.name = name
-
-    def __get__(self, frame, owner=None):
-        if frame is None:
-            return self
-        value = frame.__dict__[self.name] = self.compute(frame)
-        return value
-
-
 class _Frame:
     """Family-independent data of one (state, S), shared by every consumer.
 
@@ -149,13 +169,16 @@ class _Frame:
     state of a stack of generators and a stack of observables of the same
     shape holds every array with the stack's leading axes, and its scalar
     members (mean, max_omega, moments) become arrays over the stack.
+    ``s_eig`` takes elements of S already rotated into the state's
+    eigenbasis, which the states of every c * T share; S is rotated here
+    when it is omitted.
     """
 
-    def __init__(self, state: GibbsState, S, chain_order: int = 0):
+    def __init__(self, state: GibbsState, S, chain_order: int = 0, s_eig: np.ndarray | None = None):
         self.state = state
         self.S = S  # as given; the commutator chain reads it in the original basis
         self.chain_order = chain_order
-        self.s_eig = to_eigenbasis(state, S).elements
+        self.s_eig = to_eigenbasis(state, S).elements if s_eig is None else s_eig
         lam = state.decomposition.eigenvalues
         self.x = 0.5 * (lam[..., :, None] - lam[..., None, :])  # omega_{nm}/2 at position [n, m]
         self.abs2 = np.abs(self.s_eig) ** 2

@@ -62,7 +62,11 @@ class HermitianOperator:
             raise ValueError(
                 f"matrix is not Hermitian: max|H - H^dagger| = {asym:.3e} > {atol:.1e}"
             )
-        self.matrix = 0.5 * (m + m_dagger)
+        with np.errstate(over="ignore", invalid="ignore"):
+            self.matrix = 0.5 * (m + m_dagger)
+        # H + H^dagger overflows for entries above about 9e307
+        if not np.all(np.isfinite(self.matrix)):
+            raise ValueError("Hermitian part (H + H^dagger)/2 has non-finite entries")
 
     @property
     def dim(self) -> int:
@@ -77,15 +81,16 @@ def _dagger(m: np.ndarray) -> np.ndarray:
     return np.conj(np.swapaxes(m, -1, -2))
 
 
-def _check_each(bad, values, message: str):
-    """Raise ArithmeticError if any matrix fails a check.
+def _check_each(ok, values, message: str):
+    """Raise ArithmeticError unless every matrix passes a check.
 
+    ``ok`` holds the comparison that passes, so a nan value fails it.
     ``message`` formats the first failing matrix's entry of ``values``; a
     stack also names that matrix's index.
     """
-    if np.any(bad):
-        i = int(np.flatnonzero(bad)[0])
-        where = f" (matrix {i} of the stack)" if np.ndim(bad) else ""
+    if not np.all(ok):
+        i = int(np.flatnonzero(~np.asarray(ok))[0])
+        where = f" (matrix {i} of the stack)" if np.ndim(ok) else ""
         raise ArithmeticError(message.format(float(np.ravel(values)[i])) + where)
 
 
@@ -120,11 +125,11 @@ def eigendecompose(H) -> SpectralDecomposition:
     recon = (vecs * vals[..., None, :]) @ _dagger(vecs)
     recon_err = np.max(np.abs(recon - op.matrix), axis=(-2, -1))
     _check_each(
-        recon_err > 1e-10 * scale, recon_err,
+        recon_err <= 1e-10 * scale, recon_err,
         "eigendecomposition residual {:.3e} exceeds 1e-10 * |H|",
     )
     unit_err = np.max(np.abs(_dagger(vecs) @ vecs - np.eye(op.dim)), axis=(-2, -1))
-    _check_each(unit_err > 1e-12, unit_err, "eigenvector unitarity defect {:.3e}")
+    _check_each(unit_err <= 1e-12, unit_err, "eigenvector unitarity defect {:.3e}")
     return SpectralDecomposition(vals, vecs)
 
 
@@ -177,8 +182,22 @@ def gibbs_state(T) -> GibbsState:
     call, each normalized and checked on its own.
     """
     op = as_operator(T)
-    decomposition = eigendecompose(op)
-    lam = decomposition.eigenvalues
+    return _scaled_state(eigendecompose(op), op.matrix, 1.0)
+
+
+def _scaled_state(decomposition: SpectralDecomposition, T: np.ndarray, c: float) -> GibbsState:
+    """The Gibbs state of c * T for c > 0, from T's checked decomposition.
+
+    c * T has T's eigenvectors and c times its eigenvalues, so a state
+    that only rescales the generator needs no eigh of its own.  A scaled
+    spectrum whose range is not finite raises ArithmeticError; the
+    weights are normalized and checked as for gibbs_state, and the state
+    keeps c * T as its generator.
+    """
+    with np.errstate(over="ignore", invalid="ignore"):
+        lam = c * decomposition.eigenvalues
+        spread = lam[..., -1] - lam[..., 0]
+    _check_each(np.isfinite(spread), spread, "spectral range {!r} of c * T is non-finite")
     shift = np.min(lam, axis=-1, keepdims=True)
     log_norm = np.log(np.sum(np.exp(-(lam - shift)), axis=-1, keepdims=True))
     log_w = -(lam - shift) - log_norm
@@ -190,17 +209,17 @@ def gibbs_state(T) -> GibbsState:
         warnings.warn(
             f"{clamped} Gibbs weights below {_WEIGHT_FLOOR:g} clamped",
             RuntimeWarning,
-            stacklevel=2,
+            stacklevel=3,
         )
         weights = np.maximum(weights, _WEIGHT_FLOOR)
     total = np.sum(weights, axis=-1)
-    _check_each(np.abs(total - 1.0) > 1e-13, total, "Gibbs weights sum to {!r}, not 1")
+    _check_each(np.abs(total - 1.0) <= 1e-13, total, "Gibbs weights sum to {!r}, not 1")
     return GibbsState(
-        decomposition=decomposition,
+        decomposition=SpectralDecomposition(lam, decomposition.eigenvectors),
         weights=weights,
         log_weights=log_w,
         logZ=(log_norm - shift)[..., 0],
-        _generator=op.matrix,
+        _generator=c * T,
         clamped=clamped,
     )
 
@@ -213,18 +232,20 @@ class ObservableInEigenbasis:
     basis: SpectralDecomposition | None = None
 
 
-def to_eigenbasis(state: GibbsState, A) -> ObservableInEigenbasis:
-    """Rotate a Hermitian operator into the state's eigenbasis.
+def to_eigenbasis(state: GibbsState | SpectralDecomposition, A) -> ObservableInEigenbasis:
+    """Rotate a Hermitian operator into the eigenbasis of a state or a decomposition.
 
     For the state of a stack, A is a stack of the same shape and each
-    matrix is rotated into the eigenbasis of its own generator.
+    matrix is rotated into the eigenbasis of its own generator.  The
+    states of every c * T share the eigenbasis of T's decomposition.
     """
     op = as_operator(A)
-    U = state.decomposition.eigenvectors
+    basis = state.decomposition if isinstance(state, GibbsState) else state
+    U = basis.eigenvectors
     if op.matrix.shape != U.shape:
         raise ValueError(f"dimension mismatch: {op.matrix.shape} vs {U.shape}")
     elements = _dagger(U) @ op.matrix @ U
-    return ObservableInEigenbasis(elements, state.decomposition)
+    return ObservableInEigenbasis(elements, basis)
 
 
 def thermal_average(state: GibbsState, A) -> float:

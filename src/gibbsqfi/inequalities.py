@@ -268,17 +268,26 @@ def random_instance(rng: np.random.Generator, dim: int, spread: float | None = N
     from [0.1, 10] when omitted), covering near-classical through deeply
     quantum regimes.
     """
+    t, s = _random_pair(rng, dim, spread)
+    return HermitianOperator(t), HermitianOperator(s)
+
+
+def _gue(rng: np.random.Generator, dim: int) -> np.ndarray:
+    """A GUE-style matrix, Hermitian by construction."""
+    g = rng.normal(size=(dim, dim)) + 1j * rng.normal(size=(dim, dim))
+    return 0.5 * (g + g.conj().T)
+
+
+def _random_pair(rng: np.random.Generator, dim: int, spread: float | None = None):
+    """The arrays behind random_instance, drawn in the same order."""
     if spread is None:
         spread = float(10.0 ** rng.uniform(-1.0, 1.0))
-    def gue():
-        g = rng.normal(size=(dim, dim)) + 1j * rng.normal(size=(dim, dim))
-        return 0.5 * (g + g.conj().T)
-    t = gue()
+    t = _gue(rng, dim)
     eigs = np.linalg.eigvalsh(t)
     current = float(eigs[-1] - eigs[0])
     if current > 0.0:
         t = t * (spread / current)
-    return HermitianOperator(t), HermitianOperator(gue())
+    return t, _gue(rng, dim)
 
 
 @dataclass
@@ -304,28 +313,34 @@ class VerificationSummary:
 
 
 class _Trial(NamedTuple):
-    """The random instance of one corpus trial."""
+    """The random instance of one corpus trial, as arrays that are Hermitian by construction."""
 
-    T: HermitianOperator
-    S: HermitianOperator
-    B: HermitianOperator
+    T: np.ndarray
+    S: np.ndarray
+    B: np.ndarray
     d: float  # pair offset
     p: float  # power-difference exponent
 
 
 def _draw(entropy, dims) -> _Trial:
-    """Draw one trial; the order is dim, (T, S), B, pair offset d, exponent p."""
+    """Draw one trial; the order is dim, (T, S), B, pair offset d, exponent p.
+
+    B is the observable of random_instance(rng, dim, spread=1.0): its
+    generator is drawn, to keep the stream's order, and dropped.
+    """
     rng = np.random.default_rng(entropy)
     dim = int(rng.choice(dims))
-    T, S = random_instance(rng, dim)
-    _, B = random_instance(rng, dim, spread=1.0)
+    T, S = _random_pair(rng, dim)
+    _gue(rng, dim)
+    B = _gue(rng, dim)
     d = float(rng.uniform(0.0, 1.5))
     p = float(rng.uniform(0.5, 1.5))
     return _Trial(T, S, B, d, p)
 
 
-def _stack(operators) -> HermitianOperator:
-    return HermitianOperator(np.stack([op.matrix for op in operators]))
+def _stack(matrices) -> HermitianOperator:
+    """One checked operator for the stacked matrices of a group."""
+    return HermitianOperator(np.stack(list(matrices)))
 
 
 def _group_checks(trials: list[_Trial]) -> tuple[list[_Check], np.ndarray]:
@@ -376,8 +391,8 @@ def run_verification_suite(seed: int, trials: int, dims=(2, 3, 4, 5, 6, 7, 8)) -
     for start in range(0, trials, _BLOCK):
         block = [_draw(stream, dims) for stream in streams[start:start + _BLOCK]]
         found = []  # (trial, position in the report order, report)
-        for dim in sorted({trial.T.dim for trial in block}):
-            members = [i for i, trial in enumerate(block) if trial.T.dim == dim]
+        for dim in sorted({len(trial.T) for trial in block}):
+            members = [i for i, trial in enumerate(block) if len(trial.T) == dim]
             group, in_regime = _group_checks([block[i] for i in members])
             for position, check in enumerate(group):
                 checks += len(members)

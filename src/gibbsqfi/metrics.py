@@ -28,7 +28,6 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 
 import numpy as np
-from scipy.special import exprel
 
 from . import families as fam
 from .dsf import LineSpectrum, _dot, _Frame, build_dsf
@@ -150,18 +149,6 @@ def metric_mc_oracle(state: GibbsState, S, family: fam.MonotoneFamily) -> Metric
     return _evaluate(_Frame(state, S), family, "mc_oracle")
 
 
-def _line_kernel(omegas: np.ndarray, weights: np.ndarray) -> np.ndarray:
-    """Log-mean of each line weight q and its balance partner q e^{-w}.
-
-    Equals q (1 - e^{-w})/w (q at the elastic line): q exprel(-w) for
-    w >= 0 and exp(log q - w) exprel(w) for w < 0, which stays finite where
-    e^{-w} overflows.  Unbalanced inputs may still overflow to inf.
-    """
-    with np.errstate(divide="ignore", over="ignore"):
-        larger = np.where(omegas < 0.0, np.exp(np.log(weights) - omegas), weights)
-    return larger * exprel(-np.abs(omegas))
-
-
 def metric_from_dsf(Q: LineSpectrum, family: fam.MonotoneFamily) -> MetricResult:
     """Metric as the structure-factor line sum.
 
@@ -171,7 +158,7 @@ def metric_from_dsf(Q: LineSpectrum, family: fam.MonotoneFamily) -> MetricResult
     if Q.kind != "diagonal":
         raise ValueError("metric_from_dsf expects a diagonal spectrum")
     g = fam.eval_g(family, 0.5 * Q.omegas)
-    gross = float(np.sum(g * _line_kernel(Q.omegas, Q.weights)))
+    gross = float(np.sum(g * Q.kernel))
     value = float(_nonnegative(0.25 * (gross - Q.mean_s ** 2), 0.25 * gross, "dsf_sum"))
     return MetricResult(value, "dsf_sum", MetricDiagnostics())
 
@@ -244,7 +231,7 @@ def metric_difference_to_bkm(state: GibbsState, S, family: fam.MonotoneFamily) -
     """
     Q = build_dsf(state, S)
     g = fam.eval_g(family, 0.5 * Q.omegas)
-    return 0.25 * float(np.sum((g - 1.0) * _line_kernel(Q.omegas, Q.weights)))
+    return 0.25 * float(np.sum((g - 1.0) * Q.kernel))
 
 
 def _cross_value(frame_a: _Frame, frame_b: _Frame, g: np.ndarray):

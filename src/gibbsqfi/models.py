@@ -52,6 +52,16 @@ class SpinModel:
     def dim(self) -> int:
         return int(round(2.0 * self.s)) + 1
 
+    @property
+    def frequency(self) -> float:
+        """The factor omega0 of the unit-frequency generator."""
+        return self.omega0
+
+    def unit_matrices(self):
+        """Unit-frequency generator S_z and observable S_x as operators."""
+        sx, _, sz = spin_matrices(self.s)
+        return HermitianOperator(sz), HermitianOperator(sx)
+
 
 def spin_matrices(s: float):
     """Standard spin matrices (S_x, S_y, S_z) with [S_x, S_y] = i S_z."""
@@ -70,8 +80,8 @@ def spin_matrices(s: float):
 
 def spin_build(model: SpinModel):
     """Generator T = omega0 S_z and observable S = S_x as operators."""
-    sx, _, sz = spin_matrices(model.s)
-    return HermitianOperator(model.omega0 * sz), HermitianOperator(sx)
+    unit, S = model.unit_matrices()
+    return HermitianOperator(model.omega0 * unit.matrix), S
 
 
 def _brillouin_sz(s: float, x: float) -> float:
@@ -165,6 +175,17 @@ class BosonModel:
         """Untruncated occupation 1/(e^omega - 1)."""
         return 1.0 / math.expm1(self.omega)
 
+    @property
+    def frequency(self) -> float:
+        """The factor omega of the unit-frequency generator."""
+        return self.omega
+
+    def unit_matrices(self):
+        """Truncated Fock matrices of the unit-frequency generator b^dag b and the k-photon drive."""
+        dim = self.dim
+        bk = np.linalg.matrix_power(_ladder(dim), self.k)
+        return HermitianOperator(np.diag(np.arange(dim)).astype(complex)), HermitianOperator(bk + bk.conj().T)
+
 
 def _ladder(dim: int) -> np.ndarray:
     b = np.zeros((dim, dim), dtype=complex)
@@ -174,13 +195,9 @@ def _ladder(dim: int) -> np.ndarray:
 
 
 def boson_build(model: BosonModel):
-    """Truncated Fock matrices of the generator and the k-photon drive."""
-    dim = model.dim
-    n = np.arange(dim)
-    T = HermitianOperator(np.diag(model.omega * n).astype(complex))
-    bk = np.linalg.matrix_power(_ladder(dim), model.k)
-    S = HermitianOperator(bk + bk.conj().T)
-    return T, S
+    """Truncated Fock matrices of the generator omega b^dag b and the k-photon drive."""
+    unit, S = model.unit_matrices()
+    return HermitianOperator(model.omega * unit.matrix), S
 
 
 def _trace_against(state: GibbsState, X: np.ndarray) -> float:

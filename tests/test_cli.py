@@ -9,7 +9,7 @@ import pytest
 from gibbsqfi import cli, dsf, families as fam, hilbert as hb, metrics
 from gibbsqfi.cli import main
 from gibbsqfi.inequalities import random_instance
-from gibbsqfi.models import SpinModel, spin_build
+from gibbsqfi.models import BosonModel, SpinModel, spin_build
 
 
 def write_config(tmp_path, payload, name="job.json"):
@@ -145,6 +145,60 @@ class TestMetricJobs:
         assert "nan" not in captured.out.lower()
         assert "non-finite" in captured.err
 
+    @pytest.mark.parametrize(
+        "command, sweep, where",
+        [("metric", None, "beta=1e+308"), ("sweep", {"parameter": "beta", "grid": [1.0, 1e308]}, "beta=1e+308")],
+    )
+    def test_beta_past_double_range_exits_2(self, tmp_path, capsys, command, sweep, where):
+        # every entry of 1e308 * S_z is finite for S=1, but its spectral
+        # range 2e308 is not; this printed six nan rows with exit 0
+        payload = {
+            "model": {"model": "spin", "S": 1, "omega0": 1.0},
+            "beta": 1e308,
+            "families": ["bkm", "mc"],
+            "methods": ["oracle", "spectral", "dsf"],
+        }
+        if sweep is not None:
+            payload = {**payload, "beta": 1.0, "sweep": sweep}
+        out = tmp_path / "never.csv"
+        assert main([command, "--config", write_config(tmp_path, payload), "--out", str(out)]) == 2
+        assert not out.exists()
+        err = capsys.readouterr().err
+        assert err.startswith(f"error: beta * T at {where}: ")
+        assert "non-finite" in err
+
+    @pytest.mark.filterwarnings("ignore:invalid value encountered")
+    @pytest.mark.parametrize("command", ["metric", "moments", "model"])
+    def test_nan_eigendecomposition_exits_2(self, tmp_path, capsys, command):
+        # the entries are finite, but the top eigenvalue 2.4e308 of this T
+        # is not, so its residual is nan; this printed nan with exit 0
+        hb.write_operator_json(np.full((3, 3), 8e307, dtype=complex), tmp_path / "T.json")
+        hb.write_operator_json(np.eye(3, dtype=complex), tmp_path / "S.json")
+        payload = {
+            "model": {"T": str(tmp_path / "T.json"), "S": str(tmp_path / "S.json")},
+            "families": ["bkm"],
+            "methods": ["spectral"],
+        }
+        assert main([command, "--config", write_config(tmp_path, payload)]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == "error: T: eigendecomposition residual nan exceeds 1e-10 * |H|\n"
+
+    @pytest.mark.filterwarnings("ignore::RuntimeWarning")
+    def test_nan_metric_exits_2(self, tmp_path, capsys):
+        # the range 1e308 of beta * T is finite for S=1/2, but the
+        # structure-factor route reads nan there
+        payload = {
+            "model": {"model": "spin", "S": 0.5, "omega0": 1.0},
+            "beta": 1e308,
+            "families": ["mc"],
+            "methods": ["oracle", "spectral", "dsf"],
+        }
+        out = tmp_path / "never.csv"
+        assert main(["metric", "--config", write_config(tmp_path, payload), "--out", str(out)]) == 2
+        assert not out.exists()
+        assert capsys.readouterr().err == "error: mc dsf: the metric is nan\n"
+
     def test_malformed_matrix_cell_exits_2(self, tmp_path, capsys):
         t_path = tmp_path / "T.json"
         s_path = tmp_path / "S.json"
@@ -265,14 +319,14 @@ class TestSharedFrame:
     """One frame per sweep point gives the per-call metric_* results, and
     the series match their first form to 1e-13 relative."""
 
-    def _check_against_per_call(self, config, points):
+    def _check_against_per_call(self, config, points, methods=GOLDEN_METHODS):
         rows, _ = cli.run_metric_job(cli.JobConfig.from_dict(config))
-        assert len(rows) == len(points) * len(GOLDEN_FAMILIES) * len(GOLDEN_METHODS)
+        assert len(rows) == len(points) * len(GOLDEN_FAMILIES) * len(methods)
         rows = iter(rows)
         for T, S, parameter in points:
             state = hb.gibbs_state(T)
             for family in GOLDEN_FAMILIES:
-                for method in GOLDEN_METHODS:
+                for method in methods:
                     row = next(rows)
                     result = _per_call(state, S, family, method)
                     assert (row["family"], row["parameter"], row["method"]) == (family.label, parameter, method)
@@ -317,11 +371,31 @@ class TestSharedFrame:
         points = [(hb.HermitianOperator(b * T.matrix), S, f"beta={b:g}") for b in grid]
         self._check_against_per_call(config, points)
 
-    def test_one_rotation_per_point_and_one_read_per_job(self, tmp_path, monkeypatch):
-        T, S = random_instance(np.random.default_rng(6), 6, spread=2.0)
-        hb.write_operator_json(T, tmp_path / "T.json")
-        hb.write_operator_json(S, tmp_path / "S.json")
-        calls = {"rotate": 0, "read": 0}
+    def test_degenerate_matrix_file_beta_sweep_matches_per_point(self, tmp_path):
+        # a beta grid that is not a power of two, on a T with degenerate levels:
+        # the job's c * eigh(T) must match each point's own eigh(c T)
+        rng = np.random.default_rng(21)
+        q, _ = np.linalg.qr(rng.normal(size=(9, 9)) + 1j * rng.normal(size=(9, 9)))
+        levels = np.array([0.0, 0.0, 0.4, 0.4, 0.4, 1.1, 1.9, 1.9, 2.6])
+        hb.write_operator_json((q * levels) @ q.conj().T, tmp_path / "T.json")
+        hb.write_operator_json(random_instance(rng, 9)[1], tmp_path / "S.json")
+        T, _ = hb.read_operator_json(tmp_path / "T.json")
+        S, _ = hb.read_operator_json(tmp_path / "S.json")
+        assert np.sum(np.abs(np.diff(hb.eigendecompose(T).eigenvalues)) < 1e-10) == 4
+        grid = [0.3, 0.7, 3.0]
+        methods = ["oracle", "spectral", "dsf", "seriesA:3", "seriesB:4"]
+        config = {
+            "model": {"T": str(tmp_path / "T.json"), "S": str(tmp_path / "S.json")},
+            "families": [f.label for f in GOLDEN_FAMILIES],
+            "methods": methods,
+            "sweep": {"parameter": "beta", "grid": grid},
+        }
+        points = [(hb.HermitianOperator(b * T.matrix), S, f"beta={b:g}") for b in grid]
+        self._check_against_per_call(config, points, methods)
+
+    def _counted_job(self, monkeypatch, config):
+        """Run a job and count its decompositions, rotations and matrix reads."""
+        calls = {"eigendecompose": 0, "rotate": 0, "read": 0}
 
         def counting(key, fn):
             def wrapper(*args, **kwargs):
@@ -329,17 +403,67 @@ class TestSharedFrame:
                 return fn(*args, **kwargs)
             return wrapper
 
-        monkeypatch.setattr(dsf, "to_eigenbasis", counting("rotate", hb.to_eigenbasis))
+        for module in (cli, hb):
+            monkeypatch.setattr(module, "eigendecompose", counting("eigendecompose", hb.eigendecompose))
+        for module in (cli, dsf):
+            monkeypatch.setattr(module, "to_eigenbasis", counting("rotate", hb.to_eigenbasis))
         monkeypatch.setattr(cli, "read_operator_json", counting("read", hb.read_operator_json))
+        rows, _ = cli.run_metric_job(cli.JobConfig.from_dict(config))
+        assert len(rows) == 3 * len(GOLDEN_FAMILIES) * len(GOLDEN_METHODS)
+        return calls
+
+    def test_one_eigh_one_rotation_and_one_read_per_job(self, tmp_path, monkeypatch):
+        T, S = random_instance(np.random.default_rng(6), 6, spread=2.0)
+        hb.write_operator_json(T, tmp_path / "T.json")
+        hb.write_operator_json(S, tmp_path / "S.json")
         config = {
             "model": {"T": str(tmp_path / "T.json"), "S": str(tmp_path / "S.json")},
             "families": [f.label for f in GOLDEN_FAMILIES],
             "methods": GOLDEN_METHODS,
             "sweep": {"parameter": "beta", "grid": [0.5, 1.0, 2.0]},
         }
-        rows, _ = cli.run_metric_job(cli.JobConfig.from_dict(config))
-        assert len(rows) == 3 * len(GOLDEN_FAMILIES) * len(GOLDEN_METHODS)
-        assert calls == {"rotate": 3, "read": 2}
+        assert self._counted_job(monkeypatch, config) == {"eigendecompose": 1, "rotate": 1, "read": 2}
+
+    @pytest.mark.parametrize(
+        "model, parameter",
+        [
+            ({"model": "spin", "S": 6, "omega0": 1.0}, "omega0"),
+            ({"model": "boson", "k": 2, "omega": 1.0, "cutoff": 50}, "omega"),
+        ],
+    )
+    def test_model_sweep_builds_matrices_once(self, monkeypatch, model, parameter):
+        built = []
+        for cls in (SpinModel, BosonModel):
+            unit_matrices = cls.unit_matrices
+            monkeypatch.setattr(cls, "unit_matrices", lambda self, f=unit_matrices: built.append(self) or f(self))
+        config = {
+            "model": model,
+            "beta": 0.7,
+            "families": [f.label for f in GOLDEN_FAMILIES],
+            "methods": GOLDEN_METHODS,
+            "sweep": {"parameter": parameter, "grid": [0.8, 1.3, 2.9]},
+        }
+        assert self._counted_job(monkeypatch, config) == {"eigendecompose": 1, "rotate": 1, "read": 0}
+        assert len(built) == 1
+
+    @pytest.mark.parametrize(
+        "model, parameter, grid, message",
+        [
+            ({"model": "spin", "S": 2, "omega0": 1.0}, "omega0", [1.0, -1.0], "spin model: omega0 must be positive"),
+            # the Gibbs tail exp(-omega * 30)/Z is 5e-8 at omega = 0.56
+            ({"model": "boson", "k": 1, "omega": 1.0, "cutoff": 30}, "omega", [1.0, 0.56],
+             "boson model: cutoff 30 too small: Gibbs tail"),
+        ],
+    )
+    def test_grid_value_the_model_rejects_exits_2(self, tmp_path, capsys, model, parameter, grid, message):
+        config = write_config(
+            tmp_path,
+            {"model": model, "families": ["bkm"], "sweep": {"parameter": parameter, "grid": grid}},
+        )
+        out = tmp_path / "never.csv"
+        assert main(["sweep", "--config", config, "--out", str(out)]) == 2
+        assert not out.exists()
+        assert capsys.readouterr().err.startswith(f"error: {message}")
 
 
 def _must_not_run(*args, **kwargs):
@@ -466,3 +590,31 @@ class TestModelExport:
         loaded, asym = hb.read_operator_json(f"{prefix}_T.json")
         assert asym == 0.0
         assert loaded.dim == 41
+
+    @pytest.mark.parametrize(
+        "flag, output",
+        [(["--format", "csv"], None), ([], {"path": "m_out", "format": "csv"}), (["--format", "csv"], {"path": "m_out"})],
+    )
+    def test_csv_format_rejected_before_building(self, tmp_path, capsys, monkeypatch, flag, output):
+        for name in ("_point_model", "_resolve_model", "build_dsf"):
+            monkeypatch.setattr(cli, name, _must_not_run)
+        payload = {"model": {"model": "spin", "S": 1, "omega0": 1.0}, "families": ["bkm"]}
+        if output is not None:
+            payload["output"] = {**output, "path": str(tmp_path / output["path"])}
+        assert main(["model", "--config", write_config(tmp_path, payload), *flag]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert "JSON only" in captured.err
+        assert not (tmp_path / "m_out").exists()
+
+    @pytest.mark.parametrize("output_format", [None, "json"])
+    def test_summary_goes_to_config_path(self, tmp_path, capsys, output_format):
+        path = tmp_path / "summary.json"
+        output = {"path": str(path)} if output_format is None else {"path": str(path), "format": output_format}
+        payload = {"model": {"model": "spin", "S": 1, "omega0": 1.0}, "families": ["bkm"], "output": output}
+        prefix = tmp_path / "spin"
+        assert main(["model", "--config", write_config(tmp_path, payload), "--out", str(prefix)]) == 0
+        assert capsys.readouterr().out == ""
+        summary = json.loads(path.read_text())
+        assert summary["dim"] == 3
+        assert summary["written"] == [f"{prefix}_T.json", f"{prefix}_S.json"]

@@ -382,6 +382,22 @@ class TestFrameMembers:
             assert getattr(first, name) is not getattr(second, name)
         assert first.moments == second.moments
 
+    def test_line_kernel_once_per_spectrum(self, monkeypatch):
+        # the line kernel does not depend on the family, so every family's
+        # line sum on one structure factor reads one kernel
+        calls = []
+        line_kernel = dsf._line_kernel
+        monkeypatch.setattr(dsf, "_line_kernel", lambda *args: calls.append(1) or line_kernel(*args))
+        state, s = random_instance(5, 6)
+        spectrum = dsf._Frame(state, s).dsf
+        values = [metrics.metric_from_dsf(spectrum, family).value for family in fam.named_families().values()]
+        assert len(calls) == 1
+        assert values == [
+            metrics.metric_from_dsf(dsf.build_dsf(state, s), family).value
+            for family in fam.named_families().values()
+        ]
+        assert len(calls) == 1 + len(values)
+
     def test_frames_of_two_threads_build_their_chains_together(self, monkeypatch):
         # both chains must be inside commutator_moments at once for the
         # barrier to open; a lock shared by the frames would break it

@@ -44,6 +44,11 @@ class TestHermitianOperator:
         with pytest.raises(ValueError):
             hb.HermitianOperator(np.zeros((2, 3)))
 
+    def test_rejects_overflowing_hermitian_part(self):
+        # every entry is finite, but H + H^dagger overflows past 9e307
+        with pytest.raises(ValueError, match="Hermitian part .* non-finite"):
+            hb.HermitianOperator(1e308 * SX)
+
     def test_as_operator_passthrough(self):
         op = hb.HermitianOperator(SX)
         assert hb.as_operator(op) is op
@@ -66,6 +71,57 @@ class TestEigendecompose:
         dec = hb.eigendecompose(h)
         recon = (dec.eigenvectors * dec.eigenvalues) @ dec.eigenvectors.conj().T
         assert np.max(np.abs(recon - 0.5 * (h + h.conj().T))) <= 1e-10 * np.max(np.abs(h))
+
+
+    @pytest.mark.parametrize("field", ["eigenvalues", "eigenvectors"])
+    def test_nan_fails_the_checks(self, monkeypatch, field):
+        # nan > tolerance is False, so a check must test that the error is small
+        eigh = np.linalg.eigh
+
+        def poisoned(a, *args, **kwargs):
+            vals, vecs = eigh(a, *args, **kwargs)
+            vals, vecs = vals.copy(), vecs.copy()
+            (vals if field == "eigenvalues" else vecs)[..., 0] = np.nan
+            return vals, vecs
+
+        monkeypatch.setattr(np.linalg, "eigh", poisoned)
+        with pytest.raises(ArithmeticError, match="residual nan"):
+            hb.eigendecompose(SZ)
+
+
+class TestScaledState:
+    """The state of c * T made from T's decomposition."""
+
+    def test_matches_own_eigh(self):
+        h = random_hermitian(np.random.default_rng(12), 7)
+        dec = hb.eigendecompose(h)
+        for c in (0.3, 0.7, 3.0, 17.0):
+            state = hb._scaled_state(dec, hb.as_operator(h).matrix, c)
+            reference = hb.gibbs_state(hb.HermitianOperator(c * h))
+            assert state.weights == pytest.approx(reference.weights, rel=1e-13, abs=0.0)
+            assert state.logZ == pytest.approx(reference.logZ, rel=1e-13)
+            assert state.decomposition.eigenvalues == pytest.approx(reference.decomposition.eigenvalues, rel=1e-13)
+            assert state.decomposition.eigenvectors is dec.eigenvectors
+            assert np.array_equal(state.generator_matrix(), c * hb.as_operator(h).matrix)
+            assert np.allclose(state.rho_matrix(), reference.rho_matrix(), rtol=0.0, atol=1e-14)
+
+    def test_gibbs_state_is_c_1(self):
+        h = random_hermitian(np.random.default_rng(13), 5)
+        state = hb.gibbs_state(h)
+        scaled = hb._scaled_state(hb.eigendecompose(h), hb.as_operator(h).matrix, 1.0)
+        assert np.array_equal(state.weights, scaled.weights)
+        assert np.array_equal(state.decomposition.eigenvalues, scaled.decomposition.eigenvalues)
+
+    def test_non_finite_range_raises(self):
+        dec = hb.eigendecompose(SZ)
+        with pytest.raises(ArithmeticError, match="non-finite"):
+            hb._scaled_state(dec, SZ, 1e308)
+
+    def test_normalization_checked_per_state(self, monkeypatch):
+        dec = hb.eigendecompose(np.diag([0.0, 1.0]).astype(complex))
+        monkeypatch.setattr(np, "exp", lambda x: np.full(np.shape(x), np.nan))
+        with pytest.raises(ArithmeticError, match="sum to nan"):
+            hb._scaled_state(dec, np.diag([0.0, 1.0]).astype(complex), 2.0)
 
 
 class TestGibbsState:

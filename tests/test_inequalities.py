@@ -255,7 +255,7 @@ class TestVerificationSuite:
     def test_group_rows_match_public_verifiers(self):
         trials = [ineq._draw(stream, (3, 6)) for stream in np.random.SeedSequence(8).spawn(10)]
         for dim in (3, 6):
-            group = [t for t in trials if t.T.dim == dim]
+            group = [t for t in trials if len(t.T) == dim]
             assert len(group) > 1
             checks, _ = ineq._group_checks(group)
             for j, t in enumerate(group):
@@ -323,7 +323,7 @@ class TestVerificationSuite:
         dims = (2, 4, 7)
         summary = ineq.run_verification_suite(seed=3, trials=12, dims=dims)
         trials = [ineq._draw(stream, dims) for stream in np.random.SeedSequence(3).spawn(12)]
-        assert len({t.T.dim for t in trials}) == 3
+        assert len({len(t.T) for t in trials}) == 3
         assert not summary.passed
         assert [r.name for r in summary.failures] == ["chain:bures<=wy", "sum_rule:p3"] * 12
         for report, t in zip(summary.failures[::2], trials):

@@ -450,7 +450,7 @@ class TestStability:
     def test_kernel_times_weight_extreme(self):
         # a balanced line at omega = -800 carries weight ~ e^{-800}; the
         # merged line kernel stays finite far beyond exp overflow
-        out = metrics._line_kernel(np.array([-800.0]), np.array([1e-300]))
+        out = dsf._line_kernel(np.array([-800.0]), np.array([1e-300]))
         with mpmath.workdps(400):
             ref = float((1 - mpmath.exp(800)) / (-800) * mpmath.mpf("1e-300"))
         assert math.isfinite(out[0])
