@@ -29,11 +29,9 @@ from .families import (
 from .hilbert import (
     GibbsState,
     HermitianOperator,
-    ObservableInEigenbasis,
     SpectralDecomposition,
     eigendecompose,
     gibbs_state,
-    nested_commutator,
     read_operator_json,
     solve_xst,
     thermal_average,

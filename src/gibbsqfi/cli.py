@@ -22,7 +22,7 @@ from . import families as fam
 from .dsf import _Frame, build_dsf, sum_rule_report
 from .hilbert import _scaled_state, eigendecompose, read_operator_json, to_eigenbasis, write_operator_json
 from .inequalities import run_verification_suite
-from .metrics import _evaluate, _moment_order
+from .metrics import METHODS, _evaluate, _moment_order
 from .models import BosonModel, SpinModel
 
 __all__ = ["main", "JobConfig", "run_metric_job"]
@@ -127,22 +127,21 @@ def parse_family_expanding(text: str) -> list[fam.MonotoneFamily]:
 
 
 def _parse_method(spec: str):
-    """(metrics.METHODS route, L) for a spec such as "spectral" or "seriesA:6"."""
-    base, _, arg = spec.partition(":")
-    route = {"oracle": "mc_oracle", "spectral": "spectral", "dsf": "dsf_sum"}.get(base)
-    if route is not None:
-        if arg:
-            raise ValueError(f"method {base!r} takes no argument")
-        return route, None
-    if base in ("seriesA", "seriesB"):
-        try:
-            L = int(arg)
-        except ValueError:
-            raise ValueError(f"method {spec!r}: truncation L must be an integer") from None
-        if L < 1:
-            raise ValueError(f"method {spec!r}: truncation L must be >= 1")
-        return ("series_A" if base == "seriesA" else "series_B"), L
-    raise ValueError(f"unknown method {spec!r}")
+    """(one of metrics.METHODS, L) for a spec such as "spectral" or "seriesA:6"."""
+    method, colon, arg = spec.partition(":")
+    if method not in METHODS:
+        raise ValueError(f"unknown method {spec!r}")
+    if not method.startswith("series"):
+        if colon:
+            raise ValueError(f"method {method!r} takes no argument")
+        return method, None
+    try:
+        L = int(arg)
+    except ValueError:
+        raise ValueError(f"method {spec!r}: truncation L must be an integer") from None
+    if L < 1:
+        raise ValueError(f"method {spec!r}: truncation L must be >= 1")
+    return method, L
 
 
 def _point_model(model: dict, point=(None, None)):
@@ -191,8 +190,11 @@ def _sweep_points(config: JobConfig):
     if config.sweep is None:
         return [(None, None)]
     name = config.sweep["parameter"]
-    if name not in ("beta", "omega0", "omega"):
-        raise UsageError(f"sweep parameter must be beta, omega0 or omega, not {name!r}")
+    kind = config.model.get("model")
+    allowed = ["beta"] + [own for model, own in (("spin", "omega0"), ("boson", "omega")) if kind == model]
+    if name not in allowed:
+        model = "matrix files" if kind is None else f"the {kind} model"
+        raise UsageError(f"sweep: {model} cannot sweep {name!r}; sweep {' or '.join(allowed)}")
     return [(name, float(v)) for v in config.sweep["grid"]]
 
 
@@ -274,7 +276,7 @@ def run_metric_job(config: JobConfig) -> tuple[list[dict], list[str]]:
     models = [_point_model(config.model, p) for p in points]
     T, S, _ = _resolve_model(config.model, models[0])
     basis = _decompose(T)
-    s_eig = to_eigenbasis(basis, S).elements
+    s_eig = to_eigenbasis(basis, S)
 
     def job(point, model):
         beta = point[1] if point[0] == "beta" else config.beta
@@ -339,6 +341,8 @@ def _load_config(args) -> JobConfig:
         raise UsageError(f"config file not found: {args.config}") from None
     except json.JSONDecodeError as exc:
         raise UsageError(f"config is not valid JSON: {exc}") from None
+    if not isinstance(raw, dict):
+        raise UsageError(f"config must be a JSON object, got {type(raw).__name__}")
     return JobConfig.from_dict(raw)
 
 

@@ -96,18 +96,6 @@ class LineSpectrum:
     dim: int
     mean_s: float = 0.0
 
-    @property
-    def elastic_weight(self):
-        mask = np.abs(self.omegas) <= _MERGE_TOL
-        if not np.any(mask):
-            return 0.0
-        total = self.weights[mask].sum()
-        return float(total.real) if self.kind != "cross" else complex(total)
-
-    def total_weight(self):
-        total = self.weights.sum()
-        return float(total.real) if self.kind != "cross" else complex(total)
-
     @_lazy
     def kernel(self) -> np.ndarray:
         """The _line_kernel of the lines, which every family's line sum reads."""
@@ -129,15 +117,6 @@ def _merge_lines(omegas, weights):
 
 def _assemble(omegas, weights, kind, dim, mean_s) -> LineSpectrum:
     om, wt = _merge_lines(np.asarray(omegas, float).ravel(), np.asarray(weights).ravel())
-    if kind == "diagonal":
-        imag = float(np.max(np.abs(wt.imag))) if np.iscomplexobj(wt) else 0.0
-        scale = float(np.max(np.abs(wt))) if wt.size else 0.0
-        if imag > 1e-12 * max(scale, 1e-300):
-            raise ArithmeticError(f"diagonal spectrum has complex weights ({imag:.3e})")
-        wt = wt.real if np.iscomplexobj(wt) else wt
-        if wt.size and float(np.min(wt)) < -1e-12 * max(scale, 1e-300):
-            raise ArithmeticError("diagonal spectrum has a negative weight")
-        wt = np.maximum(wt, 0.0)
     if wt.size:
         magnitudes = np.abs(wt)
         positive = magnitudes > 0.0
@@ -168,17 +147,17 @@ class _Frame:
     is the highest commutator moment the frame provides.  The frame of the
     state of a stack of generators and a stack of observables of the same
     shape holds every array with the stack's leading axes, and its scalar
-    members (mean, max_omega, moments) become arrays over the stack.
-    ``s_eig`` takes elements of S already rotated into the state's
-    eigenbasis, which the states of every c * T share; S is rotated here
-    when it is omitted.
+    members (mean, max_omega, moments) become arrays over the stack; the
+    structure factor (``dsf``) is single-instance.  ``s_eig`` takes
+    elements of S already rotated into the state's eigenbasis, which the
+    states of every c * T share; S is rotated here when it is omitted.
     """
 
     def __init__(self, state: GibbsState, S, chain_order: int = 0, s_eig: np.ndarray | None = None):
         self.state = state
         self.S = S  # as given; the commutator chain reads it in the original basis
         self.chain_order = chain_order
-        self.s_eig = to_eigenbasis(state, S).elements if s_eig is None else s_eig
+        self.s_eig = to_eigenbasis(state, S) if s_eig is None else s_eig
         lam = state.decomposition.eigenvalues
         self.x = 0.5 * (lam[..., :, None] - lam[..., None, :])  # omega_{nm}/2 at position [n, m]
         self.abs2 = np.abs(self.s_eig) ** 2
@@ -315,7 +294,7 @@ def commutator_moments(state: GibbsState, S, order: int) -> list:
     functional_F, sum_rule_report and the metric series all read it.
     """
     S_matrix = as_operator(S).matrix
-    T_matrix = state.generator_matrix()
+    T_matrix = state.generator
     limit = _SPARSE_DENSITY * S_matrix.shape[-1] ** 2
     sparse_chain = S_matrix.ndim == 2 and max(np.count_nonzero(T_matrix), np.count_nonzero(S_matrix)) <= limit
     T = sparse.csr_array(T_matrix) if sparse_chain else T_matrix

@@ -21,14 +21,11 @@ __all__ = [
     "HermitianOperator",
     "SpectralDecomposition",
     "GibbsState",
-    "ObservableInEigenbasis",
-    "NestedCommutator",
     "as_operator",
     "eigendecompose",
     "gibbs_state",
     "thermal_average",
     "to_eigenbasis",
-    "nested_commutator",
     "solve_xst",
     "duhamel_weight_matrix",
     "read_operator_json",
@@ -140,16 +137,17 @@ class GibbsState:
     weights sum to one and are strictly positive; entries that underflow
     are clamped to 1e-300 and counted in ``clamped``.  ``log_weights`` is
     kept exactly as -T_m - logZ so ratios of weights never lose precision.
-    The generator T the state was built from is kept as given.  The state
-    of a stack of generators holds one state per matrix: its arrays carry
-    the stack's leading axes.
+    The state of a stack of generators holds one state per matrix: its
+    arrays carry the stack's leading axes.
     """
 
     decomposition: SpectralDecomposition
     weights: np.ndarray
     log_weights: np.ndarray
     logZ: float
-    _generator: np.ndarray = field(repr=False)
+    # T in the original basis, as given: its zero entries stay exact zeros,
+    # and the commutator chain that reads it does not depend on the eigenvectors
+    generator: np.ndarray = field(repr=False)
     clamped: int = 0
     _rho_matrix: np.ndarray | None = field(default=None, repr=False)
 
@@ -164,24 +162,18 @@ class GibbsState:
             self._rho_matrix = (U * self.weights[..., None, :]) @ _dagger(U)
         return self._rho_matrix
 
-    def generator_matrix(self) -> np.ndarray:
-        """The generator T in the original basis, the matrix the state was built from.
-
-        Its zero entries are exact zeros, and the commutator chain that reads
-        it does not depend on the eigenvectors.
-        """
-        return self._generator
-
 
 def gibbs_state(T) -> GibbsState:
     """Construct the Gibbs state of a Hermitian generator (beta absorbed).
 
     Weights are computed with a max-shift log-sum-exp, so arbitrarily
     large spectral ranges neither overflow nor underflow the partition sum.
-    A stack of generators gives the states of all of them from one eigh
-    call, each normalized and checked on its own.
+    T is one matrix: the public routes that read a state are single-instance,
+    so a stack raises ValueError.
     """
     op = as_operator(T)
+    if op.matrix.ndim != 2:
+        raise ValueError(f"gibbs_state takes one generator, not a stack of shape {op.matrix.shape}")
     return _scaled_state(eigendecompose(op), op.matrix, 1.0)
 
 
@@ -192,7 +184,8 @@ def _scaled_state(decomposition: SpectralDecomposition, T: np.ndarray, c: float)
     that only rescales the generator needs no eigh of its own.  A scaled
     spectrum whose range is not finite raises ArithmeticError; the
     weights are normalized and checked as for gibbs_state, and the state
-    keeps c * T as its generator.
+    keeps c * T as its generator.  The decomposition of a stack gives the
+    states of all its matrices, each normalized and checked on its own.
     """
     with np.errstate(over="ignore", invalid="ignore"):
         lam = c * decomposition.eigenvalues
@@ -219,21 +212,13 @@ def _scaled_state(decomposition: SpectralDecomposition, T: np.ndarray, c: float)
         weights=weights,
         log_weights=log_w,
         logZ=(log_norm - shift)[..., 0],
-        _generator=c * T,
+        generator=c * T,
         clamped=clamped,
     )
 
 
-@dataclass
-class ObservableInEigenbasis:
-    """Matrix elements of an operator in the eigenbasis of the generator."""
-
-    elements: np.ndarray
-    basis: SpectralDecomposition | None = None
-
-
-def to_eigenbasis(state: GibbsState | SpectralDecomposition, A) -> ObservableInEigenbasis:
-    """Rotate a Hermitian operator into the eigenbasis of a state or a decomposition.
+def to_eigenbasis(state: GibbsState | SpectralDecomposition, A) -> np.ndarray:
+    """Matrix elements of a Hermitian operator in the eigenbasis of a state or a decomposition.
 
     For the state of a stack, A is a stack of the same shape and each
     matrix is rotated into the eigenbasis of its own generator.  The
@@ -244,46 +229,21 @@ def to_eigenbasis(state: GibbsState | SpectralDecomposition, A) -> ObservableInE
     U = basis.eigenvectors
     if op.matrix.shape != U.shape:
         raise ValueError(f"dimension mismatch: {op.matrix.shape} vs {U.shape}")
-    elements = _dagger(U) @ op.matrix @ U
-    return ObservableInEigenbasis(elements, basis)
+    return _dagger(U) @ op.matrix @ U
 
 
 def thermal_average(state: GibbsState, A) -> float:
     """Thermal expectation <A> = sum_m rho_m <m|A|m> for Hermitian A."""
-    return float(np.dot(state.weights, np.diag(to_eigenbasis(state, A).elements).real))
+    return float(np.dot(state.weights, np.diag(to_eigenbasis(state, A)).real))
 
 
-@dataclass
-class NestedCommutator:
-    """R_p = [T, R_{p-1}] with R_0 = S; Hermitian for even p, anti- for odd."""
-
-    matrix: np.ndarray
-    order: int
-
-    @property
-    def is_hermitian(self) -> bool:
-        return self.order % 2 == 0
-
-
-def nested_commutator(T, S, p: int) -> NestedCommutator:
-    """Iterated commutator R_p of the generator with an observable."""
-    if p < 0:
-        raise ValueError("order p must be >= 0")
-    T_op, S_op = as_operator(T), as_operator(S)
-    if T_op.dim != S_op.dim:
-        raise ValueError(f"dimension mismatch: {T_op.dim} vs {S_op.dim}")
-    R = S_op.matrix.copy()
-    for _ in range(p):
-        R = T_op.matrix @ R - R @ T_op.matrix
-    return NestedCommutator(R, p)
-
-
-def solve_xst(T, S) -> ObservableInEigenbasis:
+def solve_xst(T, S) -> tuple[np.ndarray, SpectralDecomposition]:
     """Solve S = [T, X] for X with zero diagonal in the T-eigenbasis.
 
     Requires S to have (numerically) zero diagonal there, and no nonzero
-    element across a degenerate eigenvalue pair of T.  The returned X is
-    anti-Hermitian for Hermitian S.
+    element across a degenerate eigenvalue pair of T.  Returns the elements
+    of X in that eigenbasis and T's decomposition, which fixes the basis.
+    X is anti-Hermitian for Hermitian S.
     """
     T_op, S_op = as_operator(T), as_operator(S)
     if T_op.dim != S_op.dim:
@@ -311,7 +271,7 @@ def solve_xst(T, S) -> ObservableInEigenbasis:
     with np.errstate(divide="ignore", invalid="ignore"):
         X = np.where(np.abs(gaps) < 1e-10, 0.0, S_eig / np.where(gaps == 0.0, 1.0, gaps))
     np.fill_diagonal(X, 0.0)
-    return ObservableInEigenbasis(X, decomposition)
+    return X, decomposition
 
 
 def duhamel_weight_matrix(state: GibbsState) -> np.ndarray:
@@ -336,7 +296,9 @@ def read_operator_json(path) -> tuple[HermitianOperator, float]:
     """
     with open(path, "r", encoding="utf-8") as fh:
         payload = json.load(fh)
-    dim = int(payload["dim"])
+    if not isinstance(payload, dict) or type(payload.get("dim")) is not int:
+        raise ValueError(f"{path} is not an object with an integer dim")
+    dim = payload["dim"]
     cells = np.array(payload["entries"])  # ragged nesting raises ValueError
     if cells.dtype.kind not in "biuf" or cells.shape != (dim, dim, 2):
         raise ValueError(

@@ -20,7 +20,7 @@ import numpy as np
 
 from . import families as fam
 from .dsf import _Frame, _sum_rule_values
-from .hilbert import GibbsState, HermitianOperator, as_operator, gibbs_state
+from .hilbert import GibbsState, HermitianOperator, _scaled_state, as_operator, eigendecompose
 from .metrics import _cross_value, _oracle_value, _spectral_value
 
 __all__ = [
@@ -351,7 +351,8 @@ def _group_checks(trials: list[_Trial]) -> tuple[list[_Check], np.ndarray]:
     group.  Also returns, per trial, whether the geometric <= MC link is
     in its regime.
     """
-    state = gibbs_state(_stack(t.T for t in trials))
+    T = _stack(t.T for t in trials)
+    state = _scaled_state(eigendecompose(T), T.matrix, 1.0)
     frame = _Frame(state, _stack(t.S for t in trials), chain_order=5)  # C = 2 M_1 and the sum rules p <= 6
     frame_b = _Frame(state, _stack(t.B for t in trials))
     filters = _filters(frame)

@@ -47,7 +47,7 @@ __all__ = [
     "METHODS",
 ]
 
-METHODS = ("mc_oracle", "spectral", "dsf_sum", "series_A", "series_B")
+METHODS = ("oracle", "spectral", "dsf", "seriesA", "seriesB")
 
 
 @dataclass
@@ -105,20 +105,20 @@ def _oracle_value(frame: _Frame, family):
     summand[..., diagonal, diagonal] = 0.0
     classical = _dot(w, (frame.diagonal - frame.mean[..., None]) ** 2)
     gross = classical + np.sum(summand, axis=(-2, -1))
-    return _nonnegative(0.25 * gross, 0.25 * gross, "mc_oracle")
+    return _nonnegative(0.25 * gross, 0.25 * gross, "oracle")
 
 
 def _evaluate(
     frame: _Frame, family: fam.MonotoneFamily, method: str, L: int | None = None
 ) -> MetricResult:
     """The metric by one of METHODS on a prepared frame (L for the series)."""
-    if method == "dsf_sum":
+    if method == "dsf":
         return metric_from_dsf(frame.dsf, family)
-    if method in ("series_A", "series_B"):
+    if method in ("seriesA", "seriesB"):
         return _series(frame, family, method, L)
     if method == "spectral":
         value = _spectral_value(frame, fam.eval_g(family, frame.x))
-    elif method == "mc_oracle":
+    elif method == "oracle":
         value = _oracle_value(frame, family)
     else:
         raise ValueError(f"unknown method {method!r}")
@@ -146,7 +146,7 @@ def metric_mc_oracle(state: GibbsState, S, family: fam.MonotoneFamily) -> Metric
     1e-10 in log weight use the analytic limit rho_m.  Serves as the
     reference for every other route.
     """
-    return _evaluate(_Frame(state, S), family, "mc_oracle")
+    return _evaluate(_Frame(state, S), family, "oracle")
 
 
 def metric_from_dsf(Q: LineSpectrum, family: fam.MonotoneFamily) -> MetricResult:
@@ -159,26 +159,26 @@ def metric_from_dsf(Q: LineSpectrum, family: fam.MonotoneFamily) -> MetricResult
         raise ValueError("metric_from_dsf expects a diagonal spectrum")
     g = fam.eval_g(family, 0.5 * Q.omegas)
     gross = float(np.sum(g * Q.kernel))
-    value = float(_nonnegative(0.25 * (gross - Q.mean_s ** 2), 0.25 * gross, "dsf_sum"))
-    return MetricResult(value, "dsf_sum", MetricDiagnostics())
+    value = float(_nonnegative(0.25 * (gross - Q.mean_s ** 2), 0.25 * gross, "dsf"))
+    return MetricResult(value, "dsf", MetricDiagnostics())
 
 
 def _moment_order(method: str, L: int) -> int:
-    """Highest commutator moment series_A or series_B reads at truncation L."""
-    return 2 * L - (method == "series_A")
+    """Highest commutator moment seriesA or seriesB reads at truncation L."""
+    return 2 * L - (method == "seriesA")
 
 
 def _series(frame: _Frame, family: fam.MonotoneFamily, method: str, L: int) -> MetricResult:
     """Truncated moment expansion around a base metric, on a frame.
 
-    series_A: base d^2_BKM = (1/4)[sum W |S_mn|^2 - <S>^2], moments
-    M_{2l-1} and g-series coefficients.  series_B: base d^2_MC =
+    seriesA: base d^2_BKM = (1/4)[sum W |S_mn|^2 - <S>^2], moments
+    M_{2l-1} and g-series coefficients.  seriesB: base d^2_MC =
     (1/4)[<S^2> - <S>^2], moments M_{2l} and ghat-series coefficients.
     The value is base + (1/4) sum_{l=1}^{L} (1/2)^q a_l(f) M_q.
     """
     if L < 1:
         raise ValueError("L must be a positive integer")
-    odd = method == "series_A"
+    odd = method == "seriesA"
     if odd:
         base = float(np.sum(frame.kernel * frame.abs2))
     else:
@@ -209,7 +209,7 @@ def metric_series_A(
     The radius flag reports whether max|w|/2 lies inside the convergence
     radius of the g-series; outside it the value is reported but suspect.
     """
-    return _evaluate(_Frame(state, S, _moment_order("series_A", L)), family, "series_A", L)
+    return _evaluate(_Frame(state, S, _moment_order("seriesA", L)), family, "seriesA", L)
 
 
 def metric_series_B(
@@ -220,7 +220,7 @@ def metric_series_B(
     d^2_f ~ d^2_MC + (1/4) sum_{l=1}^{L} (1/2)^{2l} a_{2l}(f) M_{2l} with
     the ghat-series coefficients; radius diagnostics as in series A.
     """
-    return _evaluate(_Frame(state, S, _moment_order("series_B", L)), family, "series_B", L)
+    return _evaluate(_Frame(state, S, _moment_order("seriesB", L)), family, "seriesB", L)
 
 
 def metric_difference_to_bkm(state: GibbsState, S, family: fam.MonotoneFamily) -> float:

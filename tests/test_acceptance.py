@@ -106,7 +106,7 @@ def test_criterion_3_named_family_identities():
         worst_mc = max(worst_mc, abs(mc4 - var) / max(abs(var), 1e-300))
 
         # independent Bures oracle: harmonic-mean kernel c = 2/(x + y)
-        s_eig = hb.to_eigenbasis(state, s).elements
+        s_eig = hb.to_eigenbasis(state, s)
         w, lw = state.weights, state.log_weights
         diag = np.diag(s_eig).real
         total = float(np.dot(w, (diag - mean) ** 2))

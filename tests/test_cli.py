@@ -223,6 +223,57 @@ class TestMetricJobs:
         err = capsys.readouterr().err
         assert "must be a list" in err
 
+    @pytest.mark.parametrize(
+        "model, parameter, message",
+        [
+            ({"model": "spin", "S": 0.5, "omega0": 1.0}, "omega", "the spin model cannot sweep 'omega'; sweep beta or omega0"),
+            ({"model": "boson", "k": 1, "omega": 1.0, "cutoff": 40}, "omega0",
+             "the boson model cannot sweep 'omega0'; sweep beta or omega"),
+            (None, "omega0", "matrix files cannot sweep 'omega0'; sweep beta"),
+            (None, "omega", "matrix files cannot sweep 'omega'; sweep beta"),
+        ],
+    )
+    def test_parameter_the_model_lacks_exits_2(self, tmp_path, capsys, model, parameter, message):
+        # such a sweep printed one value for every grid point, labelled with the swept value
+        if model is None:
+            model = {"T": str(tmp_path / "T.json"), "S": str(tmp_path / "S.json")}
+            hb.write_operator_json(np.diag([0.0, 1.0]).astype(complex), model["T"])
+            hb.write_operator_json(np.array([[0, 1], [1, 0]], dtype=complex), model["S"])
+        config = write_config(
+            tmp_path,
+            {"model": model, "families": ["bkm"], "sweep": {"parameter": parameter, "grid": [0.5, 1.0]}},
+        )
+        out = tmp_path / "never.csv"
+        assert main(["sweep", "--config", config, "--out", str(out)]) == 2
+        assert not out.exists()
+        assert capsys.readouterr().err == f"error: sweep: {message}\n"
+
+    def test_config_root_not_object_exits_2(self, tmp_path, capsys):
+        path = tmp_path / "job.json"
+        path.write_text("[1]")
+        assert main(["metric", "--config", str(path)]) == 2
+        assert capsys.readouterr().err == "error: config must be a JSON object, got list\n"
+
+    @pytest.mark.parametrize("payload", ["[1, 2]", '{"dim": null, "entries": []}'])
+    def test_matrix_file_not_an_object_with_integer_dim_exits_2(self, tmp_path, capsys, payload):
+        t_path = tmp_path / "T.json"
+        s_path = tmp_path / "S.json"
+        t_path.write_text(payload)
+        hb.write_operator_json(np.array([[0, 1], [1, 0]], dtype=complex), s_path)
+        config = write_config(
+            tmp_path, {"model": {"T": str(t_path), "S": str(s_path)}, "families": ["bkm"]}
+        )
+        assert main(["metric", "--config", config]) == 2
+        assert "bad matrix file" in capsys.readouterr().err
+
+    def test_empty_method_argument_rejected(self, tmp_path, capsys):
+        config = write_config(
+            tmp_path,
+            {"model": {"model": "spin", "S": 0.5, "omega0": 1.0}, "families": ["bkm"], "methods": ["oracle:"]},
+        )
+        assert main(["metric", "--config", config]) == 2
+        assert "method 'oracle' takes no argument" in capsys.readouterr().err
+
     def test_sweep_requires_sweep_section(self, tmp_path):
         config = write_config(
             tmp_path,
@@ -305,7 +356,7 @@ def _reference_series(state, S, family, L, odd):
     else:
         base = hb.thermal_average(state, s @ s) - mean ** 2
     coeffs = fam.taylor_coeffs(family, "g" if odd else "g_hat", L)
-    T, rho, R = state.generator_matrix(), state.rho_matrix(), s
+    T, rho, R = state.generator, state.rho_matrix(), s
     total = 0.25 * base
     for q in range(1, 2 * L - odd + 1):
         R = T @ R - R @ T

@@ -59,13 +59,13 @@ class TestCommutatorBounds:
         assert len(reports) == 6
 
     def test_bound_matches_double_commutator_mean(self):
-        # C = <[[S, T], S]> in its first form: nested_commutator, the
+        # C = <[[S, T], S]> in its first form: R_1 = [T, S], the
         # commutator with S and a thermal average
         rng = np.random.default_rng(31)
         for dim in (2, 3, 5, 8, 10):
             T, S = ineq.random_instance(rng, dim)
             state = hb.gibbs_state(T)
-            r1 = hb.nested_commutator(T, S, 1).matrix
+            r1 = T.matrix @ S.matrix - S.matrix @ T.matrix
             double = hb.HermitianOperator(S.matrix @ r1 - r1 @ S.matrix)
             reference = hb.thermal_average(state, double)
             reports = {r.name: r for r in ineq.commutator_bounds(state, S)}

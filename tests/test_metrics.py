@@ -51,6 +51,17 @@ def random_instance(seed, dim, spread=None):
 
 
 class TestQubitFixture:
+    def test_method_names_are_the_command_line_names(self, qubit):
+        assert metrics.METHODS == ("oracle", "spectral", "dsf", "seriesA", "seriesB")
+        results = [
+            metrics.metric_mc_oracle(qubit, SX, fam.BKM),
+            metrics.metric_spectral(qubit, SX, fam.BKM),
+            metrics.metric_from_dsf(dsf.build_dsf(qubit, SX), fam.BKM),
+            metrics.metric_series_A(qubit, SX, fam.BKM, 2),
+            metrics.metric_series_B(qubit, SX, fam.BKM, 2),
+        ]
+        assert tuple(r.method for r in results) == metrics.METHODS
+
     def test_three_routes_three_families(self, qubit):
         expected = {"bkm": D2_BKM, "bures": D2_BURES, "mc": D2_MC}
         spectrum = dsf.build_dsf(qubit, SX)
@@ -316,7 +327,7 @@ class TestNamedIdentities:
         # independent oracle: c_B(x, y) = 2/(x + y) summed directly
         for seed in (3, 8):
             state, s = random_instance(seed, 5)
-            s_eig = hb.to_eigenbasis(state, s).elements
+            s_eig = hb.to_eigenbasis(state, s)
             w = state.weights
             lw = state.log_weights
             mean = float(np.dot(w, np.diag(s_eig).real))

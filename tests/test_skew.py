@@ -104,7 +104,7 @@ class TestTildeMetric:
         # its own spectral content: compare against the raw double sum
         state, s = random_instance(5, 4)
         lam = state.decomposition.eigenvalues
-        s_eig = hb.to_eigenbasis(state, s).elements
+        s_eig = hb.to_eigenbasis(state, s)
         w_kernel = hb.duhamel_weight_matrix(state)
         x = 0.5 * (lam[:, None] - lam[None, :])
         for family in (fam.BURES, fam.wyd(0.3), fam.MC):
@@ -170,7 +170,7 @@ class TestIntegratedWyd:
             state, s = random_instance(seed, 4)
             u = state.decomposition.eigenvectors
             t_matrix = (u * state.decomposition.eigenvalues) @ u.conj().T
-            r1 = hb.nested_commutator(t_matrix, s, 1).matrix
+            r1 = t_matrix @ s.matrix - s.matrix @ t_matrix
             x = s.matrix @ r1 - r1 @ s.matrix
             bound = hb.thermal_average(state, hb.HermitianOperator(x)) / 12.0
             assert skew.integrated_wyd(state, s) <= bound + 1e-12
