@@ -9,6 +9,7 @@ points; results are emitted in canonical order regardless.
 from __future__ import annotations
 
 import argparse
+import contextlib
 import csv
 import io
 import json
@@ -314,9 +315,18 @@ def _csv_cell(value):
     return value
 
 
+@contextlib.contextmanager
+def _writing(path):
+    """Report a failure to write path as a usage error (exit 2)."""
+    try:
+        yield
+    except OSError as exc:
+        raise UsageError(f"cannot write {path}: {exc.strerror or exc}") from None
+
+
 def _emit(text: str, out_path):
     if out_path:
-        with open(out_path, "w", encoding="utf-8") as fh:
+        with _writing(out_path), open(out_path, "w", encoding="utf-8") as fh:
             fh.write(text)
     else:
         sys.stdout.write(text)
@@ -413,9 +423,10 @@ def _cmd_model(args) -> int:
         "mean_S": spectrum.mean_s,
     }
     if args.out:
-        write_operator_json(frequency * T.matrix, f"{args.out}_T.json")
-        write_operator_json(S, f"{args.out}_S.json")
         summary["written"] = [f"{args.out}_T.json", f"{args.out}_S.json"]
+        for path, matrix in zip(summary["written"], (frequency * T.matrix, S)):
+            with _writing(path):
+                write_operator_json(matrix, path)
     _emit(json.dumps(summary, indent=2, sort_keys=True) + "\n", output.get("path"))
     return 0
 

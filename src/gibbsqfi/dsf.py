@@ -17,9 +17,8 @@ from dataclasses import dataclass
 
 import numpy as np
 from scipy import sparse
-from scipy.special import exprel
 
-from .hilbert import GibbsState, as_operator, duhamel_weight_matrix, to_eigenbasis
+from .hilbert import GibbsState, _exprel_neg, as_operator, duhamel_weight_matrix, to_eigenbasis
 
 __all__ = [
     "LineSpectrum",
@@ -71,13 +70,13 @@ class _lazy:
 def _line_kernel(omegas: np.ndarray, weights: np.ndarray) -> np.ndarray:
     """Log-mean of each line weight q and its balance partner q e^{-w}.
 
-    Equals q (1 - e^{-w})/w (q at the elastic line): q exprel(-w) for
-    w >= 0 and exp(log q - w) exprel(w) for w < 0, which stays finite where
-    e^{-w} overflows.  Unbalanced inputs may still overflow to inf.
+    Equals q (1 - e^{-w})/w (q at the elastic line): max(q, q e^{-w}), as
+    exp(log q - w) for w < 0, times _exprel_neg(|w|), which stays finite
+    where e^{-w} overflows.  Unbalanced inputs may still overflow to inf.
     """
     with np.errstate(divide="ignore", over="ignore"):
         larger = np.where(omegas < 0.0, np.exp(np.log(weights) - omegas), weights)
-    return larger * exprel(-np.abs(omegas))
+    return larger * _exprel_neg(np.abs(omegas))
 
 
 @dataclass
@@ -393,10 +392,7 @@ def chi_lines(Q: LineSpectrum) -> LineSpectrum:
     weights = factors * Q.weights
     magnitudes = np.abs(weights)
     scale = float(magnitudes.max()) if magnitudes.size else 0.0
-    if scale > 0.0:
-        keep = magnitudes >= _PRUNE_REL * scale
-    else:
-        keep = np.zeros(magnitudes.shape, dtype=bool)
+    keep = (magnitudes > 0.0) & (magnitudes >= _PRUNE_REL * scale)
     return LineSpectrum(Q.omegas[keep], weights[keep], "chi", Q.dim, 0.0)
 
 
@@ -451,6 +447,8 @@ def sum_rule_report(state: GibbsState, S, p_max: int = 6) -> list[SumRuleRow]:
     when S couples a degenerate pair; the rows with p >= 1 use S
     unchanged and read one commutator chain for every p.
     """
+    if p_max < 0:
+        raise ValueError(f"p_max must be >= 0, got {p_max}")
     values = _sum_rule_values(_Frame(state, S, p_max - 1), p_max)
     return [SumRuleRow(p, *map(float, row)) for p, row in enumerate(values)]
 

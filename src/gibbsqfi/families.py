@@ -19,7 +19,9 @@ of sinhc factors, g_f(x) = prod_i sinhc(a_i x) / prod_j sinhc(d_j x) with
 sinhc(y) = sinh(y)/y.  This representation is used throughout: it is
 positive, manifestly even, free of removable singularities, and makes the
 Taylor coefficients and the convergence radius of the g-series uniform
-across named and parametric families.
+across named and parametric families.  It is evaluated on one path for
+every x, through the log-mean kernel (1 - e^{-z})/z of the Duhamel weights,
+and is inf only where the value itself is past double range.
 
 Sign convention: the Wigner-Yanase-Dyson prefactor is alpha*(1-alpha),
 which is forced by positivity and f(1) = 1; sources quoting alpha*(alpha-1)
@@ -30,12 +32,16 @@ handled the same way (it cancels in the stable form used here).
 from __future__ import annotations
 
 import functools
+import itertools
 import math
+import numbers
 from dataclasses import dataclass
 
 import mpmath
 import numpy as np
 from scipy.special import exprel
+
+from .hilbert import _exprel_neg
 
 __all__ = [
     "MonotoneFamily",
@@ -63,9 +69,6 @@ __all__ = [
 ]
 
 _KINDS = ("har", "bures", "bkm", "mc", "geometric", "wyd", "pdiff", "pair")
-
-# |sinh| overflows near 710; beyond this the sinhc ratios go through logs
-_DIRECT_LIMIT = 690.0
 
 
 @dataclass(frozen=True)
@@ -218,90 +221,46 @@ def _simplify_scales(nums, dens):
     return tuple(out_n), tuple(out_d)
 
 
-def _sinhc(y):
-    """sinh(y)/y elementwise, exactly 1 at y = 0."""
-    y = np.asarray(y, dtype=float)
-    out = np.ones_like(y)
-    nz = y != 0.0
-    out[nz] = np.sinh(y[nz]) / y[nz]
-    return out
+def _eval_scales(rows, x):
+    """prod sinhc(a x) / prod sinhc(d x) for rows of (nums, dens) scales.
 
+    One row applies to all of x.  Otherwise row i applies to x[i], padded
+    with scale 0 (sinhc(0) = 1) to the length of the longest row.  As
+    sinhc(y) = e^{|y|} (1 - e^{-2|y|})/(2|y|), the ratio is
+    e^{|x| (sum a - sum d)} times factors (1 - e^{-z})/z.  The exponent's
+    sum is rounded once and the exponential applied in two halves, so the
+    value is inf only where it overflows.
+    """
+    y = 2.0 * np.abs(np.asarray(x, dtype=float))
+    shape = () if len(rows) == 1 else (-1,) + (1,) * (y.ndim - 1)
 
-def _log_sinhc(y):
-    """log(sinh|y| / |y|), safe for arguments far beyond sinh overflow."""
-    a = np.abs(np.asarray(y, dtype=float))
-    out = np.zeros_like(a)
-    small = (a > 0.0) & (a < 1.0)
-    out[small] = np.log(np.sinh(a[small]) / a[small])
-    big = a >= 1.0
-    ab = a[big]
-    out[big] = ab + np.log1p(-np.exp(-2.0 * ab)) - np.log(2.0 * ab)
-    return out
+    def columns(parts):
+        return [np.reshape(c, shape) for c in itertools.zip_longest(*parts, fillvalue=0.0)]
 
-
-def _at(scale, mask):
-    """A scale at the entries of its grid selected by mask (a number applies to all)."""
-    return scale if np.ndim(scale) == 0 else np.broadcast_to(scale, mask.shape)[mask]
-
-
-def _eval_scales(nums, dens, x):
-    """prod sinhc(a x) / prod sinhc(d x); a scale is a number or an array broadcasting against x."""
-    x_arr = np.asarray(x, dtype=float)
-    scalar = x_arr.ndim == 0
-    x_arr = np.atleast_1d(x_arr).astype(float)
-    out = np.ones_like(x_arr)
-    scales = nums + dens
-    if scales:
-        max_scale = functools.reduce(np.maximum, scales)
-        big = np.abs(x_arr) * max_scale > _DIRECT_LIMIT
-        safe = ~big
-        xs = x_arr[safe]
-        acc = np.ones_like(xs)
-        for a in nums:
-            acc *= _sinhc(_at(a, safe) * xs)
-        for d in dens:
-            acc /= _sinhc(_at(d, safe) * xs)
-        out[safe] = acc
-        if np.any(big):
-            xb = x_arr[big]
-            log_acc = np.zeros_like(xb)
-            for a in nums:
-                log_acc += _log_sinhc(_at(a, big) * xb)
-            for d in dens:
-                log_acc -= _log_sinhc(_at(d, big) * xb)
-            out[big] = np.exp(log_acc)
-    return float(out[0]) if scalar else out.reshape(np.shape(x))
+    acc = np.ones_like(y)
+    for a in columns([nums for nums, _ in rows]):
+        acc *= _exprel_neg(a * y)
+    for d in columns([dens for _, dens in rows]):
+        acc /= _exprel_neg(d * y)
+    net = np.reshape([math.fsum(nums + tuple(-d for d in dens)) for nums, dens in rows], shape)
+    half = np.exp(0.25 * net * y)
+    out = acc * half * half
+    return float(out) if np.ndim(out) == 0 else out
 
 
 def eval_g(family: MonotoneFamily, x):
     """Filter function g_f(x) = (e^{2x}-1)/(2x f(e^{2x})); even, g_f(0) = 1.
 
     Accepts scalars or arrays; defined for all real x.  ``family`` may
-    also be a tuple with one family per entry of the leading axis of x;
-    families with the same number of sinhc factors are evaluated together.
+    also be a tuple with one family per entry of the leading axis of x.
     """
-    if not isinstance(family, tuple):
-        return _eval_scales(*_g_scales(family), x)
-    x = np.asarray(x, dtype=float)
-    out = np.empty_like(x)
-    patterns = {}
-    for i, member in enumerate(family):
-        nums, dens = _g_scales(member)
-        patterns.setdefault((len(nums), len(dens)), []).append((i, nums, dens))
-    shape = (-1,) + (1,) * (x.ndim - 1)
-    for members in patterns.values():
-        index = [i for i, _, _ in members]
-        # scale j of every member, as an array over the members
-        nums = tuple(np.reshape(a, shape) for a in zip(*(n for _, n, _ in members)))
-        dens = tuple(np.reshape(d, shape) for d in zip(*(d for _, _, d in members)))
-        out[index] = _eval_scales(nums, dens, x[index])
-    return out
+    members = family if isinstance(family, tuple) else (family,)
+    return _eval_scales([_g_scales(member) for member in members], x)
 
 
 def eval_g_hat(family: MonotoneFamily, x):
     """Companion filter ghat_f(x) = g_f(x) tanh(x)/x; ghat_MC is identically 1."""
-    nums, dens = _g_hat_scales(family)
-    return _eval_scales(nums, dens, x)
+    return _eval_scales([_g_hat_scales(family)], x)
 
 
 def eval_f(family: MonotoneFamily, x):
@@ -313,12 +272,10 @@ def eval_f(family: MonotoneFamily, x):
     """
     _require_single(family)
     x_arr = np.asarray(x, dtype=float)
-    scalar = x_arr.ndim == 0
-    x_arr = np.atleast_1d(x_arr).astype(float)
     if np.any(x_arr <= 0.0):
         raise ValueError("operator monotone functions are defined for x > 0")
     out = _f(family.kind, family.param, x_arr)
-    return float(out[0]) if scalar else out.reshape(np.shape(x))
+    return float(out) if np.ndim(out) == 0 else out
 
 
 def _f(k: str, p, x_arr: np.ndarray) -> np.ndarray:
@@ -436,8 +393,8 @@ def taylor_coeffs(family: MonotoneFamily, kind: str = "g", L: int = 12):
     extended precision, so named and parametric families share one code
     path.  kind is "g" or "g_hat".
     """
-    if L < 1:
-        raise ValueError("L must be a positive integer")
+    if not isinstance(L, numbers.Integral) or L < 1:
+        raise ValueError(f"L must be a positive integer, got {L!r}")
     if kind == "g":
         nums, dens = _g_scales(family)
     elif kind == "g_hat":

@@ -15,7 +15,6 @@ import warnings
 from dataclasses import dataclass, field
 
 import numpy as np
-from scipy.special import exprel
 
 __all__ = [
     "HermitianOperator",
@@ -277,15 +276,20 @@ def solve_xst(T, S) -> tuple[np.ndarray, SpectralDecomposition]:
 def duhamel_weight_matrix(state: GibbsState) -> np.ndarray:
     """The stable kernel W[m, n] = (rho_n - rho_m)/(ln rho_n - ln rho_m).
 
-    Evaluated as the larger weight times exprel(-|ln rho_n - ln rho_m|), a
-    factor in (0, 1] that cannot overflow and has the analytic degenerate
+    Evaluated as the larger weight times _exprel_neg(|ln rho_n - ln rho_m|),
+    a factor in (0, 1] that cannot overflow and has the analytic degenerate
     limit W[m, m] = rho_m.  Equals sqrt(rho_m rho_n) * sinhc(x)
     with x = (ln rho_n - ln rho_m)/2.
     """
     log_w = state.log_weights
     w = state.weights
     delta = log_w[..., None, :] - log_w[..., :, None]  # ln rho_n - ln rho_m
-    return np.maximum(w[..., :, None], w[..., None, :]) * exprel(-np.abs(delta))
+    return np.maximum(w[..., :, None], w[..., None, :]) * _exprel_neg(np.abs(delta))
+
+
+def _exprel_neg(z: np.ndarray) -> np.ndarray:
+    """(1 - e^{-z})/z elementwise for z >= 0, in (0, 1] and exactly 1 at z = 0."""
+    return np.divide(-np.expm1(-z), z, out=np.ones_like(z), where=z != 0.0)
 
 
 def read_operator_json(path) -> tuple[HermitianOperator, float]:

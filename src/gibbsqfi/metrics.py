@@ -16,8 +16,8 @@ The family enters only through its filter or series coefficients, so
 every route reads one frame per (state, S) (``dsf._Frame``).  Its
 commutator chain (``dsf.commutator_moments``, shared with functional_F
 and the sum rules) stays in the original basis, so the series still
-cross-check the eigenbasis routes.  The one kernel is
-``scipy.special.exprel``.
+cross-check the eigenbasis routes.  The one kernel is the log-mean
+factor (1 - e^{-z})/z of ``hilbert._exprel_neg``.
 
 All metrics carry the 1/4 normalization that makes the Bures member one
 quarter of the fidelity susceptibility (see fidelity_susceptibility).

@@ -199,6 +199,23 @@ class TestMetricJobs:
         assert not out.exists()
         assert capsys.readouterr().err == "error: mc dsf: the metric is nan\n"
 
+    def test_wide_spin_routes_agree_for_every_family(self, tmp_path):
+        # spectral range 600: g_{pdiff:-0.7} reaches about e^600 at x = 300,
+        # where its direct sinh product used to overflow to a nan metric
+        payload = {
+            "model": {"model": "spin", "S": 200, "omega0": 1.5},
+            "families": ["pdiff:-0.7", "pair:1.2"],
+            "methods": ["spectral", "dsf"],
+        }
+        out = tmp_path / "table.csv"
+        assert main(["metric", "--config", write_config(tmp_path, payload), "--out", str(out)]) == 0
+        rows = read_csv(out)
+        assert [r["family"] for r in rows] == ["pdiff:-0.7"] * 4 + ["pdiff:1.7"] * 2
+        for spectral, dsf_row in zip(rows[::2], rows[1::2]):
+            assert (spectral["method"], dsf_row["method"]) == ("spectral", "dsf")
+            a, b = float(spectral["value"]), float(dsf_row["value"])
+            assert np.isfinite(a) and abs(a - b) <= 1e-10 * abs(a)
+
     def test_malformed_matrix_cell_exits_2(self, tmp_path, capsys):
         t_path = tmp_path / "T.json"
         s_path = tmp_path / "S.json"
@@ -539,6 +556,12 @@ class TestOutputSettings:
         assert main([command, "--config", config]) == 2
         assert problem in capsys.readouterr().err
 
+    def test_unwritable_config_path_exits_2(self, tmp_path, capsys):
+        out = tmp_path / "missing" / "rows.csv"
+        config = write_config(tmp_path, {**SPIN_SWEEP, "output": {"path": str(out)}})
+        assert main(["sweep", "--config", config]) == 2
+        assert capsys.readouterr().err == f"error: cannot write {out}: No such file or directory\n"
+
     def test_config_output_is_used(self, tmp_path):
         out = tmp_path / "rows.json"
         config = write_config(tmp_path, {**SPIN_SWEEP, "output": {"path": str(out), "format": "json"}})
@@ -562,6 +585,12 @@ class TestVerify:
         main(["verify", "--seed", "99", "--trials", "15", "--out", str(out_a)])
         main(["verify", "--seed", "99", "--trials", "15", "--out", str(out_b)])
         assert out_a.read_bytes() == out_b.read_bytes()
+
+    def test_unwritable_out_exits_2(self, tmp_path, capsys):
+        # exit 1 means a failed check, so an output error must not read as one
+        out = tmp_path / "missing" / "r.json"
+        assert main(["verify", "--trials", "3", "--out", str(out)]) == 2
+        assert capsys.readouterr().err == f"error: cannot write {out}: No such file or directory\n"
 
     def test_zero_trials_usage_error(self):
         assert main(["verify", "--seed", "1", "--trials", "0"]) == 2
@@ -641,6 +670,14 @@ class TestModelExport:
         loaded, asym = hb.read_operator_json(f"{prefix}_T.json")
         assert asym == 0.0
         assert loaded.dim == 41
+
+    def test_unwritable_prefix_exits_2(self, tmp_path, capsys):
+        config = write_config(tmp_path, {"model": {"model": "spin", "S": 1, "omega0": 1.0}, "families": ["bkm"]})
+        prefix = tmp_path / "missing" / "spin"
+        assert main(["model", "--config", config, "--out", str(prefix)]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == f"error: cannot write {prefix}_T.json: No such file or directory\n"
 
     @pytest.mark.parametrize(
         "flag, output",

@@ -452,6 +452,11 @@ class TestSumRules:
             for row in dsf.sum_rule_report(state, s, p_max=6):
                 assert row.rel_error <= 1e-9, f"p={row.p}: {row}"
 
+    @pytest.mark.parametrize("p_max", [-1, -3])
+    def test_negative_p_max_rejected(self, qubit, p_max):
+        with pytest.raises(ValueError, match="p_max must be >= 0"):
+            dsf.sum_rule_report(qubit, SX, p_max=p_max)
+
     def test_qubit_values(self, qubit):
         rows = dsf.sum_rule_report(qubit, SX, p_max=3)
         assert rows[0].functional == pytest.approx(F0_QUBIT, rel=1e-12)

@@ -286,7 +286,8 @@ class TestEvalG:
             assert np.allclose(left, right, rtol=1e-13, atol=0.0)
 
     def test_large_argument_no_overflow(self):
-        # beyond sinh overflow the log path takes over and stays finite
+        # beyond sinh overflow the factored form e^{net |x|} * (factors in
+        # (0, 1]) stays finite wherever the value itself does
         val = fam.eval_g(fam.GEOMETRIC, 500.0)
         assert math.isfinite(val) and val > 1e200
         assert fam.eval_g(fam.BURES, 800.0) == pytest.approx(1.0 / 800.0, rel=1e-10)
@@ -326,6 +327,75 @@ class TestEvalG:
             assert np.allclose(prod, fam.eval_g(fam.GEOMETRIC, xs) ** 2, rtol=1e-12)
 
 
+CATALOG = list(fam.named_families().values()) + [
+    fam.power_difference(p) for p in (-1.0, -0.7, 0.2, 1.3, 2.0)
+] + [fam.wyd(0.3)]
+NAMED_SCALES = {
+    "har": ((2.0,), ()),
+    "bures": ((1.0, 1.0), (2.0,)),
+    "bkm": ((), ()),
+    "mc": ((2.0,), (1.0, 1.0)),
+    "geometric": ((1.0,), ()),
+}
+
+
+def sinhc_ratio_reference(family, x, hat=False):
+    """g_f (or ghat_f) at x as a textbook sinhc ratio in 50-digit arithmetic.
+
+    The scales are formed in double precision, as the package forms them,
+    so the reference measures the evaluation and not the rounding of p - 1.
+    """
+    k, p = family.kind, family.param
+    if k == "wyd":
+        nums, dens = (p, 1.0 - p), (1.0,)
+    elif k == "pdiff":
+        nums, dens = (1.0, p - 1.0), (p,)
+    else:
+        nums, dens = NAMED_SCALES[k]
+    with mpmath.workdps(50):
+        x = mpmath.mpf(float(x))
+        if x == 0:
+            return mpmath.mpf(1)
+
+        def sinhc(a):
+            y = mpmath.mpf(a) * x
+            return mpmath.sinh(y) / y if y != 0 else mpmath.mpf(1)
+
+        value = mpmath.fprod(sinhc(a) for a in nums) / mpmath.fprod(sinhc(d) for d in dens)
+        return value * mpmath.tanh(x) / x if hat else value
+
+
+class TestFilterReference:
+    """eval_g and eval_g_hat against 50-digit sinhc ratios for |x| <= 700."""
+
+    XS = np.concatenate([
+        [0.0, 1e-300, 1e-9, 1e-4, 0.03],
+        np.linspace(0.5, 700.0, 281),
+        [269.9, 300.1, 334.9],
+        -np.linspace(1.0, 700.0, 15),
+    ])
+
+    @pytest.mark.parametrize("hat", [False, True])
+    @pytest.mark.parametrize("family", CATALOG, ids=lambda f: f.label)
+    def test_matches_reference_or_overflows_to_inf(self, family, hat):
+        with np.errstate(over="ignore", under="ignore", invalid="raise", divide="raise"):
+            values = (fam.eval_g_hat if hat else fam.eval_g)(family, self.XS)
+        assert not np.any(np.isnan(values))
+        for x, value in zip(self.XS, values):
+            reference = sinhc_ratio_reference(family, x, hat)
+            if reference < 1e300:
+                error = abs(mpmath.mpf(float(value)) - reference) / reference
+                assert error <= 1e-13, f"x={x}: {value} against {reference}"
+            else:
+                assert value == math.inf or value > 1e299, f"x={x}: {value}"
+
+    def test_overflow_is_inf_only_past_double_range(self):
+        # g_HAR(x) = sinhc(2x) ~ e^{2x}/(4x) passes 1.8e308 near x = 358.5
+        with np.errstate(over="ignore"):
+            assert fam.eval_g(fam.HAR, 359.0) == math.inf
+        assert fam.eval_g(fam.HAR, 358.0) > 6e307
+
+
 class TestPerMatrixFamilies:
     """A tuple of families, one per leading index, equals per-family calls bit for bit."""
 
@@ -333,9 +403,20 @@ class TestPerMatrixFamilies:
 
     def test_eval_g(self):
         x = np.random.default_rng(1).normal(scale=3.0, size=(5, 4, 4))
-        x[3, 0, 0] = 500.0  # past the direct sinhc range for the 1.7 member
+        x[3, 0, 0] = 500.0  # past sinh overflow for the 1.7 member
         expected = np.stack([fam.eval_g(f, xi) for f, xi in zip(self.FAMILIES, x)])
         assert np.array_equal(fam.eval_g(self.FAMILIES, x), expected)
+
+    def test_eval_g_mixed_patterns(self):
+        # sinhc factor counts (numerators, denominators) of (0, 0), (1, 0),
+        # (1, 2), (2, 0) and (2, 1); the shorter members are padded with 0
+        families = tuple(CATALOG) + (fam.power_difference(0.0),)
+        x = np.random.default_rng(3).normal(scale=150.0, size=(len(families), 6, 6))
+        x[:, 0, 0] = 0.0
+        with np.errstate(over="ignore", under="ignore"):
+            expected = np.stack([fam.eval_g(f, xi) for f, xi in zip(families, x)])
+            got = fam.eval_g(families, x)
+        assert got.tobytes() == expected.tobytes()
 
     def test_eval_c(self):
         w = np.random.default_rng(2).random((5, 4)) + 1e-3
@@ -418,6 +499,11 @@ class TestTaylorCoeffs:
             fam.taylor_coeffs(fam.MC, "g", 0)
         with pytest.raises(ValueError):
             fam.taylor_coeffs(fam.MC, "nope", 2)
+
+    @pytest.mark.parametrize("L", [2.5, 3.0, "3"])
+    def test_non_integer_truncation_rejected(self, L):
+        with pytest.raises(ValueError, match="L must be a positive integer"):
+            fam.taylor_coeffs(fam.MC, "g", L)
 
 
 class TestSeriesRadius:

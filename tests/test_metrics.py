@@ -161,6 +161,11 @@ class TestSeriesRoutes:
                 D2_BKM, abs=1e-13
             )
 
+    @pytest.mark.parametrize("route", [metrics.metric_series_A, metrics.metric_series_B])
+    def test_non_integer_truncation_rejected(self, qubit, route):
+        with pytest.raises(ValueError, match="L must be a positive integer"):
+            route(qubit, SX, fam.MC, 2.5)
+
     def test_series_a_qubit_resummation(self, qubit):
         assert metrics.metric_series_A(qubit, SX, fam.MC, 12).value == pytest.approx(
             D2_MC, abs=1e-8
