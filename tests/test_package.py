@@ -19,7 +19,7 @@ CLOSED_FORMS = {
     "Var(S)/4": 0.25,
 }
 
-REMOVED = ("NestedCommutator", "nested_commutator", "ObservableInEigenbasis")
+REMOVED = ("NestedCommutator", "nested_commutator", "ObservableInEigenbasis", "write_spectrum_csv")
 
 
 def _quick_start() -> str:
