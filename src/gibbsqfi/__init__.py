@@ -23,7 +23,6 @@ from .families import (
     parse_family,
     power_difference,
     taylor_coeffs,
-    verify_standard,
     wyd,
 )
 from .hilbert import (

@@ -20,7 +20,7 @@ from concurrent.futures import ThreadPoolExecutor
 from dataclasses import asdict, dataclass
 
 from . import families as fam
-from .dsf import _Frame, build_dsf, sum_rule_report
+from .dsf import _Frame, _PairTable, build_dsf, sum_rule_report
 from .hilbert import _scaled_state, eigendecompose, read_operator_json, to_eigenbasis, write_operator_json
 from .inequalities import run_verification_suite
 from .metrics import METHODS, _evaluate, _moment_order
@@ -227,11 +227,11 @@ def _label(point) -> str:
     return "" if name is None else f"{name}={value:g}"
 
 
-def _rows_for_point(config: JobConfig, point, state, S, s_eig):
-    """Rows of one sweep point: one frame, every (family, method) pair on it."""
+def _rows_for_point(config: JobConfig, point, state, S, table):
+    """Rows of one sweep point: one frame on the job's pair table, every (family, method) pair on it."""
     routes = [(spec, *_parse_method(spec)) for spec in config.methods]
     chain_order = max((_moment_order(route, L) for _, route, L in routes if L), default=0)
-    frame = _Frame(state, S, chain_order, s_eig)
+    frame = _Frame(state, S, chain_order, table)
     parameter = _label(point)
     rows = []
     for family in config.families:
@@ -270,20 +270,21 @@ def run_metric_job(config: JobConfig) -> tuple[list[dict], list[str]]:
 
     Every point's generator is c * T for one unit-frequency T: c is the
     point's beta times the model's frequency.  So T is decomposed and S
-    rotated once per job, and each point only rescales the spectrum.
+    rotated once per job, into one pair table that every point reads, and
+    each point only rescales the spectrum.
     Each point's model is still built, which validates its grid value.
     """
     points = _sweep_points(config)
     models = [_point_model(config.model, p) for p in points]
     T, S, _ = _resolve_model(config.model, models[0])
     basis = _decompose(T)
-    s_eig = to_eigenbasis(basis, S)
+    table = _PairTable(basis.eigenvalues, to_eigenbasis(basis, S))
 
     def job(point, model):
         beta = point[1] if point[0] == "beta" else config.beta
         c = beta * (1.0 if model is None else model.frequency)
         state = _gibbs(basis, T, c, _label(point) or f"beta={beta:g}")
-        return _rows_for_point(config, point, state, S, s_eig)
+        return _rows_for_point(config, point, state, S, table)
 
     threads = _worker_count()
     if threads > 1 and len(points) > 1:

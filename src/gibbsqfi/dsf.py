@@ -5,9 +5,10 @@ at the Bohr frequencies omega_{nm} = T_n - T_m, so all frequency integrals
 collapse to line sums with no quadrature error.  The module also provides
 the moments of the comb, the nested-commutator functionals that generate
 them algebraically, and the Bogoliubov-Duhamel inner product.  Every
-(state, S) consumer reads one ``_Frame``, which rotates the observable
-into the eigenbasis, or takes the rotated elements that the states of
-every c * T share (one rotation per sweep job).
+(state, S) consumer reads one ``_Frame``, which sums over the eigenbasis
+pairs that S couples: those of a ``_PairTable`` that it builds, or that
+the states of every c * T share (one rotation and one table per sweep
+job).
 """
 
 from __future__ import annotations
@@ -18,7 +19,7 @@ from dataclasses import dataclass
 import numpy as np
 from scipy import sparse
 
-from .hilbert import GibbsState, _exprel_neg, as_operator, duhamel_weight_matrix, to_eigenbasis
+from .hilbert import GibbsState, _duhamel_at, _exprel_neg, as_operator, to_eigenbasis
 
 __all__ = [
     "LineSpectrum",
@@ -100,10 +101,8 @@ class LineSpectrum:
         return _line_kernel(self.omegas, self.weights)
 
 
-def _merge_lines(omegas, weights):
-    order = np.argsort(omegas, kind="stable")
-    om = omegas[order]
-    wt = weights[order]
+def _merge_lines(om, wt):
+    """Sum the weights of sorted lines closer than _MERGE_TOL, at their mean frequency."""
     if om.size == 0:
         return om, wt
     starts = np.concatenate(([0], np.nonzero(np.diff(om) > _MERGE_TOL)[0] + 1))
@@ -113,82 +112,160 @@ def _merge_lines(omegas, weights):
     return merged_om, merged_wt
 
 
-def _assemble(omegas, weights, kind, dim, mean_s) -> LineSpectrum:
-    om, wt = _merge_lines(np.asarray(omegas, float).ravel(), np.asarray(weights).ravel())
+def _assemble(frame: _Frame, positive, negative, diagonal, kind, mean_s) -> LineSpectrum:
+    """Lines ``positive`` at each pair's omega, ``negative`` at -omega and ``diagonal`` at 0, merged and pruned.
+
+    The lines are taken in the order of the frame's table, so no point sorts.
+    """
+    omega = 2.0 * frame.x
+    order = frame.table.order
+    om = np.concatenate((omega, -omega, np.zeros(frame.state.dim)))[order]
+    om, wt = _merge_lines(om, np.concatenate((positive, negative, diagonal))[order])
     if wt.size:
         magnitudes = np.abs(wt)
-        positive = magnitudes > 0.0
-        if not positive.any():
+        nonzero = magnitudes > 0.0
+        if not nonzero.any():
             om, wt = om[:0], wt[:0]
         else:
             # prune by balance-aware importance: a line at -w of weight
             # q e^{-w} carries the same metric content as its +w partner
             # of weight q, so plain weight thresholds would discard it
             log_importance = np.full(om.shape, -np.inf)
-            log_importance[positive] = np.log(magnitudes[positive]) + np.maximum(
-                0.0, -om[positive]
+            log_importance[nonzero] = np.log(magnitudes[nonzero]) + np.maximum(
+                0.0, -om[nonzero]
             )
             keep = log_importance >= log_importance.max() + np.log(_PRUNE_REL)
             om, wt = om[keep], wt[keep]
-    return LineSpectrum(om, wt, kind, dim, float(mean_s))
+    return LineSpectrum(om, wt, kind, frame.state.dim, float(mean_s))
 
 
-def _dot(a: np.ndarray, b: np.ndarray):
-    """Sum of a * b over the last axis, for each pair of a stack, summed as np.dot sums."""
-    return (a[..., None, :] @ b[..., :, None])[..., 0, 0][()]
+def _dot(a, b):
+    """Sum of a * b over the last axis, for each matrix of a stack.
+
+    On C-ordered arrays (the frames gather with np.take) every row is
+    summed as it would be alone, so a stack gives its matrices' values.
+    """
+    return np.sum(a * b, axis=-1)[()]
+
+
+class _PairTable:
+    """The eigenbasis pairs (n, m), n > m, where |S_nm|^2 + |S_mn|^2 > 0, built once per (T, S).
+
+    ``rows`` and ``cols`` hold n and m (T_n >= T_m), ``down`` and ``up``
+    |S_nm|^2 and |S_mn|^2 (``abs2`` their sum), ``diagonal`` the S_nn.  A
+    stack's pairs are those any matrix couples, and the operators in
+    ``also`` add theirs, so frames of several observables share the pairs.
+    The states of every c * T, c > 0, share T's table.
+    """
+
+    def __init__(self, eigenvalues: np.ndarray, s_eig: np.ndarray, *also: np.ndarray):
+        self.eigenvalues = eigenvalues
+        self.s_eig = s_eig
+        n = s_eig.shape[-1]
+        abs2 = np.abs(s_eig) ** 2
+        either = abs2 + sum(np.abs(a) ** 2 for a in also)
+        coupled = (either + np.swapaxes(either, -1, -2) > 0.0).reshape(-1, n, n).any(axis=0)
+        self.rows, self.cols = np.nonzero(np.tril(coupled, -1))
+        self.down, self.up = self.gather(abs2)
+        self.abs2 = self.down + self.up
+        self.diagonal = np.diagonal(s_eig, axis1=-2, axis2=-1)
+        self.peak = np.max(abs2, axis=(-2, -1))
+
+    def gather(self, a: np.ndarray) -> tuple:
+        """(a_nm, a_mn) at the pairs (n, m) of an (..., n, n) array, in C order."""
+        flat = a.reshape(*a.shape[:-2], -1)
+        n = a.shape[-1]
+        return np.take(flat, self.rows * n + self.cols, axis=-1), np.take(flat, self.cols * n + self.rows, axis=-1)
+
+    @_lazy
+    def order(self) -> np.ndarray:
+        """Order of T's lines (pairs at +omega, at -omega, the diagonal), which c * T keeps for c > 0.
+
+        Ties keep the row-major order of the lines' positions.  Single-instance.
+        """
+        lam, n = self.eigenvalues, self.eigenvalues.size
+        omega = lam[self.rows] - lam[self.cols]
+        position = np.concatenate((self.rows * n + self.cols, self.cols * n + self.rows, np.arange(n) * (n + 1)))
+        return np.lexsort((position, np.concatenate((omega, -omega, np.zeros(n)))))
 
 
 class _Frame:
     """Family-independent data of one (state, S), shared by every consumer.
 
-    Lazy members are computed on first read, once per frame; chain_order
-    is the highest commutator moment the frame provides.  The frame of the
-    state of a stack of generators and a stack of observables of the same
-    shape holds every array with the stack's leading axes, and its scalar
-    members (mean, max_omega, moments) become arrays over the stack; the
-    structure factor (``dsf``) is single-instance.  ``s_eig`` takes
-    elements of S already rotated into the state's eigenbasis, which the
-    states of every c * T share; S is rotated here when it is omitted.
+    Every sum runs over the pairs of the ``table`` (T's _PairTable of S,
+    built here when omitted) and the diagonal: ``x`` is omega_nm/2 and
+    ``kernel`` the Duhamel kernel at each pair.  Lazy members are computed
+    on first read, once per frame; chain_order is the highest commutator
+    moment the frame provides.  The frame of the state of a stack of
+    generators and a stack of observables of the same shape holds every
+    array with the stack's leading axes, and its scalar members (mean,
+    max_omega, moments) become arrays over the stack; the structure factor
+    (``dsf``) is single-instance.
     """
 
-    def __init__(self, state: GibbsState, S, chain_order: int = 0, s_eig: np.ndarray | None = None):
+    def __init__(self, state: GibbsState, S, chain_order: int = 0, table: _PairTable | None = None):
         self.state = state
         self.S = S  # as given; the commutator chain reads it in the original basis
         self.chain_order = chain_order
-        self.s_eig = to_eigenbasis(state, S) if s_eig is None else s_eig
         lam = state.decomposition.eigenvalues
-        self.x = 0.5 * (lam[..., :, None] - lam[..., None, :])  # omega_{nm}/2 at position [n, m]
-        self.abs2 = np.abs(self.s_eig) ** 2
+        self.table = t = _PairTable(lam, to_eigenbasis(state, S)) if table is None else table
+        self.x = 0.5 * (np.take(lam, t.rows, axis=-1) - np.take(lam, t.cols, axis=-1))  # omega_nm/2 >= 0 at each pair
         self.mean = _dot(state.weights, self.diagonal)
-        # the diagonal always lies in the window and is not a pair
-        self.degenerate_pairs = np.sum(np.abs(2.0 * self.x) < _DEGENERATE_WINDOW, axis=(-2, -1)) - state.dim
+        # both (n, m) and (m, n) of each coupled pair closer than the window
+        self.degenerate_pairs = 2 * np.sum(2.0 * self.x < _DEGENERATE_WINDOW, axis=-1)
 
     @property
     def diagonal(self) -> np.ndarray:
         """Real diagonal S_nn of the eigenbasis elements."""
-        return np.diagonal(self.s_eig, axis1=-2, axis2=-1).real
+        return self.table.diagonal.real
+
+    @_lazy
+    def pair_weights(self) -> tuple:
+        """Gibbs weights (rho_n, rho_m) at the pairs (n, m)."""
+        w = self.state.weights
+        return np.take(w, self.table.rows, axis=-1), np.take(w, self.table.cols, axis=-1)
 
     @_lazy
     def kernel(self) -> np.ndarray:
-        """The Duhamel kernel W of the state."""
-        return duhamel_weight_matrix(self.state)
+        """The Duhamel kernel W of the state at the pairs."""
+        return _duhamel_at(self.state, self.table.rows, self.table.cols)
 
     @_lazy
-    def centered(self) -> np.ndarray:
-        """Elements of S - <S> in the eigenbasis."""
-        return self.s_eig - np.multiply.outer(self.mean, np.eye(self.state.dim))
+    def on_diagonal(self):
+        """sum_n rho_n |S_nn|^2: the diagonal, where every filter is 1 and W_nn = rho_n."""
+        return _dot(self.state.weights, np.abs(self.table.diagonal) ** 2)
+
+    def filtered(self, g=1.0):
+        """sum g W |S_nm|^2 over every (n, m), for the filter g at the pairs; F_0(S; S) for g = 1."""
+        return _dot(g * self.kernel, self.table.abs2) + self.on_diagonal
+
+    @_lazy
+    def second_moment(self):
+        """<S^2> = sum rho_m |S_nm|^2."""
+        w_rows, w_cols = self.pair_weights
+        return _dot(w_cols, self.table.down) + _dot(w_rows, self.table.up) + self.on_diagonal
+
+    @_lazy
+    def lines(self) -> tuple:
+        """Line weights rho_m |S_nm|^2 at omega_nm and rho_n |S_mn|^2 at -omega_nm, balance checked.
+
+        The floor covers lines at the rounding scale of the weights.
+        """
+        w_rows, w_cols = self.pair_weights
+        positive, negative = self.table.down * w_cols, self.table.up * w_rows
+        _check_pair_balance(2.0 * self.x, positive, negative, 16 * np.finfo(float).eps * self.table.peak[..., None])
+        return positive, negative
 
     @_lazy
     def dsf(self) -> LineSpectrum:
-        return _line_spectrum(self, self.abs2, self.mean)
+        return _assemble(self, *self.lines, self.state.weights * np.abs(self.table.diagonal) ** 2, "diagonal", self.mean)
 
     @_lazy
     def max_omega(self):
-        """Largest |T_n - T_m| over the pairs where S has a nonzero element."""
-        mags = np.abs(self.s_eig)
-        peak = np.max(mags, axis=(-2, -1), keepdims=True)
-        coupled = mags > 1e-14 * np.maximum(peak, 1e-300)
-        return np.max(np.where(coupled, np.abs(2.0 * self.x), 0.0), axis=(-2, -1))
+        """Largest |T_n - T_m| over the pairs where S has an element above 1e-14 of its largest."""
+        t = self.table
+        coupled = np.maximum(t.down, t.up) > 1e-28 * t.peak[..., None]
+        return np.max(np.where(coupled, 2.0 * self.x, 0.0), axis=-1, initial=0.0)
 
     @_lazy
     def moments(self) -> list:
@@ -196,38 +273,41 @@ class _Frame:
         return commutator_moments(self.state, self.S, self.chain_order)
 
 
-def _frame_pair(state: GibbsState, A, B) -> tuple[_Frame, _Frame]:
-    """Frames of A and B, rotating once when B is A."""
-    frame_a = _Frame(state, A)
-    return frame_a, (frame_a if B is A else _Frame(state, B))
+def _frame_pair(state: GibbsState, A, B, chain_order: int = 0) -> tuple[_Frame, _Frame]:
+    """Frames of A (to chain_order) and B over the pairs either couples; one frame when B is A."""
+    lam, a_eig = state.decomposition.eigenvalues, to_eigenbasis(state, A)
+    if B is A:
+        frame = _Frame(state, A, chain_order, _PairTable(lam, a_eig))
+        return frame, frame
+    b_eig = to_eigenbasis(state, B)
+    return (
+        _Frame(state, A, chain_order, _PairTable(lam, a_eig, b_eig)),
+        _Frame(state, B, 0, _PairTable(lam, b_eig, a_eig)),
+    )
 
 
-def _check_pair_balance(omegas: np.ndarray, lines: np.ndarray, floor, kind: str = "diagonal"):
+def _pair_products(frame_a: _Frame, frame_b: _Frame) -> np.ndarray:
+    """A_nm B_mn + A_mn B_nm at the pairs of two frames over the same pairs."""
+    (a_down, a_up), (b_down, b_up) = map(frame_a.table.gather, (frame_a.table.s_eig, frame_b.table.s_eig))
+    return a_down * b_up + a_up * b_down
+
+
+def _check_pair_balance(omega, positive, negative, floor, kind: str = "diagonal"):
     """Detailed balance pair by pair: the line at -w weighs e^{-w} times the one at w.
 
-    ``lines[..., n, m]`` is the weight at ``omegas[..., n, m]``, so the
-    partner of each line is its transposed entry; a "cross" partner is
-    e^{-w} times the conjugate.  ``floor`` covers lines at the rounding
-    scale of the weights, which carry no relative accuracy.  Checked
-    before lines are merged, so nearly equal frequencies cannot pair up
+    ``positive`` is the weight at each pair's ``omega`` >= 0 and
+    ``negative`` its partner's at -omega; a "cross" partner is e^{-w}
+    times the conjugate.  ``floor`` is the absolute slack.  Checked before
+    lines are merged, so nearly equal frequencies cannot pair up
     differently at w and -w.
     """
-    partner = np.swapaxes(lines, -1, -2)
-    expected = np.exp(-np.abs(omegas)) * (np.conj(lines) if kind == "cross" else lines)
-    bad = (omegas > _MERGE_TOL) & (np.abs(partner - expected) > 1e-12 * np.abs(lines) + floor)
+    expected = np.exp(-omega) * (np.conj(positive) if kind == "cross" else positive)
+    bad = (omega > _MERGE_TOL) & (np.abs(negative - expected) > 1e-12 * np.abs(positive) + floor)
     if np.any(bad):
         raise ArithmeticError(
-            f"detailed balance violated at omega = {omegas[bad][0]:g}: "
-            f"{partner[bad][0].item()!r} vs {expected[bad][0].item()!r}"
+            f"detailed balance violated at omega = {omega[bad][0]:g}: "
+            f"{negative[bad][0].item()!r} vs {expected[bad][0].item()!r}"
         )
-
-
-def _line_spectrum(frame: _Frame, abs2: np.ndarray, mean_s: float) -> LineSpectrum:
-    """Diagonal spectrum of eigenbasis elements |S_nm|^2: rho_m |S_nm|^2 at omega_nm."""
-    floor = 16 * np.finfo(float).eps * float(np.max(abs2))
-    weights = abs2 * frame.state.weights[None, :]
-    _check_pair_balance(2.0 * frame.x, weights, floor)
-    return _assemble(2.0 * frame.x, weights, "diagonal", frame.state.dim, mean_s)
 
 
 def build_dsf(state: GibbsState, S, centered: bool = False) -> LineSpectrum:
@@ -239,19 +319,22 @@ def build_dsf(state: GibbsState, S, centered: bool = False) -> LineSpectrum:
     """
     frame = _Frame(state, S)
     if centered:
-        return _line_spectrum(frame, np.abs(frame.centered) ** 2, 0.0)
+        elastic = state.weights * np.abs(frame.table.diagonal - frame.mean) ** 2
+        return _assemble(frame, *frame.lines, elastic, "diagonal", 0.0)
     return frame.dsf
 
 
 def build_cross_dsf(state: GibbsState, A, B) -> LineSpectrum:
     """Cross spectrum with weights <n|dA|m><m|dB|n> rho_m for Hermitian A, B."""
     frame_a, frame_b = _frame_pair(state, A, B)
-    dA, dB = frame_a.centered, frame_b.centered
-    # [n, m] entry: <n|dA|m> <m|dB|n> rho_m
-    weights = dA * dB.T * state.weights[None, :]
-    floor = 16 * np.finfo(float).eps * float(np.max(np.abs(dA)) * np.max(np.abs(dB)))
-    _check_pair_balance(2.0 * frame_a.x, weights, floor, "cross")
-    return _assemble(2.0 * frame_a.x, weights, "cross", state.dim, 0.0)
+    (a_down, a_up), (b_down, b_up) = map(frame_a.table.gather, (frame_a.table.s_eig, frame_b.table.s_eig))
+    w_rows, w_cols = frame_a.pair_weights
+    # pair (n, m): <n|dA|m> <m|dB|n> rho_m at omega_nm and its partner at -omega_nm
+    positive, negative = a_down * b_up * w_cols, a_up * b_down * w_rows
+    diagonal = (frame_a.table.diagonal - frame_a.mean) * (frame_b.table.diagonal - frame_b.mean) * state.weights
+    floor = 16 * np.finfo(float).eps * float(np.sqrt(frame_a.table.peak * frame_b.table.peak))
+    _check_pair_balance(2.0 * frame_a.x, positive, negative, floor, "cross")
+    return _assemble(frame_a, positive, negative, diagonal, "cross", 0.0)
 
 
 def moment(Q: LineSpectrum, p: int) -> float:
@@ -282,7 +365,9 @@ def commutator_moments(state: GibbsState, S, order: int) -> list:
 
     R_q = [T, R_{q-1}] stays in the original basis and reads the generator
     as given, independent of the eigenvectors behind ``moment``.
-    <R_q S> = tr(R_q P) with P = S rho.  While T and R_q have at most a
+    <R_q S> = tr(R_q P) with P = S rho; for a diagonal T, rho is the
+    diagonal exp(-T_ii - logZ), so the chain reads no eigenvectors (else
+    P reads the density matrix).  While T and R_q have at most a
     share _SPARSE_DENSITY of nonzero entries the chain runs on CSR
     matrices (a diagonal T keeps R_q as sparse as S; a banded T widens the
     band each order), and from the first denser R_q on dense arrays.  The
@@ -294,10 +379,16 @@ def commutator_moments(state: GibbsState, S, order: int) -> list:
     S_matrix = as_operator(S).matrix
     T_matrix = state.generator
     limit = _SPARSE_DENSITY * S_matrix.shape[-1] ** 2
-    sparse_chain = S_matrix.ndim == 2 and max(np.count_nonzero(T_matrix), np.count_nonzero(S_matrix)) <= limit
+    nonzero = np.count_nonzero(T_matrix)
+    sparse_chain = S_matrix.ndim == 2 and max(nonzero, np.count_nonzero(S_matrix)) <= limit
     T = sparse.csr_array(T_matrix) if sparse_chain else T_matrix
     R = sparse.csr_array(S_matrix) if sparse_chain else S_matrix
-    P_transposed = np.swapaxes(R @ state.rho_matrix(), -1, -2)
+    diagonal = np.diagonal(T_matrix, axis1=-2, axis2=-1)
+    if nonzero == np.count_nonzero(diagonal):
+        P = S_matrix * np.exp(-diagonal.real - np.asarray(state.logZ)[..., None])[..., None, :]
+    else:
+        P = S_matrix @ state.rho_matrix()
+    P_transposed = np.swapaxes(P, -1, -2)
     out = []
     for q in range(order + 1):
         if q > 0:
@@ -331,7 +422,8 @@ def bogoliubov_duhamel(state: GibbsState, A, B) -> float:
     the diagonal contributes rho_n A_nn B_nn.
     """
     frame_a, frame_b = _frame_pair(state, A, B)
-    value = complex(np.sum(frame_a.s_eig * frame_b.s_eig.T * frame_a.kernel))
+    diagonal = frame_a.table.diagonal * frame_b.table.diagonal
+    value = complex(_dot(frame_a.kernel, _pair_products(frame_a, frame_b)) + _dot(state.weights, diagonal))
     if abs(value.imag) > 1e-12 * max(1.0, abs(value.real)):
         warnings.warn(
             f"Duhamel product has imaginary residue {value.imag:.3e}",
@@ -353,7 +445,7 @@ def bogoliubov_duhamel_quadrature(state: GibbsState, A, B, nodes: int = 32) -> f
     x, w = np.polynomial.legendre.leggauss(nodes)
     taus = 0.5 * (x + 1.0)
     total = 0.0
-    pair = frame_a.s_eig * frame_b.s_eig.T
+    pair = frame_a.table.s_eig * frame_b.table.s_eig.T
     for tau, wq in zip(taus, w):
         kernel = np.exp((1.0 - tau) * lw[:, None] + tau * lw[None, :])
         total += 0.5 * wq * float(np.sum(pair * kernel).real)
@@ -415,22 +507,18 @@ def _sum_rule_values(frame: _Frame, p_max: int) -> list[tuple]:
     weigh more than _PRUNE_REL of the heaviest line.  Each value is an
     array over the frame's stack.
     """
-    omegas = 2.0 * frame.x
-    lines = frame.abs2 * frame.state.weights[..., None, :]
-    floor = 16 * np.finfo(float).eps * np.max(frame.abs2, axis=(-2, -1), keepdims=True)
-    _check_pair_balance(omegas, lines, floor)
-    off_diagonal = ~np.eye(frame.state.dim, dtype=bool)
-    off = np.where(off_diagonal, lines, 0.0)
-    elastic = np.abs(omegas) <= _MERGE_TOL
-    heaviest = np.max(off, axis=(-2, -1))
-    if np.any(np.sum(np.where(elastic, off, 0.0), axis=(-2, -1)) > _PRUNE_REL * heaviest):
+    omega = 2.0 * frame.x
+    positive, negative = frame.lines
+    elastic = omega <= _MERGE_TOL
+    heaviest = np.max(np.maximum(positive, negative), axis=-1, initial=0.0)
+    if np.any(np.sum(np.where(elastic, positive + negative, 0.0), axis=-1) > _PRUNE_REL * heaviest):
         raise ZeroDivisionError("M_{-1} diverges: the spectrum has a nonzero elastic line")
-    inverse = np.divide(off, omegas, out=np.zeros_like(off), where=~elastic)
-    pairs = [(np.sum(frame.kernel * np.where(off_diagonal, frame.abs2, 0.0), axis=(-2, -1)),
-              2.0 * np.sum(inverse, axis=(-2, -1)))]
+    inverse = np.divide(positive - negative, omega, out=np.zeros_like(omega), where=~elastic)
+    pairs = [(_dot(frame.kernel, frame.table.abs2), 2.0 * np.sum(inverse, axis=-1))]
     for p in range(1, p_max + 1):
-        weighted = lines if p == 1 else omegas ** (p - 1) * lines
-        pairs.append((2.0 * frame.moments[p - 1], 2.0 * np.sum(weighted, axis=(-2, -1))))
+        # the diagonal's lines sit at omega = 0 and count only in M_0
+        moment = _dot(omega ** (p - 1), positive + (-1.0) ** (p - 1) * negative)
+        pairs.append((2.0 * frame.moments[p - 1], 2.0 * (moment + frame.on_diagonal if p == 1 else moment)))
     return [
         (f_val, m_val, np.abs(f_val - m_val) / np.maximum(np.maximum(np.abs(f_val), np.abs(m_val)), 1e-300))
         for f_val, m_val in pairs

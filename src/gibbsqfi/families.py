@@ -64,8 +64,6 @@ __all__ = [
     "taylor_coeffs",
     "g_series_radius",
     "g_hat_series_radius",
-    "verify_standard",
-    "StandardFunctionReport",
 ]
 
 _KINDS = ("har", "bures", "bkm", "mc", "geometric", "wyd", "pdiff", "pair")
@@ -402,47 +400,3 @@ def taylor_coeffs(family: MonotoneFamily, kind: str = "g", L: int = 12):
     else:
         raise ValueError("kind must be 'g' or 'g_hat'")
     return list(_taylor_cached(nums, dens, L))
-
-
-@dataclass
-class StandardFunctionReport:
-    """Violation summary from verify_standard."""
-
-    family: str
-    normalization_error: float
-    symmetry_error: float
-    min_value: float
-    monotonicity_violation: float
-    passed: bool
-
-
-def verify_standard(family: MonotoneFamily, grid) -> StandardFunctionReport:
-    """Check f(1) = 1, f(1/x) = f(x)/x, positivity and monotonicity on a grid.
-
-    All relative violations must stay below 1e-12 for the report to pass.
-    """
-    pts = np.sort(np.asarray(grid, dtype=float))
-    if pts.size == 0:
-        raise ValueError("grid must be nonempty")
-    f = eval_f(family, pts)
-    f_inv = eval_f(family, 1.0 / pts)
-    norm_err = abs(eval_f(family, 1.0) - 1.0)
-    sym_err = float(np.max(np.abs(f_inv - f / pts) / np.maximum(f / pts, 1e-300)))
-    min_val = float(np.min(f))
-    diffs = np.diff(f)
-    scale = np.maximum(np.abs(f[:-1]), 1e-300)
-    mono = float(max(0.0, np.max(-diffs / scale))) if diffs.size else 0.0
-    passed = (
-        norm_err <= 1e-12
-        and sym_err <= 1e-12
-        and min_val > 0.0
-        and mono <= 1e-12
-    )
-    return StandardFunctionReport(
-        family=family.label,
-        normalization_error=float(norm_err),
-        symmetry_error=sym_err,
-        min_value=min_val,
-        monotonicity_violation=mono,
-        passed=passed,
-    )

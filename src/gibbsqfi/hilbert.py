@@ -284,10 +284,13 @@ def duhamel_weight_matrix(state: GibbsState) -> np.ndarray:
     limit W[m, m] = rho_m.  Equals sqrt(rho_m rho_n) * sinhc(x)
     with x = (ln rho_n - ln rho_m)/2.
     """
-    log_w = state.log_weights
-    w = state.weights
-    delta = log_w[..., None, :] - log_w[..., :, None]  # ln rho_n - ln rho_m
-    return np.maximum(w[..., :, None], w[..., None, :]) * _exprel_neg(np.abs(delta))
+    return _duhamel_at(state, *np.indices((state.dim, state.dim)))
+
+
+def _duhamel_at(state: GibbsState, rows: np.ndarray, cols: np.ndarray) -> np.ndarray:
+    """The Duhamel kernel at the index pairs (rows, cols) only, in C order."""
+    w_rows, w_cols, lw_rows, lw_cols = (np.take(v, i, axis=-1) for v in (state.weights, state.log_weights) for i in (rows, cols))
+    return np.maximum(w_rows, w_cols) * _exprel_neg(np.abs(lw_rows - lw_cols))
 
 
 def _exprel_neg(z: np.ndarray) -> np.ndarray:

@@ -19,7 +19,7 @@ from typing import NamedTuple
 import numpy as np
 
 from . import families as fam
-from .dsf import _Frame, _sum_rule_values
+from .dsf import _dot, _Frame, _frame_pair, _sum_rule_values
 from .hilbert import GibbsState, HermitianOperator, _scaled_state, as_operator, eigendecompose
 from .metrics import _cross_value, _oracle_value, _spectral_value
 
@@ -106,10 +106,10 @@ def _per_matrix(fn, *args):
 
 
 def _filters(frame: _Frame):
-    """g_f on the frame's grid, evaluated once per family.
+    """g_f at the frame's pairs, evaluated once per family.
 
     The argument is one family, or a tuple with one family per matrix of
-    the frame's stack.  Frames of one state share the grid.
+    the frame's stack.  The frames of _frame_pair share the pairs.
     """
     return functools.cache(lambda family: fam.eval_g(family, frame.x))
 
@@ -227,11 +227,12 @@ def _cauchy_schwarz_checks(frame_a: _Frame, frame_b: _Frame, f, f_bar, filters) 
     name = _per_matrix(lambda a, b, t: f"cs:{a.label},{b.label}->{t.label}", f, f_bar, f_tilde)
     checks = [_Check(name, lhs, d2_f * d2_f_bar)]
     if frame_b is frame_a:
-        w = frame_a.state.weights
-        # (1 + e^{-w}) times the line weight |dA_mn|^2 rho_m
-        pair_weights = (w[..., :, None] + w[..., None, :]) * np.abs(frame_a.centered) ** 2
+        w_rows, w_cols = frame_a.pair_weights
+        # (1 + e^{-w}) times the line weight |dA_mn|^2 rho_m, on both sides of each pair
+        pair_weights = (w_rows + w_cols) * frame_a.table.abs2
+        diagonal = 2.0 * _dot(frame_a.state.weights, np.abs(frame_a.table.diagonal - frame_a.mean[..., None]) ** 2)
         for family, d2 in ((f, d2_f), (f_bar, d2_f_bar)):
-            classical = 0.125 * np.sum(filters(family) * pair_weights, axis=(-2, -1))
+            classical = 0.125 * (_dot(filters(family), pair_weights) + diagonal)
             label = _per_matrix(lambda one: f"classical_bound:{one.label}", family)
             checks.append(_Check(label, d2, classical))
         checks.append(
@@ -256,8 +257,7 @@ def cauchy_schwarz_cross(
     factor) and the Bures <= BKM cross bound are reported as well.
     """
     a_op, b_op = as_operator(A), as_operator(B)
-    frame_a = _Frame(state, a_op)
-    frame_b = frame_a if np.array_equal(a_op.matrix, b_op.matrix) else _Frame(state, b_op)
+    frame_a, frame_b = _frame_pair(state, a_op, a_op if np.array_equal(a_op.matrix, b_op.matrix) else b_op)
     return _reports(_cauchy_schwarz_checks(frame_a, frame_b, f, f_bar, _filters(frame_a)))
 
 
@@ -353,8 +353,8 @@ def _group_checks(trials: list[_Trial]) -> tuple[list[_Check], np.ndarray]:
     """
     T = _stack(t.T for t in trials)
     state = _scaled_state(eigendecompose(T), T.matrix, 1.0)
-    frame = _Frame(state, _stack(t.S for t in trials), chain_order=5)  # C = 2 M_1 and the sum rules p <= 6
-    frame_b = _Frame(state, _stack(t.B for t in trials))
+    # C = 2 M_1 and the sum rules p <= 6 read the chain of S to M_5
+    frame, frame_b = _frame_pair(state, _stack(t.S for t in trials), _stack(t.B for t in trials), chain_order=5)
     filters = _filters(frame)
     pair = _per_matrix(fam.half_pair, tuple(t.d for t in trials))
     members = [_per_matrix(lambda q: q.members[i], pair) for i in (0, 1)]

@@ -30,7 +30,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from . import families as fam
-from .dsf import LineSpectrum, _dot, _Frame, build_dsf
+from .dsf import LineSpectrum, _dot, _Frame, _frame_pair, _pair_products, build_dsf
 from .hilbert import GibbsState
 
 __all__ = [
@@ -79,32 +79,30 @@ def _nonnegative(raw, scale, method: str):
 
 
 def _spectral_value(frame: _Frame, g: np.ndarray):
-    """(1/4)[sum g W |S_mn|^2 - <S>^2] for the filter g on the frame's grid."""
-    gross = np.sum(g * frame.kernel * frame.abs2, axis=(-2, -1))
+    """(1/4)[sum g W |S_mn|^2 - <S>^2] for the filter g at the frame's pairs."""
+    gross = frame.filtered(g)
     return _nonnegative(
         0.25 * (gross - frame.mean ** 2), 0.25 * gross, "spectral"
     )
 
 
 def _oracle_value(frame: _Frame, family):
-    """The Morozova-Cencov double sum.
+    """The Morozova-Cencov double sum over the frame's pairs.
 
-    ``family`` is one family for the whole frame, or a tuple with one
-    family per matrix of the frame's stack.
+    c_f is symmetric, so it is evaluated once per pair (n, m), as
+    c_f(rho_m, rho_n) with f at rho_n/rho_m <= 1.  ``family`` is one family
+    for the whole frame, or a tuple with one family per matrix of the
+    frame's stack.
     """
-    w = frame.state.weights
+    t = frame.table
+    w_rows, w_cols = frame.pair_weights
     lw = frame.state.log_weights
-    delta = lw[..., None, :] - lw[..., :, None]
-    c = fam.eval_c(family, w[..., :, None], w[..., None, :])
-    summand = c * frame.kernel ** 2 * frame.abs2
-    # analytic degenerate limit of c_f(rho, rho) q^2 is rho itself
-    deg = np.abs(delta) < 1e-10
-    rho_m = np.broadcast_to(w[..., :, None], summand.shape)
-    summand = np.where(deg, rho_m * frame.abs2, summand)
-    diagonal = np.arange(frame.state.dim)
-    summand[..., diagonal, diagonal] = 0.0
-    classical = _dot(w, (frame.diagonal - frame.mean[..., None]) ** 2)
-    gross = classical + np.sum(summand, axis=(-2, -1))
+    summand = fam.eval_c(family, w_cols, w_rows) * frame.kernel ** 2 * t.abs2
+    # analytic degenerate limit of c_f(rho, rho) q^2 is rho itself, on each side
+    deg = np.abs(np.take(lw, t.rows, axis=-1) - np.take(lw, t.cols, axis=-1)) < 1e-10
+    summand = np.where(deg, w_rows * t.down + w_cols * t.up, summand)
+    classical = _dot(frame.state.weights, (frame.diagonal - frame.mean[..., None]) ** 2)
+    gross = classical + np.sum(summand, axis=-1)
     return _nonnegative(0.25 * gross, 0.25 * gross, "oracle")
 
 
@@ -179,10 +177,7 @@ def _series(frame: _Frame, family: fam.MonotoneFamily, method: str, L: int) -> M
     if L < 1:
         raise ValueError("L must be a positive integer")
     odd = method == "seriesA"
-    if odd:
-        base = float(np.sum(frame.kernel * frame.abs2))
-    else:
-        base = float(np.dot(frame.state.weights, frame.abs2.sum(axis=0)))
+    base = float(frame.filtered() if odd else frame.second_moment)
     coeffs = fam.taylor_coeffs(family, "g" if odd else "g_hat", L)
     radius = (fam.g_series_radius if odd else fam.g_hat_series_radius)(family)
     total = 0.25 * (base - float(frame.mean) ** 2)
@@ -235,8 +230,9 @@ def metric_difference_to_bkm(state: GibbsState, S, family: fam.MonotoneFamily) -
 
 
 def _cross_value(frame_a: _Frame, frame_b: _Frame, g: np.ndarray):
-    """(1/4) sum g W dA dB^T over two frames of one state, for the filter g."""
-    return 0.25 * np.sum(g * frame_a.kernel * frame_a.centered * np.swapaxes(frame_b.centered, -1, -2), axis=(-2, -1))
+    """(1/4) sum g W dA_nm dB_mn over two frames of one state and pairs, for the filter g."""
+    diagonal = (frame_a.table.diagonal - frame_a.mean[..., None]) * (frame_b.table.diagonal - frame_b.mean[..., None])
+    return 0.25 * (_dot(g * frame_a.kernel, _pair_products(frame_a, frame_b)) + _dot(frame_a.state.weights, diagonal))
 
 
 def cross_metric(state: GibbsState, A, B, family: fam.MonotoneFamily) -> complex:
@@ -248,8 +244,8 @@ def cross_metric(state: GibbsState, A, B, family: fam.MonotoneFamily) -> complex
     dA_mn dB_nm rho_m into the log-mean kernel W_mn times dA_mn dB_nm.
     Real for A = B; cross_metric(A, B) = conj(cross_metric(B, A)).
     """
-    frame_a = _Frame(state, A)
-    return complex(_cross_value(frame_a, _Frame(state, B), fam.eval_g(family, frame_a.x)))
+    frame_a, frame_b = _frame_pair(state, A, B)
+    return complex(_cross_value(frame_a, frame_b, fam.eval_g(family, frame_a.x)))
 
 
 def fidelity_susceptibility(state: GibbsState, S) -> float:

@@ -294,8 +294,8 @@ def boson_closed_forms(model: BosonModel, family: fam.MonotoneFamily) -> BosonCl
     frame = _Frame(gibbs_state(T), S)
     K, L = boson_correlators(model)
     half = 0.5 * model.k * model.omega
-    d2_bkm = 0.25 * float(np.sum(frame.kernel * frame.abs2))
-    d2_mc = 0.25 * (float(np.dot(frame.state.weights, frame.abs2.sum(axis=0))) - float(frame.mean) ** 2)
+    d2_bkm = 0.25 * float(frame.filtered())
+    d2_mc = 0.25 * (float(frame.second_moment) - float(frame.mean) ** 2)
     via_nu1 = d2_bkm + 0.25 / half * (1.0 - fam.eval_g(family, half)) * K
     via_nu2 = d2_mc - 0.25 * (1.0 - fam.eval_g_hat(family, half)) * L
     brute = _evaluate(frame, family, "spectral").value

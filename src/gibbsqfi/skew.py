@@ -14,7 +14,7 @@ import numpy as np
 from scipy import integrate
 
 from . import families as fam
-from .dsf import _Frame
+from .dsf import _dot, _Frame
 from .hilbert import GibbsState
 from .metrics import MetricDiagnostics, MetricResult, _nonnegative
 
@@ -35,11 +35,13 @@ class SkewResult:
     alpha: float | None = None
 
 
-def _wyd_value(weights, abs2, alpha: float) -> float:
-    rm = weights[:, None]
-    rn = weights[None, :]
-    gross = float(np.sum(abs2 * (rm - rm ** alpha * rn ** (1.0 - alpha))))
-    return _nonnegative(gross, float(np.sum(abs2 * rm)), "wyd_skew")
+def _wyd_value(frame: _Frame, alpha: float) -> float:
+    """sum |S_nm|^2 (rho_n - rho_n^a rho_m^{1-a}) over the pairs, both ways; the diagonal adds 0."""
+    w_rows, w_cols = frame.pair_weights
+    t = frame.table
+    gross = float(np.sum(t.down * (w_rows - w_rows ** alpha * w_cols ** (1.0 - alpha))
+                         + t.up * (w_cols - w_cols ** alpha * w_rows ** (1.0 - alpha))))
+    return _nonnegative(gross, float(frame.second_moment), "wyd_skew")
 
 
 def wyd_skew(state: GibbsState, S, alpha: float) -> SkewResult:
@@ -50,8 +52,7 @@ def wyd_skew(state: GibbsState, S, alpha: float) -> SkewResult:
     """
     if not 0.0 < alpha < 1.0:
         raise ValueError("alpha must lie in (0, 1)")
-    abs2 = _Frame(state, S).abs2
-    return SkewResult(_wyd_value(state.weights, abs2, alpha), fam.wyd(alpha), alpha)
+    return SkewResult(_wyd_value(_Frame(state, S), alpha), fam.wyd(alpha), alpha)
 
 
 def metric_adjusted_skew(state: GibbsState, S, family: fam.MonotoneFamily) -> SkewResult:
@@ -67,12 +68,11 @@ def metric_adjusted_skew(state: GibbsState, S, family: fam.MonotoneFamily) -> Sk
             f"family {family.label!r} has f(0) = 0 and admits no "
             "metric-adjusted skew information"
         )
-    abs2 = _Frame(state, S).abs2
-    w = state.weights
-    rm = w[:, None]
-    rn = w[None, :]
-    # every term is nonnegative: squared gap over a positive kernel
-    summand = (rm - rn) ** 2 / (rn * fam.eval_f(family, rm / rn)) * abs2
+    frame = _Frame(state, S)
+    w_rows, w_cols = frame.pair_weights
+    # every term is nonnegative: squared gap over a positive kernel, which
+    # is symmetric in (n, m); the diagonal adds 0
+    summand = (w_rows - w_cols) ** 2 / (w_cols * fam.eval_f(family, w_rows / w_cols)) * frame.table.abs2
     value = 0.5 * f0 * float(np.sum(summand))
     alpha = family.param if family.kind == "wyd" else None
     return SkewResult(value, family, alpha)
@@ -88,7 +88,7 @@ def tilde_metric(state: GibbsState, S, family: fam.MonotoneFamily) -> MetricResu
     """
     frame = _Frame(state, S)
     g = fam.eval_g(family, frame.x)
-    gross = float(np.sum(g * frame.kernel * (2.0 * frame.x) ** 2 * frame.abs2))
+    gross = float(_dot(g * frame.kernel * (2.0 * frame.x) ** 2, frame.table.abs2))
     return MetricResult(0.25 * gross, "spectral", MetricDiagnostics())
 
 
@@ -98,10 +98,9 @@ def integrated_wyd(state: GibbsState, S) -> float:
     Equals Var(S) - F_0(dS; dS), i.e. 4 (d^2_MC - d^2_BKM); evaluated by
     adaptive quadrature over cached eigen-data.
     """
-    abs2 = _Frame(state, S).abs2
-    w = state.weights
+    frame = _Frame(state, S)
     value, _ = integrate.quad(
-        lambda a: _wyd_value(w, abs2, a), 0.0, 1.0, epsabs=1e-9, epsrel=1e-10
+        lambda a: _wyd_value(frame, a), 0.0, 1.0, epsabs=1e-9, epsrel=1e-10
     )
     return value
 
@@ -109,5 +108,4 @@ def integrated_wyd(state: GibbsState, S) -> float:
 def variance_minus_duhamel(state: GibbsState, S) -> float:
     """Var(S) - F_0(dS; dS) = <S^2> - sum W |S_mn|^2, matched by integrated_wyd."""
     frame = _Frame(state, S)
-    second = float(np.dot(state.weights, frame.abs2.sum(axis=0)))
-    return second - float(np.sum(frame.kernel * frame.abs2))
+    return float(frame.second_moment) - float(frame.filtered())

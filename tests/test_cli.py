@@ -2,6 +2,7 @@
 
 import csv
 import json
+import warnings
 
 import numpy as np
 import pytest
@@ -215,6 +216,26 @@ class TestMetricJobs:
             assert (spectral["method"], dsf_row["method"]) == ("spectral", "dsf")
             a, b = float(spectral["value"]), float(dsf_row["value"])
             assert np.isfinite(a) and abs(a - b) <= 1e-10 * abs(a)
+
+    def test_uncoupled_infinite_filters_keep_the_metric_finite(self, tmp_path):
+        # spectral range 740: g_har is inf on far pairs, which S_x does not
+        # couple; inf * 0 there used to make the spectral metric nan
+        payload = {
+            "model": {"model": "spin", "S": 200, "omega0": 1.85},
+            "families": ["har", "bkm", "mc"],
+            "methods": ["oracle", "spectral", "dsf"],
+        }
+        out = tmp_path / "table.csv"
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
+            assert main(["metric", "--config", write_config(tmp_path, payload), "--out", str(out)]) == 0
+        # the Gibbs weights below 1e-300 are still clamped; nothing overflows or is invalid
+        assert [str(w.message) for w in caught if "clamped" not in str(w.message)] == []
+        rows = read_csv(out)
+        for family in ("har", "bkm", "mc"):
+            values = [float(r["value"]) for r in rows if r["family"] == family]
+            assert [r["method"] for r in rows if r["family"] == family] == ["oracle", "spectral", "dsf"]
+            assert np.all(np.isfinite(values)) and max(values) - min(values) <= 1e-10 * max(values)
 
     def test_malformed_matrix_cell_exits_2(self, tmp_path, capsys):
         t_path = tmp_path / "T.json"

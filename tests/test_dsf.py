@@ -16,7 +16,7 @@ from gibbsqfi import families as fam
 from gibbsqfi import hilbert as hb
 from gibbsqfi.cli import main
 from gibbsqfi.inequalities import random_instance as gue_instance
-from gibbsqfi.models import SpinModel, spin_build
+from gibbsqfi.models import BosonModel, SpinModel, boson_build, spin_build
 
 SX = np.array([[0, 1], [1, 0]], dtype=complex)
 SY = np.array([[0, -1j], [1j, 0]], dtype=complex)
@@ -107,15 +107,15 @@ class TestBuildDsf:
     def test_unbalanced_rotated_input_rejected(self, qubit):
         # |S_01| != |S_10|: elements that are not Hermitian are caught by
         # the detailed-balance check of the line-spectrum helper
-        abs2 = np.array([[0.0, 1.0], [0.25, 0.0]])
+        s_eig = np.array([[0.0, 1.0], [0.5, 0.0]], dtype=complex)
+        table = dsf._PairTable(qubit.decomposition.eigenvalues, s_eig)
         with pytest.raises(ArithmeticError, match="detailed balance"):
-            dsf._line_spectrum(dsf._Frame(qubit, SX), abs2, 0.0)
+            dsf._Frame(qubit, SX, table=table).dsf
 
     def test_violating_input_rejected(self):
         # the line at omega = -1 must weigh e^{-1} times its partner at +1
-        omegas = np.array([[0.0, 1.0], [-1.0, 0.0]])
         with pytest.raises(ArithmeticError, match="detailed balance"):
-            dsf._check_pair_balance(omegas, np.array([[0.0, 0.5], [0.5, 0.0]]), 0.0)
+            dsf._check_pair_balance(np.array([1.0]), np.array([0.5]), np.array([0.5]), 0.0)
 
     def test_near_equal_frequencies_keep_balance(self):
         # a symmetric tridiagonal T has many Bohr frequencies within 1e-12
@@ -345,6 +345,24 @@ class TestSparseChain:
         functionals = [float(row["functional"]) for row in rows[1:]]
         assert functionals == pytest.approx([2.0 * m for m in reference], rel=1e-13, abs=0.0)
 
+    @pytest.mark.parametrize("build", [
+        lambda: spin_build(SpinModel(20.0, 0.7)),
+        lambda: boson_build(BosonModel(1, 0.8, 40)),
+        lambda: boson_build(BosonModel(2, 0.9, 40)),
+    ], ids=["spin", "boson-k1", "boson-k2"])
+    def test_diagonal_generator_reads_the_diagonal_density(self, monkeypatch, build):
+        # rho_ii = exp(-T_ii - logZ): the chain forms no density matrix
+        T, S = build()
+        state = hb.gibbs_state(T)
+        reference = _dense_chain(state.generator, S, state.rho_matrix(), 12)
+
+        def no_density_matrix(self):
+            raise AssertionError("the chain of a diagonal generator formed the density matrix")
+
+        monkeypatch.setattr(hb.GibbsState, "rho_matrix", no_density_matrix)
+        moments = dsf.commutator_moments(state, S, 12)
+        assert moments == pytest.approx(reference, rel=1e-13, abs=0.0)
+
     def test_dense_generator_stays_dense(self, monkeypatch):
         T, S = gue_instance(np.random.default_rng(11), 12)
         state = hb.gibbs_state(T)
@@ -368,15 +386,15 @@ class TestFrameMembers:
             return wrapped
 
         monkeypatch.setattr(dsf, "commutator_moments", counting("moments", dsf.commutator_moments))
-        monkeypatch.setattr(dsf, "duhamel_weight_matrix", counting("kernel", dsf.duhamel_weight_matrix))
+        monkeypatch.setattr(dsf, "_duhamel_at", counting("kernel", dsf._duhamel_at))
         state, s = random_instance(5, 5)
         frames = [dsf._Frame(state, s, 3), dsf._Frame(state, s, 3)]
         for frame in frames:
-            for name in ("moments", "kernel", "centered", "dsf", "max_omega"):
+            for name in ("moments", "kernel", "pair_weights", "second_moment", "dsf", "max_omega"):
                 assert getattr(frame, name) is getattr(frame, name)
         assert calls == {"moments": 2, "kernel": 2}
         first, second = frames
-        for name in ("moments", "kernel", "centered", "dsf"):
+        for name in ("moments", "kernel", "pair_weights", "dsf"):
             assert getattr(first, name) is not getattr(second, name)
         assert first.moments == second.moments
 

@@ -300,7 +300,7 @@ class TestVerificationSuite:
 
         def skewed(family, x, y):
             c = eval_c(family, x, y)
-            if family == fam.HAR and np.ndim(c) == 3 and c.shape[0] > 2:
+            if family == fam.HAR and np.ndim(c) == 2 and c.shape[0] > 2:
                 c = c.copy()
                 c[2] *= 1.001
             return c

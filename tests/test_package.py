@@ -19,7 +19,10 @@ CLOSED_FORMS = {
     "Var(S)/4": 0.25,
 }
 
-REMOVED = ("NestedCommutator", "nested_commutator", "ObservableInEigenbasis", "write_spectrum_csv")
+REMOVED = (
+    "NestedCommutator", "nested_commutator", "ObservableInEigenbasis", "write_spectrum_csv",
+    "verify_standard", "StandardFunctionReport",
+)
 
 
 def _quick_start() -> str:
