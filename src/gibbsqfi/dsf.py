@@ -17,7 +17,6 @@ import warnings
 from dataclasses import dataclass
 
 import numpy as np
-from scipy import sparse
 
 from .hilbert import GibbsState, _duhamel_at, _exprel_neg, as_operator, to_eigenbasis
 
@@ -39,8 +38,8 @@ _MERGE_TOL = 1e-12  # frequencies closer than this are physically identical
 _PRUNE_REL = 1e-16  # weights this far below the peak are numerical noise
 # pairs closer than this in log weight are reported as degenerate
 _DEGENERATE_WINDOW = 2e-4
-# the commutator chain runs on sparse matrices while at most this share of
-# the entries of T and R_q is nonzero, and on dense arrays after
+# the chain of a non-diagonal T runs on CSR matrices while at most this
+# share of the entries of T and R_q is nonzero, and on dense arrays after
 _SPARSE_DENSITY = 0.1
 
 
@@ -360,46 +359,56 @@ def moment(Q: LineSpectrum, p: int) -> float:
     return float(np.sum(Q.omegas ** p * Q.weights))
 
 
+def _chain_traces(state: GibbsState, S_matrix: np.ndarray):
+    """tr(R_q P), q = 0, 1, ...: a diagonal T keeps R_q = t_i R - R t_j at the nonzero entries of S.
+
+    Its P = S rho reads rho_ii = exp(-T_ii - logZ).  Another T's P reads the
+    density matrix and its chain runs on CSR while T and R_q are sparse (a
+    banded T widens the band each order), then on dense arrays.
+    """
+    T_matrix = state.generator
+    diagonal = np.diagonal(T_matrix, axis1=-2, axis2=-1)
+    nonzero = np.count_nonzero(T_matrix)
+    if nonzero == np.count_nonzero(diagonal):
+        # gathered with np.take, in C order, so a stack sums as its matrices do
+        n, flat = diagonal.shape[-1], S_matrix.reshape(*S_matrix.shape[:-2], -1)
+        rows, cols = np.nonzero(np.any(flat.reshape(-1, n, n) != 0.0, axis=0))
+        rho = np.exp(-diagonal.real - np.asarray(state.logZ)[..., None])
+        R = np.take(flat, rows * n + cols, axis=-1)
+        P_transposed = np.take(flat, cols * n + rows, axis=-1) * np.take(rho, rows, axis=-1)
+        t_rows, t_cols = np.take(diagonal, rows, axis=-1), np.take(diagonal, cols, axis=-1)
+        while True:
+            yield np.sum(R * P_transposed, axis=-1)
+            R = t_rows * R - R * t_cols
+    P_transposed = np.swapaxes(S_matrix @ state.rho_matrix(), -1, -2)
+    R, limit = S_matrix, _SPARSE_DENSITY * S_matrix.shape[-1] ** 2
+    if S_matrix.ndim == 2 and max(nonzero, np.count_nonzero(S_matrix)) <= limit:
+        from scipy import sparse
+        T, R = sparse.csr_array(T_matrix), sparse.csr_array(S_matrix)
+        while R.nnz <= limit:
+            yield R.multiply(P_transposed).sum()
+            R = T @ R - R @ T
+        R = R.toarray()
+    while True:
+        yield np.sum(R * P_transposed, axis=(-2, -1))
+        R = T_matrix @ R - R @ T_matrix
+
+
 def commutator_moments(state: GibbsState, S, order: int) -> list:
     """Moments M_q = (-1)^q <R_q(S) S>, q = 0..order, from iterated commutators.
 
     R_q = [T, R_{q-1}] stays in the original basis and reads the generator
     as given, independent of the eigenvectors behind ``moment``.
-    <R_q S> = tr(R_q P) with P = S rho; for a diagonal T, rho is the
-    diagonal exp(-T_ii - logZ), so the chain reads no eigenvectors (else
-    P reads the density matrix).  While T and R_q have at most a
-    share _SPARSE_DENSITY of nonzero entries the chain runs on CSR
-    matrices (a diagonal T keeps R_q as sparse as S; a banded T widens the
-    band each order), and from the first denser R_q on dense arrays.  The
-    state of a stack runs one dense chain for the whole stack, and each
-    moment is an array over it.  A moment that is not finite raises
-    OverflowError naming its order.  This is the one commutator chain:
-    functional_F, sum_rule_report and the metric series all read it.
+    <R_q S> = tr(R_q P) with P = S rho (_chain_traces).  The state of a
+    stack runs one chain for the whole stack, and each moment is an array
+    over it.  A moment that is not finite raises OverflowError naming its
+    order.  This is the one commutator chain: functional_F,
+    sum_rule_report and the metric series all read it.
     """
-    S_matrix = as_operator(S).matrix
-    T_matrix = state.generator
-    limit = _SPARSE_DENSITY * S_matrix.shape[-1] ** 2
-    nonzero = np.count_nonzero(T_matrix)
-    sparse_chain = S_matrix.ndim == 2 and max(nonzero, np.count_nonzero(S_matrix)) <= limit
-    T = sparse.csr_array(T_matrix) if sparse_chain else T_matrix
-    R = sparse.csr_array(S_matrix) if sparse_chain else S_matrix
-    diagonal = np.diagonal(T_matrix, axis1=-2, axis2=-1)
-    if nonzero == np.count_nonzero(diagonal):
-        P = S_matrix * np.exp(-diagonal.real - np.asarray(state.logZ)[..., None])[..., None, :]
-    else:
-        P = S_matrix @ state.rho_matrix()
-    P_transposed = np.swapaxes(P, -1, -2)
-    out = []
+    out, traces = [], _chain_traces(state, as_operator(S).matrix)
     for q in range(order + 1):
-        if q > 0:
-            R = T @ R - R @ T
-            if sparse_chain and R.nnz > limit:
-                sparse_chain = False
-                T, R = T_matrix, R.toarray()
-        value = np.asarray(
-            R.multiply(P_transposed).sum() if sparse_chain else np.sum(R * P_transposed, axis=(-2, -1)),
-            dtype=complex,
-        )
+        with np.errstate(over="ignore", invalid="ignore"):  # a non-finite moment raises below
+            value = np.asarray(next(traces), dtype=complex)
         bad = ~np.isfinite(value)
         if np.any(bad):
             raise OverflowError(f"commutator moment M_{q} is not finite ({float(value.real[bad][0])!r})")

@@ -39,7 +39,6 @@ from dataclasses import dataclass
 
 import mpmath
 import numpy as np
-from scipy.special import exprel
 
 from .hilbert import _exprel_neg
 
@@ -262,7 +261,7 @@ def eval_g_hat(family: MonotoneFamily, x):
 
 
 def eval_f(family: MonotoneFamily, x):
-    """The standard operator monotone function f at x > 0.
+    """The standard operator monotone function f at finite x > 0.
 
     Removable singularities (x = 1 for BKM, MC, WYD, power-difference) are
     evaluated through exprel(u) = (e^u - 1)/u, so no accuracy is lost near
@@ -270,10 +269,15 @@ def eval_f(family: MonotoneFamily, x):
     """
     _require_single(family)
     x_arr = np.asarray(x, dtype=float)
-    if np.any(x_arr <= 0.0):
-        raise ValueError("operator monotone functions are defined for x > 0")
+    if not np.all((x_arr > 0.0) & (x_arr < np.inf)):
+        raise ValueError("operator monotone functions are defined for finite x > 0")
     out = _f(family.kind, family.param, x_arr)
     return float(out) if np.ndim(out) == 0 else out
+
+
+def _exprel(u):
+    """exprel(u) = (e^u - 1)/u as e^{max(u, 0)} times the kernel _exprel_neg(|u|)."""
+    return np.exp(np.maximum(u, 0.0)) * _exprel_neg(np.abs(u))
 
 
 def _f(k: str, p, x_arr: np.ndarray) -> np.ndarray:
@@ -286,18 +290,20 @@ def _f(k: str, p, x_arr: np.ndarray) -> np.ndarray:
         return np.sqrt(x_arr)
     u = np.log(x_arr)
     if k == "bkm":
-        return exprel(u)
+        return _exprel(u)
     if k == "mc":
         # never square exprel(u): it overflows for u above about 355
-        e = exprel(u)
+        e = _exprel(u)
         return e * (2.0 * e / (x_arr + 1.0))
     if k == "wyd":
         # alpha*(1-alpha)*(x-1)^2 / ((x^a - 1)(x^{1-a} - 1)); the
         # prefactor cancels against the u-factors of the exprel forms
-        e = exprel(u)
-        return (e / exprel(p * u)) * (e / exprel((1.0 - p) * u))
-    # pdiff: (p-1)/p * (x^p - 1)/(x^{p-1} - 1), limits included
-    return exprel(p * u) / exprel((p - 1.0) * u)
+        e = _exprel(u)
+        return (e / _exprel(p * u)) * (e / _exprel((1.0 - p) * u))
+    # pdiff: (p-1)/p * (x^p - 1)/(x^{p-1} - 1), limits included, as
+    # exprel(a)/exprel(b) with one exponential, which cannot overflow
+    a, b = p * u, (p - 1.0) * u
+    return np.exp(np.maximum(a, 0.0) - np.maximum(b, 0.0)) * (_exprel_neg(np.abs(a)) / _exprel_neg(np.abs(b)))
 
 
 def eval_f_at_zero(family: MonotoneFamily) -> float:

@@ -11,7 +11,6 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
-from scipy import integrate
 
 from . import families as fam
 from .dsf import _dot, _Frame
@@ -98,6 +97,7 @@ def integrated_wyd(state: GibbsState, S) -> float:
     Equals Var(S) - F_0(dS; dS), i.e. 4 (d^2_MC - d^2_BKM); evaluated by
     adaptive quadrature over cached eigen-data.
     """
+    from scipy import integrate
     frame = _Frame(state, S)
     value, _ = integrate.quad(
         lambda a: _wyd_value(frame, a), 0.0, 1.0, epsabs=1e-9, epsrel=1e-10

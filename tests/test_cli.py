@@ -237,6 +237,27 @@ class TestMetricJobs:
             assert [r["method"] for r in rows if r["family"] == family] == ["oracle", "spectral", "dsf"]
             assert np.all(np.isfinite(values)) and max(values) - min(values) <= 1e-10 * max(values)
 
+    @pytest.mark.parametrize("spread", [450.0, 600.0, 680.0])
+    def test_negative_power_oracle_past_the_exprel_range(self, tmp_path, spread):
+        # log-weight gaps past 709/(1 - p) = 417 for p = -0.7: exprel((p - 1) u)
+        # alone underflows there, and the oracle used to divide by the 0
+        T, S = random_instance(np.random.default_rng(1), 6, spread=spread)
+        hb.write_operator_json(T, tmp_path / "T.json")
+        hb.write_operator_json(S, tmp_path / "S.json")
+        payload = {
+            "model": {"T": str(tmp_path / "T.json"), "S": str(tmp_path / "S.json")},
+            "families": ["pdiff:-0.7"],
+            "methods": ["oracle", "spectral", "dsf"],
+        }
+        out = tmp_path / "table.csv"
+        with warnings.catch_warnings():
+            warnings.simplefilter("error", RuntimeWarning)
+            assert main(["metric", "--config", write_config(tmp_path, payload), "--out", str(out)]) == 0
+        rows = read_csv(out)
+        assert [r["method"] for r in rows] == ["oracle", "spectral", "dsf"]
+        values = [float(r["value"]) for r in rows]
+        assert np.all(np.isfinite(values)) and max(values) - min(values) <= 1e-10 * max(values)
+
     def test_malformed_matrix_cell_exits_2(self, tmp_path, capsys):
         t_path = tmp_path / "T.json"
         s_path = tmp_path / "S.json"

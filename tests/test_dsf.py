@@ -4,8 +4,8 @@ import csv
 import json
 import math
 import threading
+import warnings
 from concurrent.futures import ThreadPoolExecutor
-from types import SimpleNamespace
 
 import numpy as np
 import pytest
@@ -296,8 +296,8 @@ def _count_chain_storage(monkeypatch):
         counts["to_dense"] += 1
         return toarray(self, *args, **kwargs)
 
-    monkeypatch.setattr(dsf, "sparse", SimpleNamespace(csr_array=to_sparse))
-    monkeypatch.setattr(sparse.csr_array, "toarray", to_dense)
+    monkeypatch.setattr(csr, "toarray", to_dense)
+    monkeypatch.setattr(sparse, "csr_array", to_sparse)
     return counts
 
 
@@ -306,15 +306,17 @@ def _tridiagonal(rng, dim):
 
 
 class TestSparseChain:
-    """The chain runs sparse while T and R_q are, dense after, and gives
-    the moments of the all-dense chain to 1e-13 relative."""
+    """A diagonal generator keeps the chain at the entries S couples, any
+    other runs on CSR while T and R_q are sparse and dense after, and every
+    chain gives the moments of the all-dense chain to 1e-13 relative."""
 
     def test_diagonal_generator_stays_sparse(self, monkeypatch):
+        # R_q[i, j] = t_i R - R t_j at the nonzero entries of S: no CSR at all
         T, S = spin_build(SpinModel(30.0, 1.0))
         state = hb.gibbs_state(0.4 * T.matrix)
         counts = _count_chain_storage(monkeypatch)
         moments = dsf.commutator_moments(state, S, 12)
-        assert counts == {"to_sparse": 2, "to_dense": 0}
+        assert counts == {"to_sparse": 0, "to_dense": 0}
         reference = _dense_chain(state.generator, S, state.rho_matrix(), 12)
         assert moments == pytest.approx(reference, rel=1e-13, abs=0.0)
 
@@ -371,6 +373,19 @@ class TestSparseChain:
         assert counts == {"to_sparse": 0, "to_dense": 0}
         reference = _dense_chain(T, S, state.rho_matrix(), 9)
         assert moments == pytest.approx(reference, rel=1e-13, abs=0.0)
+
+    @pytest.mark.parametrize("build", [
+        lambda: spin_build(SpinModel(3.0, 2.0)),
+        lambda: gue_instance(np.random.default_rng(11), 7, spread=10.0),
+    ], ids=["diagonal", "dense"])
+    def test_overflowing_chain_raises_without_warnings(self, build):
+        # R_q grows like the largest Bohr frequency to the q: M_1023 of the spin is past double range
+        T, S = build()
+        state = hb.gibbs_state(T)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(OverflowError, match="is not finite"):
+                dsf.commutator_moments(state, S, 1100)
 
 
 class TestFrameMembers:

@@ -129,7 +129,8 @@ class TestEvalF:
                 assert fam.eval_c(family, 1.0, x) == pytest.approx(float(1 / ref), rel=1e-12)
 
     def test_domain_error(self):
-        for bad in (0.0, -1.0):
+        # f(inf) would read e^inf times a kernel of 0
+        for bad in (0.0, -1.0, math.inf, math.nan):
             with pytest.raises(ValueError):
                 fam.eval_f(fam.BKM, bad)
 
@@ -404,6 +405,24 @@ class TestFilterReference:
                 assert error <= 1e-13, f"x={x}: {value} against {reference}"
             else:
                 assert value == math.inf or value > 1e299, f"x={x}: {value}"
+
+    US = [sign * u for u in (1e-12, 1e-3, 30.0, 300.0, 700.0) for sign in (1.0, -1.0)]
+
+    @pytest.mark.parametrize("family", [
+        fam.BKM, fam.MC, fam.wyd(0.3), fam.power_difference(-0.7), fam.power_difference(1.3),
+    ], ids=lambda f: f.label)
+    def test_f_through_exprel_matches_reference(self, family):
+        # g_f(u/2) = exprel(u) / f(e^u), so f at x = e^u reads the same
+        # reference; c_f(1, x) = 1/f(x) is what the oracle sums
+        x = np.exp(self.US)
+        with np.errstate(over="raise", invalid="raise", divide="raise"):
+            values, inverses = fam.eval_f(family, x), fam.eval_c(family, 1.0, x)
+        for u, value, inverse in zip(self.US, values, inverses):
+            with mpmath.workdps(50):
+                reference = mpmath.expm1(u) / u / sinhc_ratio_reference(family, 0.5 * u)
+            for got, expected in ((value, reference), (inverse, 1 / reference)):
+                error = abs(mpmath.mpf(float(got)) - expected) / expected
+                assert error <= 1e-13, f"u={u}: {got} against {expected}"
 
     def test_overflow_is_inf_only_past_double_range(self):
         # g_HAR(x) = sinhc(2x) ~ e^{2x}/(4x) passes 1.8e308 near x = 358.5

@@ -1,8 +1,11 @@
-"""Package surface: the README quick start runs, and every exported name resolves."""
+"""Package surface: the README quick start runs, every exported name resolves, and CLI jobs load no scipy."""
 
 import importlib
+import json
 import math
 import pkgutil
+import subprocess
+import sys
 from pathlib import Path
 
 import pytest
@@ -63,3 +66,39 @@ def test_removed_names_are_gone():
     assert not hasattr(hb.GibbsState, "generator_matrix")
     assert not hasattr(dsf.LineSpectrum, "elastic_weight")
     assert not hasattr(dsf.LineSpectrum, "total_weight")
+
+
+# the CLI's jobs, run in a fresh interpreter, which then lists the scipy modules it loaded
+COLD_START = """
+import json, sys
+from pathlib import Path
+import numpy as np
+import gibbsqfi
+from gibbsqfi import cli, hilbert as hb
+from gibbsqfi.inequalities import random_instance
+
+work = Path(sys.argv[1])
+T, S = random_instance(np.random.default_rng(0), 12)
+hb.write_operator_json(T, work / "T.json")
+hb.write_operator_json(S, work / "S.json")
+jobs = [
+    ("sweep", {"model": {"model": "spin", "S": 20, "omega0": 1.0}, "families": ["bkm", "wyd:0.3"],
+               "methods": ["oracle", "spectral", "dsf", "seriesA:6"],
+               "sweep": {"parameter": "omega0", "grid": [0.5, 1.0]}}),
+    ("metric", {"model": {"model": "boson", "k": 1, "omega": 1.0, "cutoff": 40}, "families": ["bkm", "mc"],
+                "methods": ["oracle", "spectral", "dsf", "seriesA:6"]}),
+    ("sweep", {"model": {"T": str(work / "T.json"), "S": str(work / "S.json")}, "families": ["bkm", "mc"],
+               "methods": ["oracle", "spectral", "dsf"], "sweep": {"parameter": "beta", "grid": [0.5, 1.0]}}),
+]
+codes = [cli.main(["verify", "--trials", "20", "--out", str(work / "verify.json")])]
+for i, (command, config) in enumerate(jobs):
+    (work / f"job{i}.json").write_text(json.dumps(config))
+    codes.append(cli.main([command, "--config", str(work / f"job{i}.json"), "--out", str(work / f"out{i}.csv")]))
+print(json.dumps({"codes": codes, "scipy": sorted(m for m in sys.modules if m.startswith("scipy"))}))
+"""
+
+
+def test_cli_jobs_load_no_scipy(tmp_path):
+    # verify, a spin sweep with every route, a boson metric and a matrix-file sweep
+    run = subprocess.run([sys.executable, "-c", COLD_START, str(tmp_path)], capture_output=True, text=True, check=True)
+    assert json.loads(run.stdout.splitlines()[-1]) == {"codes": [0, 0, 0, 0], "scipy": []}
