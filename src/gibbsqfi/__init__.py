@@ -40,7 +40,6 @@ from .dsf import (
     LineSpectrum,
     bogoliubov_duhamel,
     bogoliubov_duhamel_quadrature,
-    build_cross_dsf,
     build_dsf,
     chi_lines,
     commutator_moments,
@@ -79,11 +78,10 @@ from .inequalities import (
 from .models import (
     BosonModel,
     SpinModel,
-    boson_build,
     boson_closed_forms,
     boson_constant_report,
     boson_correlators,
-    spin_build,
+    build_model,
     spin_matrices,
     spin_ratio_property,
 )

@@ -2,8 +2,7 @@
 
 Jobs are described by a JSON config; outputs are CSV (tables) or JSON
 (reports) and are a pure function of (config, seed), so reruns are
-byte-identical.  QFI_NUM_THREADS caps the worker threads used for sweep
-points; results are emitted in canonical order regardless.
+byte-identical.  Sweep points run one after another, in grid order.
 """
 
 from __future__ import annotations
@@ -14,9 +13,7 @@ import csv
 import io
 import json
 import math
-import os
 import sys
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import asdict, dataclass
 
 from . import families as fam
@@ -176,7 +173,10 @@ def _resolve_model(model: dict, m):
     frequency * T, and frequency is 1 for matrix files (m is None).
     """
     if m is not None:
-        return (*m.unit_matrices(), m.frequency)
+        try:
+            return (*m.unit_matrices(), m.frequency)
+        except ValueError as exc:  # numpy refuses a dimension past its size limit
+            raise UsageError(f"{model['model']} model: {exc}") from None
     try:
         T, _ = read_operator_json(model["T"])
         S, _ = read_operator_json(model["S"])
@@ -256,15 +256,6 @@ def _rows_for_point(config: JobConfig, point, state, S, table):
     return rows
 
 
-def _worker_count() -> int:
-    """Worker threads from QFI_NUM_THREADS (default 1; unparsable means 1)."""
-    raw = os.environ.get("QFI_NUM_THREADS", "1")
-    try:
-        return max(1, int(raw))
-    except ValueError:
-        return 1
-
-
 def run_metric_job(config: JobConfig) -> tuple[list[dict], list[str]]:
     """All output rows for a job, in canonical order, plus warnings.
 
@@ -280,19 +271,12 @@ def run_metric_job(config: JobConfig) -> tuple[list[dict], list[str]]:
     basis = _decompose(T)
     table = _PairTable(basis.eigenvalues, to_eigenbasis(basis, S))
 
-    def job(point, model):
+    rows = []
+    for point, model in zip(points, models):
         beta = point[1] if point[0] == "beta" else config.beta
         c = beta * (1.0 if model is None else model.frequency)
-        state = _gibbs(basis, T, c, _label(point) or f"beta={beta:g}")
-        return _rows_for_point(config, point, state, S, table)
-
-    threads = _worker_count()
-    if threads > 1 and len(points) > 1:
-        with ThreadPoolExecutor(max_workers=threads) as pool:
-            per_point = list(pool.map(job, points, models))
-    else:
-        per_point = [job(p, m) for p, m in zip(points, models)]
-    rows = [row for chunk in per_point for row in chunk]
+        # the state is not kept past its point, so it is freed before the next point's state is built
+        rows += _rows_for_point(config, point, _gibbs(basis, T, c, _label(point) or f"beta={beta:g}"), S, table)
     warnings = [
         f"series truncation outside convergence radius: {row['family']} {row['method']} {row['parameter']}"
         for row in rows

@@ -15,6 +15,7 @@ from __future__ import annotations
 
 import warnings
 from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 
@@ -23,7 +24,6 @@ from .hilbert import GibbsState, _duhamel_at, _exprel_neg, as_operator, to_eigen
 __all__ = [
     "LineSpectrum",
     "build_dsf",
-    "build_cross_dsf",
     "moment",
     "commutator_moments",
     "functional_F",
@@ -38,32 +38,6 @@ _MERGE_TOL = 1e-12  # frequencies closer than this are physically identical
 _PRUNE_REL = 1e-16  # weights this far below the peak are numerical noise
 # pairs closer than this in log weight are reported as degenerate
 _DEGENERATE_WINDOW = 2e-4
-# the chain of a non-diagonal T runs on CSR matrices while at most this
-# share of the entries of T and R_q is nonzero, and on dense arrays after
-_SPARSE_DENSITY = 0.1
-
-
-class _lazy:
-    """A member computed on first read and then stored on the instance.
-
-    Like functools.cached_property, but without its lock: before Python
-    3.12 that lock is shared by every instance, which serializes frames
-    that threads build at the same time.  A frame, and the structure
-    factor it builds, belong to one thread.
-    """
-
-    def __init__(self, compute):
-        self.compute = compute
-        self.__doc__ = compute.__doc__
-
-    def __set_name__(self, owner, name):
-        self.name = name
-
-    def __get__(self, instance, owner=None):
-        if instance is None:
-            return self
-        value = instance.__dict__[self.name] = self.compute(instance)
-        return value
 
 
 def _line_kernel(omegas: np.ndarray, weights: np.ndarray) -> np.ndarray:
@@ -83,8 +57,7 @@ class LineSpectrum:
     """Finite list of (Bohr frequency, weight) lines, sorted by frequency.
 
     kind "diagonal" holds Q_S with nonnegative real weights obeying
-    detailed balance Q(-w) = exp(-w) Q(w); kind "cross" holds the complex
-    pair spectrum of (delta A, delta B); kind "chi" holds the odd line
+    detailed balance Q(-w) = exp(-w) Q(w); kind "chi" holds the odd line
     representation of the dissipative response chi''/pi.
     """
 
@@ -94,7 +67,7 @@ class LineSpectrum:
     dim: int
     mean_s: float = 0.0
 
-    @_lazy
+    @cached_property
     def kernel(self) -> np.ndarray:
         """The _line_kernel of the lines, which every family's line sum reads."""
         return _line_kernel(self.omegas, self.weights)
@@ -176,7 +149,7 @@ class _PairTable:
         n = a.shape[-1]
         return np.take(flat, self.rows * n + self.cols, axis=-1), np.take(flat, self.cols * n + self.rows, axis=-1)
 
-    @_lazy
+    @cached_property
     def order(self) -> np.ndarray:
         """Order of T's lines (pairs at +omega, at -omega, the diagonal), which c * T keeps for c > 0.
 
@@ -218,18 +191,18 @@ class _Frame:
         """Real diagonal S_nn of the eigenbasis elements."""
         return self.table.diagonal.real
 
-    @_lazy
+    @cached_property
     def pair_weights(self) -> tuple:
         """Gibbs weights (rho_n, rho_m) at the pairs (n, m)."""
         w = self.state.weights
         return np.take(w, self.table.rows, axis=-1), np.take(w, self.table.cols, axis=-1)
 
-    @_lazy
+    @cached_property
     def kernel(self) -> np.ndarray:
         """The Duhamel kernel W of the state at the pairs."""
         return _duhamel_at(self.state, self.table.rows, self.table.cols)
 
-    @_lazy
+    @cached_property
     def on_diagonal(self):
         """sum_n rho_n |S_nn|^2: the diagonal, where every filter is 1 and W_nn = rho_n."""
         return _dot(self.state.weights, np.abs(self.table.diagonal) ** 2)
@@ -238,13 +211,13 @@ class _Frame:
         """sum g W |S_nm|^2 over every (n, m), for the filter g at the pairs; F_0(S; S) for g = 1."""
         return _dot(g * self.kernel, self.table.abs2) + self.on_diagonal
 
-    @_lazy
+    @cached_property
     def second_moment(self):
         """<S^2> = sum rho_m |S_nm|^2."""
         w_rows, w_cols = self.pair_weights
         return _dot(w_cols, self.table.down) + _dot(w_rows, self.table.up) + self.on_diagonal
 
-    @_lazy
+    @cached_property
     def lines(self) -> tuple:
         """Line weights rho_m |S_nm|^2 at omega_nm and rho_n |S_mn|^2 at -omega_nm, balance checked.
 
@@ -255,18 +228,18 @@ class _Frame:
         _check_pair_balance(2.0 * self.x, positive, negative, 16 * np.finfo(float).eps * self.table.peak[..., None])
         return positive, negative
 
-    @_lazy
+    @cached_property
     def dsf(self) -> LineSpectrum:
         return _assemble(self, *self.lines, self.state.weights * np.abs(self.table.diagonal) ** 2, "diagonal", self.mean)
 
-    @_lazy
+    @cached_property
     def max_omega(self):
         """Largest |T_n - T_m| over the pairs where S has an element above 1e-14 of its largest."""
         t = self.table
         coupled = np.maximum(t.down, t.up) > 1e-28 * t.peak[..., None]
         return np.max(np.where(coupled, 2.0 * self.x, 0.0), axis=-1, initial=0.0)
 
-    @_lazy
+    @cached_property
     def moments(self) -> list:
         """M_0..M_chain_order from one commutator chain."""
         return commutator_moments(self.state, self.S, self.chain_order)
@@ -291,16 +264,15 @@ def _pair_products(frame_a: _Frame, frame_b: _Frame) -> np.ndarray:
     return a_down * b_up + a_up * b_down
 
 
-def _check_pair_balance(omega, positive, negative, floor, kind: str = "diagonal"):
+def _check_pair_balance(omega, positive, negative, floor):
     """Detailed balance pair by pair: the line at -w weighs e^{-w} times the one at w.
 
     ``positive`` is the weight at each pair's ``omega`` >= 0 and
-    ``negative`` its partner's at -omega; a "cross" partner is e^{-w}
-    times the conjugate.  ``floor`` is the absolute slack.  Checked before
-    lines are merged, so nearly equal frequencies cannot pair up
-    differently at w and -w.
+    ``negative`` its partner's at -omega; ``floor`` is the absolute slack.
+    Checked before lines are merged, so nearly equal frequencies cannot
+    pair up differently at w and -w.
     """
-    expected = np.exp(-omega) * (np.conj(positive) if kind == "cross" else positive)
+    expected = np.exp(-omega) * positive
     bad = (omega > _MERGE_TOL) & (np.abs(negative - expected) > 1e-12 * np.abs(positive) + floor)
     if np.any(bad):
         raise ArithmeticError(
@@ -321,19 +293,6 @@ def build_dsf(state: GibbsState, S, centered: bool = False) -> LineSpectrum:
         elastic = state.weights * np.abs(frame.table.diagonal - frame.mean) ** 2
         return _assemble(frame, *frame.lines, elastic, "diagonal", 0.0)
     return frame.dsf
-
-
-def build_cross_dsf(state: GibbsState, A, B) -> LineSpectrum:
-    """Cross spectrum with weights <n|dA|m><m|dB|n> rho_m for Hermitian A, B."""
-    frame_a, frame_b = _frame_pair(state, A, B)
-    (a_down, a_up), (b_down, b_up) = map(frame_a.table.gather, (frame_a.table.s_eig, frame_b.table.s_eig))
-    w_rows, w_cols = frame_a.pair_weights
-    # pair (n, m): <n|dA|m> <m|dB|n> rho_m at omega_nm and its partner at -omega_nm
-    positive, negative = a_down * b_up * w_cols, a_up * b_down * w_rows
-    diagonal = (frame_a.table.diagonal - frame_a.mean) * (frame_b.table.diagonal - frame_b.mean) * state.weights
-    floor = 16 * np.finfo(float).eps * float(np.sqrt(frame_a.table.peak * frame_b.table.peak))
-    _check_pair_balance(2.0 * frame_a.x, positive, negative, floor, "cross")
-    return _assemble(frame_a, positive, negative, diagonal, "cross", 0.0)
 
 
 def moment(Q: LineSpectrum, p: int) -> float:
@@ -363,13 +322,11 @@ def _chain_traces(state: GibbsState, S_matrix: np.ndarray):
     """tr(R_q P), q = 0, 1, ...: a diagonal T keeps R_q = t_i R - R t_j at the nonzero entries of S.
 
     Its P = S rho reads rho_ii = exp(-T_ii - logZ).  Another T's P reads the
-    density matrix and its chain runs on CSR while T and R_q are sparse (a
-    banded T widens the band each order), then on dense arrays.
+    density matrix and its chain runs on dense arrays.
     """
     T_matrix = state.generator
     diagonal = np.diagonal(T_matrix, axis1=-2, axis2=-1)
-    nonzero = np.count_nonzero(T_matrix)
-    if nonzero == np.count_nonzero(diagonal):
+    if np.count_nonzero(T_matrix) == np.count_nonzero(diagonal):
         # gathered with np.take, in C order, so a stack sums as its matrices do
         n, flat = diagonal.shape[-1], S_matrix.reshape(*S_matrix.shape[:-2], -1)
         rows, cols = np.nonzero(np.any(flat.reshape(-1, n, n) != 0.0, axis=0))
@@ -380,15 +337,7 @@ def _chain_traces(state: GibbsState, S_matrix: np.ndarray):
         while True:
             yield np.sum(R * P_transposed, axis=-1)
             R = t_rows * R - R * t_cols
-    P_transposed = np.swapaxes(S_matrix @ state.rho_matrix(), -1, -2)
-    R, limit = S_matrix, _SPARSE_DENSITY * S_matrix.shape[-1] ** 2
-    if S_matrix.ndim == 2 and max(nonzero, np.count_nonzero(S_matrix)) <= limit:
-        from scipy import sparse
-        T, R = sparse.csr_array(T_matrix), sparse.csr_array(S_matrix)
-        while R.nnz <= limit:
-            yield R.multiply(P_transposed).sum()
-            R = T @ R - R @ T
-        R = R.toarray()
+    P_transposed, R = np.swapaxes(S_matrix @ state.rho_matrix(), -1, -2), S_matrix
     while True:
         yield np.sum(R * P_transposed, axis=(-2, -1))
         R = T_matrix @ R - R @ T_matrix

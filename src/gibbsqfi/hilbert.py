@@ -2,10 +2,9 @@
 
 Everything is exact diagonalization at desk scale (dims up to a few
 thousand): operators, eigenvectors and the density matrix are stored
-dense; only the commutator chain in ``dsf`` runs on sparse matrices while
-the generator and the observable are sparse.  The inverse temperature is
-absorbed into the generator: a Gibbs state is rho = exp(-T)/Z for a
-Hermitian T, so callers that think in (H, beta) should pass beta*H.
+dense.  The inverse temperature is absorbed into the generator: a Gibbs
+state is rho = exp(-T)/Z for a Hermitian T, so callers that think in
+(H, beta) should pass beta*H.
 """
 
 from __future__ import annotations
@@ -28,7 +27,6 @@ __all__ = [
     "thermal_average",
     "to_eigenbasis",
     "solve_xst",
-    "duhamel_weight_matrix",
     "read_operator_json",
     "write_operator_json",
 ]
@@ -276,19 +274,13 @@ def solve_xst(T, S) -> tuple[np.ndarray, SpectralDecomposition]:
     return X, decomposition
 
 
-def duhamel_weight_matrix(state: GibbsState) -> np.ndarray:
-    """The stable kernel W[m, n] = (rho_n - rho_m)/(ln rho_n - ln rho_m).
+def _duhamel_at(state: GibbsState, rows: np.ndarray, cols: np.ndarray) -> np.ndarray:
+    """The stable kernel W[m, n] = (rho_n - rho_m)/(ln rho_n - ln rho_m) at the index pairs (rows, cols), in C order.
 
     Evaluated as the larger weight times _exprel_neg(|ln rho_n - ln rho_m|),
     a factor in (0, 1] that cannot overflow and has the analytic degenerate
-    limit W[m, m] = rho_m.  Equals sqrt(rho_m rho_n) * sinhc(x)
-    with x = (ln rho_n - ln rho_m)/2.
+    limit W[m, m] = rho_m.
     """
-    return _duhamel_at(state, *np.indices((state.dim, state.dim)))
-
-
-def _duhamel_at(state: GibbsState, rows: np.ndarray, cols: np.ndarray) -> np.ndarray:
-    """The Duhamel kernel at the index pairs (rows, cols) only, in C order."""
     w_rows, w_cols, lw_rows, lw_cols = (np.take(v, i, axis=-1) for v in (state.weights, state.log_weights) for i in (rows, cols))
     return np.maximum(w_rows, w_cols) * _exprel_neg(np.abs(lw_rows - lw_cols))
 

@@ -239,9 +239,9 @@ def cross_metric(state: GibbsState, A, B, family: fam.MonotoneFamily) -> complex
     """Cross metric d^2_f(dA, dB): (1/4) sum g_f(x_mn) W_mn dA_mn dB_nm.
 
     The pair-spectrum sum (1/8) sum_j (w/2)^{-1} tanh(w/2) g_f(w/2)
-    (1 + e^{-w}) q_j of build_cross_dsf, line by line: the tanh/cotanh
-    factors collapse to (1 - e^{-w})/w, which turns the line weight
-    dA_mn dB_nm rho_m into the log-mean kernel W_mn times dA_mn dB_nm.
+    (1 + e^{-w}) q_j over the cross lines q_j = dA_mn dB_nm rho_m, line by
+    line: the tanh/cotanh factors collapse to (1 - e^{-w})/w, which turns
+    the line weight into the log-mean kernel W_mn times dA_mn dB_nm.
     Real for A = B; cross_metric(A, B) = conj(cross_metric(B, A)).
     """
     frame_a, frame_b = _frame_pair(state, A, B)

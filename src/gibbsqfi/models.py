@@ -21,11 +21,10 @@ from .metrics import _evaluate
 __all__ = [
     "SpinModel",
     "BosonModel",
+    "build_model",
     "spin_matrices",
-    "spin_build",
     "SpinRatioReport",
     "spin_ratio_property",
-    "boson_build",
     "boson_correlators",
     "BosonConstantsReport",
     "boson_constant_report",
@@ -43,10 +42,10 @@ class SpinModel:
 
     def __post_init__(self):
         doubled = 2.0 * self.s
-        if doubled < 1.0 or abs(doubled - round(doubled)) > 1e-12:
+        if not 1.0 <= doubled < math.inf or abs(doubled - round(doubled)) > 1e-12:
             raise ValueError("s must be a half-integer >= 1/2")
-        if self.omega0 <= 0.0:
-            raise ValueError("omega0 must be positive")
+        if not 0.0 < self.omega0 < math.inf:
+            raise ValueError("omega0 must be positive and finite")
 
     @property
     def dim(self) -> int:
@@ -76,12 +75,6 @@ def spin_matrices(s: float):
     sx = 0.5 * (sp + sm)
     sy = -0.5j * (sp - sm)
     return sx, sy, sz
-
-
-def spin_build(model: SpinModel):
-    """Generator T = omega0 S_z and observable S = S_x as operators."""
-    unit, S = model.unit_matrices()
-    return HermitianOperator(model.omega0 * unit.matrix), S
 
 
 def _brillouin_sz(s: float, x: float) -> float:
@@ -114,7 +107,7 @@ def spin_ratio_property(model: SpinModel, family: fam.MonotoneFamily) -> SpinRat
     g_f(omega0/2) quoted for this model and records its (substantial)
     deviation from the brute-force value; the ratio is the ground truth.
     """
-    T, S = spin_build(model)
+    T, S = build_model(model)
     frame = _Frame(gibbs_state(T), S)
     omegas = frame.dsf.omegas
     off = np.minimum(np.abs(np.abs(omegas) - model.omega0), np.abs(omegas))
@@ -154,8 +147,8 @@ class BosonModel:
     def __post_init__(self):
         if self.k < 1:
             raise ValueError("k must be a positive integer")
-        if self.omega <= 0.0:
-            raise ValueError("omega must be positive")
+        if not 0.0 < self.omega < math.inf:
+            raise ValueError("omega must be positive and finite")
         if self.cutoff < self.k:
             raise ValueError("cutoff must be at least k")
         n = np.arange(self.cutoff + 1)
@@ -187,17 +180,17 @@ class BosonModel:
         return HermitianOperator(np.diag(np.arange(dim)).astype(complex)), HermitianOperator(bk + bk.conj().T)
 
 
+def build_model(model: SpinModel | BosonModel):
+    """Generator frequency * T and observable S as operators, from the model's unit_matrices()."""
+    unit, S = model.unit_matrices()
+    return HermitianOperator(model.frequency * unit.matrix), S
+
+
 def _ladder(dim: int) -> np.ndarray:
     b = np.zeros((dim, dim), dtype=complex)
     n = np.arange(1, dim)
     b[n - 1, n] = np.sqrt(n)
     return b
-
-
-def boson_build(model: BosonModel):
-    """Truncated Fock matrices of the generator omega b^dag b and the k-photon drive."""
-    unit, S = model.unit_matrices()
-    return HermitianOperator(model.omega * unit.matrix), S
 
 
 def _trace_against(state: GibbsState, X: np.ndarray) -> float:
@@ -213,7 +206,7 @@ def boson_correlators(model: BosonModel) -> tuple[float, float]:
     K = <((b+)^k - b^k)((b+)^k + b^k)>, L = <((b+)^k + b^k)^2>; these feed
     the closed forms of boson_closed_forms.
     """
-    T, _ = boson_build(model)
+    T, _ = build_model(model)
     state = gibbs_state(T)
     bk = np.linalg.matrix_power(_ladder(model.dim), model.k)
     bkd = bk.conj().T
@@ -290,7 +283,7 @@ def boson_closed_forms(model: BosonModel, family: fam.MonotoneFamily) -> BosonCl
     brute is the spectral-route metric on the truncated model.  All three
     agree at converged cutoff.
     """
-    T, S = boson_build(model)
+    T, S = build_model(model)
     frame = _Frame(gibbs_state(T), S)
     K, L = boson_correlators(model)
     half = 0.5 * model.k * model.omega

@@ -218,8 +218,8 @@ def test_criterion_8_boson_models():
     omega = 1.0
     nbar = 1.0 / math.expm1(omega)
     model1 = models.BosonModel(1, omega, 60)
-    state1 = hb.gibbs_state(models.boson_build(model1)[0])
-    t1, s1 = models.boson_build(model1)
+    state1 = hb.gibbs_state(models.build_model(model1)[0])
+    t1, s1 = models.build_model(model1)
     brute_bkm = metrics.metric_spectral(state1, s1, fam.BKM).value
     err_bkm = abs(brute_bkm - 1.0 / (2.0 * omega))
 

@@ -2,6 +2,8 @@
 
 import csv
 import json
+import math
+import threading
 import warnings
 
 import numpy as np
@@ -10,7 +12,7 @@ import pytest
 from gibbsqfi import cli, dsf, families as fam, hilbert as hb, metrics
 from gibbsqfi.cli import main
 from gibbsqfi.inequalities import random_instance
-from gibbsqfi.models import BosonModel, SpinModel, spin_build
+from gibbsqfi.models import BosonModel, SpinModel, build_model
 
 
 def write_config(tmp_path, payload, name="job.json"):
@@ -379,14 +381,48 @@ class TestMetricJobs:
         assert len(payload["rows"]) == 9
         assert payload["warnings"] == []
 
-    def test_thread_cap_keeps_output_canonical(self, tmp_path, monkeypatch):
-        config = write_config(tmp_path, SPIN_SWEEP)
-        serial = tmp_path / "serial.csv"
-        threaded = tmp_path / "threaded.csv"
-        main(["sweep", "--config", config, "--out", str(serial)])
+    def test_sweep_starts_no_thread(self, tmp_path, monkeypatch):
+        # points run one after another on the calling thread; QFI_NUM_THREADS changes nothing
+        config = write_config(tmp_path, {**SPIN_SWEEP, "sweep": {"parameter": "omega0", "grid": [0.5, 1.0, 2.0, 3.0]}})
+
+        def no_thread(thread):
+            raise AssertionError(f"the sweep started the thread {thread.name}")
+
+        monkeypatch.setattr(threading.Thread, "start", no_thread)
+        plain, capped = tmp_path / "plain.csv", tmp_path / "capped.csv"
+        assert main(["sweep", "--config", config, "--out", str(plain)]) == 0
         monkeypatch.setenv("QFI_NUM_THREADS", "4")
-        main(["sweep", "--config", config, "--out", str(threaded)])
-        assert serial.read_bytes() == threaded.read_bytes()
+        assert main(["sweep", "--config", config, "--out", str(capped)]) == 0
+        assert len(read_csv(capped)) == 12
+        assert capped.read_bytes() == plain.read_bytes()
+
+    @pytest.mark.parametrize(
+        "model, message",
+        [
+            ({"model": "spin", "S": 2, "omega0": math.nan}, "spin model: omega0 must be positive and finite"),
+            ({"model": "spin", "S": 2, "omega0": math.inf}, "spin model: omega0 must be positive and finite"),
+            ({"model": "spin", "S": math.nan, "omega0": 1.0}, "spin model: s must be a half-integer >= 1/2"),
+            ({"model": "spin", "S": math.inf, "omega0": 1.0}, "spin model: s must be a half-integer >= 1/2"),
+            ({"model": "boson", "k": 1, "omega": math.nan, "cutoff": 40}, "boson model: omega must be positive and finite"),
+            ({"model": "boson", "k": 1, "omega": math.inf, "cutoff": 40}, "boson model: omega must be positive and finite"),
+            # np.arange refuses the 2e300 + 1 levels before it allocates anything
+            ({"model": "spin", "S": 1e300, "omega0": 1.0}, "spin model: Maximum allowed size exceeded"),
+        ],
+        ids=[
+            "spin-omega0-nan", "spin-omega0-inf", "spin-S-nan", "spin-S-inf", "boson-omega-nan", "boson-omega-inf",
+            "spin-S-1e300",
+        ],
+    )
+    def test_model_parameter_the_model_rejects_exits_2(self, tmp_path, capsys, model, message):
+        # json writes NaN and Infinity, and reads them back as floats
+        config = write_config(tmp_path, {"model": model, "families": ["bkm"]})
+        out = tmp_path / "never.csv"
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
+            assert main(["metric", "--config", config, "--out", str(out)]) == 2
+        assert [str(w.message) for w in caught] == []
+        assert not out.exists()
+        assert capsys.readouterr().err == f"error: {message}\n"
 
 
 GOLDEN_METHODS = ["oracle", "spectral", "dsf", "seriesA:3", "seriesA:6", "seriesB:4"]
@@ -461,7 +497,7 @@ class TestSharedFrame:
         }
         points = []
         for omega0 in grid:
-            T, S = spin_build(SpinModel(20.0, omega0))
+            T, S = build_model(SpinModel(20.0, omega0))
             points.append((hb.HermitianOperator(0.8 * T.matrix), S, f"omega0={omega0:g}"))
         self._check_against_per_call(config, points)
 

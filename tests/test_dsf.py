@@ -1,22 +1,20 @@
 """Line spectrum, moments, functionals and Duhamel product tests."""
 
+import builtins
 import csv
 import json
 import math
-import threading
 import warnings
-from concurrent.futures import ThreadPoolExecutor
 
 import numpy as np
 import pytest
-from scipy import sparse
 
 from gibbsqfi import dsf, metrics, skew
 from gibbsqfi import families as fam
 from gibbsqfi import hilbert as hb
 from gibbsqfi.cli import main
 from gibbsqfi.inequalities import random_instance as gue_instance
-from gibbsqfi.models import BosonModel, SpinModel, boson_build, spin_build
+from gibbsqfi.models import BosonModel, SpinModel, build_model
 
 SX = np.array([[0, 1], [1, 0]], dtype=complex)
 SY = np.array([[0, -1j], [1j, 0]], dtype=complex)
@@ -42,6 +40,25 @@ def random_instance(seed, dim):
     return hb.gibbs_state(random_hermitian(rng, dim)), hb.HermitianOperator(
         random_hermitian(rng, dim)
     )
+
+
+def build_cross_dsf(state, A, B):
+    """Cross spectrum with weights <n|dA|m><m|dB|n> rho_m for Hermitian A, B: the lines behind cross_metric.
+
+    Detailed balance holds pair by pair with a conjugate: the line at -w
+    weighs e^{-w} times the conjugate of the one at w.
+    """
+    frame_a, frame_b = dsf._frame_pair(state, A, B)
+    (a_down, a_up), (b_down, b_up) = map(frame_a.table.gather, (frame_a.table.s_eig, frame_b.table.s_eig))
+    w_rows, w_cols = frame_a.pair_weights
+    # pair (n, m): <n|dA|m> <m|dB|n> rho_m at omega_nm and its partner at -omega_nm
+    positive, negative = a_down * b_up * w_cols, a_up * b_down * w_rows
+    diagonal = (frame_a.table.diagonal - frame_a.mean) * (frame_b.table.diagonal - frame_b.mean) * state.weights
+    floor = 16 * np.finfo(float).eps * float(np.sqrt(frame_a.table.peak * frame_b.table.peak))
+    omega = 2.0 * frame_a.x
+    slack = np.abs(negative - np.exp(-omega) * np.conj(positive)) - 1e-12 * np.abs(positive) - floor
+    assert not np.any((omega > dsf._MERGE_TOL) & (slack > 0.0)), "cross lines violate detailed balance"
+    return dsf._assemble(frame_a, positive, negative, diagonal, "cross", 0.0)
 
 
 class TestBuildDsf:
@@ -133,20 +150,20 @@ class TestBuildDsf:
 
 class TestCrossDsf:
     def test_reduces_to_diagonal(self, qubit):
-        q_cross = dsf.build_cross_dsf(qubit, SX, SX)
+        q_cross = build_cross_dsf(qubit, SX, SX)
         q_diag = dsf.build_dsf(qubit, SX, centered=True)
         assert q_cross.omegas == pytest.approx(q_diag.omegas)
         assert np.allclose(q_cross.weights.real, q_diag.weights, rtol=1e-13)
         assert np.allclose(q_cross.weights.imag, 0.0, atol=1e-16)
 
     def test_sigma_x_sigma_y_imaginary(self, qubit):
-        q = dsf.build_cross_dsf(qubit, SX, SY)
+        q = build_cross_dsf(qubit, SX, SY)
         assert q.omegas == pytest.approx([-1.0, 1.0])
         assert np.allclose(q.weights.real, 0.0, atol=1e-16)
         assert sorted(np.abs(q.weights.imag)) == pytest.approx([RHO2, RHO1], rel=1e-13)
 
     def test_identity_observable_empty(self, qubit):
-        q = dsf.build_cross_dsf(qubit, SX, np.eye(2, dtype=complex))
+        q = build_cross_dsf(qubit, SX, np.eye(2, dtype=complex))
         assert q.omegas.size == 0
         assert np.sum(q.weights) == 0
 
@@ -173,7 +190,7 @@ class TestMoments:
             dsf.moment(q, -1)
 
     def test_cross_rejected(self, qubit):
-        q = dsf.build_cross_dsf(qubit, SX, SY)
+        q = build_cross_dsf(qubit, SX, SY)
         with pytest.raises(ValueError):
             dsf.moment(q, 1)
 
@@ -283,22 +300,16 @@ def _dense_chain(T, S, rho, order):
     return moments
 
 
-def _count_chain_storage(monkeypatch):
-    """Counts of the chain's conversions to CSR and back to dense."""
-    counts = {"to_sparse": 0, "to_dense": 0}
-    csr, toarray = sparse.csr_array, sparse.csr_array.toarray
+def _forbid_scipy(monkeypatch):
+    """Make any import of scipy or of a scipy module fail from here on."""
+    real_import = builtins.__import__
 
-    def to_sparse(matrix):
-        counts["to_sparse"] += 1
-        return csr(matrix)
+    def guarded(name, *args, **kwargs):
+        if name.split(".")[0] == "scipy":
+            raise AssertionError(f"the chain imported {name}")
+        return real_import(name, *args, **kwargs)
 
-    def to_dense(self, *args, **kwargs):
-        counts["to_dense"] += 1
-        return toarray(self, *args, **kwargs)
-
-    monkeypatch.setattr(csr, "toarray", to_dense)
-    monkeypatch.setattr(sparse, "csr_array", to_sparse)
-    return counts
+    monkeypatch.setattr(builtins, "__import__", guarded)
 
 
 def _tridiagonal(rng, dim):
@@ -307,22 +318,21 @@ def _tridiagonal(rng, dim):
 
 class TestSparseChain:
     """A diagonal generator keeps the chain at the entries S couples, any
-    other runs on CSR while T and R_q are sparse and dense after, and every
-    chain gives the moments of the all-dense chain to 1e-13 relative."""
+    other runs dense, neither imports scipy.sparse, and every chain gives
+    the moments of the all-dense chain to 1e-13 relative."""
 
     def test_diagonal_generator_stays_sparse(self, monkeypatch):
-        # R_q[i, j] = t_i R - R t_j at the nonzero entries of S: no CSR at all
-        T, S = spin_build(SpinModel(30.0, 1.0))
+        # R_q[i, j] = t_i R - R t_j at the nonzero entries of S
+        T, S = build_model(SpinModel(30.0, 1.0))
         state = hb.gibbs_state(0.4 * T.matrix)
-        counts = _count_chain_storage(monkeypatch)
+        _forbid_scipy(monkeypatch)
         moments = dsf.commutator_moments(state, S, 12)
-        assert counts == {"to_sparse": 0, "to_dense": 0}
         reference = _dense_chain(state.generator, S, state.rho_matrix(), 12)
         assert moments == pytest.approx(reference, rel=1e-13, abs=0.0)
 
     def test_banded_chain_from_matrix_files_crosses_to_dense(self, tmp_path, monkeypatch):
-        # R_q of a tridiagonal T and S has half-bandwidth q + 1: 294 nonzeros
-        # (8%) at q = 1 and 408 (11%) at q = 2, past the 10% switch
+        # R_q of a tridiagonal T and S has half-bandwidth q + 1; the chain
+        # of this non-diagonal generator runs on dense arrays
         rng = np.random.default_rng(60)
         T, S = _tridiagonal(rng, 60), _tridiagonal(rng, 60)
         hb.write_operator_json(T, tmp_path / "T.json")
@@ -334,10 +344,9 @@ class TestSparseChain:
             "families": ["bkm"],
         }))
         out = tmp_path / "moments.csv"
-        counts = _count_chain_storage(monkeypatch)
+        _forbid_scipy(monkeypatch)
         argv = ["moments", "--config", str(config), "--pmax", "14", "--out", str(out)]
         assert main(argv) == 0
-        assert counts == {"to_sparse": 2, "to_dense": 1}
         T_read, _ = hb.read_operator_json(tmp_path / "T.json")
         S_read, _ = hb.read_operator_json(tmp_path / "S.json")
         state = hb.gibbs_state(0.5 * T_read.matrix)
@@ -348,9 +357,9 @@ class TestSparseChain:
         assert functionals == pytest.approx([2.0 * m for m in reference], rel=1e-13, abs=0.0)
 
     @pytest.mark.parametrize("build", [
-        lambda: spin_build(SpinModel(20.0, 0.7)),
-        lambda: boson_build(BosonModel(1, 0.8, 40)),
-        lambda: boson_build(BosonModel(2, 0.9, 40)),
+        lambda: build_model(SpinModel(20.0, 0.7)),
+        lambda: build_model(BosonModel(1, 0.8, 40)),
+        lambda: build_model(BosonModel(2, 0.9, 40)),
     ], ids=["spin", "boson-k1", "boson-k2"])
     def test_diagonal_generator_reads_the_diagonal_density(self, monkeypatch, build):
         # rho_ii = exp(-T_ii - logZ): the chain forms no density matrix
@@ -368,14 +377,13 @@ class TestSparseChain:
     def test_dense_generator_stays_dense(self, monkeypatch):
         T, S = gue_instance(np.random.default_rng(11), 12)
         state = hb.gibbs_state(T)
-        counts = _count_chain_storage(monkeypatch)
+        _forbid_scipy(monkeypatch)
         moments = dsf.commutator_moments(state, S, 9)
-        assert counts == {"to_sparse": 0, "to_dense": 0}
         reference = _dense_chain(T, S, state.rho_matrix(), 9)
         assert moments == pytest.approx(reference, rel=1e-13, abs=0.0)
 
     @pytest.mark.parametrize("build", [
-        lambda: spin_build(SpinModel(3.0, 2.0)),
+        lambda: build_model(SpinModel(3.0, 2.0)),
         lambda: gue_instance(np.random.default_rng(11), 7, spread=10.0),
     ], ids=["diagonal", "dense"])
     def test_overflowing_chain_raises_without_warnings(self, build):
@@ -429,24 +437,6 @@ class TestFrameMembers:
         ]
         assert len(calls) == 1 + len(values)
 
-    def test_frames_of_two_threads_build_their_chains_together(self, monkeypatch):
-        # both chains must be inside commutator_moments at once for the
-        # barrier to open; a lock shared by the frames would break it
-        barrier = threading.Barrier(2, timeout=10.0)
-        chain = dsf.commutator_moments
-
-        def meeting(*args):
-            barrier.wait()
-            return chain(*args)
-
-        monkeypatch.setattr(dsf, "commutator_moments", meeting)
-        state, s = random_instance(6, 4)
-        frames = [dsf._Frame(state, s, 2), dsf._Frame(state, s, 2)]
-        with ThreadPoolExecutor(max_workers=2) as pool:
-            futures = [pool.submit(lambda f: f.moments, frame) for frame in frames]
-            results = [future.result(timeout=30.0) for future in futures]
-        assert results[0] == results[1] == chain(state, s, 2)
-
 
 class TestOneRotation:
     """Each (state, S) consumer rotates S once, through one frame."""
@@ -454,7 +444,7 @@ class TestOneRotation:
     CONSUMERS = {
         "bogoliubov_duhamel": lambda state, s: dsf.bogoliubov_duhamel(state, s, s),
         "duhamel_quadrature": lambda state, s: dsf.bogoliubov_duhamel_quadrature(state, s, s),
-        "build_cross_dsf": lambda state, s: dsf.build_cross_dsf(state, s, s),
+        "build_cross_dsf": lambda state, s: build_cross_dsf(state, s, s),
         "wyd_skew": lambda state, s: skew.wyd_skew(state, s, 0.3),
         "metric_adjusted_skew": lambda state, s: skew.metric_adjusted_skew(state, s, fam.BURES),
         "integrated_wyd": skew.integrated_wyd,
@@ -540,7 +530,7 @@ class TestChiLines:
         assert chi.omegas.size == 0
 
     def test_cross_rejected(self, qubit):
-        q = dsf.build_cross_dsf(qubit, SX, SY)
+        q = build_cross_dsf(qubit, SX, SY)
         with pytest.raises(ValueError):
             dsf.chi_lines(q)
 

@@ -256,7 +256,7 @@ class TestSolveXst:
 class TestDuhamelWeights:
     def test_qubit_values(self):
         state = hb.gibbs_state(np.diag([0.0, 1.0]).astype(complex))
-        w = hb.duhamel_weight_matrix(state)
+        w = hb._duhamel_at(state, *np.indices((state.dim, state.dim)))
         assert w[0, 0] == pytest.approx(RHO1, rel=1e-14)
         assert w[1, 1] == pytest.approx(RHO2, rel=1e-14)
         # (rho2 - rho1)/(ln rho2 - ln rho1) = tanh(1/2)
@@ -265,7 +265,7 @@ class TestDuhamelWeights:
 
     def test_near_degenerate_matches_highprec(self):
         state = hb.gibbs_state(np.diag([0.0, 1e-6]).astype(complex))
-        w = hb.duhamel_weight_matrix(state)
+        w = hb._duhamel_at(state, *np.indices((state.dim, state.dim)))
         with mpmath.workdps(50):
             z = 1 + mpmath.exp(mpmath.mpf("-1e-6"))
             r1 = 1 / z
@@ -275,7 +275,7 @@ class TestDuhamelWeights:
 
     def test_wide_spread_finite(self):
         state = hb.gibbs_state(np.diag([0.0, 200.0, 400.0]).astype(complex))
-        w = hb.duhamel_weight_matrix(state)
+        w = hb._duhamel_at(state, *np.indices((state.dim, state.dim)))
         assert np.all(np.isfinite(w))
         assert np.all(w > 0.0)
         assert w[0, 2] == pytest.approx((state.weights[2] - state.weights[0]) / (-400.0), rel=1e-12)

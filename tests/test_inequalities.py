@@ -173,19 +173,13 @@ class TestVerificationSuite:
         b = ineq.run_verification_suite(seed=9, trials=25)
         assert a.to_dict() == b.to_dict()
 
-    def test_determinism_under_threads(self, monkeypatch):
-        serial = ineq.run_verification_suite(seed=11, trials=20)
-        monkeypatch.setenv("QFI_NUM_THREADS", "4")
-        threaded = ineq.run_verification_suite(seed=11, trials=20)
-        assert serial.to_dict() == threaded.to_dict()
-
     def test_one_frame_per_group(self, monkeypatch):
         # a dim group shares one stacked eigh, one rotation each for S and
         # B and one commutator chain (C and the sum rules); each fixed
         # family's filter is evaluated once for the group, each per-trial
-        # power-difference family once per trial, and no cross structure
-        # factor is assembled
-        calls = {"eigh": 0, "rotate": 0, "cross_dsf": 0, "chain": 0}
+        # power-difference family once per trial, and no structure factor,
+        # cross or diagonal, is assembled
+        calls = {"eigh": 0, "rotate": 0, "assemble": 0, "chain": 0}
         filters = []
 
         def counting(key, fn):
@@ -196,7 +190,7 @@ class TestVerificationSuite:
 
         patched = {
             "to_eigenbasis": counting("rotate", hb.to_eigenbasis),
-            "build_cross_dsf": counting("cross_dsf", dsf.build_cross_dsf),
+            "_assemble": counting("assemble", dsf._assemble),
             "commutator_moments": counting("chain", dsf.commutator_moments),
         }
         for module in (hb, dsf, metrics, ineq):
@@ -213,13 +207,13 @@ class TestVerificationSuite:
         monkeypatch.setattr(fam, "eval_g", recording)
         for dim, size in ((2, 1), (5, 4), (8, 3)):
             trials = [ineq._draw(stream, (dim,)) for stream in np.random.SeedSequence(dim).spawn(size)]
-            calls.update(eigh=0, rotate=0, cross_dsf=0, chain=0)
+            calls.update(eigh=0, rotate=0, assemble=0, chain=0)
             filters.clear()
             checks, in_regime = ineq._group_checks(trials)
             assert len(checks) == 24
             assert all(check.lhs.shape == (size,) for check in checks)
             assert in_regime.shape == (size,)
-            assert calls == {"eigh": 1, "rotate": 2, "cross_dsf": 0, "chain": 1}
+            assert calls == {"eigh": 1, "rotate": 2, "assemble": 0, "chain": 1}
             named = fam.named_families().values()
             fixed = [f for f in filters if f in named]
             assert sorted(f.label for f in fixed) == sorted(f.label for f in named)

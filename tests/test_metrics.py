@@ -7,6 +7,7 @@ import numpy as np
 import pytest
 
 from gibbsqfi import dsf, families as fam, hilbert as hb, metrics
+from test_dsf import build_cross_dsf
 
 SX = np.array([[0, 1], [1, 0]], dtype=complex)
 SZ = np.diag([1.0, -1.0]).astype(complex)
@@ -270,7 +271,7 @@ class TestCrossMetric:
 
     def test_literal_tanh_kernel_oracle(self):
         # (1/8) sum (w/2)^{-1} tanh(w/2) g(w/2) (1 + e^{-w}) q evaluated
-        # verbatim on the build_cross_dsf lines must match the matrix form
+        # verbatim on the cross lines of build_cross_dsf (test_dsf) must match the matrix form
         # used internally: GUE instances of dims 2-10 with spreads 0.1-100,
         # every third one with pairs of degenerate levels
         rng = np.random.default_rng(33)
@@ -292,7 +293,7 @@ class TestCrossMetric:
             )
         families = (fam.BURES, fam.MC, fam.HAR, fam.wyd(0.4), fam.power_difference(1.3))
         for state, a, b in instances:
-            q = dsf.build_cross_dsf(state, a, b)
+            q = build_cross_dsf(state, a, b)
             half = 0.5 * q.omegas
             factor = np.where(
                 half == 0.0, 2.0, np.tanh(half) / np.where(half == 0, 1.0, half) * (1.0 + np.exp(-q.omegas))

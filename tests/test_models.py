@@ -1,6 +1,7 @@
 """Benchmark model tests: spin ladders and truncated bosonic modes."""
 
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -21,12 +22,12 @@ FAMILIES = [
 
 class TestSpinBuild:
     def test_half_spin_matrices(self):
-        T, S = models.spin_build(models.SpinModel(0.5, 1.0))
+        T, S = models.build_model(models.SpinModel(0.5, 1.0))
         assert np.allclose(T.matrix, np.diag([0.5, -0.5]))
         assert np.allclose(S.matrix, np.array([[0, 0.5], [0.5, 0]]))
 
     def test_spin_one_ladder(self):
-        _, S = models.spin_build(models.SpinModel(1.0, 1.0))
+        _, S = models.build_model(models.SpinModel(1.0, 1.0))
         expected = np.zeros((3, 3))
         expected[0, 1] = expected[1, 0] = expected[1, 2] = expected[2, 1] = 1 / math.sqrt(2)
         assert np.allclose(S.matrix, expected)
@@ -43,6 +44,11 @@ class TestSpinBuild:
             models.SpinModel(0.3, 1.0)
         with pytest.raises(ValueError):
             models.SpinModel(0.5, -1.0)
+        for value in (math.nan, math.inf):
+            with pytest.raises(ValueError, match="omega0 must be positive and finite"):
+                models.SpinModel(0.5, value)
+            with pytest.raises(ValueError, match="half-integer"):
+                models.SpinModel(value, 1.0)
 
 
 class TestSpinRatioProperty:
@@ -78,14 +84,14 @@ class TestSpinRatioProperty:
 class TestBosonBuild:
     def test_ladder_pattern(self):
         # large omega keeps the Gibbs tail inside the invariant at cutoff 3
-        T, S = models.boson_build(models.BosonModel(1, 10.0, 3))
+        T, S = models.build_model(models.BosonModel(1, 10.0, 3))
         assert S.matrix.shape == (4, 4)
         sub = np.array([S.matrix[n, n + 1] for n in range(3)])
         assert sub == pytest.approx([1.0, math.sqrt(2.0), math.sqrt(3.0)])
         assert np.allclose(T.matrix, np.diag([0.0, 10.0, 20.0, 30.0]))
 
     def test_two_photon_selection_rule(self):
-        _, S = models.boson_build(models.BosonModel(2, 10.0, 4))
+        _, S = models.build_model(models.BosonModel(2, 10.0, 4))
         nz = np.argwhere(np.abs(S.matrix) > 0)
         assert nz.size > 0
         assert np.all(np.abs(nz[:, 0] - nz[:, 1]) == 2)
@@ -100,6 +106,12 @@ class TestBosonBuild:
             models.BosonModel(0, 1.0, 60)
         with pytest.raises(ValueError):
             models.BosonModel(1, -1.0, 60)
+        # checked before the Gibbs tail, whose exp(-omega * n) is nan at omega = inf, n = 0
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            for value in (math.nan, math.inf):
+                with pytest.raises(ValueError, match="omega must be positive and finite"):
+                    models.BosonModel(1, value, 60)
 
 
 class TestBosonCorrelators:
@@ -172,14 +184,14 @@ class TestBosonClosedForms:
 
     def test_dsf_support(self):
         for k in (1, 2):
-            T, S = models.boson_build(models.BosonModel(k, 1.0, 60))
+            T, S = models.build_model(models.BosonModel(k, 1.0, 60))
             q = dsf.build_dsf(hb.gibbs_state(T), S)
             assert np.allclose(np.abs(q.omegas), k * 1.0, atol=1e-10)
 
     def test_single_line_ratio_through_dsf_route(self):
         # on a one-frequency spectrum with <S> = 0, the line-sum metrics
         # are proportional with ratio g_f(omega0/2)
-        T, S = models.boson_build(models.BosonModel(1, 1.3, 40))
+        T, S = models.build_model(models.BosonModel(1, 1.3, 40))
         q = dsf.build_dsf(hb.gibbs_state(T), S)
         base = metrics.metric_from_dsf(q, fam.BKM).value
         for family in FAMILIES:

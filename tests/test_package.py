@@ -24,7 +24,8 @@ CLOSED_FORMS = {
 
 REMOVED = (
     "NestedCommutator", "nested_commutator", "ObservableInEigenbasis", "write_spectrum_csv",
-    "verify_standard", "StandardFunctionReport",
+    "verify_standard", "StandardFunctionReport", "build_cross_dsf", "duhamel_weight_matrix",
+    "spin_build", "boson_build",
 )
 
 

@@ -13,7 +13,7 @@ from gibbsqfi import cli, dsf, metrics
 from gibbsqfi import families as fam
 from gibbsqfi import hilbert as hb
 from gibbsqfi.inequalities import random_instance
-from gibbsqfi.models import BosonModel, SpinModel, boson_build, spin_build
+from gibbsqfi.models import BosonModel, SpinModel, build_model
 
 FAMILIES = [*fam.named_families().values(), *map(fam.parse_family, ("pdiff:-0.7", "pdiff:1.3", "wyd:0.3"))]
 REL = 1e-13
@@ -28,7 +28,7 @@ class Grid:
         lam = state.decomposition.eigenvalues
         self.x = 0.5 * (lam[..., :, None] - lam[..., None, :])
         self.abs2 = np.abs(self.s_eig) ** 2
-        self.kernel = hb.duhamel_weight_matrix(state)
+        self.kernel = hb._duhamel_at(state, *np.indices((state.dim, state.dim)))
         self.diagonal = np.diagonal(self.s_eig, axis1=-2, axis2=-1)
         self.mean = np.sum(state.weights * self.diagonal.real, axis=-1)
         self.centered = self.s_eig - self.mean[..., None, None] * np.eye(state.dim)
@@ -98,9 +98,9 @@ def corpus():
     """(label, T, S, B): the models, random dense pairs of dims 2-12 and degenerate generators."""
     cases = []
     for label, (T, S) in (
-        ("spin", spin_build(SpinModel(6.0, 0.9))),
-        ("boson-k1", boson_build(BosonModel(1, 0.7, 50))),
-        ("boson-k2", boson_build(BosonModel(2, 0.6, 50))),
+        ("spin", build_model(SpinModel(6.0, 0.9))),
+        ("boson-k1", build_model(BosonModel(1, 0.7, 50))),
+        ("boson-k2", build_model(BosonModel(2, 0.6, 50))),
     ):
         cases.append((label, T.matrix, S.matrix, _gue(np.random.default_rng(len(cases)), T.dim)))
     rng = np.random.default_rng(12)

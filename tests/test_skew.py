@@ -105,7 +105,7 @@ class TestTildeMetric:
         state, s = random_instance(5, 4)
         lam = state.decomposition.eigenvalues
         s_eig = hb.to_eigenbasis(state, s)
-        w_kernel = hb.duhamel_weight_matrix(state)
+        w_kernel = hb._duhamel_at(state, *np.indices((state.dim, state.dim)))
         x = 0.5 * (lam[:, None] - lam[None, :])
         for family in (fam.BURES, fam.wyd(0.3), fam.MC):
             g = fam.eval_g(family, x)
