@@ -19,7 +19,7 @@ from functools import cached_property
 
 import numpy as np
 
-from .hilbert import GibbsState, _duhamel_at, _exprel_neg, as_operator, to_eigenbasis
+from .hilbert import GibbsState, _duhamel_at, _exprel_neg, _is_diagonal, as_operator, to_eigenbasis
 
 __all__ = [
     "LineSpectrum",
@@ -326,7 +326,7 @@ def _chain_traces(state: GibbsState, S_matrix: np.ndarray):
     """
     T_matrix = state.generator
     diagonal = np.diagonal(T_matrix, axis1=-2, axis2=-1)
-    if np.count_nonzero(T_matrix) == np.count_nonzero(diagonal):
+    if _is_diagonal(T_matrix):
         # gathered with np.take, in C order, so a stack sums as its matrices do
         n, flat = diagonal.shape[-1], S_matrix.reshape(*S_matrix.shape[:-2], -1)
         rows, cols = np.nonzero(np.any(flat.reshape(-1, n, n) != 0.0, axis=0))

@@ -100,23 +100,33 @@ def as_operator(value) -> HermitianOperator:
 
 @dataclass
 class SpectralDecomposition:
-    """Eigenvalues (ascending) and unitary eigenvector columns of T."""
+    """Eigenvalues (ascending) and unitary eigenvector columns of T; a diagonal T's sort ``order`` (U = I[:, order]), None from eigh."""
 
     eigenvalues: np.ndarray
     eigenvectors: np.ndarray
+    order: np.ndarray | None = None
 
     @property
     def dim(self) -> int:
         return self.eigenvalues.shape[-1]
 
 
+def _is_diagonal(m: np.ndarray) -> bool:
+    """Whether every nonzero entry of a matrix, or of a stack, is on a diagonal."""
+    return np.count_nonzero(m) == np.count_nonzero(np.diagonal(m, axis1=-2, axis2=-1))
+
+
 def eigendecompose(H) -> SpectralDecomposition:
     """Full eigendecomposition with residual and unitarity checks.
 
-    A stack of matrices is decomposed by one eigh call and checked matrix
-    by matrix.
+    One diagonal matrix is sorted instead: a stable argsort orders its levels,
+    ties by index, and the identity's columns, which pass both checks exactly.
+    Any other matrix or stack takes one eigh call, checked matrix by matrix.
     """
     op = as_operator(H)
+    if op.matrix.ndim == 2 and _is_diagonal(op.matrix):
+        order = np.argsort(np.diagonal(op.matrix).real, kind="stable")
+        return SpectralDecomposition(np.diagonal(op.matrix).real[order], np.eye(op.dim, dtype=complex)[:, order], order)
     vals, vecs = np.linalg.eigh(op.matrix)
     scale = np.maximum(np.max(np.abs(op.matrix), axis=(-2, -1)), 1e-300)
     recon = (vecs * vals[..., None, :]) @ _dagger(vecs)
@@ -208,7 +218,7 @@ def _scaled_state(decomposition: SpectralDecomposition, T: np.ndarray, c: float)
     total = np.sum(weights, axis=-1)
     _check_each(np.abs(total - 1.0) <= 1e-13, total, "Gibbs weights sum to {!r}, not 1")
     return GibbsState(
-        decomposition=SpectralDecomposition(lam, decomposition.eigenvectors),
+        decomposition=SpectralDecomposition(lam, decomposition.eigenvectors, decomposition.order),
         weights=weights,
         log_weights=log_w,
         logZ=(log_norm - shift)[..., 0],
@@ -223,12 +233,15 @@ def to_eigenbasis(state: GibbsState | SpectralDecomposition, A) -> np.ndarray:
     For the state of a stack, A is a stack of the same shape and each
     matrix is rotated into the eigenbasis of its own generator.  The
     states of every c * T share the eigenbasis of T's decomposition.
+    A diagonal T's permutation U rotates by the O(n^2) gather A[order][:, order], exactly U^dagger A U.
     """
     op = as_operator(A)
     basis = state.decomposition if isinstance(state, GibbsState) else state
     U = basis.eigenvectors
     if op.matrix.shape != U.shape:
         raise ValueError(f"dimension mismatch: {op.matrix.shape} vs {U.shape}")
+    if basis.order is not None:
+        return op.matrix[np.ix_(basis.order, basis.order)]
     return _dagger(U) @ op.matrix @ U
 
 
@@ -249,8 +262,7 @@ def solve_xst(T, S) -> tuple[np.ndarray, SpectralDecomposition]:
     if T_op.dim != S_op.dim:
         raise ValueError(f"dimension mismatch: {T_op.dim} vs {S_op.dim}")
     decomposition = eigendecompose(T_op)
-    U = decomposition.eigenvectors
-    S_eig = U.conj().T @ S_op.matrix @ U
+    S_eig = to_eigenbasis(decomposition, S_op)
     diag = np.abs(np.diag(S_eig))
     bad = np.nonzero(diag > 1e-12)[0]
     if bad.size:

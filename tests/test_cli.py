@@ -612,6 +612,70 @@ class TestSharedFrame:
         assert capsys.readouterr().err.startswith(f"error: {message}")
 
 
+def _eigh_decomposition(T):
+    """T's decomposition by eigh, the path every generator took before a diagonal one was sorted."""
+    return hb.SpectralDecomposition(*np.linalg.eigh(hb.as_operator(T).matrix))
+
+
+def _diagonal_matrix_files(tmp_path, levels):
+    """A diagonal T of the given levels, in a shuffled order with -0.0 off the diagonal, and a dense S."""
+    rng = np.random.default_rng(22)
+    t = np.diag(rng.permutation(levels)).astype(complex)
+    t[0, 4] = t[4, 0] = -0.0
+    hb.write_operator_json(t, tmp_path / "T.json")
+    hb.write_operator_json(random_instance(rng, 9)[1], tmp_path / "S.json")
+    return {"T": str(tmp_path / "T.json"), "S": str(tmp_path / "S.json")}
+
+
+class TestDiagonalGenerator:
+    """A diagonal T is sorted, never passed to eigh, and writes the bytes of the eigh path."""
+
+    @pytest.mark.parametrize(
+        "model, parameter, methods",
+        [
+            ({"model": "spin", "S": 200, "omega0": 1.0}, "omega0", ["oracle", "spectral", "dsf", "seriesA:6"]),
+            ({"model": "boson", "k": 1, "omega": 1.0, "cutoff": 40}, "beta", ["oracle", "spectral", "dsf", "seriesB:4"]),
+            ({"model": "boson", "k": 2, "omega": 1.0, "cutoff": 40}, "beta", ["oracle", "spectral", "dsf", "seriesB:4"]),
+            ("matrix-files", "beta", ["oracle", "spectral", "dsf", "seriesA:3"]),
+        ],
+        ids=["spin-S200", "boson-k1", "boson-k2", "matrix-files"],
+    )
+    def test_sweep_runs_no_eigh(self, tmp_path, monkeypatch, model, parameter, methods):
+        if model == "matrix-files":
+            model = _diagonal_matrix_files(tmp_path, [0.0, 0.25, 0.4, 0.7, -1.1, 1.9, 2.6, 3.1, -0.3])
+        reference, sorted_ = self._eigh_and_sorted(tmp_path, monkeypatch, model, parameter, methods)
+        assert len(read_csv(sorted_)) == 3 * 7 * len(methods)
+        assert sorted_.read_bytes() == reference.read_bytes()
+
+    def test_tied_levels_match_eigh_to_1e13(self, tmp_path, monkeypatch):
+        # eigh orders tied levels as LAPACK does, the sort by index, so the
+        # pairs are summed in another order and the rows move by rounding
+        model = _diagonal_matrix_files(tmp_path, [0.0, 0.0, 0.4, 0.4, 0.4, -1.1, 1.9, 1.9, 2.6])
+        methods = ["oracle", "spectral", "dsf", "seriesA:3"]
+        reference, sorted_ = self._eigh_and_sorted(tmp_path, monkeypatch, model, "beta", methods)
+        expected, rows = read_csv(reference), read_csv(sorted_)
+        assert [r["method"] for r in rows] == [r["method"] for r in expected] and len(rows) == 3 * 7 * len(methods)
+        for row, want in zip(rows, expected):
+            assert float(row["value"]) == pytest.approx(float(want["value"]), rel=1e-13, abs=0.0)
+
+    @staticmethod
+    def _eigh_and_sorted(tmp_path, monkeypatch, model, parameter, methods):
+        """The tables of one sweep by eigh and then with eigh forbidden."""
+        config = write_config(tmp_path, {
+            "model": model,
+            "families": ["har", "bures", "bkm", "mc", "geometric", "wyd:0.3", "pdiff:1.3"],
+            "methods": methods,
+            "sweep": {"parameter": parameter, "grid": [0.5, 1.0, 1.5]},
+        })
+        reference, sorted_ = tmp_path / "eigh.csv", tmp_path / "sorted.csv"
+        with monkeypatch.context() as patch:
+            patch.setattr(cli, "eigendecompose", _eigh_decomposition)
+            assert main(["sweep", "--config", config, "--out", str(reference)]) == 0
+        monkeypatch.setattr(np.linalg, "eigh", lambda *args, **kwargs: pytest.fail("a diagonal T reached eigh"))
+        assert main(["sweep", "--config", config, "--out", str(sorted_)]) == 0
+        return reference, sorted_
+
+
 def _must_not_run(*args, **kwargs):
     raise AssertionError("the job ran although its settings are invalid")
 

@@ -86,8 +86,42 @@ class TestEigendecompose:
             return vals, vecs
 
         monkeypatch.setattr(np.linalg, "eigh", poisoned)
+        # SX is not diagonal, so it reaches eigh
         with pytest.raises(ArithmeticError, match="residual nan"):
-            hb.eigendecompose(SZ)
+            hb.eigendecompose(SX)
+
+    def test_diagonal_is_sorted_not_decomposed(self, monkeypatch):
+        # ties, negative levels and -0.0 off the diagonal: no eigh, and U is
+        # the identity's columns in the stable order of the levels
+        levels = np.array([0.5, -1.25, 0.5, 3.0, -1.25, 0.0, 0.5])
+        m = np.diag(levels).astype(complex)
+        m[0, 3] = m[3, 0] = m[5, 6] = m[6, 5] = -0.0
+        monkeypatch.setattr(np.linalg, "eigh", lambda *args, **kwargs: pytest.fail("a diagonal T reached eigh"))
+        dec = hb.eigendecompose(m)
+        assert dec.eigenvalues.tolist() == [-1.25, -1.25, 0.0, 0.5, 0.5, 0.5, 3.0]
+        assert dec.order.tolist() == [1, 4, 5, 0, 2, 6, 3]
+        u = dec.eigenvectors
+        assert np.array_equal(u, np.eye(7)[:, dec.order]) and set(np.unique(u).tolist()) == {0, 1}
+
+        def bits(a):  # the bits of each entry, with -0.0 read as +0.0
+            return (a + 0.0).view(np.uint64)
+
+        matrix = hb.as_operator(m).matrix
+        assert np.array_equal(bits((u * dec.eigenvalues) @ u.conj().T), bits(matrix))
+        a = hb.as_operator(random_hermitian(np.random.default_rng(14), 7)).matrix
+        assert np.array_equal(bits(hb.to_eigenbasis(dec, a)), bits(u.conj().T @ a @ u))
+        state = hb._scaled_state(dec, matrix, 2.0)
+        assert state.decomposition.order is dec.order
+        assert np.array_equal(bits(hb.to_eigenbasis(state, a)), bits(hb.to_eigenbasis(dec, a)))
+
+    def test_tiny_off_diagonal_entry_goes_through_eigh(self, monkeypatch):
+        calls, eigh = [], np.linalg.eigh
+        monkeypatch.setattr(np.linalg, "eigh", lambda a: calls.append(a) or eigh(a))
+        m = np.diag([2.0, -1.0, 0.5]).astype(complex)
+        m[0, 2] = m[2, 0] = 1e-300
+        dec = hb.eigendecompose(m)
+        assert len(calls) == 1 and dec.order is None
+        assert dec.eigenvalues == pytest.approx([-1.0, 0.5, 2.0], rel=1e-15)
 
 
 class TestScaledState:

@@ -6,6 +6,8 @@ used before the table: they are the reference, and each route must match
 them to 1e-13 relative on every corpus instance.
 """
 
+import sys
+
 import numpy as np
 import pytest
 
@@ -211,11 +213,19 @@ class TestStack:
 
 class TestOneTablePerJob:
     def test_points_share_the_table_and_its_line_order(self, monkeypatch):
-        # every point of a sweep reads one table; no point sorts its lines
-        tables = []
-        table_class = dsf._PairTable
+        # every point of a sweep reads one table; no point sorts its lines,
+        # and the job's one sort orders the diagonal S_z in eigendecompose
+        tables, sorts = [], []
+        table_class, argsort = dsf._PairTable, np.argsort
+
+        def sort_in_eigendecompose(*args, **kwargs):
+            if sys._getframe(1).f_code is not hb.eigendecompose.__code__:
+                pytest.fail("a point sorted its lines")
+            sorts.append(args)
+            return argsort(*args, **kwargs)
+
         monkeypatch.setattr(cli, "_PairTable", lambda *args: tables.append(table_class(*args)) or tables[-1])
-        monkeypatch.setattr(np, "argsort", lambda *args, **kwargs: pytest.fail("a point sorted its lines"))
+        monkeypatch.setattr(np, "argsort", sort_in_eigendecompose)
         config = cli.JobConfig.from_dict({
             "model": {"model": "spin", "S": 4, "omega0": 1.0},
             "families": ["bkm", "har"],
@@ -223,7 +233,7 @@ class TestOneTablePerJob:
             "sweep": {"parameter": "omega0", "grid": [0.5, 1.0, 2.0]},
         })
         rows, _ = cli.run_metric_job(config)
-        assert len(tables) == 1 and len(rows) == 18
+        assert len(tables) == 1 and len(rows) == 18 and len(sorts) == 1
         # S_x couples adjacent levels only: 8 pairs of the 9 levels
         assert tables[0].rows.size == 8 and np.all(tables[0].rows - tables[0].cols == 1)
 
