@@ -142,6 +142,9 @@ def _parse_method(spec: str):
     return method, L
 
 
+_MODEL_FIELDS = {"spin": (SpinModel, ("S", float), ("omega0", float)), "boson": (BosonModel, ("k", int), ("omega", float), ("cutoff", int))}
+
+
 def _point_model(model: dict, point=(None, None)):
     """The validated SpinModel or BosonModel of a spec at one sweep point; None for matrix files."""
     spec = dict(model)
@@ -149,16 +152,16 @@ def _point_model(model: dict, point=(None, None)):
     if name is not None:
         spec[name] = value
     kind = spec.get("model")
-    if kind == "spin":
+    if kind in _MODEL_FIELDS:
+        model_class, *fields = _MODEL_FIELDS[kind]
+        for field, number in fields:
+            value = spec.get(field)
+            if type(value) not in (int, float) or (number is int and type(value) is float and not value.is_integer()):
+                raise UsageError(f"{kind} model: {field} must be {'an integer' if number is int else 'a number'}, got {value!r}")
         try:
-            return SpinModel(float(spec["S"]), float(spec["omega0"]))
-        except (KeyError, TypeError, ValueError) as exc:
-            raise UsageError(f"spin model: {exc}") from None
-    if kind == "boson":
-        try:
-            return BosonModel(int(spec["k"]), float(spec["omega"]), int(spec["cutoff"]))
-        except (KeyError, TypeError, ValueError) as exc:
-            raise UsageError(f"boson model: {exc}") from None
+            return model_class(*(number(spec[field]) for field, number in fields))
+        except (ValueError, OverflowError) as exc:
+            raise UsageError(f"{kind} model: {exc}") from None
     if kind is None and "T" in spec and "S" in spec:
         return None
     raise UsageError(

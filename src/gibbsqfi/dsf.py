@@ -19,7 +19,7 @@ from functools import cached_property
 
 import numpy as np
 
-from .hilbert import GibbsState, _duhamel_at, _exprel_neg, _is_diagonal, as_operator, to_eigenbasis
+from .hilbert import GibbsState, _exprel_neg, _is_diagonal, _log_duhamel_at, as_operator, to_eigenbasis
 
 __all__ = [
     "LineSpectrum",
@@ -40,25 +40,15 @@ _PRUNE_REL = 1e-16  # weights this far below the peak are numerical noise
 _DEGENERATE_WINDOW = 2e-4
 
 
-def _line_kernel(omegas: np.ndarray, weights: np.ndarray) -> np.ndarray:
-    """Log-mean of each line weight q and its balance partner q e^{-w}.
-
-    Equals q (1 - e^{-w})/w (q at the elastic line): max(q, q e^{-w}), as
-    exp(log q - w) for w < 0, times _exprel_neg(|w|), which stays finite
-    where e^{-w} overflows.  Unbalanced inputs may still overflow to inf.
-    """
-    with np.errstate(divide="ignore", over="ignore"):
-        larger = np.where(omegas < 0.0, np.exp(np.log(weights) - omegas), weights)
-    return larger * _exprel_neg(np.abs(omegas))
-
-
 @dataclass
 class LineSpectrum:
     """Finite list of (Bohr frequency, weight) lines, sorted by frequency.
 
-    kind "diagonal" holds Q_S with nonnegative real weights obeying
-    detailed balance Q(-w) = exp(-w) Q(w); kind "chi" holds the odd line
-    representation of the dissipative response chi''/pi.
+    kind "diagonal" holds Q_S, whose weights q obey detailed balance
+    Q(-w) = exp(-w) Q(w), with ``log_heavier``, the log of the heavier side
+    max(q, q e^{-w}) of each line's pair; ``weights`` is its exp times
+    e^{min(w, 0)}, and may underflow to 0.  kind "chi" holds the odd line
+    representation of chi''/pi: signed weights and no logs.
     """
 
     omegas: np.ndarray
@@ -66,49 +56,48 @@ class LineSpectrum:
     kind: str
     dim: int
     mean_s: float = 0.0
+    log_heavier: np.ndarray | None = None
+
+    def __post_init__(self):
+        if (self.kind == "diagonal") != (self.log_heavier is not None):
+            raise ValueError("log_heavier is given for a diagonal spectrum, and only for one")
 
     @cached_property
-    def kernel(self) -> np.ndarray:
-        """The _line_kernel of the lines, which every family's line sum reads."""
-        return _line_kernel(self.omegas, self.weights)
+    def log_kernel(self) -> np.ndarray:
+        """log of each line's kernel q (1 - e^{-w})/w, which every family's line sum reads.
+
+        The kernel is the log-mean of q and its balance partner q e^{-w}:
+        the heavier of the two times _exprel_neg(|w|), so it stays finite
+        where e^{-w} or q alone is past double range.
+        """
+        return self.log_heavier + np.log(_exprel_neg(np.abs(self.omegas)))
 
 
-def _merge_lines(om, wt):
-    """Sum the weights of sorted lines closer than _MERGE_TOL, at their mean frequency."""
-    if om.size == 0:
-        return om, wt
-    starts = np.concatenate(([0], np.nonzero(np.diff(om) > _MERGE_TOL)[0] + 1))
-    counts = np.diff(np.concatenate((starts, [om.size])))
-    merged_om = np.add.reduceat(om, starts) / counts
-    merged_wt = np.add.reduceat(wt, starts)
-    return merged_om, merged_wt
+def _assemble(frame: _Frame, shift, mean_s) -> LineSpectrum:
+    """The structure factor of S - shift on a frame, merged and pruned in log form.
 
-
-def _assemble(frame: _Frame, positive, negative, diagonal, kind, mean_s) -> LineSpectrum:
-    """Lines ``positive`` at each pair's omega, ``negative`` at -omega and ``diagonal`` at 0, merged and pruned.
-
-    The lines are taken in the order of the frame's table, so no point sorts.
+    A pair (n, m) has lines rho_m |S_nm|^2 at omega_nm and rho_n |S_mn|^2
+    at -omega_nm, of heavier sides rho_m |S_nm|^2 and rho_m |S_mn|^2; the
+    elastic lines rho_n |S_nn - shift|^2 sit at 0.  Lines closer than
+    _MERGE_TOL merge at their mean frequency, their heavier sides summed
+    by logaddexp, and a line whose heavier side is below _PRUNE_REL of the
+    largest goes.  Detailed balance is checked on the pairs first, and the
+    lines are taken in the order of the frame's table, so no point sorts.
     """
-    omega = 2.0 * frame.x
-    order = frame.table.order
-    om = np.concatenate((omega, -omega, np.zeros(frame.state.dim)))[order]
-    om, wt = _merge_lines(om, np.concatenate((positive, negative, diagonal))[order])
-    if wt.size:
-        magnitudes = np.abs(wt)
-        nonzero = magnitudes > 0.0
-        if not nonzero.any():
-            om, wt = om[:0], wt[:0]
-        else:
-            # prune by balance-aware importance: a line at -w of weight
-            # q e^{-w} carries the same metric content as its +w partner
-            # of weight q, so plain weight thresholds would discard it
-            log_importance = np.full(om.shape, -np.inf)
-            log_importance[nonzero] = np.log(magnitudes[nonzero]) + np.maximum(
-                0.0, -om[nonzero]
-            )
-            keep = log_importance >= log_importance.max() + np.log(_PRUNE_REL)
-            om, wt = om[keep], wt[keep]
-    return LineSpectrum(om, wt, kind, frame.state.dim, float(mean_s))
+    frame.lines  # raises unless the pairs keep detailed balance
+    t, (_, lw_cols) = frame.table, frame.pair_log_weights
+    with np.errstate(divide="ignore"):  # a zero element is an empty line
+        log_abs2 = np.log(np.concatenate((t.down, t.up, np.abs(t.diagonal - shift) ** 2)))
+    lw = np.concatenate((lw_cols, lw_cols, frame.state.log_weights))
+    om = np.concatenate((2.0 * frame.x, -2.0 * frame.x, np.zeros(frame.state.dim)))[t.order]
+    heavier = (lw + log_abs2)[t.order]
+    starts = np.concatenate(([0], np.nonzero(np.diff(om) > _MERGE_TOL)[0] + 1))
+    om = np.add.reduceat(om, starts) / np.diff(np.append(starts, om.size))
+    heavier = np.logaddexp.reduceat(heavier, starts)
+    with np.errstate(invalid="ignore"):  # -inf - -inf when every line is empty
+        keep = heavier - np.max(heavier) >= np.log(_PRUNE_REL)
+    om, heavier = om[keep], heavier[keep]
+    return LineSpectrum(om, np.exp(heavier + np.minimum(om, 0.0)), "diagonal", frame.state.dim, float(mean_s), heavier)
 
 
 def _dot(a, b):
@@ -118,6 +107,12 @@ def _dot(a, b):
     summed as it would be alone, so a stack gives its matrices' values.
     """
     return np.sum(a * b, axis=-1)[()]
+
+
+def _dot_exp(log_a, b):
+    """_dot(e^{log_a}, b): each term is exponentiated once, and a value past double range is inf without a warning."""
+    with np.errstate(over="ignore"):
+        return _dot(np.exp(log_a), b)
 
 
 class _PairTable:
@@ -166,13 +161,13 @@ class _Frame:
 
     Every sum runs over the pairs of the ``table`` (T's _PairTable of S,
     built here when omitted) and the diagonal: ``x`` is omega_nm/2 and
-    ``kernel`` the Duhamel kernel at each pair.  Lazy members are computed
+    ``log_kernel`` the log Duhamel kernel at each pair.  Lazy members are computed
     on first read, once per frame; chain_order is the highest commutator
     moment the frame provides.  The frame of the state of a stack of
     generators and a stack of observables of the same shape holds every
     array with the stack's leading axes, and its scalar members (mean,
-    max_omega, moments) become arrays over the stack; the structure factor
-    (``dsf``) is single-instance.
+    max_omega, moments) become arrays over the stack; the structure
+    factors (``dsf``, ``centered_dsf``) are single-instance.
     """
 
     def __init__(self, state: GibbsState, S, chain_order: int = 0, table: _PairTable | None = None):
@@ -198,18 +193,29 @@ class _Frame:
         return np.take(w, self.table.rows, axis=-1), np.take(w, self.table.cols, axis=-1)
 
     @cached_property
-    def kernel(self) -> np.ndarray:
-        """The Duhamel kernel W of the state at the pairs."""
-        return _duhamel_at(self.state, self.table.rows, self.table.cols)
+    def pair_log_weights(self) -> tuple:
+        """Log weights (ln rho_n, ln rho_m) at the pairs (n, m)."""
+        lw = self.state.log_weights
+        return np.take(lw, self.table.rows, axis=-1), np.take(lw, self.table.cols, axis=-1)
+
+    @cached_property
+    def log_kernel(self) -> np.ndarray:
+        """log W of the state's Duhamel kernel at the pairs."""
+        return _log_duhamel_at(self.state, self.table.rows, self.table.cols)
 
     @cached_property
     def on_diagonal(self):
         """sum_n rho_n |S_nn|^2: the diagonal, where every filter is 1 and W_nn = rho_n."""
         return _dot(self.state.weights, np.abs(self.table.diagonal) ** 2)
 
-    def filtered(self, g=1.0):
-        """sum g W |S_nm|^2 over every (n, m), for the filter g at the pairs; F_0(S; S) for g = 1."""
-        return _dot(g * self.kernel, self.table.abs2) + self.on_diagonal
+    @cached_property
+    def classical(self):
+        """sum_n rho_n (S_nn - <S>)^2: the diagonal's share of every metric, where each filter is 1."""
+        return _dot(self.state.weights, (self.diagonal - self.mean[..., None]) ** 2)
+
+    def filtered(self):
+        """F_0(S; S) = sum W |S_nm|^2 over every (n, m)."""
+        return _dot_exp(self.log_kernel, self.table.abs2) + self.on_diagonal
 
     @cached_property
     def second_moment(self):
@@ -230,7 +236,12 @@ class _Frame:
 
     @cached_property
     def dsf(self) -> LineSpectrum:
-        return _assemble(self, *self.lines, self.state.weights * np.abs(self.table.diagonal) ** 2, "diagonal", self.mean)
+        return _assemble(self, 0.0, self.mean)
+
+    @cached_property
+    def centered_dsf(self) -> LineSpectrum:
+        """The structure factor of S - <S>, which the dsf route reads: no line sum cancels <S>^2."""
+        return _assemble(self, self.mean, 0.0)
 
     @cached_property
     def max_omega(self):
@@ -289,10 +300,7 @@ def build_dsf(state: GibbsState, S, centered: bool = False) -> LineSpectrum:
     changes the elastic weight).
     """
     frame = _Frame(state, S)
-    if centered:
-        elastic = state.weights * np.abs(frame.table.diagonal - frame.mean) ** 2
-        return _assemble(frame, *frame.lines, elastic, "diagonal", 0.0)
-    return frame.dsf
+    return frame.centered_dsf if centered else frame.dsf
 
 
 def moment(Q: LineSpectrum, p: int) -> float:
@@ -321,12 +329,13 @@ def moment(Q: LineSpectrum, p: int) -> float:
 def _chain_traces(state: GibbsState, S_matrix: np.ndarray):
     """tr(R_q P), q = 0, 1, ...: a diagonal T keeps R_q = t_i R - R t_j at the nonzero entries of S.
 
-    Its P = S rho reads rho_ii = exp(-T_ii - logZ).  Another T's P reads the
+    Its P = S rho reads rho_ii = exp(-T_ii - logZ).  A decomposition that is
+    a sort (``order``) already says T is diagonal.  Another T's P reads the
     density matrix and its chain runs on dense arrays.
     """
     T_matrix = state.generator
     diagonal = np.diagonal(T_matrix, axis1=-2, axis2=-1)
-    if _is_diagonal(T_matrix):
+    if state.decomposition.order is not None or _is_diagonal(T_matrix):
         # gathered with np.take, in C order, so a stack sums as its matrices do
         n, flat = diagonal.shape[-1], S_matrix.reshape(*S_matrix.shape[:-2], -1)
         rows, cols = np.nonzero(np.any(flat.reshape(-1, n, n) != 0.0, axis=0))
@@ -381,7 +390,7 @@ def bogoliubov_duhamel(state: GibbsState, A, B) -> float:
     """
     frame_a, frame_b = _frame_pair(state, A, B)
     diagonal = frame_a.table.diagonal * frame_b.table.diagonal
-    value = complex(_dot(frame_a.kernel, _pair_products(frame_a, frame_b)) + _dot(state.weights, diagonal))
+    value = complex(_dot_exp(frame_a.log_kernel, _pair_products(frame_a, frame_b)) + _dot(state.weights, diagonal))
     if abs(value.imag) > 1e-12 * max(1.0, abs(value.real)):
         warnings.warn(
             f"Duhamel product has imaginary residue {value.imag:.3e}",
@@ -437,8 +446,9 @@ def chi_lines(Q: LineSpectrum) -> LineSpectrum:
     """
     if Q.kind != "diagonal":
         raise ValueError("chi_lines expects a diagonal spectrum")
-    factors = -np.expm1(-Q.omegas)
-    weights = factors * Q.weights
+    # (1 - e^{-w}) q is w times the line kernel q (1 - e^{-w})/w
+    with np.errstate(over="ignore"):
+        weights = Q.omegas * np.exp(Q.log_kernel)
     magnitudes = np.abs(weights)
     scale = float(magnitudes.max()) if magnitudes.size else 0.0
     keep = (magnitudes > 0.0) & (magnitudes >= _PRUNE_REL * scale)
@@ -472,7 +482,7 @@ def _sum_rule_values(frame: _Frame, p_max: int) -> list[tuple]:
     if np.any(np.sum(np.where(elastic, positive + negative, 0.0), axis=-1) > _PRUNE_REL * heaviest):
         raise ZeroDivisionError("M_{-1} diverges: the spectrum has a nonzero elastic line")
     inverse = np.divide(positive - negative, omega, out=np.zeros_like(omega), where=~elastic)
-    pairs = [(_dot(frame.kernel, frame.table.abs2), 2.0 * np.sum(inverse, axis=-1))]
+    pairs = [(_dot_exp(frame.log_kernel, frame.table.abs2), 2.0 * np.sum(inverse, axis=-1))]
     for p in range(1, p_max + 1):
         # the diagonal's lines sit at omega = 0 and count only in M_0
         moment = _dot(omega ** (p - 1), positive + (-1.0) ** (p - 1) * negative)

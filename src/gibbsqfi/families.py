@@ -20,8 +20,10 @@ sinhc(y) = sinh(y)/y.  This representation is used throughout: it is
 positive, manifestly even, free of removable singularities, and makes the
 Taylor coefficients and the convergence radius of the g-series uniform
 across named and parametric families.  It is evaluated on one path for
-every x, through the log-mean kernel (1 - e^{-z})/z of the Duhamel weights,
-and is inf only where the value itself is past double range.
+every x, as a log form built on the log-mean kernel (1 - e^{-z})/z of the
+Duhamel weights; f has a log form of its own.  The routes add these logs
+to the log weights and exponentiate each pair term once, and eval_g,
+eval_f and eval_c are inf only where the value itself is past double range.
 
 Sign convention: the Wigner-Yanase-Dyson prefactor is alpha*(1-alpha),
 which is forced by positivity and f(1) = 1; sources quoting alpha*(alpha-1)
@@ -218,92 +220,105 @@ def _simplify_scales(nums, dens):
     return tuple(out_n), tuple(out_d)
 
 
-def _eval_scales(rows, x):
-    """prod sinhc(a x) / prod sinhc(d x) for rows of (nums, dens) scales.
+def _log_form(forms, v):
+    """The parts sum w log _exprel_neg(|k v|) and (a if v > 0 else b) v of the form (a, b, (w, ...), (k, ...)).
 
-    One row applies to all of x.  Otherwise row i applies to x[i], padded
-    with scale 0 (sinhc(0) = 1) to the length of the longest row.  As
-    sinhc(y) = e^{|y|} (1 - e^{-2|y|})/(2|y|), the ratio is
-    e^{|x| (sum a - sum d)} times factors (1 - e^{-z})/z.  The exponent's
-    sum is rounded once and the exponential applied in two halves, so the
-    value is inf only where it overflows.
+    One form applies to all of v; otherwise form i applies to v[i], padded
+    with w = k = 0.  Both parts are finite for every finite v.
     """
-    y = 2.0 * np.abs(np.asarray(x, dtype=float))
-    shape = () if len(rows) == 1 else (-1,) + (1,) * (y.ndim - 1)
+    shape = () if len(forms) == 1 else (-1,) + (1,) * (np.ndim(v) - 1)
+    a, b, ws, ks = zip(*forms)
+    out = 0.0
+    for w, k in zip(*(itertools.zip_longest(*part, fillvalue=0.0) for part in (ws, ks))):
+        out = out + np.reshape(w, shape) * np.log(_exprel_neg(np.abs(np.reshape(k, shape) * v)))
+    return out, np.where(v > 0.0, np.reshape(a, shape), np.reshape(b, shape)) * v
 
-    def columns(parts):
-        return [np.reshape(c, shape) for c in itertools.zip_longest(*parts, fillvalue=0.0)]
 
-    acc = np.ones_like(y)
-    for a in columns([nums for nums, _ in rows]):
-        acc *= _exprel_neg(a * y)
-    for d in columns([dens for _, dens in rows]):
-        acc /= _exprel_neg(d * y)
-    net = np.reshape([math.fsum(nums + tuple(-d for d in dens)) for nums, dens in rows], shape)
-    half = np.exp(0.25 * net * y)
-    out = acc * half * half
+def _exp(a, b=0.0):
+    """exp(a + b) for the parts of a log form, the rounding error of a + b (TwoSum) applied as 1 + err.
+
+    A float for a scalar; inf, without a warning, only past double range.
+    """
+    s = a + b
+    err = (a - (s - (s - a))) + (b - (s - a))
+    with np.errstate(over="ignore"):
+        out = np.exp(s) * (1.0 + err)
     return float(out) if np.ndim(out) == 0 else out
+
+
+def _g_parts(family, x, scales=_g_scales):
+    """The parts of log g_f(x), or of log ghat_f(x) with _g_hat_scales, for a family or a tuple of one per entry of x's leading axis.
+
+    sinhc(a x) = e^{a y/2} _exprel_neg(a y) with y = 2|x|: the form has
+    the exponent (sum a - sum d)/2, rounded once, and terms (1, a), (-1, d).
+    """
+    forms = []
+    for nums, dens in map(scales, family if isinstance(family, tuple) else (family,)):
+        half = 0.5 * math.fsum(nums + tuple(-d for d in dens))
+        forms.append((half, half, (1.0,) * len(nums) + (-1.0,) * len(dens), nums + dens))
+    return _log_form(forms, 2.0 * np.abs(np.asarray(x, dtype=float)))
+
+
+def _log_g(family, x):
+    """log g_f(x); ``family`` may also be a tuple with one family per entry of the leading axis of x."""
+    return sum(_g_parts(family, x))
 
 
 def eval_g(family: MonotoneFamily, x):
     """Filter function g_f(x) = (e^{2x}-1)/(2x f(e^{2x})); even, g_f(0) = 1.
 
-    Accepts scalars or arrays; defined for all real x.  ``family`` may
-    also be a tuple with one family per entry of the leading axis of x.
+    Accepts scalars or arrays; defined for all real x, inf only past
+    double range.  ``family`` may also be a tuple with one family per
+    entry of the leading axis of x.
     """
-    members = family if isinstance(family, tuple) else (family,)
-    return _eval_scales([_g_scales(member) for member in members], x)
+    return _exp(*_g_parts(family, x))
 
 
 def eval_g_hat(family: MonotoneFamily, x):
     """Companion filter ghat_f(x) = g_f(x) tanh(x)/x; ghat_MC is identically 1."""
-    return _eval_scales([_g_hat_scales(family)], x)
+    return _exp(*_g_parts(family, x, _g_hat_scales))
+
+
+# f(x) = x^c prod exprel(k u)^w with u = ln x and exprel(v) = (e^v - 1)/v,
+# whose factors carry each removable singularity (x = 1) and limit.  As
+# log exprel(v) = max(v, 0) + log _exprel_neg(|v|), log f(e^u) is the sum
+# of w log _exprel_neg(|k u|) and a u for u > 0, (1 - a) u for u < 0
+# (f(1/x) = f(x)/x): each entry maps p to (a, (w, ...), (k, ...))
+_F_FORMS = {
+    "har": lambda p: (0.0, (1.0, -1.0), (1.0, 2.0)),  # 2x/(x + 1) = x exprel(u)/exprel(2u)
+    "bures": lambda p: (1.0, (1.0, -1.0), (2.0, 1.0)),  # (x + 1)/2 = exprel(2u)/exprel(u)
+    "geometric": lambda p: (0.5, (), ()),  # sqrt(x)
+    "bkm": lambda p: (1.0, (1.0,), (1.0,)),  # (x - 1)/ln x
+    "mc": lambda p: (1.0, (3.0, -1.0), (1.0, 2.0)),  # ((x - 1)/ln x)^2 2/(x + 1)
+    # alpha*(1-alpha)*(x-1)^2 / ((x^a - 1)(x^{1-a} - 1)): the prefactor
+    # cancels against the u-factors of the exprel forms
+    "wyd": lambda p: (1.0, (2.0, -1.0, -1.0), (1.0, p, 1.0 - p)),
+    "pdiff": lambda p: (min(max(p, 0.0), 1.0), (1.0, -1.0), (p, p - 1.0)),  # (p-1)/p * (x^p - 1)/(x^{p-1} - 1)
+}
+
+
+def _log_f(family, u):
+    """log f(e^u) for real u; ``family`` may also be a tuple with one family per entry of the leading axis of u."""
+    forms = []
+    for member in family if isinstance(family, tuple) else (family,):
+        _require_single(member)
+        a, ws, ks = _F_FORMS[member.kind](member.param)
+        forms.append((a, 1.0 - a, ws, ks))
+    return sum(_log_form(forms, u))
 
 
 def eval_f(family: MonotoneFamily, x):
     """The standard operator monotone function f at finite x > 0.
 
-    Removable singularities (x = 1 for BKM, MC, WYD, power-difference) are
-    evaluated through exprel(u) = (e^u - 1)/u, so no accuracy is lost near
-    them.
+    exp of the log form log f(e^u), u = ln x (see _F_FORMS): the
+    removable singularities at x = 1 (BKM, MC, WYD, power-difference)
+    lose no accuracy, and f(1) = 1 exactly.
     """
     _require_single(family)
     x_arr = np.asarray(x, dtype=float)
     if not np.all((x_arr > 0.0) & (x_arr < np.inf)):
         raise ValueError("operator monotone functions are defined for finite x > 0")
-    out = _f(family.kind, family.param, x_arr)
-    return float(out) if np.ndim(out) == 0 else out
-
-
-def _exprel(u):
-    """exprel(u) = (e^u - 1)/u as e^{max(u, 0)} times the kernel _exprel_neg(|u|)."""
-    return np.exp(np.maximum(u, 0.0)) * _exprel_neg(np.abs(u))
-
-
-def _f(k: str, p, x_arr: np.ndarray) -> np.ndarray:
-    """f of kind k with parameter p (a number or an array broadcasting against x_arr)."""
-    if k == "har":
-        return 2.0 * x_arr / (x_arr + 1.0)
-    if k == "bures":
-        return (x_arr + 1.0) / 2.0
-    if k == "geometric":
-        return np.sqrt(x_arr)
-    u = np.log(x_arr)
-    if k == "bkm":
-        return _exprel(u)
-    if k == "mc":
-        # never square exprel(u): it overflows for u above about 355
-        e = _exprel(u)
-        return e * (2.0 * e / (x_arr + 1.0))
-    if k == "wyd":
-        # alpha*(1-alpha)*(x-1)^2 / ((x^a - 1)(x^{1-a} - 1)); the
-        # prefactor cancels against the u-factors of the exprel forms
-        e = _exprel(u)
-        return (e / _exprel(p * u)) * (e / _exprel((1.0 - p) * u))
-    # pdiff: (p-1)/p * (x^p - 1)/(x^{p-1} - 1), limits included, as
-    # exprel(a)/exprel(b) with one exponential, which cannot overflow
-    a, b = p * u, (p - 1.0) * u
-    return np.exp(np.maximum(a, 0.0) - np.maximum(b, 0.0)) * (_exprel_neg(np.abs(a)) / _exprel_neg(np.abs(b)))
+    return _exp(_log_f(family, np.log(x_arr)))
 
 
 def eval_f_at_zero(family: MonotoneFamily) -> float:
@@ -322,26 +337,15 @@ def eval_f_at_zero(family: MonotoneFamily) -> float:
 def eval_c(family: MonotoneFamily, x, y):
     """Morozova-Cencov function c_f(x, y) = 1/(x f(y/x)) for x, y > 0.
 
-    ``family`` may also be a tuple with one family per entry of the
-    leading axis of x and y; families of one kind are evaluated together.
+    exp of -ln x - log f(e^u), u = ln y - ln x.  ``family`` may also be a
+    tuple with one family per entry of the leading axis of x and y.
     """
     x_arr = np.asarray(x, dtype=float)
     y_arr = np.asarray(y, dtype=float)
     if np.any(x_arr <= 0.0) or np.any(y_arr <= 0.0):
         raise ValueError("Morozova-Cencov function requires positive arguments")
-    if not isinstance(family, tuple):
-        return 1.0 / (x_arr * eval_f(family, y_arr / x_arr))
-    x_arr, y_arr = np.broadcast_arrays(x_arr, y_arr)
-    out = np.empty_like(x_arr)
-    kinds = {}
-    for i, member in enumerate(family):
-        _require_single(member)
-        kinds.setdefault(member.kind, []).append(i)
-    for kind, index in kinds.items():
-        params = [family[i].param for i in index]
-        p = None if params[0] is None else np.reshape(params, (-1,) + (1,) * (x_arr.ndim - 1))
-        out[index] = 1.0 / (x_arr[index] * _f(kind, p, y_arr[index] / x_arr[index]))
-    return out
+    log_x = np.log(x_arr)
+    return _exp(-log_x - _log_f(family, np.log(y_arr) - log_x))
 
 
 def g_series_radius(family: MonotoneFamily) -> float:

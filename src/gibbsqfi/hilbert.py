@@ -11,7 +11,6 @@ from __future__ import annotations
 
 import json
 import re
-import warnings
 from dataclasses import dataclass, field
 from pathlib import Path
 
@@ -30,9 +29,6 @@ __all__ = [
     "read_operator_json",
     "write_operator_json",
 ]
-
-# weights below this are clamped to keep states full rank
-_WEIGHT_FLOOR = 1e-300
 
 
 class HermitianOperator:
@@ -144,22 +140,23 @@ def eigendecompose(H) -> SpectralDecomposition:
 class GibbsState:
     """Gibbs weights rho_m = exp(-T_m - logZ) over a spectral decomposition.
 
-    weights sum to one and are strictly positive; entries that underflow
-    are clamped to 1e-300 and counted in ``clamped``.  ``log_weights`` is
-    kept exactly as -T_m - logZ so ratios of weights never lose precision.
-    The state of a stack of generators holds one state per matrix: its
-    arrays carry the stack's leading axes.
+    ``log_weights`` = -T_m - logZ is the state: every weight ratio, kernel
+    and filter term is formed from it.  ``weights`` is its exp, summing to
+    one, and 0 for levels more than about 745 above the ground level.  The
+    state of a stack of generators holds one state per matrix.
     """
 
     decomposition: SpectralDecomposition
-    weights: np.ndarray
     log_weights: np.ndarray
     logZ: float
     # T in the original basis, as given: its zero entries stay exact zeros,
     # and the commutator chain that reads it does not depend on the eigenvectors
     generator: np.ndarray = field(repr=False)
-    clamped: int = 0
+    weights: np.ndarray = field(init=False)
     _rho_matrix: np.ndarray | None = field(default=None, repr=False)
+
+    def __post_init__(self):
+        self.weights = np.exp(self.log_weights)
 
     @property
     def dim(self) -> int:
@@ -192,39 +189,30 @@ def _scaled_state(decomposition: SpectralDecomposition, T: np.ndarray, c: float)
 
     c * T has T's eigenvectors and c times its eigenvalues, so a state
     that only rescales the generator needs no eigh of its own.  A scaled
-    spectrum whose range is not finite raises ArithmeticError; the
-    weights are normalized and checked as for gibbs_state, and the state
+    spectrum whose range is past half the double range, as the filters
+    read gaps up to twice it, raises ArithmeticError; the weights are
+    normalized and checked as for gibbs_state, and the state
     keeps c * T as its generator.  The decomposition of a stack gives the
     states of all its matrices, each normalized and checked on its own.
     """
     with np.errstate(over="ignore", invalid="ignore"):
         lam = c * decomposition.eigenvalues
         spread = lam[..., -1] - lam[..., 0]
-    _check_each(np.isfinite(spread), spread, "spectral range {!r} of c * T is non-finite")
+        _check_each(np.isfinite(2.0 * spread), spread, "twice the spectral range {!r} of c * T is non-finite")
     shift = np.min(lam, axis=-1, keepdims=True)
     log_norm = np.log(np.sum(np.exp(-(lam - shift)), axis=-1, keepdims=True))
     log_w = -(lam - shift) - log_norm
     # one renormalization pass keeps sum(weights) at 1 to machine precision
     log_w -= np.log(np.sum(np.exp(log_w), axis=-1, keepdims=True))
-    weights = np.exp(log_w)
-    clamped = int(np.sum(weights < _WEIGHT_FLOOR))
-    if clamped:
-        warnings.warn(
-            f"{clamped} Gibbs weights below {_WEIGHT_FLOOR:g} clamped",
-            RuntimeWarning,
-            stacklevel=3,
-        )
-        weights = np.maximum(weights, _WEIGHT_FLOOR)
-    total = np.sum(weights, axis=-1)
-    _check_each(np.abs(total - 1.0) <= 1e-13, total, "Gibbs weights sum to {!r}, not 1")
-    return GibbsState(
+    state = GibbsState(
         decomposition=SpectralDecomposition(lam, decomposition.eigenvectors, decomposition.order),
-        weights=weights,
         log_weights=log_w,
         logZ=(log_norm - shift)[..., 0],
         generator=c * T,
-        clamped=clamped,
     )
+    total = np.sum(state.weights, axis=-1)
+    _check_each(np.abs(total - 1.0) <= 1e-13, total, "Gibbs weights sum to {!r}, not 1")
+    return state
 
 
 def to_eigenbasis(state: GibbsState | SpectralDecomposition, A) -> np.ndarray:
@@ -286,15 +274,14 @@ def solve_xst(T, S) -> tuple[np.ndarray, SpectralDecomposition]:
     return X, decomposition
 
 
-def _duhamel_at(state: GibbsState, rows: np.ndarray, cols: np.ndarray) -> np.ndarray:
-    """The stable kernel W[m, n] = (rho_n - rho_m)/(ln rho_n - ln rho_m) at the index pairs (rows, cols), in C order.
+def _log_duhamel_at(state: GibbsState, rows: np.ndarray, cols: np.ndarray) -> np.ndarray:
+    """log W[m, n] of the kernel W = (rho_n - rho_m)/(ln rho_n - ln rho_m) at the index pairs (rows, cols), in C order.
 
-    Evaluated as the larger weight times _exprel_neg(|ln rho_n - ln rho_m|),
-    a factor in (0, 1] that cannot overflow and has the analytic degenerate
-    limit W[m, m] = rho_m.
+    The larger log weight plus log _exprel_neg of the gap: finite for any
+    weights, with the exact degenerate limit W[m, m] = rho_m.
     """
-    w_rows, w_cols, lw_rows, lw_cols = (np.take(v, i, axis=-1) for v in (state.weights, state.log_weights) for i in (rows, cols))
-    return np.maximum(w_rows, w_cols) * _exprel_neg(np.abs(lw_rows - lw_cols))
+    lw_rows, lw_cols = (np.take(state.log_weights, i, axis=-1) for i in (rows, cols))
+    return np.maximum(lw_rows, lw_cols) + np.log(_exprel_neg(np.abs(lw_rows - lw_cols)))
 
 
 def _exprel_neg(z: np.ndarray) -> np.ndarray:

@@ -19,7 +19,7 @@ from typing import NamedTuple
 import numpy as np
 
 from . import families as fam
-from .dsf import _dot, _Frame, _frame_pair, _sum_rule_values
+from .dsf import _dot, _dot_exp, _Frame, _frame_pair, _sum_rule_values
 from .hilbert import GibbsState, HermitianOperator, _scaled_state, as_operator, eigendecompose
 from .metrics import _cross_value, _oracle_value, _spectral_value
 
@@ -106,17 +106,17 @@ def _per_matrix(fn, *args):
 
 
 def _filters(frame: _Frame):
-    """g_f at the frame's pairs, evaluated once per family.
+    """log g_f at the frame's pairs, evaluated once per family.
 
     The argument is one family, or a tuple with one family per matrix of
     the frame's stack.  The frames of _frame_pair share the pairs.
     """
-    return functools.cache(lambda family: fam.eval_g(family, frame.x))
+    return functools.cache(lambda family: fam._log_g(family, frame.x))
 
 
-def _checked(frame: _Frame, family, g: np.ndarray) -> np.ndarray:
-    """Spectral values from the filter g, cross-validated value by value against the oracle."""
-    fast = _spectral_value(frame, g)
+def _checked(frame: _Frame, family, log_g: np.ndarray) -> np.ndarray:
+    """Spectral values from the filter g = e^{log_g}, cross-validated value by value against the oracle."""
+    fast = _spectral_value(frame, log_g)
     slow = _oracle_value(frame, family)
     bad = np.abs(fast - slow) > 1e-10 * np.maximum(np.maximum(np.abs(fast), np.abs(slow)), 1e-30)
     if np.any(bad):
@@ -227,12 +227,11 @@ def _cauchy_schwarz_checks(frame_a: _Frame, frame_b: _Frame, f, f_bar, filters) 
     name = _per_matrix(lambda a, b, t: f"cs:{a.label},{b.label}->{t.label}", f, f_bar, f_tilde)
     checks = [_Check(name, lhs, d2_f * d2_f_bar)]
     if frame_b is frame_a:
-        w_rows, w_cols = frame_a.pair_weights
         # (1 + e^{-w}) times the line weight |dA_mn|^2 rho_m, on both sides of each pair
-        pair_weights = (w_rows + w_cols) * frame_a.table.abs2
+        log_pair_weights = np.logaddexp(*frame_a.pair_log_weights)
         diagonal = 2.0 * _dot(frame_a.state.weights, np.abs(frame_a.table.diagonal - frame_a.mean[..., None]) ** 2)
         for family, d2 in ((f, d2_f), (f_bar, d2_f_bar)):
-            classical = 0.125 * (_dot(filters(family), pair_weights) + diagonal)
+            classical = 0.125 * (_dot_exp(filters(family) + log_pair_weights, frame_a.table.abs2) + diagonal)
             label = _per_matrix(lambda one: f"classical_bound:{one.label}", family)
             checks.append(_Check(label, d2, classical))
         checks.append(

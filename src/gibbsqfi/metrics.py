@@ -17,7 +17,8 @@ every route reads one frame per (state, S) (``dsf._Frame``).  Its
 commutator chain (``dsf.commutator_moments``, shared with functional_F
 and the sum rules) stays in the original basis, so the series still
 cross-check the eigenbasis routes.  The one kernel is the log-mean
-factor (1 - e^{-z})/z of ``hilbert._exprel_neg``.
+factor (1 - e^{-z})/z of ``hilbert._exprel_neg``, and each term a route
+sums is exponentiated once from its log (``dsf._dot_exp``).
 
 All metrics carry the 1/4 normalization that makes the Bures member one
 quarter of the fidelity susceptibility (see fidelity_susceptibility).
@@ -30,7 +31,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from . import families as fam
-from .dsf import LineSpectrum, _dot, _Frame, _frame_pair, _pair_products, build_dsf
+from .dsf import LineSpectrum, _dot, _dot_exp, _Frame, _frame_pair, _pair_products, build_dsf
 from .hilbert import GibbsState
 
 __all__ = [
@@ -78,31 +79,26 @@ def _nonnegative(raw, scale, method: str):
     return np.where(raw < 0.0, 0.0, raw)[()]
 
 
-def _spectral_value(frame: _Frame, g: np.ndarray):
-    """(1/4)[sum g W |S_mn|^2 - <S>^2] for the filter g at the frame's pairs."""
-    gross = frame.filtered(g)
-    return _nonnegative(
-        0.25 * (gross - frame.mean ** 2), 0.25 * gross, "spectral"
-    )
+def _spectral_value(frame: _Frame, log_g: np.ndarray):
+    """(1/4)[sum g W |S_mn|^2 - <S>^2] for the filter g = e^{log_g} at the frame's pairs.
+
+    The diagonal adds sum_n rho_n (S_nn - <S>)^2, so no term cancels <S>^2.
+    """
+    gross = _dot_exp(log_g + frame.log_kernel, frame.table.abs2) + frame.classical
+    return _nonnegative(0.25 * gross, 0.25 * gross, "spectral")
 
 
 def _oracle_value(frame: _Frame, family):
     """The Morozova-Cencov double sum over the frame's pairs.
 
-    c_f is symmetric, so it is evaluated once per pair (n, m), as
-    c_f(rho_m, rho_n) with f at rho_n/rho_m <= 1.  ``family`` is one family
-    for the whole frame, or a tuple with one family per matrix of the
-    frame's stack.
+    c_f is symmetric, so each pair (n, m) reads c_f(rho_m, rho_n) W^2 =
+    rho_m _exprel_neg(u)^2 / f(e^{-u}), u = ln rho_m - ln rho_n, once, from
+    its log; it is rho_m at u = 0.  ``family`` is one family for the
+    frame, or a tuple with one family per matrix of the frame's stack.
     """
-    t = frame.table
-    w_rows, w_cols = frame.pair_weights
-    lw = frame.state.log_weights
-    summand = fam.eval_c(family, w_cols, w_rows) * frame.kernel ** 2 * t.abs2
-    # analytic degenerate limit of c_f(rho, rho) q^2 is rho itself, on each side
-    deg = np.abs(np.take(lw, t.rows, axis=-1) - np.take(lw, t.cols, axis=-1)) < 1e-10
-    summand = np.where(deg, w_rows * t.down + w_cols * t.up, summand)
-    classical = _dot(frame.state.weights, (frame.diagonal - frame.mean[..., None]) ** 2)
-    gross = classical + np.sum(summand, axis=-1)
+    lw_rows, lw_cols = frame.pair_log_weights
+    log_c_w2 = 2.0 * frame.log_kernel - lw_cols - fam._log_f(family, lw_rows - lw_cols)
+    gross = frame.classical + _dot_exp(log_c_w2, frame.table.abs2)
     return _nonnegative(0.25 * gross, 0.25 * gross, "oracle")
 
 
@@ -111,11 +107,11 @@ def _evaluate(
 ) -> MetricResult:
     """The metric by one of METHODS on a prepared frame (L for the series)."""
     if method == "dsf":
-        return metric_from_dsf(frame.dsf, family)
+        return metric_from_dsf(frame.centered_dsf, family)
     if method in ("seriesA", "seriesB"):
         return _series(frame, family, method, L)
     if method == "spectral":
-        value = _spectral_value(frame, fam.eval_g(family, frame.x))
+        value = _spectral_value(frame, fam._log_g(family, frame.x))
     elif method == "oracle":
         value = _oracle_value(frame, family)
     else:
@@ -140,9 +136,10 @@ def metric_mc_oracle(state: GibbsState, S, family: fam.MonotoneFamily) -> Metric
     """Brute-force metric from the Morozova-Cencov kernel c_f(rho_m, rho_n).
 
     (1/4)[ Var(S^d) + sum_{m != n} c_f(rho_m, rho_n) q_mn^2 |S_mn|^2 ] with
-    q the ratio (rho_n - rho_m)/(ln rho_n - ln rho_m); pairs closer than
-    1e-10 in log weight use the analytic limit rho_m.  Serves as the
-    reference for every other route.
+    q the ratio (rho_n - rho_m)/(ln rho_n - ln rho_m).  Each term is formed
+    from the log weights, so a degenerate pair takes the analytic limit
+    rho_m of the general formula.  Serves as the reference for every
+    other route.
     """
     return _evaluate(_Frame(state, S), family, "oracle")
 
@@ -151,12 +148,12 @@ def metric_from_dsf(Q: LineSpectrum, family: fam.MonotoneFamily) -> MetricResult
     """Metric as the structure-factor line sum.
 
     (1/4)[ sum_j g_f(w_j/2) (1 - e^{-w_j})/w_j  w_j_weight - <S>^2 ], the
-    elastic line entering with the limit factor 1.
+    elastic line entering with the limit factor 1; the dsf method reads
+    the centered spectrum, whose <S> is 0.
     """
     if Q.kind != "diagonal":
         raise ValueError("metric_from_dsf expects a diagonal spectrum")
-    g = fam.eval_g(family, 0.5 * Q.omegas)
-    gross = float(np.sum(g * Q.kernel))
+    gross = float(_dot_exp(fam._log_g(family, 0.5 * Q.omegas) + Q.log_kernel, 1.0))
     value = float(_nonnegative(0.25 * (gross - Q.mean_s ** 2), 0.25 * gross, "dsf"))
     return MetricResult(value, "dsf", MetricDiagnostics())
 
@@ -225,14 +222,14 @@ def metric_difference_to_bkm(state: GibbsState, S, family: fam.MonotoneFamily) -
     zero for the BKM family.
     """
     Q = build_dsf(state, S)
-    g = fam.eval_g(family, 0.5 * Q.omegas)
-    return 0.25 * float(np.sum((g - 1.0) * Q.kernel))
+    with np.errstate(over="ignore"):
+        return 0.25 * float(_dot(np.expm1(fam._log_g(family, 0.5 * Q.omegas)), np.exp(Q.log_kernel)))
 
 
-def _cross_value(frame_a: _Frame, frame_b: _Frame, g: np.ndarray):
-    """(1/4) sum g W dA_nm dB_mn over two frames of one state and pairs, for the filter g."""
+def _cross_value(frame_a: _Frame, frame_b: _Frame, log_g: np.ndarray):
+    """(1/4) sum g W dA_nm dB_mn over two frames of one state and pairs, for the filter g = e^{log_g}."""
     diagonal = (frame_a.table.diagonal - frame_a.mean[..., None]) * (frame_b.table.diagonal - frame_b.mean[..., None])
-    return 0.25 * (_dot(g * frame_a.kernel, _pair_products(frame_a, frame_b)) + _dot(frame_a.state.weights, diagonal))
+    return 0.25 * (_dot_exp(log_g + frame_a.log_kernel, _pair_products(frame_a, frame_b)) + _dot(frame_a.state.weights, diagonal))
 
 
 def cross_metric(state: GibbsState, A, B, family: fam.MonotoneFamily) -> complex:
@@ -245,7 +242,7 @@ def cross_metric(state: GibbsState, A, B, family: fam.MonotoneFamily) -> complex
     Real for A = B; cross_metric(A, B) = conj(cross_metric(B, A)).
     """
     frame_a, frame_b = _frame_pair(state, A, B)
-    return complex(_cross_value(frame_a, frame_b, fam.eval_g(family, frame_a.x)))
+    return complex(_cross_value(frame_a, frame_b, fam._log_g(family, frame_a.x)))
 
 
 def fidelity_susceptibility(state: GibbsState, S) -> float:

@@ -13,7 +13,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import families as fam
-from .dsf import _dot, _Frame
+from .dsf import _dot, _dot_exp, _Frame
 from .hilbert import GibbsState
 from .metrics import MetricDiagnostics, MetricResult, _nonnegative
 
@@ -36,10 +36,10 @@ class SkewResult:
 
 def _wyd_value(frame: _Frame, alpha: float) -> float:
     """sum |S_nm|^2 (rho_n - rho_n^a rho_m^{1-a}) over the pairs, both ways; the diagonal adds 0."""
-    w_rows, w_cols = frame.pair_weights
+    (w_rows, w_cols), (lw_rows, lw_cols) = frame.pair_weights, frame.pair_log_weights
     t = frame.table
-    gross = float(np.sum(t.down * (w_rows - w_rows ** alpha * w_cols ** (1.0 - alpha))
-                         + t.up * (w_cols - w_cols ** alpha * w_rows ** (1.0 - alpha))))
+    gross = float(np.sum(t.down * (w_rows - np.exp(alpha * lw_rows + (1.0 - alpha) * lw_cols))
+                         + t.up * (w_cols - np.exp(alpha * lw_cols + (1.0 - alpha) * lw_rows))))
     return _nonnegative(gross, float(frame.second_moment), "wyd_skew")
 
 
@@ -68,11 +68,10 @@ def metric_adjusted_skew(state: GibbsState, S, family: fam.MonotoneFamily) -> Sk
             "metric-adjusted skew information"
         )
     frame = _Frame(state, S)
-    w_rows, w_cols = frame.pair_weights
-    # every term is nonnegative: squared gap over a positive kernel, which
-    # is symmetric in (n, m); the diagonal adds 0
-    summand = (w_rows - w_cols) ** 2 / (w_cols * fam.eval_f(family, w_rows / w_cols)) * frame.table.abs2
-    value = 0.5 * f0 * float(np.sum(summand))
+    lw_rows, lw_cols = frame.pair_log_weights
+    # each term rho_m (e^u - 1)^2 / f(e^u), u = ln rho_n - ln rho_m, is >= 0 and symmetric in (n, m)
+    u = lw_rows - lw_cols
+    value = 0.5 * f0 * float(_dot_exp(lw_cols - fam._log_f(family, u), np.expm1(u) ** 2 * frame.table.abs2))
     alpha = family.param if family.kind == "wyd" else None
     return SkewResult(value, family, alpha)
 
@@ -86,8 +85,7 @@ def tilde_metric(state: GibbsState, S, family: fam.MonotoneFamily) -> MetricResu
     anti-Hermitian, is never materialized).
     """
     frame = _Frame(state, S)
-    g = fam.eval_g(family, frame.x)
-    gross = float(_dot(g * frame.kernel * (2.0 * frame.x) ** 2, frame.table.abs2))
+    gross = float(_dot_exp(fam._log_g(family, frame.x) + frame.log_kernel, (2.0 * frame.x) ** 2 * frame.table.abs2))
     return MetricResult(0.25 * gross, "spectral", MetricDiagnostics())
 
 

@@ -187,13 +187,14 @@ class TestMetricJobs:
         assert captured.out == ""
         assert captured.err == "error: T: eigendecomposition residual nan exceeds 1e-10 * |H|\n"
 
-    @pytest.mark.filterwarnings("ignore::RuntimeWarning")
-    def test_nan_metric_exits_2(self, tmp_path, capsys):
-        # the range 1e308 of beta * T is finite for S=1/2, but the
-        # structure-factor route reads nan there
+    def test_nan_metric_exits_2(self, tmp_path, capsys, monkeypatch):
+        # the routes form every term from log weights, and the input that
+        # made the structure-factor route read nan (beta = 1e308 for S=1/2)
+        # is now rejected as a range (test_range_past_half_the_double_range_exits_2);
+        # a route that reads nan still exits 2
+        monkeypatch.setattr(metrics, "metric_from_dsf", lambda Q, family: metrics.MetricResult(math.nan, "dsf"))
         payload = {
             "model": {"model": "spin", "S": 0.5, "omega0": 1.0},
-            "beta": 1e308,
             "families": ["mc"],
             "methods": ["oracle", "spectral", "dsf"],
         }
@@ -201,6 +202,25 @@ class TestMetricJobs:
         assert main(["metric", "--config", write_config(tmp_path, payload), "--out", str(out)]) == 2
         assert not out.exists()
         assert capsys.readouterr().err == "error: mc dsf: the metric is nan\n"
+
+    def test_range_past_half_the_double_range_exits_2(self, tmp_path, capsys):
+        # the range 1e308 of beta * T is finite for S=1/2, but the filters
+        # read gaps up to twice it; this printed 0.0 for MC by the oracle
+        # and the spectral route, and nan by the structure factor
+        payload = {
+            "model": {"model": "spin", "S": 0.5, "omega0": 1.0},
+            "beta": 1e308,
+            "families": ["mc"],
+            "methods": ["oracle", "spectral", "dsf"],
+        }
+        out = tmp_path / "never.csv"
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            assert main(["metric", "--config", write_config(tmp_path, payload), "--out", str(out)]) == 2
+        assert not out.exists()
+        assert capsys.readouterr().err == (
+            "error: beta * T at beta=1e+308: twice the spectral range 1e+308 of c * T is non-finite\n"
+        )
 
     def test_wide_spin_routes_agree_for_every_family(self, tmp_path):
         # spectral range 600: g_{pdiff:-0.7} reaches about e^600 at x = 300,
@@ -231,8 +251,8 @@ class TestMetricJobs:
         with warnings.catch_warnings(record=True) as caught:
             warnings.simplefilter("always")
             assert main(["metric", "--config", write_config(tmp_path, payload), "--out", str(out)]) == 0
-        # the Gibbs weights below 1e-300 are still clamped; nothing overflows or is invalid
-        assert [str(w.message) for w in caught if "clamped" not in str(w.message)] == []
+        # weights past double range underflow silently; nothing overflows or is invalid
+        assert [str(w.message) for w in caught] == []
         rows = read_csv(out)
         for family in ("har", "bkm", "mc"):
             values = [float(r["value"]) for r in rows if r["family"] == family]
@@ -395,6 +415,42 @@ class TestMetricJobs:
         assert main(["sweep", "--config", config, "--out", str(capped)]) == 0
         assert len(read_csv(capped)) == 12
         assert capped.read_bytes() == plain.read_bytes()
+
+    @pytest.mark.parametrize(
+        "model, message",
+        [
+            # these ran as k = 2 and cutoff 40, as spin 1, and as the numbers 2 and 1
+            ({"model": "boson", "k": 2.5, "omega": 1.0, "cutoff": 40}, "boson model: k must be an integer, got 2.5"),
+            ({"model": "boson", "k": 2, "omega": 1.0, "cutoff": 40.9}, "boson model: cutoff must be an integer, got 40.9"),
+            ({"model": "boson", "k": True, "omega": 1.0, "cutoff": 40}, "boson model: k must be an integer, got True"),
+            ({"model": "boson", "k": 2, "omega": "1", "cutoff": 40}, "boson model: omega must be a number, got '1'"),
+            ({"model": "boson", "k": 1, "omega": 1.0, "cutoff": math.nan}, "boson model: cutoff must be an integer, got nan"),
+            ({"model": "spin", "S": True, "omega0": 1.0}, "spin model: S must be a number, got True"),
+            ({"model": "spin", "S": "2", "omega0": 1.0}, "spin model: S must be a number, got '2'"),
+            ({"model": "spin", "S": 2, "omega0": "1"}, "spin model: omega0 must be a number, got '1'"),
+            ({"model": "spin", "omega0": 1.0}, "spin model: S must be a number, got None"),
+        ],
+        ids=[
+            "boson-k-fraction", "boson-cutoff-fraction", "boson-k-bool", "boson-omega-string", "boson-cutoff-nan",
+            "spin-S-bool", "spin-S-string", "spin-omega0-string", "spin-S-missing",
+        ],
+    )
+    def test_loosely_typed_model_field_exits_2(self, tmp_path, capsys, model, message):
+        config = write_config(tmp_path, {"model": model, "families": ["bkm"]})
+        out = tmp_path / "never.csv"
+        assert main(["metric", "--config", config, "--out", str(out)]) == 2
+        assert not out.exists()
+        assert capsys.readouterr().err == f"error: {message}\n"
+
+    def test_integral_float_fields_are_read_as_integers(self, tmp_path):
+        # 2.0 and 40.0 are the JSON numbers 2 and 40
+        rows = []
+        for k, cutoff in ((2, 40), (2.0, 40.0)):
+            config = write_config(tmp_path, {"model": {"model": "boson", "k": k, "omega": 1.0, "cutoff": cutoff}, "families": ["bkm"]})
+            out = tmp_path / "table.csv"
+            assert main(["metric", "--config", config, "--out", str(out)]) == 0
+            rows.append(read_csv(out))
+        assert rows[0] == rows[1]
 
     @pytest.mark.parametrize(
         "model, message",

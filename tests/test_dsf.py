@@ -58,7 +58,17 @@ def build_cross_dsf(state, A, B):
     omega = 2.0 * frame_a.x
     slack = np.abs(negative - np.exp(-omega) * np.conj(positive)) - 1e-12 * np.abs(positive) - floor
     assert not np.any((omega > dsf._MERGE_TOL) & (slack > 0.0)), "cross lines violate detailed balance"
-    return dsf._assemble(frame_a, positive, negative, diagonal, "cross", 0.0)
+    # lines closer than _MERGE_TOL merge at their mean frequency; a line
+    # goes when |q| e^{max(0, -w)} is 0 or below _PRUNE_REL of the largest
+    om = np.concatenate((omega, -omega, np.zeros(state.dim)))[frame_a.table.order]
+    wt = np.concatenate((positive, negative, diagonal))[frame_a.table.order]
+    starts = np.concatenate(([0], np.nonzero(np.diff(om) > dsf._MERGE_TOL)[0] + 1))
+    om = np.add.reduceat(om, starts) / np.diff(np.append(starts, om.size))
+    wt = np.add.reduceat(wt, starts)
+    with np.errstate(divide="ignore", invalid="ignore"):
+        importance = np.log(np.abs(wt)) + np.maximum(0.0, -om)
+        keep = importance - np.max(importance) >= np.log(dsf._PRUNE_REL)
+    return dsf.LineSpectrum(om[keep], wt[keep], "cross", state.dim, 0.0)
 
 
 class TestBuildDsf:
@@ -409,15 +419,15 @@ class TestFrameMembers:
             return wrapped
 
         monkeypatch.setattr(dsf, "commutator_moments", counting("moments", dsf.commutator_moments))
-        monkeypatch.setattr(dsf, "_duhamel_at", counting("kernel", dsf._duhamel_at))
+        monkeypatch.setattr(dsf, "_log_duhamel_at", counting("kernel", dsf._log_duhamel_at))
         state, s = random_instance(5, 5)
         frames = [dsf._Frame(state, s, 3), dsf._Frame(state, s, 3)]
         for frame in frames:
-            for name in ("moments", "kernel", "pair_weights", "second_moment", "dsf", "max_omega"):
+            for name in ("moments", "log_kernel", "pair_weights", "second_moment", "dsf", "max_omega"):
                 assert getattr(frame, name) is getattr(frame, name)
         assert calls == {"moments": 2, "kernel": 2}
         first, second = frames
-        for name in ("moments", "kernel", "pair_weights", "dsf"):
+        for name in ("moments", "log_kernel", "pair_weights", "dsf"):
             assert getattr(first, name) is not getattr(second, name)
         assert first.moments == second.moments
 
@@ -425,8 +435,8 @@ class TestFrameMembers:
         # the line kernel does not depend on the family, so every family's
         # line sum on one structure factor reads one kernel
         calls = []
-        line_kernel = dsf._line_kernel
-        monkeypatch.setattr(dsf, "_line_kernel", lambda *args: calls.append(1) or line_kernel(*args))
+        exprel_neg = dsf._exprel_neg
+        monkeypatch.setattr(dsf, "_exprel_neg", lambda *args: calls.append(1) or exprel_neg(*args))
         state, s = random_instance(5, 6)
         spectrum = dsf._Frame(state, s).dsf
         values = [metrics.metric_from_dsf(spectrum, family).value for family in fam.named_families().values()]

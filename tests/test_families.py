@@ -431,6 +431,57 @@ class TestFilterReference:
         assert fam.eval_g(fam.HAR, 358.0) > 6e307
 
 
+def mp_f(family, x):
+    """The textbook f at an mpmath x, away from x = 1."""
+    k, p = family.kind, family.param
+    if k == "wyd":
+        return p * (1 - p) * (x - 1) ** 2 / ((x ** p - 1) * (x ** (1 - p) - 1))
+    if k == "pdiff":
+        return (p - 1) / p * (x ** p - 1) / (x ** (p - 1) - 1)
+    return {
+        "har": lambda: 2 * x / (1 + x),
+        "bures": lambda: (1 + x) / 2,
+        "bkm": lambda: (x - 1) / mpmath.log(x),
+        "mc": lambda: ((x - 1) / mpmath.log(x)) ** 2 * 2 / (1 + x),
+        "geometric": lambda: mpmath.sqrt(x),
+    }[k]()
+
+
+class TestLogForms:
+    """log f(e^u) and log g(x) against 60-digit textbook formulas for |u|, 2|x| up to 1e4.
+
+    A double log form is exact to a few roundings of its terms, which grow
+    with |u| (the exponent a u, and the scale 1 - p of WYD): the tolerance
+    is 2e-15 (|u| + |log| + 1).
+    """
+
+    FAMILIES = [*fam.named_families().values(), fam.wyd(0.3), *map(fam.power_difference, (-1.0, -0.7, 0.3, 1.5, 2.0))]
+    US = [sign * u for u in (1e-8, 0.3, 30.0, 700.0, 745.5, 3000.0, 1e4) for sign in (1.0, -1.0)]
+
+    @pytest.mark.parametrize("family", FAMILIES, ids=lambda f: f.label)
+    def test_log_f(self, family):
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            values = fam._log_f(family, np.array(self.US))
+        with mpmath.workdps(60):
+            for u, value in zip(self.US, values):
+                reference = mpmath.log(mp_f(family, mpmath.exp(mpmath.mpf(u))))
+                assert abs(value - reference) <= 2e-15 * (abs(u) + abs(reference) + 1.0), (u, value, reference)
+
+    @pytest.mark.parametrize("family", FAMILIES, ids=lambda f: f.label)
+    def test_log_g(self, family):
+        # g(x) = (e^{2x} - 1)/(2x f(e^{2x})), even in x
+        xs = [0.5 * u for u in self.US]
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            values = fam._log_g(family, np.array(xs))
+        with mpmath.workdps(60):
+            for x, value in zip(xs, values):
+                y = mpmath.mpf(2 * abs(x))
+                reference = mpmath.log(mpmath.expm1(y) / (y * mp_f(family, mpmath.exp(y))))
+                assert abs(value - reference) <= 2e-15 * (float(y) + abs(reference) + 1.0), (x, value, reference)
+
+
 class TestPerMatrixFamilies:
     """A tuple of families, one per leading index, equals per-family calls bit for bit."""
 

@@ -2,6 +2,7 @@
 
 import json
 import math
+import warnings
 
 import mpmath
 import numpy as np
@@ -152,6 +153,13 @@ class TestScaledState:
         with pytest.raises(ArithmeticError, match="non-finite"):
             hb._scaled_state(dec, SZ, 1e308)
 
+    def test_range_past_half_the_double_range_raises(self):
+        # the range 1.2e308 is finite, but the filters read gaps up to twice it
+        dec = hb.eigendecompose(SZ)
+        with pytest.raises(ArithmeticError, match="twice the spectral range 1.2e"):
+            hb._scaled_state(dec, SZ, 6e307)
+        assert np.isfinite(hb._scaled_state(dec, SZ, 4e307).log_weights).all()
+
     def test_normalization_checked_per_state(self, monkeypatch):
         dec = hb.eigendecompose(np.diag([0.0, 1.0]).astype(complex))
         monkeypatch.setattr(np, "exp", lambda x: np.full(np.shape(x), np.nan))
@@ -186,11 +194,16 @@ class TestGibbsState:
             shifted = hb.gibbs_state(h + c * np.eye(5))
             assert shifted.weights == pytest.approx(base.weights, rel=1e-13)
 
-    def test_underflow_clamp_flagged(self):
-        with pytest.warns(RuntimeWarning, match="clamped"):
+    def test_underflow_is_exp_of_the_log_weights(self):
+        # no floor: a weight past double range underflows to 0, silently,
+        # and the log weight keeps the level
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
             state = hb.gibbs_state(np.diag([0.0, 800.0]).astype(complex))
-        assert state.clamped == 1
-        assert state.weights[1] == 1e-300
+        assert np.array_equal(state.weights, np.exp(state.log_weights))
+        assert state.weights[1] == 0.0
+        assert state.log_weights[1] == pytest.approx(-800.0, rel=1e-15)
+        assert not hasattr(state, "clamped")
 
     def test_stack_rejected(self):
         # the public routes that read a state are single-instance: given the
@@ -290,7 +303,7 @@ class TestSolveXst:
 class TestDuhamelWeights:
     def test_qubit_values(self):
         state = hb.gibbs_state(np.diag([0.0, 1.0]).astype(complex))
-        w = hb._duhamel_at(state, *np.indices((state.dim, state.dim)))
+        w = np.exp(hb._log_duhamel_at(state, *np.indices((state.dim, state.dim))))
         assert w[0, 0] == pytest.approx(RHO1, rel=1e-14)
         assert w[1, 1] == pytest.approx(RHO2, rel=1e-14)
         # (rho2 - rho1)/(ln rho2 - ln rho1) = tanh(1/2)
@@ -299,7 +312,7 @@ class TestDuhamelWeights:
 
     def test_near_degenerate_matches_highprec(self):
         state = hb.gibbs_state(np.diag([0.0, 1e-6]).astype(complex))
-        w = hb._duhamel_at(state, *np.indices((state.dim, state.dim)))
+        w = np.exp(hb._log_duhamel_at(state, *np.indices((state.dim, state.dim))))
         with mpmath.workdps(50):
             z = 1 + mpmath.exp(mpmath.mpf("-1e-6"))
             r1 = 1 / z
@@ -309,7 +322,7 @@ class TestDuhamelWeights:
 
     def test_wide_spread_finite(self):
         state = hb.gibbs_state(np.diag([0.0, 200.0, 400.0]).astype(complex))
-        w = hb._duhamel_at(state, *np.indices((state.dim, state.dim)))
+        w = np.exp(hb._log_duhamel_at(state, *np.indices((state.dim, state.dim))))
         assert np.all(np.isfinite(w))
         assert np.all(w > 0.0)
         assert w[0, 2] == pytest.approx((state.weights[2] - state.weights[0]) / (-400.0), rel=1e-12)

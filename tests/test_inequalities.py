@@ -198,13 +198,13 @@ class TestVerificationSuite:
                 if hasattr(module, name):
                     monkeypatch.setattr(module, name, wrapper)
         monkeypatch.setattr(np.linalg, "eigh", counting("eigh", np.linalg.eigh))
-        eval_g = fam.eval_g
+        log_g = fam._log_g
 
         def recording(family, x):
             filters.append(family)
-            return eval_g(family, x)
+            return log_g(family, x)
 
-        monkeypatch.setattr(fam, "eval_g", recording)
+        monkeypatch.setattr(fam, "_log_g", recording)
         for dim, size in ((2, 1), (5, 4), (8, 3)):
             trials = [ineq._draw(stream, (dim,)) for stream in np.random.SeedSequence(dim).spawn(size)]
             calls.update(eigh=0, rotate=0, assemble=0, chain=0)
@@ -290,16 +290,17 @@ class TestVerificationSuite:
             ineq.run_verification_suite(seed=4, trials=30)
 
     def test_route_disagreement_in_one_trial_raises(self, monkeypatch):
-        eval_c = fam.eval_c
+        log_f = fam._log_f
 
-        def skewed(family, x, y):
-            c = eval_c(family, x, y)
-            if family == fam.HAR and np.ndim(c) == 2 and c.shape[0] > 2:
-                c = c.copy()
-                c[2] *= 1.001
-            return c
+        def skewed(family, u):
+            # c_f = 1/(x f) times 1.001 in the third trial
+            out = log_f(family, u)
+            if family == fam.HAR and np.ndim(out) == 2 and out.shape[0] > 2:
+                out = out.copy()
+                out[2] -= math.log(1.001)
+            return out
 
-        monkeypatch.setattr(fam, "eval_c", skewed)
+        monkeypatch.setattr(fam, "_log_f", skewed)
         with pytest.raises(ArithmeticError, match="metric routes disagree for har"):
             ineq.run_verification_suite(seed=4, trials=30)
 

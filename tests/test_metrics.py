@@ -1,6 +1,7 @@
 """Metric route tests: fixtures, cross-route agreement, series, identities."""
 
 import math
+import warnings
 
 import mpmath
 import numpy as np
@@ -466,15 +467,95 @@ class TestAbstractDefinitionOracle:
 class TestStability:
     def test_kernel_times_weight_extreme(self):
         # a balanced line at omega = -800 carries weight ~ e^{-800}; the
-        # merged line kernel stays finite far beyond exp overflow
-        out = dsf._line_kernel(np.array([-800.0]), np.array([1e-300]))
+        # merged line kernel, formed from the log of its heavier balance
+        # side q e^{800}, stays finite far beyond exp overflow, and so does
+        # a line whose weight underflows
         with mpmath.workdps(400):
-            ref = float((1 - mpmath.exp(800)) / (-800) * mpmath.mpf("1e-300"))
-        assert math.isfinite(out[0])
-        assert out[0] == pytest.approx(ref, rel=1e-12)
+            for weight in (mpmath.mpf("1e-300"), mpmath.exp(-1100)):
+                heavier = np.array([float(mpmath.log(weight) + 800)])
+                line = dsf.LineSpectrum(np.array([-800.0]), np.exp(heavier - 800.0), "diagonal", 2, 0.0, heavier)
+                out = np.exp(line.log_kernel)
+                ref = float((1 - mpmath.exp(800)) / (-800) * weight)
+                assert math.isfinite(out[0])
+                assert out[0] == pytest.approx(ref, rel=1e-12)
 
     def test_wide_spread_metrics_finite(self):
         state = hb.gibbs_state(np.diag([0.0, 300.0]).astype(complex))
         for family in (fam.BKM, fam.BURES, fam.MC, fam.GEOMETRIC):
             value = metrics.metric_spectral(state, SX, family).value
             assert math.isfinite(value) and value >= 0.0
+
+
+def _wide_corpus():
+    """(label, T, S): GUE pairs of dims 2-12 at spectral spreads up to 1e4, and degenerate levels."""
+    from gibbsqfi.inequalities import random_instance as gue_instance
+
+    cases = []
+    for spread in (690.0, 700.0, 720.0, 1000.0):
+        T, S = gue_instance(np.random.default_rng(1), 6, spread=spread)
+        cases.append((f"rng1-dim6-{spread:g}", T.matrix, S.matrix))
+    rng = np.random.default_rng(16)
+    for dim in range(2, 13):
+        for spread in (50.0, 745.0, 3000.0, 1e4):
+            T, S = gue_instance(rng, dim, spread=spread)
+            cases.append((f"dim{dim}-{spread:g}", T.matrix, S.matrix))
+    # degenerate levels: rotated (equal to roundoff) and diagonal (exactly equal)
+    levels = np.array([0.0, 0.0, 0.0, 800.0, 800.0, 2500.0, 9000.0, 1e4])
+    U = np.linalg.qr(rng.normal(size=(8, 8)) + 1j * rng.normal(size=(8, 8)))[0]
+    S = random_hermitian(rng, 8)
+    cases.append(("degenerate-rotated", (U * levels) @ U.conj().T, S))
+    cases.append(("degenerate-diagonal", np.diag(levels).astype(complex), S))
+    return cases
+
+
+WIDE = _wide_corpus()
+WIDE_FAMILIES = [
+    *fam.named_families().values(),
+    fam.wyd(0.3),
+    *map(fam.power_difference, (-0.7, 1.5, 2.0)),
+]
+
+
+class TestWideSpreads:
+    """Without a weight floor the routes agree past the spread where weights underflow."""
+
+    @pytest.mark.parametrize("case", WIDE, ids=[case[0] for case in WIDE])
+    def test_routes_agree_or_are_all_inf(self, case):
+        # the structure factor of S - <S>, which the dsf route reads, so
+        # that no line sum cancels <S>^2 in a nearly pure state
+        _, T, S = case
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            state = hb.gibbs_state(0.5 * (T + T.conj().T))
+            spectrum = dsf.build_dsf(state, S, centered=True)
+            for family in WIDE_FAMILIES:
+                values = [
+                    metrics.metric_mc_oracle(state, S, family).value,
+                    metrics.metric_spectral(state, S, family).value,
+                    metrics.metric_from_dsf(spectrum, family).value,
+                ]
+                if all(v == math.inf for v in values):
+                    continue
+                assert all(math.isfinite(v) for v in values), (family.label, values)
+                spread = max(values) - min(values)
+                assert spread <= 1e-10 * max(values), (family.label, values)
+
+    @pytest.mark.parametrize("spread", [690.0, 700.0, 720.0, 1000.0, 1e4])
+    def test_mc_is_the_variance_at_every_spread(self, spread):
+        # MC is Var(S)/4 for every state; the weight floor made the oracle
+        # read 0.81866 at spread 700 against Var(S)/4 = 0.8224753
+        from gibbsqfi.inequalities import random_instance as gue_instance
+
+        T, S = gue_instance(np.random.default_rng(1), 6, spread=spread)
+        state = hb.gibbs_state(T)
+        s = S.matrix
+        rho = state.rho_matrix()
+        variance = float(np.trace(rho @ s @ s).real - np.trace(rho @ s).real ** 2)
+        assert 0.25 * variance == pytest.approx(0.8224753195943, rel=1e-12)
+        spectrum = dsf.build_dsf(state, S)
+        for value in (
+            metrics.metric_mc_oracle(state, S, fam.MC).value,
+            metrics.metric_spectral(state, S, fam.MC).value,
+            metrics.metric_from_dsf(spectrum, fam.MC).value,
+        ):
+            assert value == pytest.approx(0.25 * variance, rel=1e-12)

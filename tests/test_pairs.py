@@ -30,7 +30,7 @@ class Grid:
         lam = state.decomposition.eigenvalues
         self.x = 0.5 * (lam[..., :, None] - lam[..., None, :])
         self.abs2 = np.abs(self.s_eig) ** 2
-        self.kernel = hb._duhamel_at(state, *np.indices((state.dim, state.dim)))
+        self.kernel = np.exp(hb._log_duhamel_at(state, *np.indices((state.dim, state.dim))))
         self.diagonal = np.diagonal(self.s_eig, axis1=-2, axis2=-1)
         self.mean = np.sum(state.weights * self.diagonal.real, axis=-1)
         self.centered = self.s_eig - self.mean[..., None, None] * np.eye(state.dim)
@@ -136,7 +136,7 @@ class TestRoutesMatchTheFullGrid:
         lines = grid_lines(grid)
         assert frame.dsf.omegas.shape == lines[0].shape
         assert close(frame.dsf.omegas, lines[0]) and close(frame.dsf.weights, lines[1])
-        reference = dsf.LineSpectrum(*lines, "diagonal", state.dim, float(grid.mean))
+        reference = dsf.LineSpectrum(*lines, "diagonal", state.dim, float(grid.mean), np.log(lines[1]) + np.maximum(0.0, -lines[0]))
         for family in FAMILIES:
             assert close(metrics._evaluate(frame, family, "spectral").value, grid_spectral(grid, family)), family
             assert close(metrics._evaluate(frame, family, "oracle").value, grid_oracle(grid, family)), family
@@ -202,7 +202,7 @@ class TestStack:
         grid_s, grid_b = Grid(state, S.matrix), Grid(state, B.matrix)
         assert np.array_equal(frame.table.rows, frame_b.table.rows)
         for family in FAMILIES:
-            g = fam.eval_g(family, frame.x)
+            g = fam._log_g(family, frame.x)
             assert close(metrics._spectral_value(frame, g), grid_spectral(grid_s, family)), family
             assert close(metrics._oracle_value(frame, family), grid_oracle(grid_s, family)), family
             assert close(metrics._cross_value(frame, frame_b, g), grid_cross(grid_s, grid_b, family)), family
