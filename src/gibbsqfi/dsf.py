@@ -172,7 +172,7 @@ class _Frame:
 
     def __init__(self, state: GibbsState, S, chain_order: int = 0, table: _PairTable | None = None):
         self.state = state
-        self.S = S  # as given; the commutator chain reads it in the original basis
+        self.S = S = as_operator(S)  # checked once; the commutator chain reads it in the original basis
         self.chain_order = chain_order
         lam = state.decomposition.eigenvalues
         self.table = t = _PairTable(lam, to_eigenbasis(state, S)) if table is None else table
@@ -258,6 +258,7 @@ class _Frame:
 
 def _frame_pair(state: GibbsState, A, B, chain_order: int = 0) -> tuple[_Frame, _Frame]:
     """Frames of A (to chain_order) and B over the pairs either couples; one frame when B is A."""
+    A, B = (as_operator(A),) * 2 if B is A else (as_operator(A), as_operator(B))
     lam, a_eig = state.decomposition.eigenvalues, to_eigenbasis(state, A)
     if B is A:
         frame = _Frame(state, A, chain_order, _PairTable(lam, a_eig))

@@ -39,7 +39,6 @@ import math
 import numbers
 from dataclasses import dataclass
 
-import mpmath
 import numpy as np
 
 from .hilbert import _exprel_neg
@@ -389,6 +388,7 @@ def _series_of_scales(nums, dens, L, mp):
 
 @functools.lru_cache(maxsize=256)
 def _taylor_cached(nums, dens, L: int) -> tuple[float, ...]:
+    import mpmath  # only the series coefficients need it, so no other job loads it
     with mpmath.workdps(60):
         series = _series_of_scales(nums, dens, L, mpmath.mp)
         return tuple(float(c) for c in series[1:])

@@ -38,6 +38,9 @@ class HermitianOperator:
     fails on a non-finite entry or if the ``asymmetry`` max|H - H^dagger|
     exceeds ``atol`` (1e-12 by default).  A stack of equal-size matrices
     along leading axes, shape (..., n, n), is one operator per matrix.
+    Matrices from outside are checked here, by ``as_operator`` on an array
+    and by ``read_operator_json``; those the program builds exactly
+    Hermitian (model matrices, GUE draws) are wrapped by ``_trusted``.
     """
 
     __slots__ = ("matrix", "asymmetry")
@@ -60,6 +63,16 @@ class HermitianOperator:
         # H + H^dagger overflows for entries above about 9e307
         if not np.all(np.isfinite(self.matrix)):
             raise ValueError("Hermitian part (H + H^dagger)/2 has non-finite entries")
+
+    @classmethod
+    def _trusted(cls, matrix: np.ndarray) -> "HermitianOperator":
+        """Wrap, uncopied, a complex matrix or stack equal to its conjugate transpose, skipping the check
+        unless an entry is non-finite or past half the double range, where the check rejects it."""
+        if not (np.abs(matrix.view(float)) <= np.finfo(float).max / 2).all():
+            return cls(matrix)
+        op = cls.__new__(cls)
+        op.matrix, op.asymmetry = matrix, 0.0
+        return op
 
     @property
     def dim(self) -> int:

@@ -118,7 +118,8 @@ def _checked(frame: _Frame, family, log_g: np.ndarray) -> np.ndarray:
     """Spectral values from the filter g = e^{log_g}, cross-validated value by value against the oracle."""
     fast = _spectral_value(frame, log_g)
     slow = _oracle_value(frame, family)
-    bad = np.abs(fast - slow) > 1e-10 * np.maximum(np.maximum(np.abs(fast), np.abs(slow)), 1e-30)
+    with np.errstate(invalid="ignore"):  # equal values agree; inf against another value has |diff| / scale = nan
+        bad = (fast != slow) & ~(np.abs(fast - slow) / np.maximum(np.maximum(np.abs(fast), np.abs(slow)), 1e-30) <= 1e-10)
     if np.any(bad):
         i = int(np.flatnonzero(bad)[0])
         label = (family[i] if isinstance(family, tuple) else family).label
@@ -267,18 +268,6 @@ def random_instance(rng: np.random.Generator, dim: int, spread: float | None = N
     from [0.1, 10] when omitted), covering near-classical through deeply
     quantum regimes.
     """
-    t, s = _random_pair(rng, dim, spread)
-    return HermitianOperator(t), HermitianOperator(s)
-
-
-def _gue(rng: np.random.Generator, dim: int) -> np.ndarray:
-    """A GUE-style matrix, Hermitian by construction."""
-    g = rng.normal(size=(dim, dim)) + 1j * rng.normal(size=(dim, dim))
-    return 0.5 * (g + g.conj().T)
-
-
-def _random_pair(rng: np.random.Generator, dim: int, spread: float | None = None):
-    """The arrays behind random_instance, drawn in the same order."""
     if spread is None:
         spread = float(10.0 ** rng.uniform(-1.0, 1.0))
     t = _gue(rng, dim)
@@ -286,7 +275,13 @@ def _random_pair(rng: np.random.Generator, dim: int, spread: float | None = None
     current = float(eigs[-1] - eigs[0])
     if current > 0.0:
         t = t * (spread / current)
-    return t, _gue(rng, dim)
+    return HermitianOperator._trusted(t), HermitianOperator._trusted(_gue(rng, dim))
+
+
+def _gue(rng: np.random.Generator, dim: int) -> np.ndarray:
+    """A GUE-style matrix, exactly Hermitian: (g + g^dagger)/2 rounds each pair of entries alike."""
+    g = rng.normal(size=(dim, dim)) + 1j * rng.normal(size=(dim, dim))
+    return 0.5 * (g + g.conj().T)
 
 
 @dataclass
@@ -329,17 +324,12 @@ def _draw(entropy, dims) -> _Trial:
     """
     rng = np.random.default_rng(entropy)
     dim = int(rng.choice(dims))
-    T, S = _random_pair(rng, dim)
+    T, S = (op.matrix for op in random_instance(rng, dim))
     _gue(rng, dim)
     B = _gue(rng, dim)
     d = float(rng.uniform(0.0, 1.5))
     p = float(rng.uniform(0.5, 1.5))
     return _Trial(T, S, B, d, p)
-
-
-def _stack(matrices) -> HermitianOperator:
-    """One checked operator for the stacked matrices of a group."""
-    return HermitianOperator(np.stack(list(matrices)))
 
 
 def _group_checks(trials: list[_Trial]) -> tuple[list[_Check], np.ndarray]:
@@ -350,10 +340,11 @@ def _group_checks(trials: list[_Trial]) -> tuple[list[_Check], np.ndarray]:
     group.  Also returns, per trial, whether the geometric <= MC link is
     in its regime.
     """
-    T = _stack(t.T for t in trials)
+    # one operator per stack of the group's T, S and B, which _draw makes exactly Hermitian
+    T, S, B = (HermitianOperator._trusted(np.stack(stack)) for stack in zip(*((t.T, t.S, t.B) for t in trials)))
     state = _scaled_state(eigendecompose(T), T.matrix, 1.0)
     # C = 2 M_1 and the sum rules p <= 6 read the chain of S to M_5
-    frame, frame_b = _frame_pair(state, _stack(t.S for t in trials), _stack(t.B for t in trials), chain_order=5)
+    frame, frame_b = _frame_pair(state, S, B, chain_order=5)
     filters = _filters(frame)
     pair = _per_matrix(fam.half_pair, tuple(t.d for t in trials))
     members = [_per_matrix(lambda q: q.members[i], pair) for i in (0, 1)]

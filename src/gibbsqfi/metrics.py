@@ -239,10 +239,15 @@ def cross_metric(state: GibbsState, A, B, family: fam.MonotoneFamily) -> complex
     (1 + e^{-w}) q_j over the cross lines q_j = dA_mn dB_nm rho_m, line by
     line: the tanh/cotanh factors collapse to (1 - e^{-w})/w, which turns
     the line weight into the log-mean kernel W_mn times dA_mn dB_nm.
-    Real for A = B; cross_metric(A, B) = conj(cross_metric(B, A)).
+    Real for A = B; cross_metric(A, B) = conj(cross_metric(B, A)).  A
+    term past double range raises OverflowError: the sum is then inf or nan.
     """
     frame_a, frame_b = _frame_pair(state, A, B)
-    return complex(_cross_value(frame_a, frame_b, fam._log_g(family, frame_a.x)))
+    with np.errstate(invalid="ignore"):  # inf * 0 and inf - inf; the value is checked below
+        value = complex(_cross_value(frame_a, frame_b, fam._log_g(family, frame_a.x)))
+    if not np.isfinite(value):
+        raise OverflowError(f"cross metric of {family.label}: a term is past double range, giving {value!r}")
+    return value
 
 
 def fidelity_susceptibility(state: GibbsState, S) -> float:

@@ -59,22 +59,20 @@ class SpinModel:
     def unit_matrices(self):
         """Unit-frequency generator S_z and observable S_x as operators."""
         sx, _, sz = spin_matrices(self.s)
-        return HermitianOperator(sz), HermitianOperator(sx)
+        return HermitianOperator._trusted(sz), HermitianOperator._trusted(sx)
 
 
 def spin_matrices(s: float):
-    """Standard spin matrices (S_x, S_y, S_z) with [S_x, S_y] = i S_z."""
+    """Standard spin matrices (S_x, S_y, S_z) with [S_x, S_y] = i S_z, each equal to its conjugate transpose."""
     dim = int(round(2.0 * s)) + 1
     m = s - np.arange(dim)  # S_z eigenvalues, descending
-    sz = np.diag(m).astype(complex)
-    # <m|S_-|m+1> ladder elements: sqrt(s(s+1) - m(m+1))
-    lower = np.sqrt(s * (s + 1.0) - m[1:] * (m[1:] + 1.0))
-    sp = np.zeros((dim, dim), dtype=complex)
-    sp[np.arange(dim - 1), np.arange(1, dim)] = lower
-    sm = sp.conj().T
-    sx = 0.5 * (sp + sm)
-    sy = -0.5j * (sp - sm)
-    return sx, sy, sz
+    # S_x has half of <m+1|S_+|m> = sqrt(s(s+1) - m(m+1)) on each side of the diagonal
+    half = 0.5 * np.sqrt(s * (s + 1.0) - m[1:] * (m[1:] + 1.0))
+    upper, lower = (np.arange(dim - 1), np.arange(1, dim)), (np.arange(1, dim), np.arange(dim - 1))
+    sx, sy = np.zeros((dim, dim), dtype=complex), np.zeros((dim, dim), dtype=complex)
+    sx[upper] = sx[lower] = half
+    sy[upper], sy[lower] = -1j * half, 1j * half
+    return sx, sy, np.diag(m.astype(complex))
 
 
 def _brillouin_sz(s: float, x: float) -> float:
@@ -176,21 +174,14 @@ class BosonModel:
     def unit_matrices(self):
         """Truncated Fock matrices of the unit-frequency generator b^dag b and the k-photon drive."""
         dim = self.dim
-        bk = np.linalg.matrix_power(_ladder(dim), self.k)
-        return HermitianOperator(np.diag(np.arange(dim)).astype(complex)), HermitianOperator(bk + bk.conj().T)
+        bk = np.linalg.matrix_power(np.diag(np.sqrt(np.arange(1, dim)), 1).astype(complex), self.k)
+        return HermitianOperator._trusted(np.diag(np.arange(dim, dtype=complex))), HermitianOperator._trusted(bk + bk.conj().T)
 
 
 def build_model(model: SpinModel | BosonModel):
     """Generator frequency * T and observable S as operators, from the model's unit_matrices()."""
     unit, S = model.unit_matrices()
-    return HermitianOperator(model.frequency * unit.matrix), S
-
-
-def _ladder(dim: int) -> np.ndarray:
-    b = np.zeros((dim, dim), dtype=complex)
-    n = np.arange(1, dim)
-    b[n - 1, n] = np.sqrt(n)
-    return b
+    return HermitianOperator._trusted(model.frequency * unit.matrix), S
 
 
 def _trace_against(state: GibbsState, X: np.ndarray) -> float:
@@ -206,12 +197,10 @@ def boson_correlators(model: BosonModel) -> tuple[float, float]:
     K = <((b+)^k - b^k)((b+)^k + b^k)>, L = <((b+)^k + b^k)^2>; these feed
     the closed forms of boson_closed_forms.
     """
-    T, _ = build_model(model)
+    T, S = build_model(model)
     state = gibbs_state(T)
-    bk = np.linalg.matrix_power(_ladder(model.dim), model.k)
-    bkd = bk.conj().T
-    plus = bkd + bk
-    minus = bkd - bk
+    # b has sqrt(n) at (n - 1, n), so the drive's upper triangle is b^k and its lower one (b^dag)^k
+    plus, minus = S.matrix, np.tril(S.matrix) - np.triu(S.matrix)
     K = _trace_against(state, minus @ plus)
     L = _trace_against(state, plus @ plus)
     return K, L

@@ -595,8 +595,8 @@ class TestSharedFrame:
         points = [(hb.HermitianOperator(b * T.matrix), S, f"beta={b:g}") for b in grid]
         self._check_against_per_call(config, points, methods)
 
-    def _counted_job(self, monkeypatch, config):
-        """Run a job and count its decompositions, rotations and matrix reads."""
+    def _counted_job(self, monkeypatch, config, checked):
+        """Run a job and count its decompositions, rotations, matrix reads and checked operators."""
         calls = {"eigendecompose": 0, "rotate": 0, "read": 0}
 
         def counting(key, fn):
@@ -610,11 +610,12 @@ class TestSharedFrame:
         for module in (cli, dsf):
             monkeypatch.setattr(module, "to_eigenbasis", counting("rotate", hb.to_eigenbasis))
         monkeypatch.setattr(cli, "read_operator_json", counting("read", hb.read_operator_json))
+        checked.clear()
         rows, _ = cli.run_metric_job(cli.JobConfig.from_dict(config))
         assert len(rows) == 3 * len(GOLDEN_FAMILIES) * len(GOLDEN_METHODS)
-        return calls
+        return {**calls, "checked": len(checked)}
 
-    def test_one_eigh_one_rotation_and_one_read_per_job(self, tmp_path, monkeypatch):
+    def test_one_eigh_one_rotation_and_one_read_per_job(self, tmp_path, monkeypatch, checked_operators):
         T, S = random_instance(np.random.default_rng(6), 6, spread=2.0)
         hb.write_operator_json(T, tmp_path / "T.json")
         hb.write_operator_json(S, tmp_path / "S.json")
@@ -624,7 +625,10 @@ class TestSharedFrame:
             "methods": GOLDEN_METHODS,
             "sweep": {"parameter": "beta", "grid": [0.5, 1.0, 2.0]},
         }
-        assert self._counted_job(monkeypatch, config) == {"eigendecompose": 1, "rotate": 1, "read": 2}
+        # the reader checks each file's matrix, and nothing checks it again
+        assert self._counted_job(monkeypatch, config, checked_operators) == {
+            "eigendecompose": 1, "rotate": 1, "read": 2, "checked": 2,
+        }
 
     @pytest.mark.parametrize(
         "model, parameter",
@@ -633,7 +637,7 @@ class TestSharedFrame:
             ({"model": "boson", "k": 2, "omega": 1.0, "cutoff": 50}, "omega"),
         ],
     )
-    def test_model_sweep_builds_matrices_once(self, monkeypatch, model, parameter):
+    def test_model_sweep_builds_matrices_once(self, monkeypatch, checked_operators, model, parameter):
         built = []
         for cls in (SpinModel, BosonModel):
             unit_matrices = cls.unit_matrices
@@ -645,7 +649,10 @@ class TestSharedFrame:
             "methods": GOLDEN_METHODS,
             "sweep": {"parameter": parameter, "grid": [0.8, 1.3, 2.9]},
         }
-        assert self._counted_job(monkeypatch, config) == {"eigendecompose": 1, "rotate": 1, "read": 0}
+        # the model matrices are exactly Hermitian, so none is checked
+        assert self._counted_job(monkeypatch, config, checked_operators) == {
+            "eigendecompose": 1, "rotate": 1, "read": 0, "checked": 0,
+        }
         assert len(built) == 1
 
     @pytest.mark.parametrize(
@@ -776,6 +783,11 @@ class TestVerify:
         assert report["passed"] is True
         assert report["failures"] == []
         assert report["trials"] == 40
+
+    def test_checks_no_operator(self, tmp_path, checked_operators):
+        # the drawn matrices are exactly Hermitian, so no trial checks them
+        assert main(["verify", "--seed", "5", "--trials", "40", "--out", str(tmp_path / "r.json")]) == 0
+        assert checked_operators == []
 
     def test_byte_identical_reruns(self, tmp_path):
         out_a = tmp_path / "a.json"

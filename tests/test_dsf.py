@@ -9,7 +9,7 @@ import warnings
 import numpy as np
 import pytest
 
-from gibbsqfi import dsf, metrics, skew
+from gibbsqfi import dsf, inequalities, metrics, skew
 from gibbsqfi import families as fam
 from gibbsqfi import hilbert as hb
 from gibbsqfi.cli import main
@@ -476,6 +476,23 @@ class TestOneRotation:
                 monkeypatch.setattr(module, "to_eigenbasis", counting)
         self.CONSUMERS[name](state, s)
         assert len(calls) == 1
+
+
+class TestOneCheck:
+    """An array S passed to a (state, S) consumer is checked once, by its frame, and not again by the chain."""
+
+    CONSUMERS = {
+        "metric_series_A": lambda state, s: metrics.metric_series_A(state, s, fam.BURES, 3),
+        "sum_rule_report": lambda state, s: dsf.sum_rule_report(state, s, p_max=4),
+        "commutator_bounds": inequalities.commutator_bounds,
+    }
+
+    @pytest.mark.parametrize("name", sorted(CONSUMERS))
+    def test_array_observable_checked_once(self, name, checked_operators):
+        state, s = random_instance(8, 6)
+        checked_operators.clear()
+        self.CONSUMERS[name](state, s.matrix)
+        assert len(checked_operators) == 1
 
 
 class TestSumRules:

@@ -8,7 +8,7 @@ import mpmath
 import numpy as np
 import pytest
 
-from gibbsqfi import hilbert as hb
+from gibbsqfi import hilbert as hb, inequalities as ineq, models
 from gibbsqfi.cli import main
 
 SX = np.array([[0, 1], [1, 0]], dtype=complex)
@@ -55,6 +55,59 @@ class TestHermitianOperator:
         op = hb.HermitianOperator(SX)
         assert hb.as_operator(op) is op
         assert np.allclose(hb.as_operator(SX).matrix, SX)
+
+
+def _assert_exact(matrix):
+    """matrix equals its conjugate transpose and is finite, so the check passes it unchanged."""
+    assert np.array_equal(matrix, np.conj(np.swapaxes(matrix, -1, -2)))
+    assert np.all(np.isfinite(matrix))
+    checked = hb.HermitianOperator(matrix)
+    assert checked.asymmetry == 0.0 and np.array_equal(checked.matrix, matrix)
+
+
+class TestTrustedSources:
+    """Every matrix the program wraps unchecked is exactly Hermitian and finite."""
+
+    @pytest.mark.parametrize("s", [0.5, 1.0, 1.5, 3.5, 20.0, 200.0])
+    def test_spin(self, s):
+        model = models.SpinModel(s, 1.7)
+        for matrix in models.spin_matrices(s):
+            _assert_exact(matrix)
+        for op in (*model.unit_matrices(), *models.build_model(model)):
+            _assert_exact(op.matrix)
+
+    @pytest.mark.parametrize("k", [1, 2, 3])
+    @pytest.mark.parametrize("cutoff", [40, 90])
+    def test_boson(self, k, cutoff):
+        model = models.BosonModel(k, 0.9, cutoff)
+        for op in (*model.unit_matrices(), *models.build_model(model)):
+            _assert_exact(op.matrix)
+
+    def test_random_instances(self):
+        for seed in range(20):
+            rng = np.random.default_rng(seed)
+            spread = None if seed % 2 else 10.0 ** (seed - 10)
+            for op in ineq.random_instance(rng, 2 + seed % 11, spread):
+                _assert_exact(op.matrix)
+
+    @pytest.mark.parametrize(
+        "build, message",
+        [
+            (lambda: models.build_model(models.SpinModel(200, 1e307)), "matrix has non-finite entries"),
+            (lambda: models.build_model(models.SpinModel(200, 5e305)), r"Hermitian part .* non-finite"),
+            (lambda: ineq.random_instance(np.random.default_rng(0), 4, spread=math.inf), "matrix has non-finite entries"),
+        ],
+    )
+    def test_scaled_sources_keep_the_check_past_half_the_double_range(self, build, message):
+        with np.errstate(over="ignore", invalid="ignore"), pytest.raises(ValueError, match=message):
+            build()
+
+    def test_verify_draws(self):
+        # verify wraps the stacks of these matrices
+        for stream in np.random.SeedSequence(11).spawn(500):
+            trial = ineq._draw(stream, (2, 3, 4, 5, 6, 7, 8))
+            for matrix in (trial.T, trial.S, trial.B):
+                _assert_exact(matrix)
 
 
 class TestEigendecompose:

@@ -1,6 +1,7 @@
 """Inequality verifier tests: fixtures, random corpora, regime handling."""
 
 import math
+import warnings
 
 import mpmath
 import numpy as np
@@ -47,6 +48,16 @@ class TestChainCheck:
         for report in ineq.chain_check(qubit, SX):
             assert report.passed == (report.slack >= -report.tolerance)
             assert report.slack == report.rhs - report.lhs
+
+    def test_equal_infinite_routes_agree_without_warning(self):
+        # at spread 1000 both HAR routes overflow to inf; the geometric <= MC
+        # link is far outside its regime there and fails honestly
+        T, S = ineq.random_instance(np.random.default_rng(1), 6, spread=1000.0)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error", RuntimeWarning)
+            reports = ineq.chain_check(hb.gibbs_state(T), S)
+        assert reports[-1].name == "chain:mc<=har"
+        assert reports[-1].rhs == math.inf and reports[-1].passed
 
 
 class TestCommutatorBounds:
@@ -302,6 +313,21 @@ class TestVerificationSuite:
 
         monkeypatch.setattr(fam, "_log_f", skewed)
         with pytest.raises(ArithmeticError, match="metric routes disagree for har"):
+            ineq.run_verification_suite(seed=4, trials=30)
+
+    def test_infinite_route_against_a_finite_one_raises(self, monkeypatch):
+        oracle_value = ineq._oracle_value
+
+        def overflowing(frame, family):
+            # the HAR oracle reads inf in the third trial, the spectral route stays finite
+            out = oracle_value(frame, family)
+            if family == fam.HAR and np.ndim(out) == 1 and out.shape[0] > 2:
+                out = out.copy()
+                out[2] = math.inf
+            return out
+
+        monkeypatch.setattr(ineq, "_oracle_value", overflowing)
+        with pytest.raises(ArithmeticError, match=r"metric routes disagree for har: .* vs inf"):
             ineq.run_verification_suite(seed=4, trials=30)
 
     def test_failures_in_trial_then_report_order(self, monkeypatch):

@@ -7,7 +7,7 @@ import mpmath
 import numpy as np
 import pytest
 
-from gibbsqfi import dsf, families as fam, hilbert as hb, metrics
+from gibbsqfi import dsf, families as fam, hilbert as hb, inequalities as ineq, metrics
 from test_dsf import build_cross_dsf
 
 SX = np.array([[0, 1], [1, 0]], dtype=complex)
@@ -269,6 +269,18 @@ class TestCrossMetric:
             ab = metrics.cross_metric(state, a, b, family)
             ba = metrics.cross_metric(state, b, a, family)
             assert ab == pytest.approx(np.conj(ba), rel=1e-12)
+
+    def test_terms_past_double_range_raise_not_nan(self):
+        # HAR terms past double range with both signs would sum to nan
+        T, A = ineq.random_instance(np.random.default_rng(1), 6, spread=1000.0)
+        _, B = ineq.random_instance(np.random.default_rng(2), 6, spread=1.0)
+        state = hb.gibbs_state(T)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error", RuntimeWarning)
+            for b in (A, B):
+                with pytest.raises(OverflowError, match="cross metric of har"):
+                    metrics.cross_metric(state, A, b, fam.HAR)
+            assert np.isfinite(metrics.cross_metric(state, A, B, fam.MC))
 
     def test_literal_tanh_kernel_oracle(self):
         # (1/8) sum (w/2)^{-1} tanh(w/2) g(w/2) (1 + e^{-w}) q evaluated

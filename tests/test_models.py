@@ -39,6 +39,18 @@ class TestSpinBuild:
             casimir = sx @ sx + sy @ sy + sz @ sz
             assert np.allclose(casimir, s * (s + 1) * np.eye(sx.shape[0]), atol=1e-12)
 
+    @pytest.mark.parametrize("s", [0.5, 1.0, 1.5, 3.5, 20.0, 200.0])
+    def test_matches_the_dense_ladder_construction(self, s):
+        # (S_+ + S_-)/2 and (S_+ - S_-)/2i from a dense raising operator S_+
+        dim = int(round(2 * s)) + 1
+        m = s - np.arange(dim)
+        sp = np.zeros((dim, dim), dtype=complex)
+        sp[np.arange(dim - 1), np.arange(1, dim)] = np.sqrt(s * (s + 1.0) - m[1:] * (m[1:] + 1.0))
+        sm = sp.conj().T
+        expected = (0.5 * (sp + sm), -0.5j * (sp - sm), np.diag(m).astype(complex))
+        for matrix, reference in zip(models.spin_matrices(s), expected):
+            assert np.array_equal(matrix, reference)
+
     def test_validation(self):
         with pytest.raises(ValueError):
             models.SpinModel(0.3, 1.0)

@@ -1,4 +1,4 @@
-"""Package surface: the README quick start runs, every exported name resolves, and CLI jobs load no scipy."""
+"""Package surface: the README quick start runs, every exported name resolves, and CLI jobs load no scipy, nor mpmath outside the series."""
 
 import importlib
 import json
@@ -69,7 +69,8 @@ def test_removed_names_are_gone():
     assert not hasattr(dsf.LineSpectrum, "total_weight")
 
 
-# the CLI's jobs, run in a fresh interpreter, which then lists the scipy modules it loaded
+# the CLI's jobs, run in a fresh interpreter, which lists the scipy modules they loaded and
+# whether mpmath was loaded before the first series job
 COLD_START = """
 import json, sys
 from pathlib import Path
@@ -83,23 +84,30 @@ T, S = random_instance(np.random.default_rng(0), 12)
 hb.write_operator_json(T, work / "T.json")
 hb.write_operator_json(S, work / "S.json")
 jobs = [
+    ("sweep", {"model": {"T": str(work / "T.json"), "S": str(work / "S.json")}, "families": ["bkm", "mc"],
+               "methods": ["oracle", "spectral", "dsf"], "sweep": {"parameter": "beta", "grid": [0.5, 1.0]}}),
     ("sweep", {"model": {"model": "spin", "S": 20, "omega0": 1.0}, "families": ["bkm", "wyd:0.3"],
                "methods": ["oracle", "spectral", "dsf", "seriesA:6"],
                "sweep": {"parameter": "omega0", "grid": [0.5, 1.0]}}),
     ("metric", {"model": {"model": "boson", "k": 1, "omega": 1.0, "cutoff": 40}, "families": ["bkm", "mc"],
                 "methods": ["oracle", "spectral", "dsf", "seriesA:6"]}),
-    ("sweep", {"model": {"T": str(work / "T.json"), "S": str(work / "S.json")}, "families": ["bkm", "mc"],
-               "methods": ["oracle", "spectral", "dsf"], "sweep": {"parameter": "beta", "grid": [0.5, 1.0]}}),
 ]
 codes = [cli.main(["verify", "--trials", "20", "--out", str(work / "verify.json")])]
 for i, (command, config) in enumerate(jobs):
+    if i == 1:
+        mpmath_before_series = "mpmath" in sys.modules
     (work / f"job{i}.json").write_text(json.dumps(config))
     codes.append(cli.main([command, "--config", str(work / f"job{i}.json"), "--out", str(work / f"out{i}.csv")]))
-print(json.dumps({"codes": codes, "scipy": sorted(m for m in sys.modules if m.startswith("scipy"))}))
+print(json.dumps({
+    "codes": codes,
+    "scipy": sorted(m for m in sys.modules if m.startswith("scipy")),
+    "mpmath_before_series": mpmath_before_series,
+}))
 """
 
 
 def test_cli_jobs_load_no_scipy(tmp_path):
-    # verify, a spin sweep with every route, a boson metric and a matrix-file sweep
+    # verify, a matrix-file sweep, then a spin sweep with every route and a boson metric;
+    # only the series coefficients import mpmath
     run = subprocess.run([sys.executable, "-c", COLD_START, str(tmp_path)], capture_output=True, text=True, check=True)
-    assert json.loads(run.stdout.splitlines()[-1]) == {"codes": [0, 0, 0, 0], "scipy": []}
+    assert json.loads(run.stdout.splitlines()[-1]) == {"codes": [0, 0, 0, 0], "scipy": [], "mpmath_before_series": False}
