@@ -34,7 +34,6 @@ handled the same way (it cancels in the stable form used here).
 from __future__ import annotations
 
 import functools
-import itertools
 import math
 import numbers
 from dataclasses import dataclass
@@ -145,6 +144,36 @@ def half_pair(d: float) -> MonotoneFamily:
 WY = wyd(0.5)
 
 
+@dataclass(frozen=True, eq=False)
+class _Stacked:
+    """Families of one kind, one per matrix of a frame's stack: entry i is MonotoneFamily(kind, param[i]).
+
+    _log_g and _log_f evaluate a stack in one call.  Compared and hashed
+    by identity, so each stack's filter is computed once.
+    """
+
+    kind: str
+    param: np.ndarray
+
+    def __post_init__(self):  # each kind's valid parameters form an interval, so its ends are checked
+        MonotoneFamily(self.kind, float(np.min(self.param)))
+        MonotoneFamily(self.kind, float(np.max(self.param)))
+
+    def __getitem__(self, i) -> MonotoneFamily:
+        return MonotoneFamily(self.kind, float(self.param[i]))
+
+    @functools.cached_property
+    def members(self) -> tuple["_Stacked", "_Stacked"]:
+        """The stacks of the two power-difference members of a stack of pair families."""
+        if self.kind != "pair":
+            raise ValueError("members is defined only for pair families")
+        return _Stacked("pdiff", 0.5 - self.param), _Stacked("pdiff", 0.5 + self.param)
+
+    def column(self, v):
+        """The parameters shaped to broadcast along the leading axis of v."""
+        return np.reshape(self.param, (-1,) + (1,) * (np.ndim(v) - 1))
+
+
 def parse_family(text: str) -> MonotoneFamily:
     """Parse a canonical identifier like "bures", "wyd:0.3" or "pdiff:1.5"."""
     body = text.strip().lower()
@@ -160,44 +189,34 @@ def parse_family(text: str) -> MonotoneFamily:
 
 def named_families() -> dict[str, MonotoneFamily]:
     """The six parameter-free chain members keyed by label (WY = wyd:0.5)."""
-    return {
-        "bures": BURES,
-        "wy": WY,
-        "bkm": BKM,
-        "geometric": GEOMETRIC,
-        "mc": MC,
-        "har": HAR,
-    }
+    return {"bures": BURES, "wy": WY, "bkm": BKM, "geometric": GEOMETRIC, "mc": MC, "har": HAR}
 
 
 def _require_single(family: MonotoneFamily):
     if family.kind == "pair":
-        raise ValueError(
-            "pair families have no single monotone function; use .members"
-        )
+        raise ValueError("pair families have no single monotone function; use .members")
 
 
+# each kind's sinhc scales (numerators, denominators) of g_f from its parameter, a number or an array (_Stacked)
+_G_SCALES = {
+    "har": lambda p: ((2.0,), ()),
+    "bures": lambda p: ((1.0, 1.0), (2.0,)),
+    "bkm": lambda p: ((), ()),
+    "mc": lambda p: ((2.0,), (1.0, 1.0)),
+    "geometric": lambda p: ((1.0,), ()),
+    "wyd": lambda p: ((p, 1.0 - p), (1.0,)),
+    "pdiff": lambda p: ((1.0, p - 1.0), (p,)),
+}
+
+
+@functools.cache
 def _g_scales(family: MonotoneFamily) -> tuple[tuple[float, ...], tuple[float, ...]]:
-    """Sinhc scales (numerators, denominators) of the filter function."""
+    """Sinhc scales (numerators, denominators) of the filter function, simplified once per family."""
     _require_single(family)
-    k, p = family.kind, family.param
-    if k == "har":
-        raw = ((2.0,), ())
-    elif k == "bures":
-        raw = ((1.0, 1.0), (2.0,))
-    elif k == "bkm":
-        raw = ((), ())
-    elif k == "mc":
-        raw = ((2.0,), (1.0, 1.0))
-    elif k == "geometric":
-        raw = ((1.0,), ())
-    elif k == "wyd":
-        raw = ((p, 1.0 - p), (1.0,))
-    else:  # pdiff
-        raw = ((1.0, p - 1.0), (p,))
-    return _simplify_scales(*raw)
+    return _simplify_scales(*_G_SCALES[family.kind](family.param))
 
 
+@functools.cache
 def _g_hat_scales(family: MonotoneFamily):
     """Scales of ghat_f = g_f * tanh(x)/x  (tanh(x)/x = sinhc(x)^2/sinhc(2x))."""
     nums, dens = _g_scales(family)
@@ -219,18 +238,18 @@ def _simplify_scales(nums, dens):
     return tuple(out_n), tuple(out_d)
 
 
-def _log_form(forms, v):
+def _log_form(form, v):
     """The parts sum w log _exprel_neg(|k v|) and (a if v > 0 else b) v of the form (a, b, (w, ...), (k, ...)).
 
-    One form applies to all of v; otherwise form i applies to v[i], padded
-    with w = k = 0.  Both parts are finite for every finite v.
+    An entry is a number, or an array that broadcasts against v (one
+    value per entry of its leading axis).  Both parts are finite for
+    every finite v.
     """
-    shape = () if len(forms) == 1 else (-1,) + (1,) * (np.ndim(v) - 1)
-    a, b, ws, ks = zip(*forms)
+    a, b, ws, ks = form
     out = 0.0
-    for w, k in zip(*(itertools.zip_longest(*part, fillvalue=0.0) for part in (ws, ks))):
-        out = out + np.reshape(w, shape) * np.log(_exprel_neg(np.abs(np.reshape(k, shape) * v)))
-    return out, np.where(v > 0.0, np.reshape(a, shape), np.reshape(b, shape)) * v
+    for w, k in zip(ws, ks):
+        out = out + w * np.log(_exprel_neg(np.abs(k * v)))
+    return out, np.where(v > 0.0, a, b) * v
 
 
 def _exp(a, b=0.0):
@@ -246,29 +265,36 @@ def _exp(a, b=0.0):
 
 
 def _g_parts(family, x, scales=_g_scales):
-    """The parts of log g_f(x), or of log ghat_f(x) with _g_hat_scales, for a family or a tuple of one per entry of x's leading axis.
+    """The parts of log g_f(x), or of log ghat_f(x) with _g_hat_scales.
 
-    sinhc(a x) = e^{a y/2} _exprel_neg(a y) with y = 2|x|: the form has
-    the exponent (sum a - sum d)/2, rounded once, and terms (1, a), (-1, d).
+    sinhc(a x) = e^{|a| y/2} _exprel_neg(|a| y) with y = 2|x|: the form has
+    the exponent (sum |a| - sum |d|)/2, rounded once, and terms (1, a), (-1, d).
     """
-    forms = []
-    for nums, dens in map(scales, family if isinstance(family, tuple) else (family,)):
-        half = 0.5 * math.fsum(nums + tuple(-d for d in dens))
-        forms.append((half, half, (1.0,) * len(nums) + (-1.0,) * len(dens), nums + dens))
-    return _log_form(forms, 2.0 * np.abs(np.asarray(x, dtype=float)))
+    nums, dens = scales(family)
+    half = 0.5 * math.fsum(nums + tuple(-d for d in dens))
+    y = 2.0 * np.abs(np.asarray(x, dtype=float))
+    return _log_form((half, half, (1.0,) * len(nums) + (-1.0,) * len(dens), nums + dens), y)
 
 
 def _log_g(family, x):
-    """log g_f(x); ``family`` may also be a tuple with one family per entry of the leading axis of x."""
-    return sum(_g_parts(family, x))
+    """log g_f(x); ``family`` may also be a _Stacked family, entry i for entry i of the leading axis of x.
+
+    A stack keeps the zero scales (log _exprel_neg(0) = 0) and equal pairs (cancelling to rounding) that _g_scales drops.
+    """
+    if not isinstance(family, _Stacked):
+        return sum(_g_parts(family, x))
+    _require_single(family)
+    y = 2.0 * np.abs(np.asarray(x, dtype=float))
+    nums, dens = _G_SCALES[family.kind](family.column(y))
+    half = 0.5 * (sum(map(np.abs, nums)) - sum(map(np.abs, dens)))
+    return sum(_log_form((half, half, (1.0,) * len(nums) + (-1.0,) * len(dens), nums + dens), y))
 
 
 def eval_g(family: MonotoneFamily, x):
     """Filter function g_f(x) = (e^{2x}-1)/(2x f(e^{2x})); even, g_f(0) = 1.
 
     Accepts scalars or arrays; defined for all real x, inf only past
-    double range.  ``family`` may also be a tuple with one family per
-    entry of the leading axis of x.
+    double range.
     """
     return _exp(*_g_parts(family, x))
 
@@ -292,18 +318,15 @@ _F_FORMS = {
     # alpha*(1-alpha)*(x-1)^2 / ((x^a - 1)(x^{1-a} - 1)): the prefactor
     # cancels against the u-factors of the exprel forms
     "wyd": lambda p: (1.0, (2.0, -1.0, -1.0), (1.0, p, 1.0 - p)),
-    "pdiff": lambda p: (min(max(p, 0.0), 1.0), (1.0, -1.0), (p, p - 1.0)),  # (p-1)/p * (x^p - 1)/(x^{p-1} - 1)
+    "pdiff": lambda p: (np.clip(p, 0.0, 1.0), (1.0, -1.0), (p, p - 1.0)),  # (p-1)/p * (x^p - 1)/(x^{p-1} - 1)
 }
 
 
 def _log_f(family, u):
-    """log f(e^u) for real u; ``family`` may also be a tuple with one family per entry of the leading axis of u."""
-    forms = []
-    for member in family if isinstance(family, tuple) else (family,):
-        _require_single(member)
-        a, ws, ks = _F_FORMS[member.kind](member.param)
-        forms.append((a, 1.0 - a, ws, ks))
-    return sum(_log_form(forms, u))
+    """log f(e^u) for real u; ``family`` may also be a _Stacked family, entry i for entry i of the leading axis of u."""
+    _require_single(family)
+    a, ws, ks = _F_FORMS[family.kind](family.column(u) if isinstance(family, _Stacked) else family.param)
+    return sum(_log_form((a, 1.0 - a, ws, ks), u))
 
 
 def eval_f(family: MonotoneFamily, x):
@@ -336,8 +359,7 @@ def eval_f_at_zero(family: MonotoneFamily) -> float:
 def eval_c(family: MonotoneFamily, x, y):
     """Morozova-Cencov function c_f(x, y) = 1/(x f(y/x)) for x, y > 0.
 
-    exp of -ln x - log f(e^u), u = ln y - ln x.  ``family`` may also be a
-    tuple with one family per entry of the leading axis of x and y.
+    exp of -ln x - log f(e^u), u = ln y - ln x.
     """
     x_arr = np.asarray(x, dtype=float)
     y_arr = np.asarray(y, dtype=float)

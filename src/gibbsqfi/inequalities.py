@@ -66,9 +66,9 @@ class InequalityReport:
 class _Check:
     """One statement lhs <= rhs, evaluated for every matrix of a frame's stack.
 
-    ``name`` is one string, or a tuple with one name per matrix when the
-    statement's label carries a per-trial parameter.  The tolerance is
-    1e-12 relative unless given.
+    ``name`` is one string, or a function of the matrix index when the
+    statement's label carries a per-trial parameter; it is called only for
+    the reports made.  The tolerance is 1e-12 relative unless given.
     """
 
     def __init__(self, name, lhs, rhs, tolerance=None):
@@ -82,7 +82,7 @@ class _Check:
 
     def report(self, i=()) -> InequalityReport:
         """The report of matrix i; () for an unstacked frame."""
-        name = self.name[i] if isinstance(self.name, tuple) else self.name
+        name = self.name if isinstance(self.name, str) else self.name(i)
         lhs, rhs = float(self.lhs[i]), float(self.rhs[i])
         return InequalityReport(name, lhs, rhs, rhs - lhs, bool(self.passed[i]), float(self.tolerance[i]))
 
@@ -91,26 +91,13 @@ def _reports(checks: list[_Check]) -> list[InequalityReport]:
     return [check.report() for check in checks]
 
 
-def _per_matrix(fn, *args):
-    """fn(*args), matrix by matrix over the arguments that are tuples.
-
-    A tuple holds one entry per matrix of a frame's stack (a family whose
-    parameter varies by trial, say).  Equal results collapse to one, so a
-    family shared by all matrices is evaluated once.
-    """
-    size = next((len(a) for a in args if isinstance(a, tuple)), None)
-    if size is None:
-        return fn(*args)
-    out = tuple(fn(*(a[i] if isinstance(a, tuple) else a for a in args)) for i in range(size))
-    return out[0] if len(set(out)) == 1 else out
+def _at(family, i):
+    """The family of matrix i: ``family`` itself, or entry i of a _Stacked family."""
+    return family[i] if isinstance(family, fam._Stacked) else family
 
 
 def _filters(frame: _Frame):
-    """log g_f at the frame's pairs, evaluated once per family.
-
-    The argument is one family, or a tuple with one family per matrix of
-    the frame's stack.  The frames of _frame_pair share the pairs.
-    """
+    """log g_f at the frame's pairs (which the frames of _frame_pair share), once per family or _Stacked family."""
     return functools.cache(lambda family: fam._log_g(family, frame.x))
 
 
@@ -122,9 +109,8 @@ def _checked(frame: _Frame, family, log_g: np.ndarray) -> np.ndarray:
         bad = (fast != slow) & ~(np.abs(fast - slow) / np.maximum(np.maximum(np.abs(fast), np.abs(slow)), 1e-30) <= 1e-10)
     if np.any(bad):
         i = int(np.flatnonzero(bad)[0])
-        label = (family[i] if isinstance(family, tuple) else family).label
         raise ArithmeticError(
-            f"metric routes disagree for {label}: {float(np.ravel(fast)[i])!r} vs {float(np.ravel(slow)[i])!r}"
+            f"metric routes disagree for {_at(family, i).label}: {float(np.ravel(fast)[i])!r} vs {float(np.ravel(slow)[i])!r}"
         )
     return fast
 
@@ -136,10 +122,7 @@ def _values(frame: _Frame, filters, *families) -> dict:
 
 def _chain_checks(v: dict) -> list[_Check]:
     named = fam.named_families()
-    return [
-        _Check(f"chain:{a}<={b}", v[named[a]], v[named[b]])
-        for a, b in zip(_CHAIN, _CHAIN[1:])
-    ]
+    return [_Check(f"chain:{a}<={b}", v[named[a]], v[named[b]]) for a, b in zip(_CHAIN, _CHAIN[1:])]
 
 
 def chain_check(state: GibbsState, S) -> list[InequalityReport]:
@@ -181,13 +164,12 @@ def commutator_bounds(state: GibbsState, S) -> list[InequalityReport]:
 
 
 def _geometric_mean_checks(v: dict, pair) -> list[_Check]:
-    """``pair`` is one half_pair family, or a tuple of one per matrix."""
-    lo = _per_matrix(lambda q: q.members[0], pair)
-    hi = _per_matrix(lambda q: q.members[1], pair)
+    """``pair`` is one half_pair family, or a _Stacked one with one per matrix."""
+    lo, hi = pair.members
     return [
         _Check("bkm<=geomean(bures,mc)", v[fam.BKM], np.sqrt(v[fam.BURES] * v[fam.MC])),
         _Check("geo<=geomean(bures,har)", v[fam.GEOMETRIC], np.sqrt(v[fam.BURES] * v[fam.HAR])),
-        _Check(_per_matrix(lambda q: f"geo<=geomean({q.label})", pair), v[fam.GEOMETRIC], np.sqrt(v[lo] * v[hi])),
+        _Check(lambda i: f"geo<=geomean({_at(pair, i).label})", v[fam.GEOMETRIC], np.sqrt(v[lo] * v[hi])),
     ]
 
 
@@ -208,46 +190,34 @@ def _geometric_mean_family(f: fam.MonotoneFamily, f_bar: fam.MonotoneFamily):
         return fam.BKM
     if kinds == {"bures", "har"}:
         return fam.GEOMETRIC
-    if kinds == {"pdiff"} and abs(f.param + f_bar.param - 1.0) < 1e-12:
+    if kinds == {"pdiff"} and np.all(np.abs(f.param + f_bar.param - 1.0) < 1e-12):
         return fam.GEOMETRIC
-    raise ValueError(
-        f"no catalog family represents sqrt(f * f_bar) for "
-        f"({f.label}, {f_bar.label})"
-    )
+    raise ValueError(f"no catalog family represents sqrt(f * f_bar) for ({f}, {f_bar})")
 
 
 def _cauchy_schwarz_checks(frame_a: _Frame, frame_b: _Frame, f, f_bar, filters) -> list[_Check]:
     """Cauchy-Schwarz checks on two frames of one state; frame_b is frame_a when A = B.
 
-    f and f_bar are families, or tuples of one per matrix.
+    f and f_bar are families, or _Stacked ones with one per matrix.
     """
-    f_tilde = _per_matrix(_geometric_mean_family, f, f_bar)
+    f_tilde = _geometric_mean_family(f, f_bar)
     lhs = np.abs(_cross_value(frame_a, frame_b, filters(f_tilde))) ** 2
     d2_f = _cross_value(frame_a, frame_a, filters(f)).real
     d2_f_bar = _cross_value(frame_b, frame_b, filters(f_bar)).real
-    name = _per_matrix(lambda a, b, t: f"cs:{a.label},{b.label}->{t.label}", f, f_bar, f_tilde)
-    checks = [_Check(name, lhs, d2_f * d2_f_bar)]
+    checks = [_Check(lambda i: f"cs:{_at(f, i).label},{_at(f_bar, i).label}->{f_tilde.label}", lhs, d2_f * d2_f_bar)]
     if frame_b is frame_a:
         # (1 + e^{-w}) times the line weight |dA_mn|^2 rho_m, on both sides of each pair
         log_pair_weights = np.logaddexp(*frame_a.pair_log_weights)
         diagonal = 2.0 * _dot(frame_a.state.weights, np.abs(frame_a.table.diagonal - frame_a.mean[..., None]) ** 2)
         for family, d2 in ((f, d2_f), (f_bar, d2_f_bar)):
             classical = 0.125 * (_dot_exp(filters(family) + log_pair_weights, frame_a.table.abs2) + diagonal)
-            label = _per_matrix(lambda one: f"classical_bound:{one.label}", family)
-            checks.append(_Check(label, d2, classical))
-        checks.append(
-            _Check(
-                "cross_bures<=cross_bkm",
-                _cross_value(frame_a, frame_a, filters(fam.BURES)).real,
-                _cross_value(frame_a, frame_a, filters(fam.BKM)).real,
-            )
-        )
+            checks.append(_Check(lambda i, family=family: f"classical_bound:{_at(family, i).label}", d2, classical))
+        bures, bkm = (_cross_value(frame_a, frame_a, filters(family)).real for family in (fam.BURES, fam.BKM))
+        checks.append(_Check("cross_bures<=cross_bkm", bures, bkm))
     return checks
 
 
-def cauchy_schwarz_cross(
-    state: GibbsState, A, B, f: fam.MonotoneFamily, f_bar: fam.MonotoneFamily
-) -> list[InequalityReport]:
+def cauchy_schwarz_cross(state: GibbsState, A, B, f: fam.MonotoneFamily, f_bar: fam.MonotoneFamily) -> list[InequalityReport]:
     """Cauchy-Schwarz bound |d2_ftilde(dA, dB)|^2 <= d2_f(dA) d2_fbar(dB).
 
     ftilde = sqrt(f * f_bar) must itself be in the catalog; supported
@@ -268,20 +238,26 @@ def random_instance(rng: np.random.Generator, dim: int, spread: float | None = N
     from [0.1, 10] when omitted), covering near-classical through deeply
     quantum regimes.
     """
+    if dim < 1:
+        raise ValueError(f"random_instance needs dim >= 1, got {dim}")
     if spread is None:
         spread = float(10.0 ** rng.uniform(-1.0, 1.0))
-    t = _gue(rng, dim)
+    t, s = _gue(rng.normal(size=(4, dim, dim)))
+    return HermitianOperator._trusted(_rescaled(t, spread)), HermitianOperator._trusted(s)
+
+
+def _gue(normals: np.ndarray) -> np.ndarray:
+    """GUE-style matrices of real parts normals[0::2] and imaginary parts normals[1::2], exactly Hermitian: (g + g^dagger)/2."""
+    g = normals[0::2] + 1j * normals[1::2]
+    return 0.5 * (g + np.swapaxes(g.conj(), -1, -2))
+
+
+def _rescaled(t: np.ndarray, spread) -> np.ndarray:
+    """Each matrix of t with its spectral range rescaled to its spread (kept at range 0); the Hermitian check rejects inf or nan."""
     eigs = np.linalg.eigvalsh(t)
-    current = float(eigs[-1] - eigs[0])
-    if current > 0.0:
-        t = t * (spread / current)
-    return HermitianOperator._trusted(t), HermitianOperator._trusted(_gue(rng, dim))
-
-
-def _gue(rng: np.random.Generator, dim: int) -> np.ndarray:
-    """A GUE-style matrix, exactly Hermitian: (g + g^dagger)/2 rounds each pair of entries alike."""
-    g = rng.normal(size=(dim, dim)) + 1j * rng.normal(size=(dim, dim))
-    return 0.5 * (g + g.conj().T)
+    current = eigs[..., -1] - eigs[..., 0]
+    with np.errstate(over="ignore", invalid="ignore"):
+        return t * np.divide(spread, current, out=np.ones_like(current), where=current > 0.0)[..., None, None]
 
 
 @dataclass
@@ -306,54 +282,58 @@ class VerificationSummary:
         return asdict(self)
 
 
-class _Trial(NamedTuple):
-    """The random instance of one corpus trial, as arrays that are Hermitian by construction."""
+class _Group(NamedTuple):
+    """The trials of one dim in a block: their positions in it, their stacked matrices and parameters."""
 
-    T: np.ndarray
-    S: np.ndarray
-    B: np.ndarray
-    d: float  # pair offset
-    p: float  # power-difference exponent
+    members: np.ndarray
+    T: HermitianOperator
+    S: HermitianOperator
+    B: HermitianOperator
+    d: np.ndarray  # pair offsets
+    p: np.ndarray  # power-difference exponents
 
 
-def _draw(entropy, dims) -> _Trial:
-    """Draw one trial; the order is dim, (T, S), B, pair offset d, exponent p.
+def _draw_block(streams, dims) -> list[_Group]:
+    """One trial per seed stream, grouped by dim in dim order.
 
-    B is the observable of random_instance(rng, dim, spread=1.0): its
-    generator is drawn, to keep the stream's order, and dropped.
+    A stream's generator draws the dim, the spread of T, the normals of T,
+    S, a dropped matrix and B, the pair offset d and the exponent p.  Each
+    group forms its matrices, and rescales its T, as stacks.
     """
-    rng = np.random.default_rng(entropy)
-    dim = int(rng.choice(dims))
-    T, S = (op.matrix for op in random_instance(rng, dim))
-    _gue(rng, dim)
-    B = _gue(rng, dim)
-    d = float(rng.uniform(0.0, 1.5))
-    p = float(rng.uniform(0.5, 1.5))
-    return _Trial(T, S, B, d, p)
+    draws = []
+    for stream in streams:
+        rng = np.random.default_rng(stream)
+        dim = int(rng.choice(dims))
+        spread = float(10.0 ** rng.uniform(-1.0, 1.0))
+        draws.append((dim, spread, rng.normal(size=(8, dim, dim)), rng.uniform(0.0, 1.5), rng.uniform(0.5, 1.5)))
+    groups = []
+    for dim in sorted({draw[0] for draw in draws}):
+        members = [i for i, draw in enumerate(draws) if draw[0] == dim]
+        _, spread, normals, d, p = zip(*(draws[i] for i in members))
+        T, S, B = _gue(np.stack(normals, axis=1)[[0, 1, 2, 3, 6, 7]])  # not the dropped matrix's parts
+        T, S, B = (HermitianOperator._trusted(m) for m in (_rescaled(T, np.array(spread)), S, B))
+        groups.append(_Group(np.array(members), T, S, B, np.array(d), np.array(p)))
+    return groups
 
 
-def _group_checks(trials: list[_Trial]) -> tuple[list[_Check], np.ndarray]:
-    """Every check of the corpus for trials of one dim, in report order.
+def _group_checks(group: _Group) -> tuple[list[_Check], np.ndarray]:
+    """Every check of the corpus for one dim group, in report order.
 
     One stacked Gibbs state, one stacked frame each for S and B, one
-    commutator chain and one filter per fixed family serve the whole
-    group.  Also returns, per trial, whether the geometric <= MC link is
-    in its regime.
+    commutator chain and one filter per family serve the whole group: the
+    families whose parameter varies by trial are _Stacked.  Also returns,
+    per trial, whether the geometric <= MC link is in its regime.
     """
-    # one operator per stack of the group's T, S and B, which _draw makes exactly Hermitian
-    T, S, B = (HermitianOperator._trusted(np.stack(stack)) for stack in zip(*((t.T, t.S, t.B) for t in trials)))
-    state = _scaled_state(eigendecompose(T), T.matrix, 1.0)
+    state = _scaled_state(eigendecompose(group.T), group.T.matrix, 1.0)
     # C = 2 M_1 and the sum rules p <= 6 read the chain of S to M_5
-    frame, frame_b = _frame_pair(state, S, B, chain_order=5)
+    frame, frame_b = _frame_pair(state, group.S, group.B, chain_order=5)
     filters = _filters(frame)
-    pair = _per_matrix(fam.half_pair, tuple(t.d for t in trials))
-    members = [_per_matrix(lambda q: q.members[i], pair) for i in (0, 1)]
-    values = _values(frame, filters, *fam.named_families().values(), *members)
+    pair = fam._Stacked("pair", group.d)
+    values = _values(frame, filters, *fam.named_families().values(), *pair.members)
     checks = _chain_checks(values)
     checks += _commutator_checks(values, 2.0 * frame.moments[1])
     checks += _geometric_mean_checks(values, pair)
-    power = _per_matrix(fam.power_difference, tuple(t.p for t in trials))
-    co_power = _per_matrix(lambda p: fam.power_difference(1.0 - p), tuple(t.p for t in trials))
+    power, co_power = fam._Stacked("pdiff", group.p), fam._Stacked("pdiff", 1.0 - group.p)
     for f, f_bar in ((fam.BURES, fam.MC), (fam.BURES, fam.HAR), (power, co_power)):
         checks += _cauchy_schwarz_checks(frame, frame_b, f, f_bar, filters)
     for p, (_, _, rel_error) in enumerate(_sum_rule_values(frame, 6)):
@@ -374,26 +354,19 @@ def run_verification_suite(seed: int, trials: int, dims=(2, 3, 4, 5, 6, 7, 8)) -
     """
     if trials < 1:
         raise ValueError("trials must be >= 1")
-    failures: list[InequalityReport] = []
-    checks = 0
-    gm_out = 0
-    gm_crossings = 0
+    checks = gm_out = gm_crossings = 0
+    found = []  # (trial, position in the report order, report) of each failure
     streams = np.random.SeedSequence(seed).spawn(trials)
     for start in range(0, trials, _BLOCK):
-        block = [_draw(stream, dims) for stream in streams[start:start + _BLOCK]]
-        found = []  # (trial, position in the report order, report)
-        for dim in sorted({len(trial.T) for trial in block}):
-            members = [i for i, trial in enumerate(block) if len(trial.T) == dim]
-            group, in_regime = _group_checks([block[i] for i in members])
-            for position, check in enumerate(group):
-                checks += len(members)
+        for group in _draw_block(streams[start:start + _BLOCK], dims):
+            group_checks, in_regime = _group_checks(group)
+            for position, check in enumerate(group_checks):
+                checks += len(group.members)
                 scored = check.passed
                 if check.name == _GM_LINK:
                     gm_out += int(np.count_nonzero(~in_regime))
                     gm_crossings += int(np.count_nonzero(~in_regime & ~check.passed))
                     scored = check.passed | ~in_regime
-                found += [(start + members[j], position, check.report(j)) for j in np.flatnonzero(~scored)]
-        failures += [report for *_, report in sorted(found, key=lambda item: item[:2])]
-    return VerificationSummary(
-        seed, trials, checks, failures, not failures, gm_out, gm_crossings
-    )
+                found += [(start + group.members[j], position, check.report(j)) for j in np.flatnonzero(~scored)]
+    failures = [report for *_, report in sorted(found, key=lambda item: item[:2])]
+    return VerificationSummary(seed, trials, checks, failures, not failures, gm_out, gm_crossings)

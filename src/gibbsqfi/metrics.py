@@ -94,7 +94,7 @@ def _oracle_value(frame: _Frame, family):
     c_f is symmetric, so each pair (n, m) reads c_f(rho_m, rho_n) W^2 =
     rho_m _exprel_neg(u)^2 / f(e^{-u}), u = ln rho_m - ln rho_n, once, from
     its log; it is rho_m at u = 0.  ``family`` is one family for the
-    frame, or a tuple with one family per matrix of the frame's stack.
+    frame, or a _Stacked one with one family per matrix of its stack.
     """
     lw_rows, lw_cols = frame.pair_log_weights
     log_c_w2 = 2.0 * frame.log_kernel - lw_cols - fam._log_f(family, lw_rows - lw_cols)
@@ -150,6 +150,9 @@ def metric_from_dsf(Q: LineSpectrum, family: fam.MonotoneFamily) -> MetricResult
     (1/4)[ sum_j g_f(w_j/2) (1 - e^{-w_j})/w_j  w_j_weight - <S>^2 ], the
     elastic line entering with the limit factor 1; the dsf method reads
     the centered spectrum, whose <S> is 0.
+
+    The uncentered spectrum (``build_dsf``'s default) cancels in a nearly pure state, its line sum near <S>^2
+    (Bures reads 6.8e-9 off the oracle on a dim-2 GUE pair at spread 8142); ``centered=True`` does not.
     """
     if Q.kind != "diagonal":
         raise ValueError("metric_from_dsf expects a diagonal spectrum")

@@ -150,7 +150,8 @@ class BosonModel:
         if self.cutoff < self.k:
             raise ValueError("cutoff must be at least k")
         n = np.arange(self.cutoff + 1)
-        Z = float(np.sum(np.exp(-self.omega * n)))
+        with np.errstate(over="ignore"):  # omega n past double range is inf, and its weight the exact 0
+            Z = float(np.sum(np.exp(-self.omega * n)))
         tail = math.exp(-self.omega * self.cutoff) / Z
         if tail >= 1e-12:
             raise ValueError(

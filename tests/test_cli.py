@@ -481,6 +481,16 @@ class TestMetricJobs:
         assert capsys.readouterr().err == f"error: {message}\n"
 
 
+def test_boson_with_weights_past_double_range_exits_2_without_warning(tmp_path, capsys):
+    # omega n overflows for n >= 18 at omega = 1e307; the model is valid, the job's generator is not
+    config = write_config(tmp_path, {"model": {"model": "boson", "k": 1, "omega": 1e307, "cutoff": 40}, "families": ["bkm"]})
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        assert main(["metric", "--config", config, "--out", str(tmp_path / "never.csv")]) == 2
+    assert [str(w.message) for w in caught] == []
+    assert capsys.readouterr().err == "error: beta * T at beta=1: twice the spectral range inf of c * T is non-finite\n"
+
+
 GOLDEN_METHODS = ["oracle", "spectral", "dsf", "seriesA:3", "seriesA:6", "seriesB:4"]
 GOLDEN_FAMILIES = list(fam.named_families().values())
 

@@ -482,33 +482,67 @@ class TestLogForms:
                 assert abs(value - reference) <= 2e-15 * (float(y) + abs(reference) + 1.0), (x, value, reference)
 
 
-class TestPerMatrixFamilies:
-    """A tuple of families, one per leading index, equals per-family calls bit for bit."""
+class TestStackedFamilies:
+    """A _Stacked family, one parameter per leading index, against per-family evaluation.
 
-    FAMILIES = (fam.HAR, fam.power_difference(0.3), fam.wyd(0.4), fam.power_difference(1.7), fam.BKM)
+    _log_f is the same arithmetic entry by entry.  _log_g keeps the scales
+    that _simplify_scales drops (zero) or cancels (equal), which moves its
+    sum by a few roundings, so g is compared to 1e-13 relative.
+    """
 
-    def test_eval_g(self):
-        x = np.random.default_rng(1).normal(scale=3.0, size=(5, 4, 4))
-        x[3, 0, 0] = 500.0  # past sinh overflow for the 1.7 member
-        expected = np.stack([fam.eval_g(f, xi) for f, xi in zip(self.FAMILIES, x)])
-        assert np.array_equal(fam.eval_g(self.FAMILIES, x), expected)
+    # p = 0 and 1 drop a zero scale, p = -1, 0.5 and 1 cancel an equal
+    # pair; then the pair members 1/2 -+ d at d = 0, 0.5, 1 and 1.5
+    STACKS = {
+        "pdiff": [-1.0, 0.0, 0.5, 1.0, 2.0, *(0.5 + s * d for d in (0.0, 0.5, 1.0, 1.5) for s in (-1.0, 1.0)), -0.7, 1.7],
+        "wyd": [0.1, 0.3, 0.5, 0.9],
+    }
 
-    def test_eval_g_mixed_patterns(self):
-        # sinhc factor counts (numerators, denominators) of (0, 0), (1, 0),
-        # (1, 2), (2, 0) and (2, 1); the shorter members are padded with 0
-        families = tuple(CATALOG) + (fam.power_difference(0.0),)
-        x = np.random.default_rng(3).normal(scale=150.0, size=(len(families), 6, 6))
-        x[:, 0, 0] = 0.0
-        with np.errstate(over="ignore", under="ignore"):
-            expected = np.stack([fam.eval_g(f, xi) for f, xi in zip(families, x)])
-            got = fam.eval_g(families, x)
-        assert got.tobytes() == expected.tobytes()
+    @staticmethod
+    def grid(rows, scale, edges):
+        v = np.random.default_rng(rows).normal(scale=scale, size=(rows, 9))
+        v[:, :len(edges)] = edges
+        return v
 
-    def test_eval_c(self):
-        w = np.random.default_rng(2).random((5, 4)) + 1e-3
-        x, y = w[:, :, None], w[:, None, :]
-        expected = np.stack([fam.eval_c(f, xi, yi) for f, xi, yi in zip(self.FAMILIES, x, y)])
-        assert np.array_equal(fam.eval_c(self.FAMILIES, x, y), expected)
+    @pytest.mark.parametrize("kind", STACKS)
+    def test_log_g(self, kind):
+        params = self.STACKS[kind]
+        x = self.grid(len(params), 10.0, [0.0, 1e-9, -1e-9, 40.0, -40.0])
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            got = fam._log_g(fam._Stacked(kind, np.array(params)), x)
+        expected = np.stack([fam._log_g(fam.MonotoneFamily(kind, p), xi) for p, xi in zip(params, x)])
+        assert got.shape == x.shape
+        np.testing.assert_allclose(np.exp(got), np.exp(expected), rtol=1e-13, atol=0.0)
+
+    @pytest.mark.parametrize("kind", STACKS)
+    def test_log_f(self, kind):
+        params = self.STACKS[kind]
+        u = self.grid(len(params), 30.0, [0.0, 1e-9, -1e-9, 700.0, -700.0])
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            got = fam._log_f(fam._Stacked(kind, np.array(params)), u)
+        expected = np.stack([fam._log_f(fam.MonotoneFamily(kind, p), ui) for p, ui in zip(params, u)])
+        assert np.array_equal(got, expected)
+
+    def test_entries_and_labels(self):
+        pair = fam._Stacked("pair", np.array([0.25, 1.5]))
+        assert [pair[i] for i in range(2)] == [fam.half_pair(0.25), fam.half_pair(1.5)]
+        assert pair[0].label == "pair:0.25"
+        lo, hi = pair.members
+        assert pair.members is pair.members  # one object each, so each member's filter is computed once
+        assert [lo[1].label, hi[1].label] == ["pdiff:-1", "pdiff:2"]
+        p = np.array([0.7])
+        assert (fam._Stacked("pdiff", p)[0].label, fam._Stacked("pdiff", 1.0 - p)[0].label) == ("pdiff:0.7", "pdiff:0.3")
+
+    def test_rejections(self):
+        with pytest.raises(ValueError, match="pdiff requires p"):
+            fam._Stacked("pdiff", np.array([0.5, 2.5]))
+        with pytest.raises(ValueError, match="wyd requires alpha"):
+            fam._Stacked("wyd", np.array([0.5, math.nan]))
+        with pytest.raises(ValueError, match="pair families have no single monotone function"):
+            fam._log_g(fam._Stacked("pair", np.array([0.5])), np.zeros((1, 3)))
+        with pytest.raises(ValueError, match="members is defined only for pair families"):
+            fam._Stacked("pdiff", np.array([0.5])).members
 
 
 class TestEvalGHat:

@@ -22,6 +22,40 @@ D2_QUBIT = {
 }
 
 
+def _gue(rng, dim):
+    g = rng.normal(size=(dim, dim)) + 1j * rng.normal(size=(dim, dim))
+    return 0.5 * (g + g.conj().T)
+
+
+def reference_draw(entropy, dims):
+    """The trial (T, S, B, d, p) of one seed stream, one generator call at a time: the block draw's reference.
+
+    The order is dim, spread, (T, S), a dropped generator, B, pair offset d
+    and exponent p, with one normal call per real or imaginary part.
+    """
+    rng = np.random.default_rng(entropy)
+    dim = int(rng.choice(dims))
+    spread = float(10.0 ** rng.uniform(-1.0, 1.0))
+    t = _gue(rng, dim)
+    eigs = np.linalg.eigvalsh(t)
+    current = float(eigs[-1] - eigs[0])
+    if current > 0.0:
+        t = t * (spread / current)
+    s = _gue(rng, dim)
+    _gue(rng, dim)
+    b = _gue(rng, dim)
+    return t, s, b, float(rng.uniform(0.0, 1.5)), float(rng.uniform(0.5, 1.5))
+
+
+def block_trials(streams, dims):
+    """The trial (T, S, B, d, p) of each stream, in stream order, from the block draw."""
+    trials = {}
+    for group in ineq._draw_block(streams, dims):
+        for j, i in enumerate(group.members):
+            trials[i] = (group.T.matrix[j], group.S.matrix[j], group.B.matrix[j], group.d[j], group.p[j])
+    return [trials[i] for i in range(len(streams))]
+
+
 @pytest.fixture
 def qubit():
     return hb.gibbs_state(np.diag([0.0, 1.0]).astype(complex))
@@ -217,10 +251,10 @@ class TestVerificationSuite:
 
         monkeypatch.setattr(fam, "_log_g", recording)
         for dim, size in ((2, 1), (5, 4), (8, 3)):
-            trials = [ineq._draw(stream, (dim,)) for stream in np.random.SeedSequence(dim).spawn(size)]
+            [group] = ineq._draw_block(np.random.SeedSequence(dim).spawn(size), (dim,))
             calls.update(eigh=0, rotate=0, assemble=0, chain=0)
             filters.clear()
-            checks, in_regime = ineq._group_checks(trials)
+            checks, in_regime = ineq._group_checks(group)
             assert len(checks) == 24
             assert all(check.lhs.shape == (size,) for check in checks)
             assert in_regime.shape == (size,)
@@ -229,13 +263,13 @@ class TestVerificationSuite:
             fixed = [f for f in filters if f in named]
             assert sorted(f.label for f in fixed) == sorted(f.label for f in named)
             # pair members 1/2 -+ d and the Cauchy-Schwarz pair p, 1 - p:
-            # one call each, with one family per trial
+            # one call each, with one parameter per trial
             per_trial = [f for f in filters if f not in named]
             assert len(per_trial) == 4
             for families in per_trial:
-                families = families if isinstance(families, tuple) else (families,)
-                assert len(families) == size
-                assert all(f.kind == "pdiff" for f in families)
+                assert isinstance(families, fam._Stacked)
+                assert families.param.shape == (size,)
+                assert families.kind == "pdiff"
 
     def test_trials_validation(self):
         with pytest.raises(ValueError):
@@ -258,32 +292,33 @@ class TestVerificationSuite:
         assert ineq.run_verification_suite(seed, 1000).to_dict() == expected
 
     def test_group_rows_match_public_verifiers(self):
-        trials = [ineq._draw(stream, (3, 6)) for stream in np.random.SeedSequence(8).spawn(10)]
-        for dim in (3, 6):
-            group = [t for t in trials if len(t.T) == dim]
-            assert len(group) > 1
+        groups = ineq._draw_block(np.random.SeedSequence(8).spawn(10), (3, 6))
+        assert [group.T.dim for group in groups] == [3, 6]
+        for group in groups:
+            assert len(group.members) > 1
             checks, _ = ineq._group_checks(group)
-            for j, t in enumerate(group):
+            for j in range(len(group.members)):
                 rows = {row.name: row for row in (check.report(j) for check in checks)}
-                state = hb.gibbs_state(t.T)
+                T, S, B, d, p = (group.T.matrix[j], group.S.matrix[j], group.B.matrix[j], group.d[j], group.p[j])
+                state = hb.gibbs_state(T)
                 expected = [
-                    *ineq.chain_check(state, t.S),
-                    *ineq.commutator_bounds(state, t.S),
-                    *ineq.geometric_mean_checks(state, t.S, t.d),
+                    *ineq.chain_check(state, S),
+                    *ineq.commutator_bounds(state, S),
+                    *ineq.geometric_mean_checks(state, S, d),
                 ]
                 for f, f_bar in (
                     (fam.BURES, fam.MC),
                     (fam.BURES, fam.HAR),
-                    (fam.power_difference(t.p), fam.power_difference(1.0 - t.p)),
+                    (fam.power_difference(p), fam.power_difference(1.0 - p)),
                 ):
-                    expected += ineq.cauchy_schwarz_cross(state, t.S, t.B, f, f_bar)
+                    expected += ineq.cauchy_schwarz_cross(state, S, B, f, f_bar)
                 assert len(expected) == 17
                 for report in expected:
                     row = rows[report.name]
                     assert row.lhs == pytest.approx(report.lhs, rel=1e-13, abs=0.0)
                     assert row.rhs == pytest.approx(report.rhs, rel=1e-13, abs=0.0)
                     assert row.passed == report.passed
-                for sum_rule in dsf.sum_rule_report(state, t.S, p_max=6):
+                for sum_rule in dsf.sum_rule_report(state, S, p_max=6):
                     assert rows[f"sum_rule:p{sum_rule.p}"].lhs == pytest.approx(sum_rule.rel_error, abs=1e-15)
 
     def test_bad_eigendecomposition_in_a_stack_raises(self, monkeypatch):
@@ -343,13 +378,45 @@ class TestVerificationSuite:
         monkeypatch.setattr(ineq, "_BLOCK", 5)  # three blocks
         dims = (2, 4, 7)
         summary = ineq.run_verification_suite(seed=3, trials=12, dims=dims)
-        trials = [ineq._draw(stream, dims) for stream in np.random.SeedSequence(3).spawn(12)]
-        assert len({len(t.T) for t in trials}) == 3
+        trials = block_trials(np.random.SeedSequence(3).spawn(12), dims)
+        assert len({len(t) for t, *_ in trials}) == 3
         assert not summary.passed
         assert [r.name for r in summary.failures] == ["chain:bures<=wy", "sum_rule:p3"] * 12
-        for report, t in zip(summary.failures[::2], trials):
-            bures = ineq.chain_check(hb.gibbs_state(t.T), t.S)[0].lhs
+        for report, (t, s, *_) in zip(summary.failures[::2], trials):
+            bures = ineq.chain_check(hb.gibbs_state(t), s)[0].lhs
             assert report.lhs == pytest.approx(bures, rel=1e-13, abs=0.0)
+
+    def test_per_trial_labels_keep_their_text(self, monkeypatch):
+        # every check fails, so every per-trial label is built from the
+        # stacked parameters, in the text of the single-instance verifiers
+        class Failing(ineq._Check):
+            def __init__(self, name, lhs, rhs, tolerance=None):
+                super().__init__(name, lhs, np.asarray(lhs) - 1.0, tolerance)
+
+        monkeypatch.setattr(ineq, "_Check", Failing)
+        dims = (3, 5)
+        streams = np.random.SeedSequence(5).spawn(6)
+        names = {r.name for r in ineq.run_verification_suite(seed=5, trials=6, dims=dims).failures}
+        for _, _, _, d, p in block_trials(streams, dims):
+            assert {f"geo<=geomean(pair:{d:g})", f"cs:pdiff:{p:g},pdiff:{1.0 - p:g}->geometric"} <= names
+        # the labels of given parameters; the classical bounds are checked
+        # only when A = B, as in cauchy_schwarz_cross(state, A, A, ...)
+        [group] = ineq._draw_block(streams[:2], (4,))
+        checks, _ = ineq._group_checks(group._replace(d=np.array([0.25, 1.5]), p=np.array([0.7, 1.25])))
+        labels = [{check.report(j).name for check in checks} for j in (0, 1)]
+        assert {"geo<=geomean(pair:0.25)", "cs:pdiff:0.7,pdiff:0.3->geometric"} <= labels[0]
+        assert {"geo<=geomean(pair:1.5)", "cs:pdiff:1.25,pdiff:-0.25->geometric"} <= labels[1]
+        frame = dsf._Frame(hb._scaled_state(hb.eigendecompose(group.T), group.T.matrix, 1.0), group.S)
+        p = np.array([0.7, 1.25])
+        stacks = fam._Stacked("pdiff", p), fam._Stacked("pdiff", 1.0 - p)
+        checks = ineq._cauchy_schwarz_checks(frame, frame, *stacks, ineq._filters(frame))
+        assert [check.report(0).name for check in checks] == [
+            "cs:pdiff:0.7,pdiff:0.3->geometric",
+            "classical_bound:pdiff:0.7",
+            "classical_bound:pdiff:0.3",
+            "cross_bures<=cross_bkm",
+        ]
+        assert checks[2].report(1).name == "classical_bound:pdiff:-0.25"
 
     def test_crossings_only_out_of_regime(self):
         summary = ineq.run_verification_suite(seed=77, trials=150)
@@ -359,6 +426,20 @@ class TestVerificationSuite:
         assert summary.gm_link_crossings <= summary.gm_link_out_of_regime
 
 
+class TestBlockDraw:
+    @pytest.mark.parametrize("seed", [0, 11, 42])
+    @pytest.mark.parametrize("dims", [(2, 3, 4, 5, 6, 7, 8), (5,)], ids=["dims2-8", "dim5"])
+    def test_matches_the_trial_by_trial_draw(self, seed, dims):
+        streams = np.random.SeedSequence(seed).spawn(1000)
+        groups = ineq._draw_block(streams, dims)
+        assert [group.T.dim for group in groups] == sorted(set(dims))
+        assert sorted(i for group in groups for i in group.members) == list(range(1000))
+        for trial, expected in zip(block_trials(streams, dims), (reference_draw(stream, dims) for stream in streams)):
+            for got, want in zip(trial[:3], expected[:3]):
+                assert np.array_equal(got, want)
+            assert trial[3:] == expected[3:]
+
+
 class TestRandomInstance:
     def test_spread_control(self):
         rng = np.random.default_rng(5)
@@ -366,6 +447,17 @@ class TestRandomInstance:
         eigs = np.linalg.eigvalsh(t.matrix)
         assert eigs[-1] - eigs[0] == pytest.approx(3.0, rel=1e-12)
         assert s.dim == 6
+
+    def test_empty_dimension_raises(self):
+        with pytest.raises(ValueError, match="dim >= 1, got 0"):
+            ineq.random_instance(np.random.default_rng(0), 0)
+
+    @pytest.mark.parametrize("spread", [math.inf, math.nan])
+    def test_non_finite_spread_raises_without_warning(self, spread):
+        with warnings.catch_warnings():
+            warnings.simplefilter("error", RuntimeWarning)
+            with pytest.raises(ValueError, match="matrix has non-finite entries"):
+                ineq.random_instance(np.random.default_rng(0), 4, spread=spread)
 
     def test_spread_range_when_unset(self):
         rng = np.random.default_rng(6)
