@@ -37,7 +37,7 @@ __all__ = [
 
 _CHAIN = ("bures", "wy", "bkm", "geometric", "mc", "har")
 _GM_LINK = "chain:geometric<=mc"  # scored only inside GEOMETRIC_MC_CROSSOVER
-_BLOCK = 512  # trials drawn and checked together: memory stays bounded for any count
+_BLOCK = 2048  # trials spawned together; a block holds 0.5 KB of generator per trial and one dim group, for any count
 
 # Positive root of sinh^2 x = x^2 cosh x.  The filters obey
 # g_G(x) <= g_MC(x) only for |x| <= this value, so the geometric <= MC
@@ -87,10 +87,6 @@ class _Check:
         return InequalityReport(name, lhs, rhs, rhs - lhs, bool(self.passed[i]), float(self.tolerance[i]))
 
 
-def _reports(checks: list[_Check]) -> list[InequalityReport]:
-    return [check.report() for check in checks]
-
-
 def _at(family, i):
     """The family of matrix i: ``family`` itself, or entry i of a _Stacked family."""
     return family[i] if isinstance(family, fam._Stacked) else family
@@ -134,7 +130,7 @@ def chain_check(state: GibbsState, S) -> list[InequalityReport]:
     it.  run_verification_suite accounts for the regime.
     """
     frame = _Frame(state, S)
-    return _reports(_chain_checks(_values(frame, _filters(frame), *fam.named_families().values())))
+    return [check.report() for check in _chain_checks(_values(frame, _filters(frame), *fam.named_families().values()))]
 
 
 def _commutator_checks(v: dict, c) -> list[_Check]:
@@ -143,11 +139,8 @@ def _commutator_checks(v: dict, c) -> list[_Check]:
         ("bkm_minus_bures", v[fam.BKM] - v[fam.BURES], c / 48.0),
         ("mc_minus_bures", v[fam.MC] - v[fam.BURES], c / 24.0),
     ]
-    checks = []
-    for name, gap, bound in gaps:
-        checks.append(_Check(f"{name}:nonneg", np.zeros_like(gap), gap))
-        checks.append(_Check(f"{name}:bound", gap, bound))
-    return checks
+    pairs = [(_Check(f"{name}:nonneg", np.zeros_like(gap), gap), _Check(f"{name}:bound", gap, bound)) for name, gap, bound in gaps]
+    return [check for pair in pairs for check in pair]
 
 
 def commutator_bounds(state: GibbsState, S) -> list[InequalityReport]:
@@ -160,7 +153,7 @@ def commutator_bounds(state: GibbsState, S) -> list[InequalityReport]:
     """
     frame = _Frame(state, S, chain_order=1)
     v = _values(frame, _filters(frame), fam.BURES, fam.BKM, fam.MC)
-    return _reports(_commutator_checks(v, 2.0 * frame.moments[1]))
+    return [check.report() for check in _commutator_checks(v, 2.0 * frame.moments[1])]
 
 
 def _geometric_mean_checks(v: dict, pair) -> list[_Check]:
@@ -180,7 +173,7 @@ def geometric_mean_checks(state: GibbsState, S, d: float) -> list[InequalityRepo
     frame = _Frame(state, S)
     pair = fam.half_pair(d)
     v = _values(frame, _filters(frame), *fam.named_families().values(), *pair.members)
-    return _reports(_geometric_mean_checks(v, pair))
+    return [check.report() for check in _geometric_mean_checks(v, pair)]
 
 
 def _geometric_mean_family(f: fam.MonotoneFamily, f_bar: fam.MonotoneFamily):
@@ -188,9 +181,7 @@ def _geometric_mean_family(f: fam.MonotoneFamily, f_bar: fam.MonotoneFamily):
     kinds = {f.kind, f_bar.kind}
     if kinds == {"bures", "mc"}:
         return fam.BKM
-    if kinds == {"bures", "har"}:
-        return fam.GEOMETRIC
-    if kinds == {"pdiff"} and np.all(np.abs(f.param + f_bar.param - 1.0) < 1e-12):
+    if kinds == {"bures", "har"} or (kinds == {"pdiff"} and np.all(np.abs(f.param + f_bar.param - 1.0) < 1e-12)):
         return fam.GEOMETRIC
     raise ValueError(f"no catalog family represents sqrt(f * f_bar) for ({f}, {f_bar})")
 
@@ -228,7 +219,7 @@ def cauchy_schwarz_cross(state: GibbsState, A, B, f: fam.MonotoneFamily, f_bar: 
     """
     a_op, b_op = as_operator(A), as_operator(B)
     frame_a, frame_b = _frame_pair(state, a_op, a_op if np.array_equal(a_op.matrix, b_op.matrix) else b_op)
-    return _reports(_cauchy_schwarz_checks(frame_a, frame_b, f, f_bar, _filters(frame_a)))
+    return [check.report() for check in _cauchy_schwarz_checks(frame_a, frame_b, f, f_bar, _filters(frame_a))]
 
 
 def random_instance(rng: np.random.Generator, dim: int, spread: float | None = None):
@@ -242,22 +233,23 @@ def random_instance(rng: np.random.Generator, dim: int, spread: float | None = N
         raise ValueError(f"random_instance needs dim >= 1, got {dim}")
     if spread is None:
         spread = float(10.0 ** rng.uniform(-1.0, 1.0))
-    t, s = _gue(rng.normal(size=(4, dim, dim)))
+    normals = rng.normal(size=(4, dim, dim))
+    t, s = _hermitized(normals[0::2] + 1j * normals[1::2])
     return HermitianOperator._trusted(_rescaled(t, spread)), HermitianOperator._trusted(s)
 
 
-def _gue(normals: np.ndarray) -> np.ndarray:
-    """GUE-style matrices of real parts normals[0::2] and imaginary parts normals[1::2], exactly Hermitian: (g + g^dagger)/2."""
-    g = normals[0::2] + 1j * normals[1::2]
-    return 0.5 * (g + np.swapaxes(g.conj(), -1, -2))
+def _hermitized(g: np.ndarray) -> np.ndarray:
+    """g overwritten by (g + g^dagger)/2, exactly Hermitian matrix by matrix."""
+    return np.multiply(np.add(g, np.swapaxes(g.conj(), -1, -2), out=g), 0.5, out=g)
 
 
 def _rescaled(t: np.ndarray, spread) -> np.ndarray:
-    """Each matrix of t with its spectral range rescaled to its spread (kept at range 0); the Hermitian check rejects inf or nan."""
+    """t with each matrix's spectral range rescaled in place to its spread (kept at range 0); the Hermitian check rejects inf or nan."""
     eigs = np.linalg.eigvalsh(t)
     current = eigs[..., -1] - eigs[..., 0]
     with np.errstate(over="ignore", invalid="ignore"):
-        return t * np.divide(spread, current, out=np.ones_like(current), where=current > 0.0)[..., None, None]
+        factor = np.divide(spread, current, out=np.ones_like(current), where=current > 0.0)
+        return np.multiply(t, factor[..., None, None], out=t)
 
 
 @dataclass
@@ -293,27 +285,28 @@ class _Group(NamedTuple):
     p: np.ndarray  # power-difference exponents
 
 
-def _draw_block(streams, dims) -> list[_Group]:
-    """One trial per seed stream, grouped by dim in dim order.
+def _draw_groups(streams, dims):
+    """One trial per seed stream, yielded one dim group at a time in dim order.
 
     A stream's generator draws the dim, the spread of T, the normals of T,
-    S, a dropped matrix and B, the pair offset d and the exponent p.  Each
-    group forms its matrices, and rescales its T, as stacks.
+    S, a dropped matrix and B, the pair offset d and the exponent p.  The
+    dims and spreads of all trials come first; then each group draws its
+    members' T, S and B straight into one complex (3, k, n, n) stack,
+    symmetrized and rescaled in place.
     """
-    draws = []
-    for stream in streams:
-        rng = np.random.default_rng(stream)
-        dim = int(rng.choice(dims))
-        spread = float(10.0 ** rng.uniform(-1.0, 1.0))
-        draws.append((dim, spread, rng.normal(size=(8, dim, dim)), rng.uniform(0.0, 1.5), rng.uniform(0.5, 1.5)))
-    groups = []
-    for dim in sorted({draw[0] for draw in draws}):
-        members = [i for i, draw in enumerate(draws) if draw[0] == dim]
-        _, spread, normals, d, p = zip(*(draws[i] for i in members))
-        T, S, B = _gue(np.stack(normals, axis=1)[[0, 1, 2, 3, 6, 7]])  # not the dropped matrix's parts
-        T, S, B = (HermitianOperator._trusted(m) for m in (_rescaled(T, np.array(spread)), S, B))
-        groups.append(_Group(np.array(members), T, S, B, np.array(d), np.array(p)))
-    return groups
+    rngs = [np.random.default_rng(stream) for stream in streams]
+    dim_of = np.array([dims[rng.integers(len(dims))] for rng in rngs])  # the index rng.choice(dims) draws
+    spreads = np.array([10.0 ** (2.0 * rng.random() - 1.0) for rng in rngs])  # uniform(lo, hi) is lo + (hi - lo) * random()
+    for dim in np.unique(dim_of):
+        members = np.flatnonzero(dim_of == dim)
+        stack, u = np.empty((3, len(members), dim, dim), complex), np.empty((len(members), 2))
+        re, im = stack.real, stack.imag
+        for j, rng in enumerate(rngs[i] for i in members):
+            normals = rng.standard_normal((8, dim, dim))  # parts 4 and 5 are the dropped matrix's
+            re[:2, j], im[:2, j], re[2, j], im[2, j] = normals[0:4:2], normals[1:4:2], normals[6], normals[7]
+            u[j] = rng.random(2)  # d and p, uniform on [0, 1.5] and [0.5, 1.5]
+        _rescaled(_hermitized(stack)[0], spreads[members])
+        yield _Group(members, *(HermitianOperator._trusted(m) for m in stack), 1.5 * u[:, 0], 0.5 + u[:, 1])
 
 
 def _group_checks(group: _Group) -> tuple[list[_Check], np.ndarray]:
@@ -349,16 +342,21 @@ def run_verification_suite(seed: int, trials: int, dims=(2, 3, 4, 5, 6, 7, 8)) -
     the Cauchy-Schwarz cross bounds against an independent observable, and
     the moment sum rules (p = 0..6, relative error <= 1e-9).  Trials use
     independently spawned seed streams, so the report is deterministic by
-    seed.  Trials are drawn in blocks of _BLOCK and checked in groups of
-    one dim; failures are reported in trial order, then in report order.
+    seed.  A block of _BLOCK trials spawns its streams when it starts (the
+    streams of one up-front spawn, which spawning continues), holds one
+    generator per trial (about 0.5 KB), and draws and checks one dim group
+    at a time.  ``dims`` is a non-empty sequence of integers >= 1.
+    Failures are reported in trial order, then in report order.
     """
     if trials < 1:
         raise ValueError("trials must be >= 1")
+    if not (np.ndim(dims) == 1 and len(dims) and all(np.issubdtype(type(n), np.integer) and n >= 1 for n in dims)):
+        raise ValueError(f"dims must be a non-empty sequence of integers >= 1, got {dims!r}")
     checks = gm_out = gm_crossings = 0
     found = []  # (trial, position in the report order, report) of each failure
-    streams = np.random.SeedSequence(seed).spawn(trials)
+    root = np.random.SeedSequence(seed)
     for start in range(0, trials, _BLOCK):
-        for group in _draw_block(streams[start:start + _BLOCK], dims):
+        for group in _draw_groups(root.spawn(min(_BLOCK, trials - start)), dims):
             group_checks, in_regime = _group_checks(group)
             for position, check in enumerate(group_checks):
                 checks += len(group.members)
@@ -368,5 +366,6 @@ def run_verification_suite(seed: int, trials: int, dims=(2, 3, 4, 5, 6, 7, 8)) -
                     gm_crossings += int(np.count_nonzero(~in_regime & ~check.passed))
                     scored = check.passed | ~in_regime
                 found += [(start + group.members[j], position, check.report(j)) for j in np.flatnonzero(~scored)]
+            del group, group_checks  # released before the next group is drawn
     failures = [report for *_, report in sorted(found, key=lambda item: item[:2])]
     return VerificationSummary(seed, trials, checks, failures, not failures, gm_out, gm_crossings)

@@ -104,7 +104,7 @@ class TestTrustedSources:
 
     def test_verify_draws(self):
         # verify wraps the stacks of these matrices
-        for group in ineq._draw_block(np.random.SeedSequence(11).spawn(500), (2, 3, 4, 5, 6, 7, 8)):
+        for group in ineq._draw_groups(np.random.SeedSequence(11).spawn(500), (2, 3, 4, 5, 6, 7, 8)):
             for stack in (group.T, group.S, group.B):
                 for matrix in stack.matrix:
                     _assert_exact(matrix)

@@ -1,7 +1,9 @@
 """Inequality verifier tests: fixtures, random corpora, regime handling."""
 
+import json
 import math
 import warnings
+from pathlib import Path
 
 import mpmath
 import numpy as np
@@ -50,7 +52,7 @@ def reference_draw(entropy, dims):
 def block_trials(streams, dims):
     """The trial (T, S, B, d, p) of each stream, in stream order, from the block draw."""
     trials = {}
-    for group in ineq._draw_block(streams, dims):
+    for group in ineq._draw_groups(streams, dims):
         for j, i in enumerate(group.members):
             trials[i] = (group.T.matrix[j], group.S.matrix[j], group.B.matrix[j], group.d[j], group.p[j])
     return [trials[i] for i in range(len(streams))]
@@ -251,7 +253,7 @@ class TestVerificationSuite:
 
         monkeypatch.setattr(fam, "_log_g", recording)
         for dim, size in ((2, 1), (5, 4), (8, 3)):
-            [group] = ineq._draw_block(np.random.SeedSequence(dim).spawn(size), (dim,))
+            [group] = ineq._draw_groups(np.random.SeedSequence(dim).spawn(size), (dim,))
             calls.update(eigh=0, rotate=0, assemble=0, chain=0)
             filters.clear()
             checks, in_regime = ineq._group_checks(group)
@@ -275,6 +277,38 @@ class TestVerificationSuite:
         with pytest.raises(ValueError):
             ineq.run_verification_suite(seed=1, trials=0)
 
+    @pytest.mark.parametrize("dims", [(), (0,), (-3,), (2.5,)])
+    def test_dims_validation(self, dims):
+        with pytest.raises(ValueError, match=r"dims must be a non-empty sequence of integers >= 1"):
+            ineq.run_verification_suite(seed=1, trials=3, dims=dims)
+
+    def test_streams_spawned_block_by_block(self, monkeypatch):
+        # no spawn holds more than one block of streams, and the streams
+        # are those of one up-front spawn, since spawning continues the
+        # parent's count
+        spawned = []
+
+        class Recording(np.random.SeedSequence):
+            def spawn(self, n_children):
+                spawned.append(super().spawn(n_children))
+                return spawned[-1]
+
+        monkeypatch.setattr(ineq, "_BLOCK", 4)
+        trials = 2 * ineq._BLOCK + 3
+        reference = np.random.SeedSequence(6).spawn(trials)
+        monkeypatch.setattr(np.random, "SeedSequence", Recording)
+        ineq.run_verification_suite(seed=6, trials=trials, dims=(2, 3))
+        assert max(len(children) for children in spawned) <= ineq._BLOCK
+        streams = [child for children in spawned for child in children]
+        assert [(s.entropy, s.spawn_key) for s in streams] == [(s.entropy, s.spawn_key) for s in reference]
+
+    def test_multi_block_report(self):
+        # recorded by the CLI before trials were spawned block by block:
+        # three blocks, the last of 3 trials
+        expected = json.loads((Path(__file__).parent / "data" / "verify_seed5_trials4099.json").read_text())
+        assert expected["trials"] == 2 * ineq._BLOCK + 3
+        assert ineq.run_verification_suite(expected["seed"], expected["trials"]).to_dict() == expected
+
     @pytest.mark.parametrize(
         "seed, out_of_regime, crossings", [(0, 137, 80), (42, 147, 86)]
     )
@@ -292,7 +326,7 @@ class TestVerificationSuite:
         assert ineq.run_verification_suite(seed, 1000).to_dict() == expected
 
     def test_group_rows_match_public_verifiers(self):
-        groups = ineq._draw_block(np.random.SeedSequence(8).spawn(10), (3, 6))
+        groups = list(ineq._draw_groups(np.random.SeedSequence(8).spawn(10), (3, 6)))
         assert [group.T.dim for group in groups] == [3, 6]
         for group in groups:
             assert len(group.members) > 1
@@ -401,7 +435,7 @@ class TestVerificationSuite:
             assert {f"geo<=geomean(pair:{d:g})", f"cs:pdiff:{p:g},pdiff:{1.0 - p:g}->geometric"} <= names
         # the labels of given parameters; the classical bounds are checked
         # only when A = B, as in cauchy_schwarz_cross(state, A, A, ...)
-        [group] = ineq._draw_block(streams[:2], (4,))
+        [group] = ineq._draw_groups(streams[:2], (4,))
         checks, _ = ineq._group_checks(group._replace(d=np.array([0.25, 1.5]), p=np.array([0.7, 1.25])))
         labels = [{check.report(j).name for check in checks} for j in (0, 1)]
         assert {"geo<=geomean(pair:0.25)", "cs:pdiff:0.7,pdiff:0.3->geometric"} <= labels[0]
@@ -427,13 +461,13 @@ class TestVerificationSuite:
 
 
 class TestBlockDraw:
-    @pytest.mark.parametrize("seed", [0, 11, 42])
-    @pytest.mark.parametrize("dims", [(2, 3, 4, 5, 6, 7, 8), (5,)], ids=["dims2-8", "dim5"])
+    @pytest.mark.parametrize("seed", [*range(32), 42])
+    @pytest.mark.parametrize("dims", [(2, 3, 4, 5, 6, 7, 8), (5,), (2, 8)], ids=["dims2-8", "dim5", "dims2,8"])
     def test_matches_the_trial_by_trial_draw(self, seed, dims):
-        streams = np.random.SeedSequence(seed).spawn(1000)
-        groups = ineq._draw_block(streams, dims)
+        streams = np.random.SeedSequence(seed).spawn(300)
+        groups = list(ineq._draw_groups(streams, dims))
         assert [group.T.dim for group in groups] == sorted(set(dims))
-        assert sorted(i for group in groups for i in group.members) == list(range(1000))
+        assert sorted(i for group in groups for i in group.members) == list(range(300))
         for trial, expected in zip(block_trials(streams, dims), (reference_draw(stream, dims) for stream in streams)):
             for got, want in zip(trial[:3], expected[:3]):
                 assert np.array_equal(got, want)
