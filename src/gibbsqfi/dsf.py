@@ -19,7 +19,8 @@ from functools import cached_property
 
 import numpy as np
 
-from .hilbert import GibbsState, _exprel_neg, _is_diagonal, _log_duhamel_at, as_operator, to_eigenbasis
+from . import families as fam
+from .hilbert import GibbsState, HermitianOperator, _exprel_neg, _is_diagonal, _log_duhamel_at, as_operator, to_eigenbasis
 
 __all__ = [
     "LineSpectrum",
@@ -72,6 +73,11 @@ class LineSpectrum:
         """
         return self.log_heavier + np.log(_exprel_neg(np.abs(self.omegas)))
 
+    @cached_property
+    def g_columns(self) -> fam._Columns:
+        """The filter columns at w/2, shared by every family's line sum."""
+        return fam._g_columns(0.5 * self.omegas)
+
 
 def _assemble(frame: _Frame, shift, mean_s) -> LineSpectrum:
     """The structure factor of S - shift on a frame, merged and pruned in log form.
@@ -87,7 +93,7 @@ def _assemble(frame: _Frame, shift, mean_s) -> LineSpectrum:
     frame.lines  # raises unless the pairs keep detailed balance
     t, (_, lw_cols) = frame.table, frame.pair_log_weights
     with np.errstate(divide="ignore"):  # a zero element is an empty line
-        log_abs2 = np.log(np.concatenate((t.down, t.up, np.abs(t.diagonal - shift) ** 2)))
+        log_abs2 = np.concatenate((t.log_abs2, np.log(np.abs(t.diagonal - shift) ** 2)))
     lw = np.concatenate((lw_cols, lw_cols, frame.state.log_weights))
     om = np.concatenate((2.0 * frame.x, -2.0 * frame.x, np.zeros(frame.state.dim)))[t.order]
     heavier = (lw + log_abs2)[t.order]
@@ -130,9 +136,9 @@ class _PairTable:
         self.s_eig = s_eig
         n = s_eig.shape[-1]
         abs2 = np.abs(s_eig) ** 2
-        either = abs2 + sum(np.abs(a) ** 2 for a in also)
-        coupled = (either + np.swapaxes(either, -1, -2) > 0.0).reshape(-1, n, n).any(axis=0)
-        self.rows, self.cols = np.nonzero(np.tril(coupled, -1))
+        either = (abs2 + sum(np.abs(a) ** 2 for a in also) > 0.0).reshape(-1, n, n).any(axis=0)
+        rows, cols = np.nonzero(either | either.T)
+        self.rows, self.cols = rows[rows > cols], cols[rows > cols]
         self.down, self.up = self.gather(abs2)
         self.abs2 = self.down + self.up
         self.diagonal = np.diagonal(s_eig, axis1=-2, axis2=-1)
@@ -143,6 +149,12 @@ class _PairTable:
         flat = a.reshape(*a.shape[:-2], -1)
         n = a.shape[-1]
         return np.take(flat, self.rows * n + self.cols, axis=-1), np.take(flat, self.cols * n + self.rows, axis=-1)
+
+    @cached_property
+    def log_abs2(self) -> np.ndarray:
+        """log |S_nm|^2 then log |S_mn|^2 at the pairs, for every structure factor; -inf at a zero."""
+        with np.errstate(divide="ignore"):
+            return np.log(np.concatenate((self.down, self.up)))
 
     @cached_property
     def order(self) -> np.ndarray:
@@ -202,6 +214,16 @@ class _Frame:
     def log_kernel(self) -> np.ndarray:
         """log W of the state's Duhamel kernel at the pairs."""
         return _log_duhamel_at(self.state, self.table.rows, self.table.cols)
+
+    @cached_property
+    def g_columns(self) -> fam._Columns:
+        """The filter columns at x, shared by every family's filter."""
+        return fam._g_columns(self.x)
+
+    @cached_property
+    def f_columns(self) -> fam._Columns:
+        """The columns of log f(e^u), u = ln rho_n - ln rho_m, shared by every family's oracle."""
+        return fam._Columns(np.subtract(*self.pair_log_weights))
 
     @cached_property
     def on_diagonal(self):
@@ -327,27 +349,23 @@ def moment(Q: LineSpectrum, p: int) -> float:
     return float(np.sum(Q.omegas ** p * Q.weights))
 
 
-def _chain_traces(state: GibbsState, S_matrix: np.ndarray):
-    """tr(R_q P), q = 0, 1, ...: a diagonal T keeps R_q = t_i R - R t_j at the nonzero entries of S.
+def _chain_traces(state: GibbsState, S: HermitianOperator):
+    """tr(R_q P), q = 0, 1, ...: a diagonal T keeps R_q = t_i R - R t_j at the nonzero entries of S (S.pattern).
 
-    Its P = S rho reads rho_ii = exp(-T_ii - logZ).  A decomposition that is
-    a sort (``order``) already says T is diagonal.  Another T's P reads the
-    density matrix and its chain runs on dense arrays.
+    Its P = S rho reads rho_ii = exp(-c T_ii - logZ).  A decomposition that
+    is a sort (``order``) already says T is diagonal.  Another T's P reads
+    the density matrix and its chain runs on dense arrays of c * T.
     """
-    T_matrix = state.generator
-    diagonal = np.diagonal(T_matrix, axis1=-2, axis2=-1)
-    if state.decomposition.order is not None or _is_diagonal(T_matrix):
-        # gathered with np.take, in C order, so a stack sums as its matrices do
-        n, flat = diagonal.shape[-1], S_matrix.reshape(*S_matrix.shape[:-2], -1)
-        rows, cols = np.nonzero(np.any(flat.reshape(-1, n, n) != 0.0, axis=0))
+    if state.decomposition.order is not None or _is_diagonal(state.generator):
+        diagonal = state.c * np.diagonal(state.T, axis1=-2, axis2=-1)
+        rows, cols, R, S_transposed = S.pattern
         rho = np.exp(-diagonal.real - np.asarray(state.logZ)[..., None])
-        R = np.take(flat, rows * n + cols, axis=-1)
-        P_transposed = np.take(flat, cols * n + rows, axis=-1) * np.take(rho, rows, axis=-1)
+        P_transposed = S_transposed * np.take(rho, rows, axis=-1)
         t_rows, t_cols = np.take(diagonal, rows, axis=-1), np.take(diagonal, cols, axis=-1)
         while True:
             yield np.sum(R * P_transposed, axis=-1)
             R = t_rows * R - R * t_cols
-    P_transposed, R = np.swapaxes(S_matrix @ state.rho_matrix(), -1, -2), S_matrix
+    T_matrix, P_transposed, R = state.generator, np.swapaxes(S.matrix @ state.rho_matrix(), -1, -2), S.matrix
     while True:
         yield np.sum(R * P_transposed, axis=(-2, -1))
         R = T_matrix @ R - R @ T_matrix
@@ -361,10 +379,10 @@ def commutator_moments(state: GibbsState, S, order: int) -> list:
     <R_q S> = tr(R_q P) with P = S rho (_chain_traces).  The state of a
     stack runs one chain for the whole stack, and each moment is an array
     over it.  A moment that is not finite raises OverflowError naming its
-    order.  This is the one commutator chain: functional_F,
-    sum_rule_report and the metric series all read it.
+    order; a zero one is +0.0.  This is the one commutator chain:
+    functional_F, sum_rule_report and the metric series all read it.
     """
-    out, traces = [], _chain_traces(state, as_operator(S).matrix)
+    out, traces = [], _chain_traces(state, as_operator(S))
     for q in range(order + 1):
         with np.errstate(over="ignore", invalid="ignore"):  # a non-finite moment raises below
             value = np.asarray(next(traces), dtype=complex)
@@ -378,7 +396,7 @@ def commutator_moments(state: GibbsState, S, order: int) -> list:
                 RuntimeWarning,
                 stacklevel=2,
             )
-        out.append((-1.0) ** q * value.real)
+        out.append((-1.0) ** q * value.real + 0.0)
     return out
 
 

@@ -238,18 +238,43 @@ def _simplify_scales(nums, dens):
     return tuple(out_n), tuple(out_d)
 
 
-def _log_form(form, v):
-    """The parts sum w log _exprel_neg(|k v|) and (a if v > 0 else b) v of the form (a, b, (w, ...), (k, ...)).
+class _Columns(dict):
+    """The columns log _exprel_neg(|k v|) of the log forms on one array v, a number k's formed once.
+
+    A frame or structure factor keeps one per array its routes read, so families that share a
+    scale share its column; an array of scales (a _Stacked family's) is formed at each use.
+    """
+
+    def __init__(self, v):
+        super().__init__()
+        self.v = v
+
+    def __missing__(self, k):
+        self[k] = column = self.form(k)
+        return column
+
+    def form(self, k):
+        return np.log(_exprel_neg(np.abs(k * self.v)))
+
+
+def _g_columns(x) -> _Columns:
+    """The _Columns of g's log forms at x, on y = 2|x|; a _Columns given for x is returned as it is."""
+    return x if isinstance(x, _Columns) else _Columns(2.0 * np.abs(np.asarray(x, dtype=float)))
+
+
+def _log_form(form, columns: _Columns):
+    """The parts sum w log _exprel_neg(|k v|) and (a if v > 0 else b) v of the form (a, b, (w, ...), (k, ...)), v's columns given.
 
     An entry is a number, or an array that broadcasts against v (one
     value per entry of its leading axis).  Both parts are finite for
-    every finite v.
+    every finite v, and the sum's terms are taken in the form's order.
     """
     a, b, ws, ks = form
-    out = 0.0
+    out, v = 0.0, columns.v
     for w, k in zip(ws, ks):
-        out = out + w * np.log(_exprel_neg(np.abs(k * v)))
-    return out, np.where(v > 0.0, a, b) * v
+        term = columns[k] if isinstance(k, float) else columns.form(k)
+        out = out + term if w == 1.0 else out - term if w == -1.0 else out + w * term
+    return out, (a * v if a is b else np.where(v > 0.0, a, b) * v)
 
 
 def _exp(a, b=0.0):
@@ -272,20 +297,19 @@ def _g_parts(family, x, scales=_g_scales):
     """
     nums, dens = scales(family)
     half = 0.5 * math.fsum(nums + tuple(-d for d in dens))
-    y = 2.0 * np.abs(np.asarray(x, dtype=float))
-    return _log_form((half, half, (1.0,) * len(nums) + (-1.0,) * len(dens), nums + dens), y)
+    return _log_form((half, half, (1.0,) * len(nums) + (-1.0,) * len(dens), nums + dens), _g_columns(x))
 
 
 def _log_g(family, x):
-    """log g_f(x); ``family`` may also be a _Stacked family, entry i for entry i of the leading axis of x.
+    """log g_f(x), x given as an array or its _g_columns; ``family`` may also be a _Stacked family, entry i for entry i of the leading axis of x.
 
     A stack keeps the zero scales (log _exprel_neg(0) = 0) and equal pairs (cancelling to rounding) that _g_scales drops.
     """
     if not isinstance(family, _Stacked):
         return sum(_g_parts(family, x))
     _require_single(family)
-    y = 2.0 * np.abs(np.asarray(x, dtype=float))
-    nums, dens = _G_SCALES[family.kind](family.column(y))
+    y = _g_columns(x)
+    nums, dens = _G_SCALES[family.kind](family.column(y.v))
     half = 0.5 * (sum(map(np.abs, nums)) - sum(map(np.abs, dens)))
     return sum(_log_form((half, half, (1.0,) * len(nums) + (-1.0,) * len(dens), nums + dens), y))
 
@@ -323,9 +347,10 @@ _F_FORMS = {
 
 
 def _log_f(family, u):
-    """log f(e^u) for real u; ``family`` may also be a _Stacked family, entry i for entry i of the leading axis of u."""
+    """log f(e^u) for real u, given as an array or its _Columns; ``family`` may also be a _Stacked family, entry i for entry i of the leading axis of u."""
     _require_single(family)
-    a, ws, ks = _F_FORMS[family.kind](family.column(u) if isinstance(family, _Stacked) else family.param)
+    u = u if isinstance(u, _Columns) else _Columns(u)
+    a, ws, ks = _F_FORMS[family.kind](family.column(u.v) if isinstance(family, _Stacked) else family.param)
     return sum(_log_form((a, 1.0 - a, ws, ks), u))
 
 

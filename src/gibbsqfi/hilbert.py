@@ -12,6 +12,7 @@ from __future__ import annotations
 import json
 import re
 from dataclasses import dataclass, field
+from functools import cached_property
 from pathlib import Path
 
 import numpy as np
@@ -42,8 +43,6 @@ class HermitianOperator:
     and by ``read_operator_json``; those the program builds exactly
     Hermitian (model matrices, GUE draws) are wrapped by ``_trusted``.
     """
-
-    __slots__ = ("matrix", "asymmetry")
 
     def __init__(self, entries, atol: float = 1e-12):
         m = np.array(entries, dtype=complex)
@@ -77,6 +76,17 @@ class HermitianOperator:
     @property
     def dim(self) -> int:
         return self.matrix.shape[-1]
+
+    @cached_property
+    def pattern(self) -> tuple:
+        """(rows, cols, A_rc, A_cr) at the entries (r, c) where the matrix, or a matrix of the stack, is nonzero.
+
+        Gathered with np.take, in C order, so a stack sums as its matrices do; built on first
+        read and kept, so the commutator chains of every point of a sweep job share it.
+        """
+        n, flat = self.dim, self.matrix.reshape(*self.matrix.shape[:-2], -1)
+        rows, cols = np.nonzero(np.any(flat.reshape(-1, n, n) != 0.0, axis=0))
+        return rows, cols, np.take(flat, rows * n + cols, axis=-1), np.take(flat, cols * n + rows, axis=-1)
 
     def __repr__(self):
         return f"HermitianOperator(dim={self.dim})"
@@ -135,7 +145,9 @@ def eigendecompose(H) -> SpectralDecomposition:
     op = as_operator(H)
     if op.matrix.ndim == 2 and _is_diagonal(op.matrix):
         order = np.argsort(np.diagonal(op.matrix).real, kind="stable")
-        return SpectralDecomposition(np.diagonal(op.matrix).real[order], np.eye(op.dim, dtype=complex)[:, order], order)
+        U = np.zeros((op.dim, op.dim), dtype=complex)  # I[:, order], scattered into zeros no sweep point reads
+        U[order, np.arange(op.dim)] = 1.0
+        return SpectralDecomposition(np.diagonal(op.matrix).real[order], U, order)
     vals, vecs = np.linalg.eigh(op.matrix)
     scale = np.maximum(np.max(np.abs(op.matrix), axis=(-2, -1)), 1e-300)
     recon = (vecs * vals[..., None, :]) @ _dagger(vecs)
@@ -162,14 +174,20 @@ class GibbsState:
     decomposition: SpectralDecomposition
     log_weights: np.ndarray
     logZ: float
-    # T in the original basis, as given: its zero entries stay exact zeros,
-    # and the commutator chain that reads it does not depend on the eigenvectors
-    generator: np.ndarray = field(repr=False)
+    # the generator is c * T, T in the original basis as given: its zero entries stay exact
+    # zeros, and the commutator chain that reads it does not depend on the eigenvectors
+    T: np.ndarray = field(repr=False)
+    c: float = 1.0
     weights: np.ndarray = field(init=False)
     _rho_matrix: np.ndarray | None = field(default=None, repr=False)
 
     def __post_init__(self):
         self.weights = np.exp(self.log_weights)
+
+    @cached_property
+    def generator(self) -> np.ndarray:
+        """c * T, formed on first read: only the dense commutator chain reads it."""
+        return self.c * self.T
 
     @property
     def dim(self) -> int:
@@ -205,7 +223,7 @@ def _scaled_state(decomposition: SpectralDecomposition, T: np.ndarray, c: float)
     spectrum whose range is past half the double range, as the filters
     read gaps up to twice it, raises ArithmeticError; the weights are
     normalized and checked as for gibbs_state, and the state
-    keeps c * T as its generator.  The decomposition of a stack gives the
+    keeps T and c, not c * T.  The decomposition of a stack gives the
     states of all its matrices, each normalized and checked on its own.
     """
     with np.errstate(over="ignore", invalid="ignore"):
@@ -221,7 +239,8 @@ def _scaled_state(decomposition: SpectralDecomposition, T: np.ndarray, c: float)
         decomposition=SpectralDecomposition(lam, decomposition.eigenvectors, decomposition.order),
         log_weights=log_w,
         logZ=(log_norm - shift)[..., 0],
-        generator=c * T,
+        T=T,
+        c=c,
     )
     total = np.sum(state.weights, axis=-1)
     _check_each(np.abs(total - 1.0) <= 1e-13, total, "Gibbs weights sum to {!r}, not 1")

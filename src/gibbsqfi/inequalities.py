@@ -94,7 +94,7 @@ def _at(family, i):
 
 def _filters(frame: _Frame):
     """log g_f at the frame's pairs (which the frames of _frame_pair share), once per family or _Stacked family."""
-    return functools.cache(lambda family: fam._log_g(family, frame.x))
+    return functools.cache(lambda family: fam._log_g(family, frame.g_columns))
 
 
 def _checked(frame: _Frame, family, log_g: np.ndarray) -> np.ndarray:

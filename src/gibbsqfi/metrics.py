@@ -96,8 +96,7 @@ def _oracle_value(frame: _Frame, family):
     its log; it is rho_m at u = 0.  ``family`` is one family for the
     frame, or a _Stacked one with one family per matrix of its stack.
     """
-    lw_rows, lw_cols = frame.pair_log_weights
-    log_c_w2 = 2.0 * frame.log_kernel - lw_cols - fam._log_f(family, lw_rows - lw_cols)
+    log_c_w2 = 2.0 * frame.log_kernel - frame.pair_log_weights[1] - fam._log_f(family, frame.f_columns)
     gross = frame.classical + _dot_exp(log_c_w2, frame.table.abs2)
     return _nonnegative(0.25 * gross, 0.25 * gross, "oracle")
 
@@ -111,7 +110,7 @@ def _evaluate(
     if method in ("seriesA", "seriesB"):
         return _series(frame, family, method, L)
     if method == "spectral":
-        value = _spectral_value(frame, fam._log_g(family, frame.x))
+        value = _spectral_value(frame, fam._log_g(family, frame.g_columns))
     elif method == "oracle":
         value = _oracle_value(frame, family)
     else:
@@ -156,7 +155,7 @@ def metric_from_dsf(Q: LineSpectrum, family: fam.MonotoneFamily) -> MetricResult
     """
     if Q.kind != "diagonal":
         raise ValueError("metric_from_dsf expects a diagonal spectrum")
-    gross = float(_dot_exp(fam._log_g(family, 0.5 * Q.omegas) + Q.log_kernel, 1.0))
+    gross = float(_dot_exp(fam._log_g(family, Q.g_columns) + Q.log_kernel, 1.0))
     value = float(_nonnegative(0.25 * (gross - Q.mean_s ** 2), 0.25 * gross, "dsf"))
     return MetricResult(value, "dsf", MetricDiagnostics())
 
@@ -226,7 +225,7 @@ def metric_difference_to_bkm(state: GibbsState, S, family: fam.MonotoneFamily) -
     """
     Q = build_dsf(state, S)
     with np.errstate(over="ignore"):
-        return 0.25 * float(_dot(np.expm1(fam._log_g(family, 0.5 * Q.omegas)), np.exp(Q.log_kernel)))
+        return 0.25 * float(_dot(np.expm1(fam._log_g(family, Q.g_columns)), np.exp(Q.log_kernel)))
 
 
 def _cross_value(frame_a: _Frame, frame_b: _Frame, log_g: np.ndarray):

@@ -68,10 +68,9 @@ def metric_adjusted_skew(state: GibbsState, S, family: fam.MonotoneFamily) -> Sk
             "metric-adjusted skew information"
         )
     frame = _Frame(state, S)
-    lw_rows, lw_cols = frame.pair_log_weights
     # each term rho_m (e^u - 1)^2 / f(e^u), u = ln rho_n - ln rho_m, is >= 0 and symmetric in (n, m)
-    u = lw_rows - lw_cols
-    value = 0.5 * f0 * float(_dot_exp(lw_cols - fam._log_f(family, u), np.expm1(u) ** 2 * frame.table.abs2))
+    u = frame.f_columns
+    value = 0.5 * f0 * float(_dot_exp(frame.pair_log_weights[1] - fam._log_f(family, u), np.expm1(u.v) ** 2 * frame.table.abs2))
     alpha = family.param if family.kind == "wyd" else None
     return SkewResult(value, family, alpha)
 
@@ -85,7 +84,7 @@ def tilde_metric(state: GibbsState, S, family: fam.MonotoneFamily) -> MetricResu
     anti-Hermitian, is never materialized).
     """
     frame = _Frame(state, S)
-    gross = float(_dot_exp(fam._log_g(family, frame.x) + frame.log_kernel, (2.0 * frame.x) ** 2 * frame.table.abs2))
+    gross = float(_dot_exp(fam._log_g(family, frame.g_columns) + frame.log_kernel, (2.0 * frame.x) ** 2 * frame.table.abs2))
     return MetricResult(0.25 * gross, "spectral", MetricDiagnostics())
 
 

@@ -865,6 +865,17 @@ class TestMoments:
         assert not out.exists()
         assert "p = 0 sum rule" in capsys.readouterr().err
 
+    def test_vanishing_odd_moments_print_as_zero(self, tmp_path):
+        # S = e_00 commutes with a diagonal T: every M_q, q >= 1, is zero, and (-1)^q 0.0 was -0.0
+        t_path, s_path = tmp_path / "T.json", tmp_path / "S.json"
+        hb.write_operator_json(np.diag([0.0, 1.0, 2.5, 3.0]).astype(complex), t_path)
+        s = np.zeros((4, 4), dtype=complex)
+        s[0, 0] = 1.0
+        hb.write_operator_json(s, s_path)
+        config = write_config(tmp_path, {"model": {"T": str(t_path), "S": str(s_path)}, "families": ["bkm"]})
+        out = tmp_path / "moments.csv"
+        assert main(["moments", "--config", config, "--pmax", "4", "--out", str(out)]) == 0
+        assert out.read_text().splitlines()[3:] == ["2,0.0,0.0,0.0", "3,0.0,0.0,0.0", "4,0.0,0.0,0.0"]
 
     def test_moment_past_double_range_exits_2(self, tmp_path, capsys):
         # |omega| = 2 on every line, so M_1023 ~ 2^1023 |S|^2 overflows

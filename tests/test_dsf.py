@@ -2,6 +2,7 @@
 
 import builtins
 import csv
+import functools
 import json
 import math
 import warnings
@@ -446,6 +447,143 @@ class TestFrameMembers:
             for family in fam.named_families().values()
         ]
         assert len(calls) == 1 + len(values)
+
+
+def _scanned_chain(state, S_matrix, order):
+    """The diagonal chain as each sweep point ran it on its own: c * T formed, S scanned for its pattern."""
+    diagonal = np.diagonal(state.c * state.T)
+    n, flat = diagonal.shape[-1], S_matrix.reshape(-1)
+    rows, cols = np.nonzero(S_matrix != 0.0)
+    rho = np.exp(-diagonal.real - state.logZ)
+    R = np.take(flat, rows * n + cols)
+    P_transposed = np.take(flat, cols * n + rows) * np.take(rho, rows)
+    t_rows, t_cols = np.take(diagonal, rows), np.take(diagonal, cols)
+    moments = []
+    for q in range(order + 1):
+        moments.append((-1.0) ** q * np.sum(R * P_transposed).real + 0.0)
+        R = t_rows * R - R * t_cols
+    return moments
+
+
+def _tied_diagonal_pair():
+    rng = np.random.default_rng(2061)
+    T = np.diag(np.round(rng.uniform(0.0, 4.0, 30) * 4.0) / 4.0).astype(complex)
+    S = random_hermitian(rng, 30) * (rng.random((30, 30)) < 0.15)
+    return hb.HermitianOperator(T), hb.HermitianOperator(S + S.conj().T)
+
+
+def _read_back(tmp_path, *operators):
+    """The operators as a matrix-file job reads them."""
+    for i, op in enumerate(operators):
+        hb.write_operator_json(op, tmp_path / f"{i}.json")
+    return tuple(hb.read_operator_json(tmp_path / f"{i}.json")[0] for i in range(len(operators)))
+
+
+SWEEP_FAMILIES = ["har", "bures", "bkm", "mc", "geometric", "wyd:0.3"]
+
+
+class TestPerJobFacts:
+    """A sweep job builds S's chain pattern once, on first use by a chain, and
+    keeps it with S; no point forms the dense generator c * T unless a dense chain reads it."""
+
+    @pytest.mark.parametrize("build", [
+        lambda tmp_path: SpinModel(20.0, 0.7).unit_matrices(),
+        lambda tmp_path: BosonModel(1, 0.8, 40).unit_matrices(),
+        lambda tmp_path: BosonModel(2, 0.9, 40).unit_matrices(),
+        lambda tmp_path: _read_back(tmp_path, *_tied_diagonal_pair()),
+    ], ids=["spin", "boson-k1", "boson-k2", "tied-diagonal-file"])
+    def test_kept_pattern_gives_the_scanned_moments(self, tmp_path, build):
+        T, S = build(tmp_path)
+        basis = hb.eigendecompose(T)
+        table = dsf._PairTable(basis.eigenvalues, hb.to_eigenbasis(basis, S))
+        for c in (0.3, 1.0, 2.5):
+            state = hb._scaled_state(basis, T.matrix, c)
+            moments = dsf._Frame(state, S, 12, table).moments
+            reference = _scanned_chain(state, S.matrix, 12)
+            assert all(np.array_equal(got, want) for got, want in zip(moments, reference, strict=True))
+        assert "generator" not in vars(state) and "pattern" in vars(S)
+
+    def test_spin_sweep_builds_the_pattern_once(self, tmp_path, monkeypatch):
+        built, build = [], hb.HermitianOperator.pattern.func
+        pattern = functools.cached_property(lambda S: built.append(S.dim) or build(S))
+        pattern.__set_name__(hb.HermitianOperator, "pattern")
+        monkeypatch.setattr(hb.HermitianOperator, "pattern", pattern)
+        config = tmp_path / "job.json"
+        config.write_text(json.dumps({
+            "model": {"model": "spin", "S": 20, "omega0": 1.0},
+            "families": SWEEP_FAMILIES,
+            "methods": ["oracle", "spectral", "dsf", "seriesA:6"],
+            "sweep": {"parameter": "omega0", "grid": [1.0, 0.25, 0.5, 1.5]},
+        }))
+        assert main(["sweep", "--config", str(config), "--out", str(tmp_path / "table.csv")]) == 0
+        assert built == [41]
+
+    @pytest.mark.parametrize("diagonal", [False, True], ids=["gue", "diagonal"])
+    def test_sweep_without_a_series_builds_neither(self, tmp_path, monkeypatch, diagonal):
+        T, S = _tied_diagonal_pair() if diagonal else gue_instance(np.random.default_rng(3), 30)
+        hb.write_operator_json(T, tmp_path / "T.json")
+        hb.write_operator_json(S, tmp_path / "S.json")
+
+        def forbidden(*args):
+            raise AssertionError("a job without a series built a chain fact")
+
+        monkeypatch.setattr(hb.HermitianOperator, "pattern", property(forbidden))
+        monkeypatch.setattr(hb.GibbsState, "generator", property(forbidden))
+        config = tmp_path / "job.json"
+        config.write_text(json.dumps({
+            "model": {"T": str(tmp_path / "T.json"), "S": str(tmp_path / "S.json")},
+            "families": SWEEP_FAMILIES,
+            "methods": ["oracle", "spectral", "dsf"],
+            "sweep": {"parameter": "beta", "grid": [0.5, 1.0, 2.0]},
+        }))
+        assert main(["sweep", "--config", str(config), "--out", str(tmp_path / "table.csv")]) == 0
+
+
+class TestSharedColumns:
+    """Every family's filter on one frame, or structure factor, reads one
+    column per distinct scale per route, with the bits of its own."""
+
+    # wyd:0.5 has the scale 0.5 twice, which its own log form reads from one column
+    FAMILIES = [fam.parse_family(text) for text in (*SWEEP_FAMILIES, "pdiff:-0.7", "wyd:0.5")]
+    ROUTES = {
+        "spectral": metrics.metric_spectral,
+        "oracle": metrics.metric_mc_oracle,
+        "dsf": lambda state, s, family: metrics.metric_from_dsf(dsf.build_dsf(state, s, centered=True), family),
+    }
+
+    def test_values_match_per_family_evaluation(self):
+        state, s = random_instance(40, 40)
+        frame = dsf._Frame(state, s)
+        for family in self.FAMILIES:
+            for route, own_frame in self.ROUTES.items():
+                assert metrics._evaluate(frame, family, route).value == own_frame(state, s, family).value
+        xs = np.exp(frame.f_columns.v)
+        f_columns = fam._Columns(np.log(xs))
+        for family in self.FAMILIES:
+            assert np.array_equal(fam._exp(*fam._g_parts(family, frame.g_columns)), fam.eval_g(family, frame.x))
+            assert np.array_equal(fam._exp(fam._log_f(family, f_columns)), fam.eval_f(family, xs))
+
+    def test_one_column_per_scale_and_route(self, monkeypatch):
+        calls, exprel_neg = [], fam._exprel_neg
+        monkeypatch.setattr(fam, "_exprel_neg", lambda z: calls.append(1) or exprel_neg(z))
+        state, s = random_instance(40, 40)
+        frame = dsf._Frame(state, s)
+        for family in self.FAMILIES:
+            for route in self.ROUTES:
+                metrics._evaluate(frame, family, route)
+        g_scales = {k for family in self.FAMILIES for k in sum(fam._g_scales(family), ())}
+        f_scales = {k for family in self.FAMILIES for k in fam._F_FORMS[family.kind](family.param)[2]}
+        assert len(calls) == 2 * len(g_scales) + len(f_scales)
+        assert set(frame.g_columns) == set(frame.centered_dsf.g_columns) == g_scales
+        assert set(frame.f_columns) == f_scales
+
+    def test_stacked_scales_are_not_kept(self):
+        x = np.abs(np.random.default_rng(4).normal(size=(3, 5)))
+        columns = fam._g_columns(x)
+        stacked = fam._log_g(fam._Stacked("wyd", np.array([0.2, 0.5, 0.7])), columns)
+        assert set(columns) == {1.0}
+        for i, alpha in enumerate((0.2, 0.5, 0.7)):
+            assert np.allclose(stacked[i], fam._log_g(fam.wyd(alpha), x[i]), rtol=1e-14, atol=1e-15)
 
 
 class TestOneRotation:
