@@ -242,7 +242,7 @@ def _rows_for_point(config: JobConfig, point, state, S, table):
             where = f"{family.label} {method_spec} {parameter}".rstrip()
             try:
                 result = _evaluate(frame, family, route, L)
-            except OverflowError as exc:  # a series moment past double range
+            except ArithmeticError as exc:  # a negative metric, or a series moment past double range
                 raise UsageError(f"{where}: {exc}") from None
             if math.isnan(result.value):
                 raise UsageError(f"{where}: the metric is nan")

@@ -20,7 +20,7 @@ from functools import cached_property
 import numpy as np
 
 from . import families as fam
-from .hilbert import GibbsState, HermitianOperator, _exprel_neg, _is_diagonal, _log_duhamel_at, as_operator, to_eigenbasis
+from .hilbert import GibbsState, HermitianOperator, _exprel_neg, _is_diagonal, as_operator, to_eigenbasis
 
 __all__ = [
     "LineSpectrum",
@@ -212,8 +212,8 @@ class _Frame:
 
     @cached_property
     def log_kernel(self) -> np.ndarray:
-        """log W of the state's Duhamel kernel at the pairs."""
-        return _log_duhamel_at(self.state, self.table.rows, self.table.cols)
+        """log W of the state's Duhamel kernel at the pairs: the larger log weight plus the oracle's scale-1 column."""
+        return np.maximum(*self.pair_log_weights) + self.f_columns[1.0]
 
     @cached_property
     def g_columns(self) -> fam._Columns:
@@ -235,6 +235,7 @@ class _Frame:
         """sum_n rho_n (S_nn - <S>)^2: the diagonal's share of every metric, where each filter is 1."""
         return _dot(self.state.weights, (self.diagonal - self.mean[..., None]) ** 2)
 
+    @cached_property
     def filtered(self):
         """F_0(S; S) = sum W |S_nm|^2 over every (n, m)."""
         return _dot_exp(self.log_kernel, self.table.abs2) + self.on_diagonal

@@ -306,16 +306,6 @@ def solve_xst(T, S) -> tuple[np.ndarray, SpectralDecomposition]:
     return X, decomposition
 
 
-def _log_duhamel_at(state: GibbsState, rows: np.ndarray, cols: np.ndarray) -> np.ndarray:
-    """log W[m, n] of the kernel W = (rho_n - rho_m)/(ln rho_n - ln rho_m) at the index pairs (rows, cols), in C order.
-
-    The larger log weight plus log _exprel_neg of the gap: finite for any
-    weights, with the exact degenerate limit W[m, m] = rho_m.
-    """
-    lw_rows, lw_cols = (np.take(state.log_weights, i, axis=-1) for i in (rows, cols))
-    return np.maximum(lw_rows, lw_cols) + np.log(_exprel_neg(np.abs(lw_rows - lw_cols)))
-
-
 def _exprel_neg(z: np.ndarray) -> np.ndarray:
     """(1 - e^{-z})/z elementwise for z >= 0, in (0, 1] and exactly 1 at z = 0."""
     return np.divide(-np.expm1(-z), z, out=np.ones_like(z), where=z != 0.0)
@@ -323,6 +313,7 @@ def _exprel_neg(z: np.ndarray) -> np.ndarray:
 
 _UNTIL_ARRAY = re.compile(rb'(?:"(?:[^"\\]|\\.)*"|[^"\[])*', re.DOTALL)  # up to a '[' outside strings
 _BRACKETS_TO_SPACES = bytes.maketrans(b"[]", b"  ")
+_INTEGER = re.compile(rb"(?<![\d.eE+-])-?\d+(?![\d.eE])")  # an integer literal among JSON numbers
 
 
 def read_operator_json(path) -> tuple[HermitianOperator, float]:
@@ -331,7 +322,7 @@ def read_operator_json(path) -> tuple[HermitianOperator, float]:
     The matrix is symmetrized; the asymmetry norm max|H - H^dagger| of the
     raw entries is returned alongside the operator.  Any layout and key
     order is read; entries are JSON numbers, and the other members may be
-    anything but arrays.  The numbers are parsed as one flat list.
+    anything but arrays.  The numbers are parsed as one flat list, by orjson.
     """
     raw = Path(path).read_bytes()
     # entries, the only array, starts at the first '[' outside a string
@@ -355,8 +346,13 @@ def read_operator_json(path) -> tuple[HermitianOperator, float]:
         raise bad
     if skeleton != b"[" + b",".join([b"[" + b"[,]," * (dim - 1) + b"[,]]"] * dim) + b"]":
         raise bad
-    values = np.array(json.loads(b"[" + span.translate(_BRACKETS_TO_SPACES) + b"]"))
-    if values.dtype.kind not in "iuf":  # an integer past int64
+    import orjson  # loaded for a matrix file only
+
+    numbers = b"[" + span.translate(_BRACKETS_TO_SPACES) + b"]"
+    del raw, span  # orjson holds a copy of the numbers and a document of them while it parses
+    values = np.array(orjson.loads(numbers))
+    # orjson reads an integer outside [-2^63, 2^64) as a float, of size >= 2^63; such integers are rejected
+    if np.any(np.abs(values) >= 2.0**63) and any(not -(2**63) <= int(i) < 2**64 for i in _INTEGER.findall(numbers)):
         raise bad
     op = HermitianOperator(values.astype(float, copy=False).view(complex).reshape(dim, dim), atol=np.inf)
     return op, op.asymmetry

@@ -171,12 +171,13 @@ def _series(frame: _Frame, family: fam.MonotoneFamily, method: str, L: int) -> M
     seriesA: base d^2_BKM = (1/4)[sum W |S_mn|^2 - <S>^2], moments
     M_{2l-1} and g-series coefficients.  seriesB: base d^2_MC =
     (1/4)[<S^2> - <S>^2], moments M_{2l} and ghat-series coefficients.
-    The value is base + (1/4) sum_{l=1}^{L} (1/2)^q a_l(f) M_q.
+    The value is base + (1/4) sum_{l=1}^{L} (1/2)^q a_l(f) M_q; one
+    below zero by more than rounding raises ArithmeticError, as on every route.
     """
     if L < 1:
         raise ValueError("L must be a positive integer")
     odd = method == "seriesA"
-    base = float(frame.filtered() if odd else frame.second_moment)
+    base = float(frame.filtered if odd else frame.second_moment)
     coeffs = fam.taylor_coeffs(family, "g" if odd else "g_hat", L)
     radius = (fam.g_series_radius if odd else fam.g_hat_series_radius)(family)
     total = 0.25 * (base - float(frame.mean) ** 2)
@@ -187,7 +188,7 @@ def _series(frame: _Frame, family: fam.MonotoneFamily, method: str, L: int) -> M
         total += term
     ok = bool(0.5 * frame.max_omega < radius)
     return MetricResult(
-        total,
+        float(_nonnegative(np.float64(total), 0.25 * base, method)),
         method,
         MetricDiagnostics(truncation=L, convergence_radius_ok=ok, last_term=abs(term)),
     )

@@ -105,4 +105,4 @@ def integrated_wyd(state: GibbsState, S) -> float:
 def variance_minus_duhamel(state: GibbsState, S) -> float:
     """Var(S) - F_0(dS; dS) = <S^2> - sum W |S_mn|^2, matched by integrated_wyd."""
     frame = _Frame(state, S)
-    return float(frame.second_moment) - float(frame.filtered())
+    return float(frame.second_moment) - float(frame.filtered)

@@ -393,6 +393,15 @@ class TestMetricJobs:
         assert not out.exists()
         assert "bkm seriesA:600: commutator moment M_1023 is not finite" in capsys.readouterr().err
 
+    def test_negative_series_value_exits_2(self, tmp_path, capsys):
+        # w_max/2 = 1.5 is inside Bures' radius pi/2, but the terms shrink by
+        # only about 0.91 each: seriesB:3 sums to -11.4488 (spectral: 5.02597)
+        payload = {"model": {"model": "spin", "S": 100, "omega0": 3.0}, "families": ["bures"], "methods": ["seriesB:3"]}
+        out = tmp_path / "never.csv"
+        assert main(["metric", "--config", write_config(tmp_path, payload), "--out", str(out)]) == 2
+        assert not out.exists()
+        assert capsys.readouterr().err == "error: bures seriesB:3: seriesB produced a negative metric: -11.448810716728918\n"
+
     def test_json_format(self, tmp_path):
         config = write_config(tmp_path, SPIN_SWEEP)
         out = tmp_path / "rows.json"
@@ -573,7 +582,7 @@ class TestSharedFrame:
         hb.write_operator_json(S, tmp_path / "S.json")
         T, _ = hb.read_operator_json(tmp_path / "T.json")
         S, _ = hb.read_operator_json(tmp_path / "S.json")
-        grid = [0.5, 2.0]
+        grid = [0.5, 1.0]  # bures seriesA:3 is negative from beta 1.5
         config = {
             "model": {"T": str(tmp_path / "T.json"), "S": str(tmp_path / "S.json")},
             "families": [f.label for f in GOLDEN_FAMILIES],
@@ -594,7 +603,7 @@ class TestSharedFrame:
         T, _ = hb.read_operator_json(tmp_path / "T.json")
         S, _ = hb.read_operator_json(tmp_path / "S.json")
         assert np.sum(np.abs(np.diff(hb.eigendecompose(T).eigenvalues)) < 1e-10) == 4
-        grid = [0.3, 0.7, 3.0]
+        grid = [0.3, 0.7, 1.7]  # bures seriesA:3 is negative at beta 2.3
         methods = ["oracle", "spectral", "dsf", "seriesA:3", "seriesB:4"]
         config = {
             "model": {"T": str(tmp_path / "T.json"), "S": str(tmp_path / "S.json")},
@@ -657,7 +666,8 @@ class TestSharedFrame:
             "beta": 0.7,
             "families": [f.label for f in GOLDEN_FAMILIES],
             "methods": GOLDEN_METHODS,
-            "sweep": {"parameter": parameter, "grid": [0.8, 1.3, 2.9]},
+            # the boson's bures seriesA:3 is negative at omega 2.9
+            "sweep": {"parameter": parameter, "grid": [0.8, 1.3, 2.3]},
         }
         # the model matrices are exactly Hermitian, so none is checked
         assert self._counted_job(monkeypatch, config, checked_operators) == {
@@ -738,7 +748,8 @@ class TestDiagonalGenerator:
             "model": model,
             "families": ["har", "bures", "bkm", "mc", "geometric", "wyd:0.3", "pdiff:1.3"],
             "methods": methods,
-            "sweep": {"parameter": parameter, "grid": [0.5, 1.0, 1.5]},
+            # bures seriesA:3 on the matrix files is negative at beta 1.5
+            "sweep": {"parameter": parameter, "grid": [0.5, 1.0, 1.25]},
         })
         reference, sorted_ = tmp_path / "eigh.csv", tmp_path / "sorted.csv"
         with monkeypatch.context() as patch:

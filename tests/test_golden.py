@@ -5,7 +5,9 @@ compared byte for byte with the one committed under ``tests/data``.  The
 spin job is the benchmark's sweep-spin401 job at seed 0; the matrix-file
 jobs take a dim-60 GUE ``T`` (one ``eigh`` and the dense commutator chain)
 and a diagonal ``T`` with tied levels (a sort and the chain at S's nonzero
-entries), over a 3-point beta grid by every route.
+entries), over a 2-point beta grid by every route.  At beta 2.5 seriesB:3
+is negative on both, and the job exits 2 there; until then the tables also
+held the rows of that point, with the negative values.
 """
 
 import json
@@ -36,14 +38,14 @@ def spin401(workdir: Path) -> list[str]:
     })
 
 
-def _matrix_job(workdir: Path, T: np.ndarray, S: np.ndarray) -> list[str]:
+def _matrix_job(workdir: Path, T: np.ndarray, S: np.ndarray, grid: list) -> list[str]:
     hb.write_operator_json(T, workdir / "T.json")
     hb.write_operator_json(S, workdir / "S.json")
     return _write(workdir, {
         "model": {"T": str(workdir / "T.json"), "S": str(workdir / "S.json")},
         "families": FAMILIES,
         "methods": ["oracle", "spectral", "dsf", "seriesA:4", "seriesB:3"],
-        "sweep": {"parameter": "beta", "grid": [0.3, 1.0, 2.5]},
+        "sweep": {"parameter": "beta", "grid": grid},
     })
 
 
@@ -52,17 +54,17 @@ def _gue(rng, dim=60):
     return 0.5 * (g + g.conj().T)
 
 
-def gue60(workdir: Path) -> list[str]:
+def gue60(workdir: Path, grid=(0.3, 1.0)) -> list[str]:
     rng = np.random.default_rng(2060)
-    return _matrix_job(workdir, 0.1 * _gue(rng), _gue(rng))
+    return _matrix_job(workdir, 0.1 * _gue(rng), _gue(rng), list(grid))
 
 
-def diagonal60(workdir: Path) -> list[str]:
+def diagonal60(workdir: Path, grid=(0.3, 1.0)) -> list[str]:
     # levels on a 0.25 grid tie; S couples about one pair in eight
     rng = np.random.default_rng(2061)
     T = np.diag(np.round(rng.uniform(0.0, 4.0, 60) * 4.0) / 4.0).astype(complex)
     S = _gue(rng) * (rng.random((60, 60)) < 0.12)
-    return _matrix_job(workdir, T, S + S.conj().T)
+    return _matrix_job(workdir, T, S + S.conj().T, list(grid))
 
 
 JOBS = {"sweep_spin401.csv": spin401, "sweep_gue60.csv": gue60, "sweep_diagonal60.csv": diagonal60}
@@ -72,3 +74,15 @@ JOBS = {"sweep_spin401.csv": spin401, "sweep_gue60.csv": gue60, "sweep_diagonal6
 def test_sweep_bytes_match_golden(tmp_path, name):
     assert main(JOBS[name](tmp_path)) == 0
     assert (tmp_path / "table.csv").read_bytes() == (DATA / name).read_bytes()
+
+
+@pytest.mark.parametrize(
+    "job, value",
+    [(gue60, "-230.32249447342082"), (diagonal60, "-438.1267761943417")],
+    ids=["gue60", "diagonal60"],
+)
+def test_negative_series_value_exits_2(tmp_path, capsys, job, value):
+    # the value the tables printed at beta 2.5 with exit 0
+    assert main(job(tmp_path, grid=(0.3, 1.0, 2.5))) == 2
+    assert capsys.readouterr().err == f"error: bures seriesB:3 beta=2.5: seriesB produced a negative metric: {value}\n"
+    assert not (tmp_path / "table.csv").exists()

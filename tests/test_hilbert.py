@@ -3,6 +3,8 @@
 import json
 import math
 import warnings
+from decimal import Decimal
+from fractions import Fraction
 
 import mpmath
 import numpy as np
@@ -16,6 +18,17 @@ SZ = np.diag([1.0, -1.0]).astype(complex)
 
 RHO1 = 0.7310585786300049  # 1/(1 + e^{-1})
 RHO2 = 0.2689414213699951
+
+
+def duhamel_kernel(state):
+    """The Duhamel kernel W[m, n] = (rho_n - rho_m)/(ln rho_n - ln rho_m) of a state on the full grid.
+
+    The larger weight times _exprel_neg of the log-weight gap: finite for
+    any weights, with the exact degenerate limit W[m, m] = rho_m.  The
+    reference for the frames' log_kernel, which sums only the pairs S couples.
+    """
+    lw_m, lw_n = state.log_weights[..., :, None], state.log_weights[..., None, :]
+    return np.exp(np.maximum(lw_m, lw_n) + np.log(hb._exprel_neg(np.abs(lw_m - lw_n))))
 
 
 def random_hermitian(rng, dim):
@@ -356,7 +369,7 @@ class TestSolveXst:
 class TestDuhamelWeights:
     def test_qubit_values(self):
         state = hb.gibbs_state(np.diag([0.0, 1.0]).astype(complex))
-        w = np.exp(hb._log_duhamel_at(state, *np.indices((state.dim, state.dim))))
+        w = duhamel_kernel(state)
         assert w[0, 0] == pytest.approx(RHO1, rel=1e-14)
         assert w[1, 1] == pytest.approx(RHO2, rel=1e-14)
         # (rho2 - rho1)/(ln rho2 - ln rho1) = tanh(1/2)
@@ -365,7 +378,7 @@ class TestDuhamelWeights:
 
     def test_near_degenerate_matches_highprec(self):
         state = hb.gibbs_state(np.diag([0.0, 1e-6]).astype(complex))
-        w = np.exp(hb._log_duhamel_at(state, *np.indices((state.dim, state.dim))))
+        w = duhamel_kernel(state)
         with mpmath.workdps(50):
             z = 1 + mpmath.exp(mpmath.mpf("-1e-6"))
             r1 = 1 / z
@@ -375,7 +388,7 @@ class TestDuhamelWeights:
 
     def test_wide_spread_finite(self):
         state = hb.gibbs_state(np.diag([0.0, 200.0, 400.0]).astype(complex))
-        w = np.exp(hb._log_duhamel_at(state, *np.indices((state.dim, state.dim))))
+        w = duhamel_kernel(state)
         assert np.all(np.isfinite(w))
         assert np.all(w > 0.0)
         assert w[0, 2] == pytest.approx((state.weights[2] - state.weights[0]) / (-400.0), rel=1e-12)
@@ -471,6 +484,12 @@ ACCEPTED = {
     "overflowing asymmetry": '{"dim": 2, "entries": [[[0, 0], [1e308, 0]], [[-1e308, 0], [0, 0]]]}',
     "whitespace in cells": '{"dim":1,"entries":[ [\t[ 1.0 ,\r\n2.0 ] ] ]}\n\n',
     "duplicate entries, the last wins": '{"dim": 1, "entries": 0, "entries": [[[3.0, 0.0]]]}',
+    # an integer literal outside [-2^63, 2^64) is rejected; these are the bounds and floats past them
+    **{
+        f"{number}{alone}": f'{{"dim": 1, "entries": [[[{number}, {imag}]]]}}'
+        for number in ("9223372036854775807", "18446744073709551615", "-9223372036854775808", "1e19", "18446744073709551616.0")
+        for alone, imag in (("", "0"), (" with a float", "0.5"))
+    },
 }
 
 # files both readers reject
@@ -505,6 +524,10 @@ REJECTED = {
     "dim boolean": '{"dim": true, "entries": [[[1, 0]]]}',
     "integer past int64": '{"dim": 1, "entries": [[[18446744073709551616, 0]]]}',
     "negative integer past int64": '{"dim": 1, "entries": [[[-9223372036854775809, 0]]]}',
+    **{
+        f"{name} among floats": f'{{"dim": 2, "entries": [[[0.5, 0], [{number}, 1.5]], [[-2.5, 0.0], [1e19, 0]]]}}'
+        for name, number in (("integer past uint64", "18446744073709551616"), ("integer past int64", "-9223372036854775809"))
+    },
     "not an object": "[[[1, 0]]]",
     "empty file": "",
     "minus before entries": '{"dim": 1, "entries": -[[[1, 0]]]}',
@@ -524,6 +547,52 @@ NEWLY_REJECTED = {
     "empty array member": json.dumps({"dim": 2, "entries": PAIR, "tags": []}),
     "second matrix member": '{"dim": 1, "entries": [[[1, 0]]], "other": [[[1, 0]]]}',
 }
+
+
+def _exact_decimal(q: Fraction) -> str:
+    """The finite decimal expansion of a dyadic rational q >= 0, in exponent form."""
+    k = q.denominator.bit_length() - 1  # q = n / 2^k = n 5^k / 10^k
+    digits = str(q.numerator * 5**k)
+    return f"{digits[0]}.{digits[1:] or '0'}e{len(digits) - 1 - k}"
+
+
+def hard_rounding_numbers(rng, count):
+    """Decimal strings that round hard to doubles, with random signs.
+
+    Each is a double's shortest repr, the exact halfway point to the next
+    double up (ties go to even), or that point cut to 17-25 significant
+    digits, which lands just above or below it.  The doubles are normal,
+    subnormal, or near the ends of the exponent range, at most half the
+    double range so that symmetrizing H + H^dagger stays finite.
+    """
+    doubles = [0.0, 5e-324, 2.2250738585072014e-308, 8.98846567431158e307 / 1.01]
+    for regime in rng.integers(0, 4, count):
+        if regime == 0:  # a subnormal: k times the smallest
+            doubles.append(5e-324 * float(rng.integers(1, 2**52)))
+        else:  # anywhere, near the smallest normal, or near half the double range
+            exponent = (int(rng.integers(-1022, 1023)), -1022 + int(rng.integers(8)), 1015 + int(rng.integers(8)))[regime - 1]
+            doubles.append(math.ldexp(rng.uniform(1.0, 1.99), exponent))
+    numbers = []
+    for d in doubles:
+        halfway = _exact_decimal((Fraction(d) + Fraction(math.nextafter(d, math.inf))) / 2)
+        numbers += [repr(d), halfway, format(Decimal(halfway), f".{rng.integers(16, 25)}e")]
+    rng.shuffle(numbers)
+    return [number if rng.random() < 0.5 else "-" + number for number in numbers[:count]]
+
+
+def hard_rounding_file(rng, dim):
+    """A dim x dim matrix file of hard_rounding_numbers, each entry's number also in its transpose entry.
+
+    The Hermitian part (H + H^dagger)/2 of such entries is exactly the parsed numbers.
+    """
+    numbers = iter(hard_rounding_numbers(rng, dim * dim))
+    cells = [[None] * dim for _ in range(dim)]
+    for i in range(dim):
+        cells[i][i] = f"[{next(numbers)}, 0]"
+        for j in range(i):
+            re, im = next(numbers), next(numbers)
+            cells[i][j], cells[j][i] = f"[{re}, {im}]", f"[{re}, {im[1:] if im[0] == '-' else '-' + im}]"
+    return '{"dim": %d, "entries": [%s]}' % (dim, ", ".join("[" + ", ".join(row) + "]" for row in cells))
 
 
 def _write(tmp_path, text):
@@ -576,6 +645,17 @@ class TestReaderCorpus:
         captured = capsys.readouterr()
         assert captured.out == ""
         assert captured.err.startswith("error: bad matrix file: ")
+
+    def test_hard_rounding_numbers_read_bit_identically(self, tmp_path):
+        # halfway points, subnormals, 17-25-digit mantissas and exponents near
+        # +-308: the flat parser must round each as json.load does
+        text = hard_rounding_file(np.random.default_rng(11), 40)
+        expected, expected_asym = reference_read(_write(tmp_path, text))
+        parts = np.abs(expected.view(float))
+        assert np.sum((parts > 0.0) & (parts < 2.2250738585072014e-308)) > 400 and np.max(parts) > 1e307
+        op, asym = hb.read_operator_json(tmp_path / "m.json")
+        assert op.matrix.tobytes() == expected.tobytes()
+        assert asym == expected_asym
 
     def test_huge_dim_fails_without_allocating(self, tmp_path):
         path = _write(tmp_path, '{"dim": 1000000000000, "entries": [[[1, 0]]]}')

@@ -8,6 +8,7 @@ import numpy as np
 import pytest
 
 from gibbsqfi import dsf, families as fam, hilbert as hb, inequalities as ineq, metrics
+from gibbsqfi.models import SpinModel, build_model
 from test_dsf import build_cross_dsf
 
 SX = np.array([[0, 1], [1, 0]], dtype=complex)
@@ -205,6 +206,14 @@ class TestSeriesRoutes:
         wide, s_wide = random_instance(3, 4, spread=8.0)
         flagged = metrics.metric_series_A(wide, s_wide, fam.BURES, 6)
         assert not flagged.diagnostics.convergence_radius_ok
+
+    def test_negative_value_raises(self):
+        # inside Bures' radius, but seriesB:3 undershoots the spectral 5.026 to below zero
+        T, S = build_model(SpinModel(100, 3.0))
+        state = hb.gibbs_state(T)
+        assert metrics.metric_spectral(state, S, fam.BURES).value == pytest.approx(5.02597, rel=1e-5)
+        with pytest.raises(ArithmeticError, match="seriesB produced a negative metric: -11.4488"):
+            metrics.metric_series_B(state, S, fam.BURES, 3)
 
     def test_truncation_argument(self, qubit):
         with pytest.raises(ValueError):

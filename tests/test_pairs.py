@@ -16,6 +16,7 @@ from gibbsqfi import families as fam
 from gibbsqfi import hilbert as hb
 from gibbsqfi.inequalities import random_instance
 from gibbsqfi.models import BosonModel, SpinModel, build_model
+from test_hilbert import duhamel_kernel
 
 FAMILIES = [*fam.named_families().values(), *map(fam.parse_family, ("pdiff:-0.7", "pdiff:1.3", "wyd:0.3"))]
 REL = 1e-13
@@ -30,7 +31,7 @@ class Grid:
         lam = state.decomposition.eigenvalues
         self.x = 0.5 * (lam[..., :, None] - lam[..., None, :])
         self.abs2 = np.abs(self.s_eig) ** 2
-        self.kernel = np.exp(hb._log_duhamel_at(state, *np.indices((state.dim, state.dim))))
+        self.kernel = duhamel_kernel(state)
         self.diagonal = np.diagonal(self.s_eig, axis1=-2, axis2=-1)
         self.mean = np.sum(state.weights * self.diagonal.real, axis=-1)
         self.centered = self.s_eig - self.mean[..., None, None] * np.eye(state.dim)
@@ -147,7 +148,7 @@ class TestRoutesMatchTheFullGrid:
         state, S, _ = case
         duhamel, second = grid_series_bases(Grid(state, S))
         frame = dsf._Frame(state, S)
-        assert close(frame.filtered(), duhamel)
+        assert close(frame.filtered, duhamel)
         assert close(frame.second_moment, second)
 
     def test_cross_values(self, case):
@@ -208,7 +209,7 @@ class TestStack:
             assert close(metrics._cross_value(frame, frame_b, g), grid_cross(grid_s, grid_b, family)), family
             assert close(metrics._cross_value(frame_b, frame_b, g), grid_cross(grid_b, grid_b, family)), family
         duhamel, second = grid_series_bases(grid_s)
-        assert close(frame.filtered(), duhamel) and close(frame.second_moment, second)
+        assert close(frame.filtered, duhamel) and close(frame.second_moment, second)
 
 
 class TestOneTablePerJob:

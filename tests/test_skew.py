@@ -5,6 +5,7 @@ import pytest
 from scipy import integrate
 
 from gibbsqfi import dsf, families as fam, hilbert as hb, metrics, skew
+from test_hilbert import duhamel_kernel
 
 SX = np.array([[0, 1], [1, 0]], dtype=complex)
 SZ = np.diag([1.0, -1.0]).astype(complex)
@@ -105,7 +106,7 @@ class TestTildeMetric:
         state, s = random_instance(5, 4)
         lam = state.decomposition.eigenvalues
         s_eig = hb.to_eigenbasis(state, s)
-        w_kernel = np.exp(hb._log_duhamel_at(state, *np.indices((state.dim, state.dim))))
+        w_kernel = duhamel_kernel(state)
         x = 0.5 * (lam[:, None] - lam[None, :])
         for family in (fam.BURES, fam.wyd(0.3), fam.MC):
             g = fam.eval_g(family, x)
