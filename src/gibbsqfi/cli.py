@@ -17,8 +17,8 @@ import sys
 from dataclasses import asdict, dataclass
 
 from . import families as fam
-from .dsf import _Frame, _PairTable, build_dsf, sum_rule_report
-from .hilbert import _scaled_state, eigendecompose, read_operator_json, to_eigenbasis, write_operator_json
+from .dsf import _Frame, _pair_table, build_dsf, sum_rule_report
+from .hilbert import _scaled_state, eigendecompose, read_operator_json, write_operator_json
 from .inequalities import run_verification_suite
 from .metrics import METHODS, _evaluate, _moment_order
 from .models import BosonModel, SpinModel
@@ -263,16 +263,16 @@ def run_metric_job(config: JobConfig) -> tuple[list[dict], list[str]]:
     """All output rows for a job, in canonical order, plus warnings.
 
     Every point's generator is c * T for one unit-frequency T: c is the
-    point's beta times the model's frequency.  So T is decomposed and S
-    rotated once per job, into one pair table that every point reads, and
-    each point only rescales the spectrum.
-    Each point's model is still built, which validates its grid value.
+    point's beta times the model's frequency.  So T is decomposed once per
+    job, and S read into one pair table that every point reads (rotated, or
+    from its pattern when T is diagonal); each point only rescales the
+    spectrum.  Each point's model is still built, which validates its grid value.
     """
     points = _sweep_points(config)
     models = [_point_model(config.model, p) for p in points]
     T, S, _ = _resolve_model(config.model, models[0])
     basis = _decompose(T)
-    table = _PairTable(basis.eigenvalues, to_eigenbasis(basis, S))
+    table = _pair_table(basis, S)
 
     rows = []
     for point, model in zip(points, models):

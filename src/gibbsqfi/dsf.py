@@ -7,8 +7,7 @@ the moments of the comb, the nested-commutator functionals that generate
 them algebraically, and the Bogoliubov-Duhamel inner product.  Every
 (state, S) consumer reads one ``_Frame``, which sums over the eigenbasis
 pairs that S couples: those of a ``_PairTable`` that it builds, or that
-the states of every c * T share (one rotation and one table per sweep
-job).
+the states of every c * T share (one table per sweep job).
 """
 
 from __future__ import annotations
@@ -20,7 +19,7 @@ from functools import cached_property
 import numpy as np
 
 from . import families as fam
-from .hilbert import GibbsState, HermitianOperator, _exprel_neg, _is_diagonal, as_operator, to_eigenbasis
+from .hilbert import GibbsState, HermitianOperator, SpectralDecomposition, _exprel_neg, _is_diagonal, as_operator, to_eigenbasis
 
 __all__ = [
     "LineSpectrum",
@@ -144,6 +143,32 @@ class _PairTable:
         self.diagonal = np.diagonal(s_eig, axis1=-2, axis2=-1)
         self.peak = np.max(abs2, axis=(-2, -1))
 
+    @classmethod
+    def _from_pattern(cls, basis: SpectralDecomposition, S: HermitianOperator) -> "_PairTable":
+        """The table of S in a basis that is a sort, read from S.pattern through the inverse permutation.
+
+        A pattern entry (r, c) is the eigenbasis element (n, m) = (i[r], i[c]) for
+        i = order^-1, so the pairs, selected by the same test and sorted row-major,
+        hold the bits of the dense table; no n x n array is read, and no ``s_eig``
+        is kept (only _frame_pair's tables are read for it).
+        """
+        if S.matrix.shape != basis.eigenvectors.shape:
+            raise ValueError(f"dimension mismatch: {S.matrix.shape} vs {basis.eigenvectors.shape}")
+        order, (rows, cols, S_rc, S_cr) = basis.order, S.pattern
+        inverse = np.empty_like(order)
+        inverse[order] = np.arange(order.size)
+        n, m = inverse[rows], inverse[cols]
+        down, up = np.abs(S_rc) ** 2, np.abs(S_cr) ** 2
+        pairs = np.flatnonzero((n > m) & (down + up > 0.0))
+        pairs = pairs[np.argsort(n[pairs] * order.size + m[pairs])]
+        table = cls.__new__(cls)
+        table.eigenvalues, table.s_eig = basis.eigenvalues, None
+        table.rows, table.cols, table.down, table.up = n[pairs], m[pairs], down[pairs], up[pairs]
+        table.abs2 = table.down + table.up
+        table.diagonal = np.diagonal(S.matrix)[order]
+        table.peak = np.max(down, initial=0.0)  # every other entry of S is 0
+        return table
+
     def gather(self, a: np.ndarray) -> tuple:
         """(a_nm, a_mn) at the pairs (n, m) of an (..., n, n) array, in C order."""
         flat = a.reshape(*a.shape[:-2], -1)
@@ -168,11 +193,18 @@ class _PairTable:
         return np.lexsort((position, np.concatenate((omega, -omega, np.zeros(n)))))
 
 
+def _pair_table(basis: SpectralDecomposition, S: HermitianOperator) -> _PairTable:
+    """T's table of S: from S's pattern when T's basis is a sort, which passes over no n x n array, else from the rotated S."""
+    if basis.order is not None:
+        return _PairTable._from_pattern(basis, S)
+    return _PairTable(basis.eigenvalues, to_eigenbasis(basis, S))
+
+
 class _Frame:
     """Family-independent data of one (state, S), shared by every consumer.
 
     Every sum runs over the pairs of the ``table`` (T's _PairTable of S,
-    built here when omitted) and the diagonal: ``x`` is omega_nm/2 and
+    built by _pair_table when omitted) and the diagonal: ``x`` is omega_nm/2 and
     ``log_kernel`` the log Duhamel kernel at each pair.  Lazy members are computed
     on first read, once per frame; chain_order is the highest commutator
     moment the frame provides.  The frame of the state of a stack of
@@ -187,7 +219,7 @@ class _Frame:
         self.S = S = as_operator(S)  # checked once; the commutator chain reads it in the original basis
         self.chain_order = chain_order
         lam = state.decomposition.eigenvalues
-        self.table = t = _PairTable(lam, to_eigenbasis(state, S)) if table is None else table
+        self.table = t = _pair_table(state.decomposition, S) if table is None else table
         self.x = 0.5 * (np.take(lam, t.rows, axis=-1) - np.take(lam, t.cols, axis=-1))  # omega_nm/2 >= 0 at each pair
         self.mean = _dot(state.weights, self.diagonal)
         # both (n, m) and (m, n) of each coupled pair closer than the window

@@ -64,13 +64,20 @@ class HermitianOperator:
             raise ValueError("Hermitian part (H + H^dagger)/2 has non-finite entries")
 
     @classmethod
-    def _trusted(cls, matrix: np.ndarray) -> "HermitianOperator":
+    def _trusted(cls, matrix: np.ndarray, support: tuple | None = None) -> "HermitianOperator":
         """Wrap, uncopied, a complex matrix or stack equal to its conjugate transpose, skipping the check
-        unless an entry is non-finite or past half the double range, where the check rejects it."""
-        if not (np.abs(matrix.view(float)) <= np.finfo(float).max / 2).all():
-            return cls(matrix)
+        unless an entry is non-finite or past half the double range, where the check rejects it.
+
+        ``support``, positions (rows, cols) in row-major order that hold every nonzero entry, sets the
+        ``pattern`` at construction; the range is then read on the pattern's entries alone.
+        """
         op = cls.__new__(cls)
         op.matrix, op.asymmetry = matrix, 0.0
+        if support is not None:
+            op.pattern = op._pattern_at(*support)
+        entries = matrix if support is None else op.pattern[2]
+        if not (np.abs(entries.view(float)) <= np.finfo(float).max / 2).all():
+            return cls(matrix)
         return op
 
     @property
@@ -81,12 +88,19 @@ class HermitianOperator:
     def pattern(self) -> tuple:
         """(rows, cols, A_rc, A_cr) at the entries (r, c) where the matrix, or a matrix of the stack, is nonzero.
 
-        Gathered with np.take, in C order, so a stack sums as its matrices do; built on first
-        read and kept, so the commutator chains of every point of a sweep job share it.
+        Gathered with np.take, in C order, so a stack sums as its matrices do; set at construction
+        for a model matrix, else scanned on first read, and kept, so every point of a sweep job shares it.
         """
+        n = self.dim
+        return self._pattern_at(*np.nonzero(np.any(self.matrix.reshape(-1, n, n) != 0.0, axis=0)))
+
+    def _pattern_at(self, rows: np.ndarray, cols: np.ndarray) -> tuple:
+        """The pattern's entries among the positions (rows, cols), kept in their order."""
         n, flat = self.dim, self.matrix.reshape(*self.matrix.shape[:-2], -1)
-        rows, cols = np.nonzero(np.any(flat.reshape(-1, n, n) != 0.0, axis=0))
-        return rows, cols, np.take(flat, rows * n + cols, axis=-1), np.take(flat, cols * n + rows, axis=-1)
+        A_rc = np.take(flat, rows * n + cols, axis=-1)
+        nonzero = np.any(A_rc != 0.0, axis=tuple(range(A_rc.ndim - 1)))
+        rows, cols = rows[nonzero], cols[nonzero]
+        return rows, cols, A_rc[..., nonzero], np.take(flat, cols * n + rows, axis=-1)
 
     def __repr__(self):
         return f"HermitianOperator(dim={self.dim})"
@@ -143,7 +157,8 @@ def eigendecompose(H) -> SpectralDecomposition:
     Any other matrix or stack takes one eigh call, checked matrix by matrix.
     """
     op = as_operator(H)
-    if op.matrix.ndim == 2 and _is_diagonal(op.matrix):
+    pattern = vars(op).get("pattern")  # a known pattern says whether the matrix is diagonal in O(nonzeros)
+    if op.matrix.ndim == 2 and (_is_diagonal(op.matrix) if pattern is None else np.array_equal(pattern[0], pattern[1])):
         order = np.argsort(np.diagonal(op.matrix).real, kind="stable")
         U = np.zeros((op.dim, op.dim), dtype=complex)  # I[:, order], scattered into zeros no sweep point reads
         U[order, np.arange(op.dim)] = 1.0

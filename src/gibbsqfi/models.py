@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from functools import reduce
 
 import numpy as np
 
@@ -57,22 +58,46 @@ class SpinModel:
         return self.omega0
 
     def unit_matrices(self):
-        """Unit-frequency generator S_z and observable S_x as operators."""
-        sx, _, sz = spin_matrices(self.s)
-        return HermitianOperator._trusted(sz), HermitianOperator._trusted(sx)
+        """Unit-frequency generator S_z and observable S_x as operators, each with its pattern."""
+        m = self.s - np.arange(self.dim)  # S_z eigenvalues, descending
+        # S_x has half of <m+1|S_+|m> = sqrt(s(s+1) - m(m+1)) on each side of the diagonal
+        half = 0.5 * np.sqrt(self.s * (self.s + 1.0) - m[1:] * (m[1:] + 1.0))
+        return _band_operator(m, 0), _band_operator(half, 1)
 
 
 def spin_matrices(s: float):
     """Standard spin matrices (S_x, S_y, S_z) with [S_x, S_y] = i S_z, each equal to its conjugate transpose."""
-    dim = int(round(2.0 * s)) + 1
-    m = s - np.arange(dim)  # S_z eigenvalues, descending
-    # S_x has half of <m+1|S_+|m> = sqrt(s(s+1) - m(m+1)) on each side of the diagonal
-    half = 0.5 * np.sqrt(s * (s + 1.0) - m[1:] * (m[1:] + 1.0))
-    upper, lower = (np.arange(dim - 1), np.arange(1, dim)), (np.arange(1, dim), np.arange(dim - 1))
-    sx, sy = np.zeros((dim, dim), dtype=complex), np.zeros((dim, dim), dtype=complex)
-    sx[upper] = sx[lower] = half
-    sy[upper], sy[lower] = -1j * half, 1j * half
-    return sx, sy, np.diag(m.astype(complex))
+    sz, sx = (op.matrix for op in SpinModel(s, 1.0).unit_matrices())
+    half, n = np.diagonal(sx, 1).real, np.arange(sx.shape[-1] - 1)
+    sy = np.zeros_like(sx)
+    sy[n, n + 1], sy[n + 1, n] = -1j * half, 1j * half
+    return sx, sy, sz
+
+
+def _band_operator(values: np.ndarray, k: int) -> HermitianOperator:
+    """The real symmetric operator with ``values`` at (n, n + k) and (n + k, n), k >= 0, and its pattern, gathered on the band."""
+    dim = values.size + k
+    matrix, n = np.zeros((dim, dim), dtype=complex), np.arange(dim - k)
+    matrix[n, n + k] = matrix[n + k, n] = values
+    support = np.divmod(np.unique(np.concatenate((n * dim + n + k, (n + k) * dim + n))), dim)  # row-major
+    return HermitianOperator._trusted(matrix, support)
+
+
+def _ladder_power(v: np.ndarray, k: int) -> np.ndarray:
+    """The entries (n, n + k) of b^k, for b whose only nonzero entries are v at (n, n + 1).
+
+    The products are grouped as np.linalg.matrix_power groups its matrix
+    products, (b^p b^q)[n, n + p + q] = v_p[n] v_q[n + p], so they hold its bits.
+    """
+    def times(x, y):  # entries and power of the product of two powers
+        return x[0][: x[0].size - y[1]] * y[0][x[1]:], x[1] + y[1]
+
+    if k <= 3:  # matrix_power's short-cuts multiply left to right
+        return reduce(times, [(v, 1)] * k)[0]
+    squares = [(v, 1)]  # b^(2^i), then the product of those of k's set bits, least significant first
+    while 2 ** len(squares) <= k:
+        squares.append(times(squares[-1], squares[-1]))
+    return reduce(times, [z for i, z in enumerate(squares) if k >> i & 1])[0]
 
 
 def _brillouin_sz(s: float, x: float) -> float:
@@ -173,16 +198,15 @@ class BosonModel:
         return self.omega
 
     def unit_matrices(self):
-        """Truncated Fock matrices of the unit-frequency generator b^dag b and the k-photon drive."""
-        dim = self.dim
-        bk = np.linalg.matrix_power(np.diag(np.sqrt(np.arange(1, dim)), 1).astype(complex), self.k)
-        return HermitianOperator._trusted(np.diag(np.arange(dim, dtype=complex))), HermitianOperator._trusted(bk + bk.conj().T)
+        """Truncated Fock matrices of the unit-frequency generator b^dag b and the k-photon drive, each with its pattern."""
+        n = np.arange(self.dim)
+        return _band_operator(n, 0), _band_operator(_ladder_power(np.sqrt(n[1:]), self.k), self.k)
 
 
 def build_model(model: SpinModel | BosonModel):
     """Generator frequency * T and observable S as operators, from the model's unit_matrices()."""
     unit, S = model.unit_matrices()
-    return HermitianOperator._trusted(model.frequency * unit.matrix), S
+    return HermitianOperator._trusted(model.frequency * unit.matrix, unit.pattern[:2]), S
 
 
 def _trace_against(state: GibbsState, X: np.ndarray) -> float:

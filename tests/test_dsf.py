@@ -10,7 +10,7 @@ import warnings
 import numpy as np
 import pytest
 
-from gibbsqfi import dsf, inequalities, metrics, skew
+from gibbsqfi import cli, dsf, inequalities, metrics, skew
 from gibbsqfi import families as fam
 from gibbsqfi import hilbert as hb
 from gibbsqfi.cli import main
@@ -486,8 +486,8 @@ SWEEP_FAMILIES = ["har", "bures", "bkm", "mc", "geometric", "wyd:0.3"]
 
 
 class TestPerJobFacts:
-    """A sweep job builds S's chain pattern once, on first use by a chain, and
-    keeps it with S; no point forms the dense generator c * T unless a dense chain reads it."""
+    """A sweep job has S's pattern once, set when a model builds S or else scanned on
+    first read, and keeps it with S; no point forms the dense generator c * T unless a dense chain reads it."""
 
     @pytest.mark.parametrize("build", [
         lambda tmp_path: SpinModel(20.0, 0.7).unit_matrices(),
@@ -507,10 +507,19 @@ class TestPerJobFacts:
         assert "generator" not in vars(state) and "pattern" in vars(S)
 
     def test_spin_sweep_builds_the_pattern_once(self, tmp_path, monkeypatch):
-        built, build = [], hb.HermitianOperator.pattern.func
-        pattern = functools.cached_property(lambda S: built.append(S.dim) or build(S))
+        # the model sets S_z's and S_x's patterns at construction, once per job, and nothing scans one
+        scanned, build = [], hb.HermitianOperator.pattern.func
+        pattern = functools.cached_property(lambda S: scanned.append(S.dim) or build(S))
         pattern.__set_name__(hb.HermitianOperator, "pattern")
         monkeypatch.setattr(hb.HermitianOperator, "pattern", pattern)
+        supported, trusted = [], hb.HermitianOperator._trusted.__func__
+
+        def counting(cls, matrix, support=None):
+            if support is not None:
+                supported.append(matrix.shape[-1])
+            return trusted(cls, matrix, support)
+
+        monkeypatch.setattr(hb.HermitianOperator, "_trusted", classmethod(counting))
         config = tmp_path / "job.json"
         config.write_text(json.dumps({
             "model": {"model": "spin", "S": 20, "omega0": 1.0},
@@ -519,7 +528,30 @@ class TestPerJobFacts:
             "sweep": {"parameter": "omega0", "grid": [1.0, 0.25, 0.5, 1.5]},
         }))
         assert main(["sweep", "--config", str(config), "--out", str(tmp_path / "table.csv")]) == 0
-        assert built == [41]
+        assert supported == [41, 41] and scanned == []
+
+    @pytest.mark.parametrize("model, parameter", [
+        ({"model": "spin", "S": 200, "omega0": 1.0}, "omega0"),
+        ({"model": "boson", "k": 2, "omega": 1.0, "cutoff": 200}, "omega"),
+    ], ids=["spin", "boson"])
+    def test_model_sweep_makes_no_dense_pass_over_S(self, tmp_path, monkeypatch, model, parameter):
+        # the diagonal generator's basis is a sort: the table reads S's pattern, set at construction
+        def forbidden(*args):
+            raise AssertionError("a model sweep passed over every entry of S")
+
+        for module in (cli, dsf, hb):
+            monkeypatch.setattr(module, "to_eigenbasis", forbidden, raising=False)
+        pattern = functools.cached_property(forbidden)
+        pattern.__set_name__(hb.HermitianOperator, "pattern")
+        monkeypatch.setattr(hb.HermitianOperator, "pattern", pattern)
+        config = tmp_path / "job.json"
+        config.write_text(json.dumps({
+            "model": model,
+            "families": SWEEP_FAMILIES,
+            "methods": ["oracle", "spectral", "dsf", "seriesA:4"],
+            "sweep": {"parameter": parameter, "grid": [1.0, 0.5, 1.5]},
+        }))
+        assert main(["sweep", "--config", str(config), "--out", str(tmp_path / "table.csv")]) == 0
 
     @pytest.mark.parametrize("diagonal", [False, True], ids=["gue", "diagonal"])
     def test_sweep_without_a_series_builds_neither(self, tmp_path, monkeypatch, diagonal):
@@ -530,8 +562,10 @@ class TestPerJobFacts:
         def forbidden(*args):
             raise AssertionError("a job without a series built a chain fact")
 
-        monkeypatch.setattr(hb.HermitianOperator, "pattern", property(forbidden))
+        monkeypatch.setattr(dsf, "_chain_traces", forbidden)
         monkeypatch.setattr(hb.GibbsState, "generator", property(forbidden))
+        if not diagonal:  # a diagonal T's basis is a sort, whose pair table reads S's pattern
+            monkeypatch.setattr(hb.HermitianOperator, "pattern", property(forbidden))
         config = tmp_path / "job.json"
         config.write_text(json.dumps({
             "model": {"T": str(tmp_path / "T.json"), "S": str(tmp_path / "S.json")},

@@ -115,6 +115,14 @@ class TestTrustedSources:
         with np.errstate(over="ignore", invalid="ignore"), pytest.raises(ValueError, match=message):
             build()
 
+    def test_pattern_entry_past_half_the_double_range_keeps_the_check(self):
+        # a known pattern is where the range is read; an entry past half the range still fails the check
+        matrix = np.zeros((3, 3), dtype=complex)
+        matrix[0, 2] = matrix[2, 0] = 1e308
+        support = (np.array([0, 1, 2]), np.array([2, 1, 0]))
+        with np.errstate(over="ignore"), pytest.raises(ValueError, match=r"Hermitian part .* non-finite"):
+            hb.HermitianOperator._trusted(matrix, support)
+
     def test_verify_draws(self):
         # verify wraps the stacks of these matrices
         for group in ineq._draw_groups(np.random.SeedSequence(11).spawn(500), (2, 3, 4, 5, 6, 7, 8)):

@@ -102,6 +102,14 @@ class TestBosonBuild:
         assert sub == pytest.approx([1.0, math.sqrt(2.0), math.sqrt(3.0)])
         assert np.allclose(T.matrix, np.diag([0.0, 10.0, 20.0, 30.0]))
 
+    @pytest.mark.parametrize("k", range(1, 9))
+    def test_drive_holds_the_bits_of_matrix_power(self, k):
+        # the drive's one band is multiplied as matrix_power groups its products
+        dim = 300
+        bk = np.linalg.matrix_power(np.diag(np.sqrt(np.arange(1, dim)), 1).astype(complex), k)
+        _, S = models.BosonModel(k, 1.0, dim - 1).unit_matrices()
+        assert S.matrix.tobytes() == (bk + bk.conj().T).tobytes()
+
     def test_two_photon_selection_rule(self):
         _, S = models.build_model(models.BosonModel(2, 10.0, 4))
         nz = np.argwhere(np.abs(S.matrix) > 0)

@@ -16,6 +16,7 @@ from gibbsqfi import families as fam
 from gibbsqfi import hilbert as hb
 from gibbsqfi.inequalities import random_instance
 from gibbsqfi.models import BosonModel, SpinModel, build_model
+from test_dsf import _tied_diagonal_pair
 from test_hilbert import duhamel_kernel
 
 FAMILIES = [*fam.named_families().values(), *map(fam.parse_family, ("pdiff:-0.7", "pdiff:1.3", "wyd:0.3"))]
@@ -214,19 +215,21 @@ class TestStack:
 
 class TestOneTablePerJob:
     def test_points_share_the_table_and_its_line_order(self, monkeypatch):
-        # every point of a sweep reads one table; no point sorts its lines,
-        # and the job's one sort orders the diagonal S_z in eigendecompose
+        # every point of a sweep reads one table; no point sorts its lines:
+        # the job sorts the diagonal S_z in eigendecompose and the table's pairs row-major, once each
         tables, sorts = [], []
-        table_class, argsort = dsf._PairTable, np.argsort
+        table_builder, argsort = cli._pair_table, np.argsort
+        sorters = {hb.eigendecompose.__code__: "eigendecompose", dsf._PairTable._from_pattern.__func__.__code__: "table"}
 
-        def sort_in_eigendecompose(*args, **kwargs):
-            if sys._getframe(1).f_code is not hb.eigendecompose.__code__:
+        def sort_once_per_job(*args, **kwargs):
+            caller = sorters.get(sys._getframe(1).f_code)
+            if caller is None:
                 pytest.fail("a point sorted its lines")
-            sorts.append(args)
+            sorts.append(caller)
             return argsort(*args, **kwargs)
 
-        monkeypatch.setattr(cli, "_PairTable", lambda *args: tables.append(table_class(*args)) or tables[-1])
-        monkeypatch.setattr(np, "argsort", sort_in_eigendecompose)
+        monkeypatch.setattr(cli, "_pair_table", lambda *args: tables.append(table_builder(*args)) or tables[-1])
+        monkeypatch.setattr(np, "argsort", sort_once_per_job)
         config = cli.JobConfig.from_dict({
             "model": {"model": "spin", "S": 4, "omega0": 1.0},
             "families": ["bkm", "har"],
@@ -234,9 +237,69 @@ class TestOneTablePerJob:
             "sweep": {"parameter": "omega0", "grid": [0.5, 1.0, 2.0]},
         })
         rows, _ = cli.run_metric_job(config)
-        assert len(tables) == 1 and len(rows) == 18 and len(sorts) == 1
+        assert len(tables) == 1 and len(rows) == 18 and sorts == ["eigendecompose", "table"]
         # S_x couples adjacent levels only: 8 pairs of the 9 levels
         assert tables[0].rows.size == 8 and np.all(tables[0].rows - tables[0].cols == 1)
+
+
+def _unsorted_tied_diagonal():
+    """A diagonal T of shuffled, tied levels, and a sparse S with a -0.0 and entries whose |S_nm|^2 is 0 or past double range."""
+    rng = np.random.default_rng(71)
+    T = np.diag(rng.permutation([0.5, 0.5, 2.0, -1.0, 2.0, 2.0, 0.0, 3.5, -1.0, 0.5])).astype(complex)
+    S = np.zeros((10, 10), dtype=complex)
+    S[0, 3], S[1, 7], S[2, 5], S[4, 9], S[6, 8] = 1.5 - 0.5j, 2e-170, 1e-300j, 3e160, -0.0
+    S[[0, 5, 9], [0, 5, 9]] = [0.25, -2.0, 1e-200]
+    return hb.HermitianOperator(T), hb.HermitianOperator(S + S.conj().T)
+
+
+def _same_bits(a, b):
+    a, b = np.asarray(a), np.asarray(b)
+    return a.dtype == b.dtype and a.shape == b.shape and a.tobytes() == b.tobytes()
+
+
+class TestPatternTable:
+    """A basis that is a sort builds its table from S's pattern, with every bit of the rotated table."""
+
+    CASES = {
+        **{f"spin-{s:g}": (lambda s=s: SpinModel(s, 0.7).unit_matrices()) for s in (0.5, 1.0, 3.5, 20.0, 200.0)},
+        **{f"boson-k{k}": (lambda k=k: BosonModel(k, 0.9, 60).unit_matrices()) for k in (1, 2, 3)},
+        "spin-scaled": lambda: build_model(SpinModel(3.5, 0.7)),
+        "tied-diagonal": _tied_diagonal_pair,
+        "unsorted-tied-diagonal": _unsorted_tied_diagonal,
+    }
+    FIELDS = ("rows", "cols", "down", "up", "abs2", "diagonal", "peak", "log_abs2", "order")
+
+    @pytest.mark.parametrize("name", CASES)
+    def test_equals_the_rotated_table(self, name):
+        T, S = self.CASES[name]()
+        basis = hb.eigendecompose(T)
+        assert basis.order is not None
+        with np.errstate(over="ignore"):  # |3e160|^2 is inf in both tables
+            got = dsf._pair_table(basis, S)
+            want = dsf._PairTable(basis.eigenvalues, hb.to_eigenbasis(basis, S))
+            for field in self.FIELDS:
+                assert _same_bits(getattr(got, field), getattr(want, field)), field
+        assert got.rows.size > 0
+
+    @pytest.mark.parametrize("name", [name for name in CASES if "diagonal" not in name])
+    def test_construction_pattern_is_the_scanned_one(self, name):
+        for op in self.CASES[name]():
+            assert "pattern" in vars(op)
+            scanned = hb.HermitianOperator.pattern.func(hb.HermitianOperator._trusted(op.matrix.copy()))
+            assert all(_same_bits(got, want) for got, want in zip(op.pattern, scanned, strict=True))
+
+    @pytest.mark.parametrize("dim", [2, 4])
+    def test_dimension_mismatch_raises(self, dim):
+        state = hb.gibbs_state(np.diag([0.0, 1.0, 2.0]).astype(complex))
+        with pytest.raises(ValueError, match="dimension mismatch"):
+            metrics.metric_spectral(state, np.eye(dim), fam.BKM)
+
+    def test_selection_reads_the_squares(self):
+        # 2e-170 and 1e-300j are entries of the pattern, but their squares are 0: of 4 coupled pairs, 2 stay
+        T, S = _unsorted_tied_diagonal()
+        with np.errstate(over="ignore"):
+            table = dsf._pair_table(hb.eigendecompose(T), S)
+        assert S.pattern[0].size == 11 and table.rows.size == 2
 
 
 class TestOracleOrientation:
