@@ -2,7 +2,7 @@
 
 Jobs are described by a JSON config; outputs are CSV (tables) or JSON
 (reports) and are a pure function of (config, seed), so reruns are
-byte-identical.  Sweep points run one after another, in grid order.
+byte-identical.  Sweep points run in chunks, in grid order.
 """
 
 from __future__ import annotations
@@ -14,6 +14,7 @@ import io
 import json
 import math
 import sys
+import warnings
 from dataclasses import asdict, dataclass
 
 from . import families as fam
@@ -24,6 +25,8 @@ from .metrics import METHODS, _evaluate, _moment_order
 from .models import BosonModel, SpinModel
 
 __all__ = ["main", "JobConfig", "run_metric_job"]
+
+_CHUNK = 2**16  # bound on a chunk's entries per array, 512 KiB of floats: a spin or boson sweep is one chunk
 
 
 class UsageError(Exception):
@@ -210,8 +213,8 @@ def _decompose(T):
         raise UsageError(f"T: {exc}") from None
 
 
-def _gibbs(basis, T, c: float, where: str):
-    """Gibbs state of c * T from T's decomposition; a c * T past double range is a usage error."""
+def _gibbs(basis, T, c, where: str):
+    """Gibbs state of c * T from T's decomposition (a stack for an array c); a c * T past double range is a usage error."""
     try:
         return _scaled_state(basis, T.matrix, c)
     except ArithmeticError as exc:
@@ -221,71 +224,83 @@ def _gibbs(basis, T, c: float, where: str):
 def _single_point(config: JobConfig):
     """(state, T, S, frequency) of a job's model at its beta: the state of beta * frequency * T."""
     T, S, frequency = _resolve_model(config.model, _point_model(config.model))
-    state = _gibbs(_decompose(T), T, config.beta * frequency, f"beta={config.beta:g}")
+    state = _gibbs(_decompose(T), T, config.beta * frequency, _label(("beta", config.beta)))
     return state, T, S, frequency
 
 
 def _label(point) -> str:
+    """name=value, the value as :g prints it when that reads back as the value, else as repr."""
     name, value = point
-    return "" if name is None else f"{name}={value:g}"
+    if name is None:
+        return ""
+    text = f"{value:g}"
+    return f"{name}={text if float(text) == value else repr(value)}"
 
 
-def _rows_for_point(config: JobConfig, point, state, S, table):
-    """Rows of one sweep point: one frame on the job's pair table, every (family, method) pair on it."""
-    routes = [(spec, *_parse_method(spec)) for spec in config.methods]
+def _stack_rows(config: JobConfig, routes, labels, state, S, table):
+    """Rows of the points of a (stacked) state, point by point, from one frame and one call per (family, method); an error names the first point."""
     chain_order = max((_moment_order(route, L) for _, route, L in routes if L), default=0)
     frame = _Frame(state, S, chain_order, table)
-    parameter = _label(point)
-    rows = []
+    results = []
     for family in config.families:
         for method_spec, route, L in routes:
-            where = f"{family.label} {method_spec} {parameter}".rstrip()
+            where = f"{family.label} {method_spec} {labels[0]}".rstrip()
             try:
-                result = _evaluate(frame, family, route, L)
+                found = _evaluate(frame, family, route, L)
             except ArithmeticError as exc:  # a negative metric, or a series moment past double range
                 raise UsageError(f"{where}: {exc}") from None
-            if math.isnan(result.value):
+            if any(math.isnan(result.value) for result in found):
                 raise UsageError(f"{where}: the metric is nan")
-            rows.append(
-                {
-                    "family": family.label,
-                    "parameter": parameter,
-                    "method": method_spec,
-                    "value": result.value,
-                    "L": "" if result.diagnostics.truncation is None else result.diagnostics.truncation,
-                    "radius_ok": result.diagnostics.convergence_radius_ok,
-                }
-            )
+            results.append((family.label, method_spec, found))
+    rows = []
+    for i, parameter in enumerate(labels):
+        for family, method_spec, found in results:
+            value, L, radius_ok = found[i].value, found[i].diagnostics.truncation, found[i].diagnostics.convergence_radius_ok
+            rows.append({"family": family, "parameter": parameter, "method": method_spec, "value": value, "L": "" if L is None else L, "radius_ok": radius_ok})
+    return rows
+
+
+def _chunk_rows(config: JobConfig, routes, labels, cs, basis, T, S, table):
+    """Rows of a chunk of points from one stacked state; a chunk of several that raises, gives a nan or warns is re-run point by point."""
+    if len(cs) > 1:
+        rows = None
+        with warnings.catch_warnings(record=True) as caught, contextlib.suppress(Exception):
+            warnings.simplefilter("always")
+            rows = _stack_rows(config, routes, labels, _gibbs(basis, T, cs, labels[0]), S, table)
+        if rows is not None and not caught:
+            return rows
+    rows = []
+    for label, c in zip(labels, cs):  # a job without a sweep has one point, at the config's beta
+        rows += _stack_rows(config, routes, [label], _gibbs(basis, T, c, label or _label(("beta", config.beta))), S, table)
     return rows
 
 
 def run_metric_job(config: JobConfig) -> tuple[list[dict], list[str]]:
-    """All output rows for a job, in canonical order, plus warnings.
+    """All output rows for a job, in canonical order, plus warnings (README: "Cost of a sweep job").
 
-    Every point's generator is c * T for one unit-frequency T: c is the
-    point's beta times the model's frequency.  So T is decomposed once per
-    job, and S read into one pair table that every point reads (rotated, or
-    from its pattern when T is diagonal); each point only rescales the
-    spectrum.  Each point's model is still built, which validates its grid value.
+    Every point's generator is c * T, c its beta times the model's frequency: T is decomposed once, S read
+    into one pair table, and the points run in chunks of _CHUNK // (a point's array entries), at least one.
     """
     points = _sweep_points(config)
     models = [_point_model(config.model, p) for p in points]
     T, S, _ = _resolve_model(config.model, models[0])
     basis = _decompose(T)
     table = _pair_table(basis, S)
+    routes = [(spec, *_parse_method(spec)) for spec in config.methods]
+    dense_chain = basis.order is None and any(L for *_, L in routes)
+    size = max(1, _CHUNK // (basis.dim**2 if dense_chain else max(table.rows.size, basis.dim)))
+    betas = [point[1] if point[0] == "beta" else config.beta for point in points]
+    cs = [beta * (1.0 if model is None else model.frequency) for beta, model in zip(betas, models)]
 
     rows = []
-    for point, model in zip(points, models):
-        beta = point[1] if point[0] == "beta" else config.beta
-        c = beta * (1.0 if model is None else model.frequency)
-        # the state is not kept past its point, so it is freed before the next point's state is built
-        rows += _rows_for_point(config, point, _gibbs(basis, T, c, _label(point) or f"beta={beta:g}"), S, table)
-    warnings = [
+    for start in range(0, len(points), size):
+        chunk = slice(start, start + size)
+        rows += _chunk_rows(config, routes, [_label(point) for point in points[chunk]], cs[chunk], basis, T, S, table)
+    return rows, [
         f"series truncation outside convergence radius: {row['family']} {row['method']} {row['parameter']}"
         for row in rows
         if row["radius_ok"] is False
     ]
-    return rows, warnings
 
 
 def _format_rows_csv(rows, header) -> str:

@@ -6,8 +6,7 @@ collapse to line sums with no quadrature error.  The module also provides
 the moments of the comb, the nested-commutator functionals that generate
 them algebraically, and the Bogoliubov-Duhamel inner product.  Every
 (state, S) consumer reads one ``_Frame``, which sums over the eigenbasis
-pairs that S couples: those of a ``_PairTable`` that it builds, or that
-the states of every c * T share (one table per sweep job).
+pairs that S couples (its ``_PairTable``).
 """
 
 from __future__ import annotations
@@ -78,23 +77,23 @@ class LineSpectrum:
         return fam._g_columns(0.5 * self.omegas)
 
 
-def _assemble(frame: _Frame, shift, mean_s) -> LineSpectrum:
-    """The structure factor of S - shift on a frame, merged and pruned in log form.
+def _assemble(frame: _Frame, i, centered: bool) -> LineSpectrum:
+    """The structure factor of S, or of S - <S> when centered, of member i of a frame's stack, merged and pruned in log form.
 
     A pair (n, m) has lines rho_m |S_nm|^2 at omega_nm and rho_n |S_mn|^2
     at -omega_nm, of heavier sides rho_m |S_nm|^2 and rho_m |S_mn|^2; the
     elastic lines rho_n |S_nn - shift|^2 sit at 0.  Lines closer than
     _MERGE_TOL merge at their mean frequency, their heavier sides summed
     by logaddexp, and a line whose heavier side is below _PRUNE_REL of the
-    largest goes.  Detailed balance is checked on the pairs first, and the
-    lines are taken in the order of the frame's table, so no point sorts.
+    largest goes.  Detailed balance is checked on the pairs first.
     """
     frame.lines  # raises unless the pairs keep detailed balance
-    t, (_, lw_cols) = frame.table, frame.pair_log_weights
+    t, lw_cols, mean = frame.table, frame.pair_log_weights[1][i], frame.mean[i]
+    shift, mean_s = (mean, 0.0) if centered else (0.0, mean)
     with np.errstate(divide="ignore"):  # a zero element is an empty line
         log_abs2 = np.concatenate((t.log_abs2, np.log(np.abs(t.diagonal - shift) ** 2)))
-    lw = np.concatenate((lw_cols, lw_cols, frame.state.log_weights))
-    om = np.concatenate((2.0 * frame.x, -2.0 * frame.x, np.zeros(frame.state.dim)))[t.order]
+    lw = np.concatenate((lw_cols, lw_cols, frame.state.log_weights[i]))
+    om = np.concatenate((2.0 * frame.x[i], -2.0 * frame.x[i], np.zeros(frame.state.dim)))[t.order]
     heavier = (lw + log_abs2)[t.order]
     starts = np.concatenate(([0], np.nonzero(np.diff(om) > _MERGE_TOL)[0] + 1))
     om = np.add.reduceat(om, starts) / np.diff(np.append(starts, om.size))
@@ -127,7 +126,6 @@ class _PairTable:
     |S_nm|^2 and |S_mn|^2 (``abs2`` their sum), ``diagonal`` the S_nn.  A
     stack's pairs are those any matrix couples, and the operators in
     ``also`` add theirs, so frames of several observables share the pairs.
-    The states of every c * T, c > 0, share T's table.
     """
 
     def __init__(self, eigenvalues: np.ndarray, s_eig: np.ndarray, *also: np.ndarray):
@@ -145,15 +143,13 @@ class _PairTable:
 
     @classmethod
     def _from_pattern(cls, basis: SpectralDecomposition, S: HermitianOperator) -> "_PairTable":
-        """The table of S in a basis that is a sort, read from S.pattern through the inverse permutation.
+        """The table of S in a basis that is a sort, read from S.pattern through i = order^-1.
 
-        A pattern entry (r, c) is the eigenbasis element (n, m) = (i[r], i[c]) for
-        i = order^-1, so the pairs, selected by the same test and sorted row-major,
-        hold the bits of the dense table; no n x n array is read, and no ``s_eig``
-        is kept (only _frame_pair's tables are read for it).
+        A pattern entry (r, c) is the element (n, m) = (i[r], i[c]): the pairs, selected by the
+        same test and sorted row-major, hold the rotated table's bits; no ``s_eig`` is kept.
         """
-        if S.matrix.shape != basis.eigenvectors.shape:
-            raise ValueError(f"dimension mismatch: {S.matrix.shape} vs {basis.eigenvectors.shape}")
+        if S.matrix.shape != (basis.dim, basis.dim):
+            raise ValueError(f"dimension mismatch: {S.matrix.shape} vs {(basis.dim, basis.dim)}")
         order, (rows, cols, S_rc, S_cr) = basis.order, S.pattern
         inverse = np.empty_like(order)
         inverse[order] = np.arange(order.size)
@@ -194,7 +190,7 @@ class _PairTable:
 
 
 def _pair_table(basis: SpectralDecomposition, S: HermitianOperator) -> _PairTable:
-    """T's table of S: from S's pattern when T's basis is a sort, which passes over no n x n array, else from the rotated S."""
+    """T's table of S: from S's pattern when T's basis is a sort, else from the rotated S."""
     if basis.order is not None:
         return _PairTable._from_pattern(basis, S)
     return _PairTable(basis.eigenvalues, to_eigenbasis(basis, S))
@@ -203,15 +199,12 @@ def _pair_table(basis: SpectralDecomposition, S: HermitianOperator) -> _PairTabl
 class _Frame:
     """Family-independent data of one (state, S), shared by every consumer.
 
-    Every sum runs over the pairs of the ``table`` (T's _PairTable of S,
-    built by _pair_table when omitted) and the diagonal: ``x`` is omega_nm/2 and
-    ``log_kernel`` the log Duhamel kernel at each pair.  Lazy members are computed
-    on first read, once per frame; chain_order is the highest commutator
-    moment the frame provides.  The frame of the state of a stack of
-    generators and a stack of observables of the same shape holds every
-    array with the stack's leading axes, and its scalar members (mean,
-    max_omega, moments) become arrays over the stack; the structure
-    factors (``dsf``, ``centered_dsf``) are single-instance.
+    Every sum runs over the pairs of the ``table`` (built by _pair_table when
+    omitted) and the diagonal; lazy members are computed on first read, and
+    chain_order is the highest commutator moment the frame provides.  The frame
+    of a stack of states, with one S or a stack of S, holds every array with the
+    stack's leading axes, and its scalar members become arrays over the stack;
+    ``dsf`` is single-instance, ``centered_dsfs`` one structure factor per member.
     """
 
     def __init__(self, state: GibbsState, S, chain_order: int = 0, table: _PairTable | None = None):
@@ -224,6 +217,11 @@ class _Frame:
         self.mean = _dot(state.weights, self.diagonal)
         # both (n, m) and (m, n) of each coupled pair closer than the window
         self.degenerate_pairs = 2 * np.sum(2.0 * self.x < _DEGENERATE_WINDOW, axis=-1)
+
+    @property
+    def members(self) -> list:
+        """The index of each member of the stack: [()] for one (state, S)."""
+        return list(np.ndindex(np.shape(self.mean)))
 
     @property
     def diagonal(self) -> np.ndarray:
@@ -291,12 +289,12 @@ class _Frame:
 
     @cached_property
     def dsf(self) -> LineSpectrum:
-        return _assemble(self, 0.0, self.mean)
+        return _assemble(self, (), False)
 
     @cached_property
-    def centered_dsf(self) -> LineSpectrum:
-        """The structure factor of S - <S>, which the dsf route reads: no line sum cancels <S>^2."""
-        return _assemble(self, self.mean, 0.0)
+    def centered_dsfs(self) -> list[LineSpectrum]:
+        """The structure factor of S - <S> of each member, which the dsf route reads: no line sum cancels <S>^2."""
+        return [_assemble(self, i, True) for i in self.members]
 
     @cached_property
     def max_omega(self):
@@ -356,7 +354,7 @@ def build_dsf(state: GibbsState, S, centered: bool = False) -> LineSpectrum:
     changes the elastic weight).
     """
     frame = _Frame(state, S)
-    return frame.centered_dsf if centered else frame.dsf
+    return frame.centered_dsfs[0] if centered else frame.dsf
 
 
 def moment(Q: LineSpectrum, p: int) -> float:
@@ -383,11 +381,8 @@ def moment(Q: LineSpectrum, p: int) -> float:
 
 
 def _chain_traces(state: GibbsState, S: HermitianOperator):
-    """tr(R_q P), q = 0, 1, ...: a diagonal T keeps R_q = t_i R - R t_j at the nonzero entries of S (S.pattern).
-
-    Its P = S rho reads rho_ii = exp(-c T_ii - logZ).  A decomposition that
-    is a sort (``order``) already says T is diagonal.  Another T's P reads
-    the density matrix and its chain runs on dense arrays of c * T.
+    """tr(R_q P), q = 0, 1, ...: a diagonal T keeps R_q = t_i R - R t_j at S.pattern, and P = S rho reads
+    rho_ii = exp(-c T_ii - logZ); another T's chain runs on dense arrays of c * T and the density matrix.
     """
     if state.decomposition.order is not None or _is_diagonal(state.generator):
         diagonal = state.c * np.diagonal(state.T, axis1=-2, axis2=-1)
@@ -423,12 +418,8 @@ def commutator_moments(state: GibbsState, S, order: int) -> list:
         if np.any(bad):
             raise OverflowError(f"commutator moment M_{q} is not finite ({float(value.real[bad][0])!r})")
         residue = np.abs(value.imag) > 1e-10 * np.maximum(1.0, np.abs(value.real))
-        if np.any(residue):
-            warnings.warn(
-                f"commutator moment M_{q} has imaginary residue {value.imag[residue][0]:.3e}",
-                RuntimeWarning,
-                stacklevel=2,
-            )
+        for imag in value.imag[residue]:  # one warning per member of a stack
+            warnings.warn(f"commutator moment M_{q} has imaginary residue {imag:.3e}", RuntimeWarning, stacklevel=2)
         out.append((-1.0) ** q * value.real + 0.0)
     return out
 

@@ -88,8 +88,7 @@ class HermitianOperator:
     def pattern(self) -> tuple:
         """(rows, cols, A_rc, A_cr) at the entries (r, c) where the matrix, or a matrix of the stack, is nonzero.
 
-        Gathered with np.take, in C order, so a stack sums as its matrices do; set at construction
-        for a model matrix, else scanned on first read, and kept, so every point of a sweep job shares it.
+        Gathered with np.take, in C order, so a stack sums as its matrices do; set at construction, or scanned on first read.
         """
         n = self.dim
         return self._pattern_at(*np.nonzero(np.any(self.matrix.reshape(-1, n, n) != 0.0, axis=0)))
@@ -131,17 +130,23 @@ def as_operator(value) -> HermitianOperator:
     return HermitianOperator(value)
 
 
-@dataclass
 class SpectralDecomposition:
-    """Eigenvalues (ascending) and unitary eigenvector columns of T; a diagonal T's sort ``order`` (U = I[:, order]), None from eigh."""
+    """Eigenvalues (ascending) and unitary eigenvector columns of T; a diagonal T's sort ``order`` (U = I[:, order], formed on first read), None from eigh."""
 
-    eigenvalues: np.ndarray
-    eigenvectors: np.ndarray
-    order: np.ndarray | None = None
+    def __init__(self, eigenvalues: np.ndarray, eigenvectors: np.ndarray | None = None, order: np.ndarray | None = None):
+        self.eigenvalues, self.order = eigenvalues, order
+        if eigenvectors is not None:
+            self.eigenvectors = eigenvectors
 
     @property
     def dim(self) -> int:
         return self.eigenvalues.shape[-1]
+
+    @cached_property
+    def eigenvectors(self) -> np.ndarray:
+        U = np.zeros((self.dim, self.dim), dtype=complex)
+        U[self.order, np.arange(self.dim)] = 1.0
+        return U
 
 
 def _is_diagonal(m: np.ndarray) -> bool:
@@ -160,9 +165,7 @@ def eigendecompose(H) -> SpectralDecomposition:
     pattern = vars(op).get("pattern")  # a known pattern says whether the matrix is diagonal in O(nonzeros)
     if op.matrix.ndim == 2 and (_is_diagonal(op.matrix) if pattern is None else np.array_equal(pattern[0], pattern[1])):
         order = np.argsort(np.diagonal(op.matrix).real, kind="stable")
-        U = np.zeros((op.dim, op.dim), dtype=complex)  # I[:, order], scattered into zeros no sweep point reads
-        U[order, np.arange(op.dim)] = 1.0
-        return SpectralDecomposition(np.diagonal(op.matrix).real[order], U, order)
+        return SpectralDecomposition(np.diagonal(op.matrix).real[order], order=order)
     vals, vecs = np.linalg.eigh(op.matrix)
     scale = np.maximum(np.max(np.abs(op.matrix), axis=(-2, -1)), 1e-300)
     recon = (vecs * vals[..., None, :]) @ _dagger(vecs)
@@ -182,17 +185,15 @@ class GibbsState:
 
     ``log_weights`` = -T_m - logZ is the state: every weight ratio, kernel
     and filter term is formed from it.  ``weights`` is its exp, summing to
-    one, and 0 for levels more than about 745 above the ground level.  The
-    state of a stack of generators holds one state per matrix.
+    one, and 0 for levels more than about 745 above the ground level.  A
+    stack of generators, or a (k, 1) column ``c``, gives one state per matrix.
     """
 
     decomposition: SpectralDecomposition
     log_weights: np.ndarray
     logZ: float
-    # the generator is c * T, T in the original basis as given: its zero entries stay exact
-    # zeros, and the commutator chain that reads it does not depend on the eigenvectors
-    T: np.ndarray = field(repr=False)
-    c: float = 1.0
+    T: np.ndarray = field(repr=False)  # the generator is c * T, T in the original basis as given
+    c: float | np.ndarray = 1.0
     weights: np.ndarray = field(init=False)
     _rho_matrix: np.ndarray | None = field(default=None, repr=False)
 
@@ -202,7 +203,7 @@ class GibbsState:
     @cached_property
     def generator(self) -> np.ndarray:
         """c * T, formed on first read: only the dense commutator chain reads it."""
-        return self.c * self.T
+        return np.expand_dims(self.c, -1) * self.T
 
     @property
     def dim(self) -> int:
@@ -231,16 +232,13 @@ def gibbs_state(T) -> GibbsState:
 
 
 def _scaled_state(decomposition: SpectralDecomposition, T: np.ndarray, c: float) -> GibbsState:
-    """The Gibbs state of c * T for c > 0, from T's checked decomposition.
+    """The Gibbs state of c * T for c > 0 (T's eigenvectors, c times its eigenvalues), from T's checked decomposition.
 
-    c * T has T's eigenvectors and c times its eigenvalues, so a state
-    that only rescales the generator needs no eigh of its own.  A scaled
-    spectrum whose range is past half the double range, as the filters
-    read gaps up to twice it, raises ArithmeticError; the weights are
-    normalized and checked as for gibbs_state, and the state
-    keeps T and c, not c * T.  The decomposition of a stack gives the
-    states of all its matrices, each normalized and checked on its own.
+    A scaled range past half the double range (the filters read gaps up to
+    twice it) raises ArithmeticError.  The decomposition of a stack, or an
+    array of k numbers c, gives a stack of states, each normalized and checked on its own.
     """
+    c = c if np.ndim(c) == 0 else np.asarray(c, dtype=float)[:, None]
     with np.errstate(over="ignore", invalid="ignore"):
         lam = c * decomposition.eigenvalues
         spread = lam[..., -1] - lam[..., 0]
@@ -251,7 +249,7 @@ def _scaled_state(decomposition: SpectralDecomposition, T: np.ndarray, c: float)
     # one renormalization pass keeps sum(weights) at 1 to machine precision
     log_w -= np.log(np.sum(np.exp(log_w), axis=-1, keepdims=True))
     state = GibbsState(
-        decomposition=SpectralDecomposition(lam, decomposition.eigenvectors, decomposition.order),
+        decomposition=SpectralDecomposition(lam, vars(decomposition).get("eigenvectors"), decomposition.order),
         log_weights=log_w,
         logZ=(log_norm - shift)[..., 0],
         T=T,
@@ -272,12 +270,12 @@ def to_eigenbasis(state: GibbsState | SpectralDecomposition, A) -> np.ndarray:
     """
     op = as_operator(A)
     basis = state.decomposition if isinstance(state, GibbsState) else state
-    U = basis.eigenvectors
-    if op.matrix.shape != U.shape:
-        raise ValueError(f"dimension mismatch: {op.matrix.shape} vs {U.shape}")
+    shape = (basis.dim, basis.dim) if basis.order is not None else basis.eigenvectors.shape
+    if op.matrix.shape != shape:
+        raise ValueError(f"dimension mismatch: {op.matrix.shape} vs {shape}")
     if basis.order is not None:
         return op.matrix[np.ix_(basis.order, basis.order)]
-    return _dagger(U) @ op.matrix @ U
+    return _dagger(basis.eigenvectors) @ op.matrix @ basis.eigenvectors
 
 
 def thermal_average(state: GibbsState, A) -> float:

@@ -13,12 +13,9 @@ The routes are mutually cross-checking:
                               from iterated commutators.
 
 The family enters only through its filter or series coefficients, so
-every route reads one frame per (state, S) (``dsf._Frame``).  Its
-commutator chain (``dsf.commutator_moments``, shared with functional_F
-and the sum rules) stays in the original basis, so the series still
-cross-check the eigenbasis routes.  The one kernel is the log-mean
-factor (1 - e^{-z})/z of ``hilbert._exprel_neg``, and each term a route
-sums is exponentiated once from its log (``dsf._dot_exp``).
+every route reads one frame per (state, S) (``dsf._Frame``), whose
+commutator chain stays in the original basis: the series still
+cross-check the eigenbasis routes.
 
 All metrics carry the 1/4 normalization that makes the Bures member one
 quarter of the fidelity susceptibility (see fidelity_susceptibility).
@@ -103,10 +100,10 @@ def _oracle_value(frame: _Frame, family):
 
 def _evaluate(
     frame: _Frame, family: fam.MonotoneFamily, method: str, L: int | None = None
-) -> MetricResult:
-    """The metric by one of METHODS on a prepared frame (L for the series)."""
+) -> list[MetricResult]:
+    """The metric by one of METHODS on a prepared frame (L for the series), one result per member of its stack."""
     if method == "dsf":
-        return metric_from_dsf(frame.centered_dsf, family)
+        return [metric_from_dsf(Q, family) for Q in frame.centered_dsfs]
     if method in ("seriesA", "seriesB"):
         return _series(frame, family, method, L)
     if method == "spectral":
@@ -115,11 +112,10 @@ def _evaluate(
         value = _oracle_value(frame, family)
     else:
         raise ValueError(f"unknown method {method!r}")
-    return MetricResult(
-        float(value),
-        method,
-        MetricDiagnostics(degenerate_pairs_handled=int(frame.degenerate_pairs)),
-    )
+    return [
+        MetricResult(float(value[i]), method, MetricDiagnostics(degenerate_pairs_handled=int(frame.degenerate_pairs[i])))
+        for i in frame.members
+    ]
 
 
 def metric_spectral(state: GibbsState, S, family: fam.MonotoneFamily) -> MetricResult:
@@ -128,7 +124,7 @@ def metric_spectral(state: GibbsState, S, family: fam.MonotoneFamily) -> MetricR
     x = (1/2) ln(rho_n/rho_m) and W is the log-mean kernel, so degenerate
     eigenvalue pairs take their finite limit automatically.
     """
-    return _evaluate(_Frame(state, S), family, "spectral")
+    return _evaluate(_Frame(state, S), family, "spectral")[0]
 
 
 def metric_mc_oracle(state: GibbsState, S, family: fam.MonotoneFamily) -> MetricResult:
@@ -140,7 +136,7 @@ def metric_mc_oracle(state: GibbsState, S, family: fam.MonotoneFamily) -> Metric
     rho_m of the general formula.  Serves as the reference for every
     other route.
     """
-    return _evaluate(_Frame(state, S), family, "oracle")
+    return _evaluate(_Frame(state, S), family, "oracle")[0]
 
 
 def metric_from_dsf(Q: LineSpectrum, family: fam.MonotoneFamily) -> MetricResult:
@@ -165,8 +161,8 @@ def _moment_order(method: str, L: int) -> int:
     return 2 * L - (method == "seriesA")
 
 
-def _series(frame: _Frame, family: fam.MonotoneFamily, method: str, L: int) -> MetricResult:
-    """Truncated moment expansion around a base metric, on a frame.
+def _series(frame: _Frame, family: fam.MonotoneFamily, method: str, L: int) -> list[MetricResult]:
+    """Truncated moment expansion around a base metric, on a frame: one result per member of its stack.
 
     seriesA: base d^2_BKM = (1/4)[sum W |S_mn|^2 - <S>^2], moments
     M_{2l-1} and g-series coefficients.  seriesB: base d^2_MC =
@@ -177,21 +173,20 @@ def _series(frame: _Frame, family: fam.MonotoneFamily, method: str, L: int) -> M
     if L < 1:
         raise ValueError("L must be a positive integer")
     odd = method == "seriesA"
-    base = float(frame.filtered if odd else frame.second_moment)
+    base = frame.filtered if odd else frame.second_moment
     coeffs = fam.taylor_coeffs(family, "g" if odd else "g_hat", L)
     radius = (fam.g_series_radius if odd else fam.g_hat_series_radius)(family)
-    total = 0.25 * (base - float(frame.mean) ** 2)
-    term = 0.0
+    total = 0.25 * (base - frame.mean ** 2)
     for l in range(1, L + 1):
         q = 2 * l - odd
-        term = 0.25 * 0.5 ** q * coeffs[l - 1] * float(frame.moments[q])
-        total += term
-    ok = bool(0.5 * frame.max_omega < radius)
-    return MetricResult(
-        float(_nonnegative(np.float64(total), 0.25 * base, method)),
-        method,
-        MetricDiagnostics(truncation=L, convergence_radius_ok=ok, last_term=abs(term)),
-    )
+        term = 0.25 * 0.5 ** q * coeffs[l - 1] * frame.moments[q]
+        total = total + term
+    ok = 0.5 * frame.max_omega < radius
+    value = _nonnegative(total, 0.25 * base, method)
+    return [
+        MetricResult(float(value[i]), method, MetricDiagnostics(truncation=L, convergence_radius_ok=bool(ok[i]), last_term=float(abs(term[i]))))
+        for i in frame.members
+    ]
 
 
 def metric_series_A(
@@ -204,7 +199,7 @@ def metric_series_A(
     The radius flag reports whether max|w|/2 lies inside the convergence
     radius of the g-series; outside it the value is reported but suspect.
     """
-    return _evaluate(_Frame(state, S, _moment_order("seriesA", L)), family, "seriesA", L)
+    return _evaluate(_Frame(state, S, _moment_order("seriesA", L)), family, "seriesA", L)[0]
 
 
 def metric_series_B(
@@ -215,7 +210,7 @@ def metric_series_B(
     d^2_f ~ d^2_MC + (1/4) sum_{l=1}^{L} (1/2)^{2l} a_{2l}(f) M_{2l} with
     the ghat-series coefficients; radius diagnostics as in series A.
     """
-    return _evaluate(_Frame(state, S, _moment_order("seriesB", L)), family, "seriesB", L)
+    return _evaluate(_Frame(state, S, _moment_order("seriesB", L)), family, "seriesB", L)[0]
 
 
 def metric_difference_to_bkm(state: GibbsState, S, family: fam.MonotoneFamily) -> float:

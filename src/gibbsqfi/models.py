@@ -135,8 +135,8 @@ def spin_ratio_property(model: SpinModel, family: fam.MonotoneFamily) -> SpinRat
     omegas = frame.dsf.omegas
     off = np.minimum(np.abs(np.abs(omegas) - model.omega0), np.abs(omegas))
     support_ok = bool(np.all(off < 1e-9))
-    brute = _evaluate(frame, family, "spectral").value
-    base = _evaluate(frame, fam.BKM, "spectral").value
+    brute = _evaluate(frame, family, "spectral")[0].value
+    base = _evaluate(frame, fam.BKM, "spectral")[0].value
     ratio = brute / base
     expected = fam.eval_g(family, 0.5 * model.omega0)
     half = 0.5 * model.omega0
@@ -305,5 +305,5 @@ def boson_closed_forms(model: BosonModel, family: fam.MonotoneFamily) -> BosonCl
     d2_mc = 0.25 * (float(frame.second_moment) - float(frame.mean) ** 2)
     via_nu1 = d2_bkm + 0.25 / half * (1.0 - fam.eval_g(family, half)) * K
     via_nu2 = d2_mc - 0.25 * (1.0 - fam.eval_g_hat(family, half)) * L
-    brute = _evaluate(frame, family, "spectral").value
+    brute = _evaluate(frame, family, "spectral")[0].value
     return BosonClosedForms(via_nu1, via_nu2, brute)

@@ -490,6 +490,19 @@ class TestMetricJobs:
         assert capsys.readouterr().err == f"error: {message}\n"
 
 
+def test_sweep_labels_tell_distinct_points_apart():
+    # :g keeps 6 significant digits: it printed beta=1 twice and beta=1.23457e+08 twice
+    config = cli.JobConfig.from_dict({
+        "model": {"model": "spin", "S": 0.5, "omega0": 1.0},
+        "families": ["bkm"],
+        "sweep": {"parameter": "beta", "grid": [1.0, 1.0000001, 123456789.0, 123456800.0, 0.25, 2e-07]},
+    })
+    rows, _ = cli.run_metric_job(config)
+    assert [row["parameter"] for row in rows] == [
+        "beta=1", "beta=1.0000001", "beta=123456789.0", "beta=123456800.0", "beta=0.25", "beta=2e-07",
+    ]
+
+
 def test_boson_with_weights_past_double_range_exits_2_without_warning(tmp_path, capsys):
     # omega n overflows for n >= 18 at omega = 1e307; the model is valid, the job's generator is not
     config = write_config(tmp_path, {"model": {"model": "boson", "k": 1, "omega": 1e307, "cutoff": 40}, "families": ["bkm"]})

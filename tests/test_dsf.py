@@ -593,7 +593,7 @@ class TestSharedColumns:
         frame = dsf._Frame(state, s)
         for family in self.FAMILIES:
             for route, own_frame in self.ROUTES.items():
-                assert metrics._evaluate(frame, family, route).value == own_frame(state, s, family).value
+                assert metrics._evaluate(frame, family, route)[0].value == own_frame(state, s, family).value
         xs = np.exp(frame.f_columns.v)
         f_columns = fam._Columns(np.log(xs))
         for family in self.FAMILIES:
@@ -611,7 +611,7 @@ class TestSharedColumns:
         g_scales = {k for family in self.FAMILIES for k in sum(fam._g_scales(family), ())}
         f_scales = {k for family in self.FAMILIES for k in fam._F_FORMS[family.kind](family.param)[2]}
         assert len(calls) == 2 * len(g_scales) + len(f_scales)
-        assert set(frame.g_columns) == set(frame.centered_dsf.g_columns) == g_scales
+        assert set(frame.g_columns) == set(frame.centered_dsfs[0].g_columns) == g_scales
         assert set(frame.f_columns) == f_scales
 
     def test_stacked_scales_are_not_kept(self):

@@ -2,7 +2,10 @@
 
 Each job below writes its inputs and config into a directory; its CSV is
 compared byte for byte with the one committed under ``tests/data``.  The
-spin job is the benchmark's sweep-spin401 job at seed 0; the matrix-file
+spin job is the benchmark's sweep-spin401 job at seed 0; the boson job
+sweeps the k = 2 boson's omega over 5 points by every route, with the
+radius warnings of omega = 2 (recorded one point at a time, before the
+sweep evaluated its points as one stack); the matrix-file
 jobs take a dim-60 GUE ``T`` (one ``eigh`` and the dense commutator chain)
 and a diagonal ``T`` with tied levels (a sort and the chain at S's nonzero
 entries), over a 2-point beta grid by every route.  At beta 2.5 seriesB:3
@@ -38,6 +41,16 @@ def spin401(workdir: Path) -> list[str]:
     })
 
 
+def boson60(workdir: Path) -> list[str]:
+    return _write(workdir, {
+        "model": {"model": "boson", "k": 2, "omega": 1.0, "cutoff": 60},
+        "beta": 1.0,
+        "families": FAMILIES[:6],
+        "methods": ["oracle", "spectral", "dsf", "seriesA:4", "seriesB:4"],
+        "sweep": {"parameter": "omega", "grid": [1.0, 0.5, 2.0, 0.75, 1.5]},
+    })
+
+
 def _matrix_job(workdir: Path, T: np.ndarray, S: np.ndarray, grid: list) -> list[str]:
     hb.write_operator_json(T, workdir / "T.json")
     hb.write_operator_json(S, workdir / "S.json")
@@ -67,7 +80,12 @@ def diagonal60(workdir: Path, grid=(0.3, 1.0)) -> list[str]:
     return _matrix_job(workdir, T, S + S.conj().T, list(grid))
 
 
-JOBS = {"sweep_spin401.csv": spin401, "sweep_gue60.csv": gue60, "sweep_diagonal60.csv": diagonal60}
+JOBS = {
+    "sweep_spin401.csv": spin401,
+    "sweep_boson60.csv": boson60,
+    "sweep_gue60.csv": gue60,
+    "sweep_diagonal60.csv": diagonal60,
+}
 
 
 @pytest.mark.parametrize("name", JOBS)

@@ -140,8 +140,8 @@ class TestRoutesMatchTheFullGrid:
         assert close(frame.dsf.omegas, lines[0]) and close(frame.dsf.weights, lines[1])
         reference = dsf.LineSpectrum(*lines, "diagonal", state.dim, float(grid.mean), np.log(lines[1]) + np.maximum(0.0, -lines[0]))
         for family in FAMILIES:
-            assert close(metrics._evaluate(frame, family, "spectral").value, grid_spectral(grid, family)), family
-            assert close(metrics._evaluate(frame, family, "oracle").value, grid_oracle(grid, family)), family
+            assert close(metrics._evaluate(frame, family, "spectral")[0].value, grid_spectral(grid, family)), family
+            assert close(metrics._evaluate(frame, family, "oracle")[0].value, grid_oracle(grid, family)), family
             dsf_value = metrics.metric_from_dsf(frame.dsf, family).value
             assert close(dsf_value, metrics.metric_from_dsf(reference, family).value), family
 
@@ -176,7 +176,7 @@ class TestEmptyTable:
         variance = float(np.dot(w, d ** 2) - np.dot(w, d) ** 2)
         for family in FAMILIES:
             for method in ("spectral", "oracle", "dsf"):
-                value = metrics._evaluate(frame, family, method).value
+                value = metrics._evaluate(frame, family, method)[0].value
                 assert value == pytest.approx(0.25 * variance, rel=REL), (family, method)
         assert frame.max_omega == 0.0
 
@@ -188,8 +188,8 @@ class TestEmptyTable:
         assert frame.table.rows.size == 0
         grid = Grid(state, S)
         for family in FAMILIES:
-            assert close(metrics._evaluate(frame, family, "spectral").value, grid_spectral(grid, family))
-            assert close(metrics._evaluate(frame, family, "oracle").value, grid_oracle(grid, family))
+            assert close(metrics._evaluate(frame, family, "spectral")[0].value, grid_spectral(grid, family))
+            assert close(metrics._evaluate(frame, family, "oracle")[0].value, grid_oracle(grid, family))
 
 
 class TestStack:
