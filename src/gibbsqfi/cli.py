@@ -18,7 +18,7 @@ import warnings
 from dataclasses import asdict, dataclass
 
 from . import families as fam
-from .dsf import _Frame, _pair_table, build_dsf, sum_rule_report
+from .dsf import _Frame, _pair_tables, build_dsf, sum_rule_report
 from .hilbert import _scaled_state, eigendecompose, read_operator_json, write_operator_json
 from .inequalities import run_verification_suite
 from .metrics import METHODS, _evaluate, _moment_order
@@ -276,16 +276,12 @@ def _chunk_rows(config: JobConfig, routes, labels, cs, basis, T, S, table):
 
 
 def run_metric_job(config: JobConfig) -> tuple[list[dict], list[str]]:
-    """All output rows for a job, in canonical order, plus warnings (README: "Cost of a sweep job").
-
-    Every point's generator is c * T, c its beta times the model's frequency: T is decomposed once, S read
-    into one pair table, and the points run in chunks of _CHUNK // (a point's array entries), at least one.
-    """
+    """All output rows for a job, in canonical order, plus warnings (README: "Cost of a sweep job")."""
     points = _sweep_points(config)
     models = [_point_model(config.model, p) for p in points]
     T, S, _ = _resolve_model(config.model, models[0])
     basis = _decompose(T)
-    table = _pair_table(basis, S)
+    table = _pair_tables(basis, S)[0]
     routes = [(spec, *_parse_method(spec)) for spec in config.methods]
     dense_chain = basis.order is None and any(L for *_, L in routes)
     size = max(1, _CHUNK // (basis.dim**2 if dense_chain else max(table.rows.size, basis.dim)))

@@ -119,57 +119,23 @@ def _dot_exp(log_a, b):
         return _dot(np.exp(log_a), b)
 
 
+@dataclass(eq=False)
 class _PairTable:
-    """The eigenbasis pairs (n, m), n > m, where |S_nm|^2 + |S_mn|^2 > 0, built once per (T, S).
+    """One operator S at the eigenbasis pairs (n, m), n > m, ``rows`` and ``cols`` (T_n >= T_m), built by _pair_tables.
 
-    ``rows`` and ``cols`` hold n and m (T_n >= T_m), ``down`` and ``up``
-    |S_nm|^2 and |S_mn|^2 (``abs2`` their sum), ``diagonal`` the S_nn.  A
-    stack's pairs are those any matrix couples, and the operators in
-    ``also`` add theirs, so frames of several observables share the pairs.
+    ``elements`` holds (S_nm, S_mn) at the pairs, ``down`` and ``up`` their squares (``abs2`` the sum),
+    ``diagonal`` the S_nn and ``peak`` the largest |S_nm|^2; a stack's arrays carry its leading axes.
     """
 
-    def __init__(self, eigenvalues: np.ndarray, s_eig: np.ndarray, *also: np.ndarray):
-        self.eigenvalues = eigenvalues
-        self.s_eig = s_eig
-        n = s_eig.shape[-1]
-        abs2 = np.abs(s_eig) ** 2
-        either = (abs2 + sum(np.abs(a) ** 2 for a in also) > 0.0).reshape(-1, n, n).any(axis=0)
-        rows, cols = np.nonzero(either | either.T)
-        self.rows, self.cols = rows[rows > cols], cols[rows > cols]
-        self.down, self.up = self.gather(abs2)
-        self.abs2 = self.down + self.up
-        self.diagonal = np.diagonal(s_eig, axis1=-2, axis2=-1)
-        self.peak = np.max(abs2, axis=(-2, -1))
-
-    @classmethod
-    def _from_pattern(cls, basis: SpectralDecomposition, S: HermitianOperator) -> "_PairTable":
-        """The table of S in a basis that is a sort, read from S.pattern through i = order^-1.
-
-        A pattern entry (r, c) is the element (n, m) = (i[r], i[c]): the pairs, selected by the
-        same test and sorted row-major, hold the rotated table's bits; no ``s_eig`` is kept.
-        """
-        if S.matrix.shape != (basis.dim, basis.dim):
-            raise ValueError(f"dimension mismatch: {S.matrix.shape} vs {(basis.dim, basis.dim)}")
-        order, (rows, cols, S_rc, S_cr) = basis.order, S.pattern
-        inverse = np.empty_like(order)
-        inverse[order] = np.arange(order.size)
-        n, m = inverse[rows], inverse[cols]
-        down, up = np.abs(S_rc) ** 2, np.abs(S_cr) ** 2
-        pairs = np.flatnonzero((n > m) & (down + up > 0.0))
-        pairs = pairs[np.argsort(n[pairs] * order.size + m[pairs])]
-        table = cls.__new__(cls)
-        table.eigenvalues, table.s_eig = basis.eigenvalues, None
-        table.rows, table.cols, table.down, table.up = n[pairs], m[pairs], down[pairs], up[pairs]
-        table.abs2 = table.down + table.up
-        table.diagonal = np.diagonal(S.matrix)[order]
-        table.peak = np.max(down, initial=0.0)  # every other entry of S is 0
-        return table
-
-    def gather(self, a: np.ndarray) -> tuple:
-        """(a_nm, a_mn) at the pairs (n, m) of an (..., n, n) array, in C order."""
-        flat = a.reshape(*a.shape[:-2], -1)
-        n = a.shape[-1]
-        return np.take(flat, self.rows * n + self.cols, axis=-1), np.take(flat, self.cols * n + self.rows, axis=-1)
+    eigenvalues: np.ndarray
+    rows: np.ndarray
+    cols: np.ndarray
+    elements: tuple
+    down: np.ndarray
+    up: np.ndarray
+    abs2: np.ndarray
+    diagonal: np.ndarray
+    peak: np.ndarray
 
     @cached_property
     def log_abs2(self) -> np.ndarray:
@@ -189,22 +155,47 @@ class _PairTable:
         return np.lexsort((position, np.concatenate((omega, -omega, np.zeros(n)))))
 
 
-def _pair_table(basis: SpectralDecomposition, S: HermitianOperator) -> _PairTable:
-    """T's table of S: from S's pattern when T's basis is a sort, else from the rotated S."""
+def _pair_tables(basis: SpectralDecomposition, *ops: HermitianOperator) -> list[_PairTable]:
+    """One table of each operator, all over the pairs, row-major, where any of them has |S_nm|^2 + |S_mn|^2 > 0: a sort
+    reads each pattern entry (r, c) as the element (i[r], i[c]), i = order^-1; an eigh basis scans the rotated squares.
+    """
+    n = basis.dim
     if basis.order is not None:
-        return _PairTable._from_pattern(basis, S)
-    return _PairTable(basis.eigenvalues, to_eigenbasis(basis, S))
+        index, inverse, keys = basis.order, np.empty_like(basis.order), []
+        inverse[index] = np.arange(n)
+        for S in ops:
+            if S.matrix.shape != (n, n):
+                raise ValueError(f"dimension mismatch: {S.matrix.shape} vs {(n, n)}")
+            rows, cols, S_rc, S_cr = S.pattern
+            rows, cols = inverse[rows], inverse[cols]
+            keys.append((rows * n + cols)[(rows > cols) & (np.abs(S_rc) ** 2 + np.abs(S_cr) ** 2 > 0.0)])
+        keys = np.concatenate(keys)
+        keys = keys[np.argsort(keys)]
+        rows, cols = np.divmod(keys[np.diff(keys, prepend=-1) > 0], n)  # the union, once each
+        flats = [S.matrix.reshape(-1) for S in ops]
+    else:
+        index, rotated = np.arange(n), [to_eigenbasis(basis, S) for S in ops]
+        either = np.any([(np.abs(s) ** 2 > 0.0).reshape(-1, n, n).any(axis=0) for s in rotated], axis=0)
+        rows, cols = np.nonzero(np.tril(either | either.T, -1))
+        flats = [s.reshape(*s.shape[:-2], -1) for s in rotated]
+    tables = []
+    for flat in flats:
+        elements = np.take(flat, index[rows] * n + index[cols], axis=-1), np.take(flat, index[cols] * n + index[rows], axis=-1)
+        down, up = np.abs(elements[0]) ** 2, np.abs(elements[1]) ** 2
+        diagonal = np.take(flat, index * (n + 1), axis=-1)
+        peak = np.max(np.concatenate((down, up, np.abs(diagonal) ** 2), axis=-1), axis=-1)
+        tables.append(_PairTable(basis.eigenvalues, rows, cols, elements, down, up, down + up, diagonal, peak))
+    return tables
 
 
 class _Frame:
     """Family-independent data of one (state, S), shared by every consumer.
 
-    Every sum runs over the pairs of the ``table`` (built by _pair_table when
-    omitted) and the diagonal; lazy members are computed on first read, and
-    chain_order is the highest commutator moment the frame provides.  The frame
-    of a stack of states, with one S or a stack of S, holds every array with the
-    stack's leading axes, and its scalar members become arrays over the stack;
-    ``dsf`` is single-instance, ``centered_dsfs`` one structure factor per member.
+    Every sum runs over the pairs of the ``table`` (S's own when omitted) and
+    the diagonal; lazy members are computed on first read, and chain_order is
+    the highest commutator moment the frame provides.  The frame of a stack of
+    states, with one S or a stack of S, holds every array with the stack's
+    leading axes, and its scalar members become arrays over the stack.
     """
 
     def __init__(self, state: GibbsState, S, chain_order: int = 0, table: _PairTable | None = None):
@@ -212,7 +203,7 @@ class _Frame:
         self.S = S = as_operator(S)  # checked once; the commutator chain reads it in the original basis
         self.chain_order = chain_order
         lam = state.decomposition.eigenvalues
-        self.table = t = _pair_table(state.decomposition, S) if table is None else table
+        self.table = t = _pair_tables(state.decomposition, S)[0] if table is None else table
         self.x = 0.5 * (np.take(lam, t.rows, axis=-1) - np.take(lam, t.cols, axis=-1))  # omega_nm/2 >= 0 at each pair
         self.mean = _dot(state.weights, self.diagonal)
         # both (n, m) and (m, n) of each coupled pair closer than the window
@@ -288,10 +279,6 @@ class _Frame:
         return positive, negative
 
     @cached_property
-    def dsf(self) -> LineSpectrum:
-        return _assemble(self, (), False)
-
-    @cached_property
     def centered_dsfs(self) -> list[LineSpectrum]:
         """The structure factor of S - <S> of each member, which the dsf route reads: no line sum cancels <S>^2."""
         return [_assemble(self, i, True) for i in self.members]
@@ -311,22 +298,18 @@ class _Frame:
 
 def _frame_pair(state: GibbsState, A, B, chain_order: int = 0) -> tuple[_Frame, _Frame]:
     """Frames of A (to chain_order) and B over the pairs either couples; one frame when B is A."""
-    A, B = (as_operator(A),) * 2 if B is A else (as_operator(A), as_operator(B))
-    lam, a_eig = state.decomposition.eigenvalues, to_eigenbasis(state, A)
     if B is A:
-        frame = _Frame(state, A, chain_order, _PairTable(lam, a_eig))
+        frame = _Frame(state, A, chain_order)
         return frame, frame
-    b_eig = to_eigenbasis(state, B)
-    return (
-        _Frame(state, A, chain_order, _PairTable(lam, a_eig, b_eig)),
-        _Frame(state, B, 0, _PairTable(lam, b_eig, a_eig)),
-    )
+    A, B = as_operator(A), as_operator(B)
+    table_a, table_b = _pair_tables(state.decomposition, A, B)
+    return _Frame(state, A, chain_order, table_a), _Frame(state, B, 0, table_b)
 
 
 def _pair_products(frame_a: _Frame, frame_b: _Frame) -> np.ndarray:
     """A_nm B_mn + A_mn B_nm at the pairs of two frames over the same pairs."""
-    (a_down, a_up), (b_down, b_up) = map(frame_a.table.gather, (frame_a.table.s_eig, frame_b.table.s_eig))
-    return a_down * b_up + a_up * b_down
+    (a_nm, a_mn), (b_nm, b_mn) = frame_a.table.elements, frame_b.table.elements
+    return a_nm * b_mn + a_mn * b_nm
 
 
 def _check_pair_balance(omega, positive, negative, floor):
@@ -353,8 +336,7 @@ def build_dsf(state: GibbsState, S, centered: bool = False) -> LineSpectrum:
     ``centered`` the observable is replaced by S - <S> first (which only
     changes the elastic weight).
     """
-    frame = _Frame(state, S)
-    return frame.centered_dsfs[0] if centered else frame.dsf
+    return _assemble(_Frame(state, S), (), centered)
 
 
 def moment(Q: LineSpectrum, p: int) -> float:
@@ -450,12 +432,12 @@ def bogoliubov_duhamel_quadrature(state: GibbsState, A, B, nodes: int = 32) -> f
     closed-form kernel, as an independent check of bogoliubov_duhamel.
     Accurate to ~1e-10 for spectral ranges up to a few tens.
     """
-    frame_a, frame_b = _frame_pair(state, A, B)
+    a_eig = to_eigenbasis(state, A)
+    pair = a_eig * (a_eig if B is A else to_eigenbasis(state, B)).T
     lw = state.log_weights
     x, w = np.polynomial.legendre.leggauss(nodes)
     taus = 0.5 * (x + 1.0)
     total = 0.0
-    pair = frame_a.table.s_eig * frame_b.table.s_eig.T
     for tau, wq in zip(taus, w):
         kernel = np.exp((1.0 - tau) * lw[:, None] + tau * lw[None, :])
         total += 0.5 * wq * float(np.sum(pair * kernel).real)

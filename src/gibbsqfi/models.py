@@ -15,7 +15,7 @@ from functools import reduce
 import numpy as np
 
 from . import families as fam
-from .dsf import _Frame
+from .dsf import _assemble, _Frame
 from .hilbert import GibbsState, HermitianOperator, gibbs_state
 from .metrics import _evaluate
 
@@ -132,7 +132,7 @@ def spin_ratio_property(model: SpinModel, family: fam.MonotoneFamily) -> SpinRat
     """
     T, S = build_model(model)
     frame = _Frame(gibbs_state(T), S)
-    omegas = frame.dsf.omegas
+    omegas = _assemble(frame, (), False).omegas
     off = np.minimum(np.abs(np.abs(omegas) - model.omega0), np.abs(omegas))
     support_ok = bool(np.all(off < 1e-9))
     brute = _evaluate(frame, family, "spectral")[0].value

@@ -50,7 +50,7 @@ def build_cross_dsf(state, A, B):
     weighs e^{-w} times the conjugate of the one at w.
     """
     frame_a, frame_b = dsf._frame_pair(state, A, B)
-    (a_down, a_up), (b_down, b_up) = map(frame_a.table.gather, (frame_a.table.s_eig, frame_b.table.s_eig))
+    (a_down, a_up), (b_down, b_up) = frame_a.table.elements, frame_b.table.elements
     w_rows, w_cols = frame_a.pair_weights
     # pair (n, m): <n|dA|m> <m|dB|n> rho_m at omega_nm and its partner at -omega_nm
     positive, negative = a_down * b_up * w_cols, a_up * b_down * w_rows
@@ -126,19 +126,21 @@ class TestBuildDsf:
         # build_dsf is the spectrum of a frame's pre-rotated elements
         state, s = random_instance(21, 5)
         frame = dsf._Frame(state, s)
-        direct, given = dsf.build_dsf(state, s), frame.dsf
+        direct, given = dsf.build_dsf(state, s), dsf._assemble(frame, (), False)
         assert np.array_equal(direct.omegas, given.omegas)
         assert np.array_equal(direct.weights, given.weights)
         assert direct.mean_s == given.mean_s == frame.mean
-        assert frame.dsf is given
+        centered, [given] = dsf.build_dsf(state, s, centered=True), frame.centered_dsfs
+        assert np.array_equal(centered.omegas, given.omegas) and np.array_equal(centered.weights, given.weights)
+        assert frame.centered_dsfs[0] is given
 
     def test_unbalanced_rotated_input_rejected(self, qubit):
         # |S_01| != |S_10|: elements that are not Hermitian are caught by
         # the detailed-balance check of the line-spectrum helper
         s_eig = np.array([[0.0, 1.0], [0.5, 0.0]], dtype=complex)
-        table = dsf._PairTable(qubit.decomposition.eigenvalues, s_eig)
+        [table] = dsf._pair_tables(qubit.decomposition, hb.HermitianOperator._trusted(s_eig))
         with pytest.raises(ArithmeticError, match="detailed balance"):
-            dsf._Frame(qubit, SX, table=table).dsf
+            dsf._assemble(dsf._Frame(qubit, SX, table=table), (), False)
 
     def test_violating_input_rejected(self):
         # the line at omega = -1 must weigh e^{-1} times its partner at +1
@@ -427,11 +429,11 @@ class TestFrameMembers:
         state, s = random_instance(5, 5)
         frames = [dsf._Frame(state, s, 3), dsf._Frame(state, s, 3)]
         for frame in frames:
-            for name in ("moments", "log_kernel", "pair_weights", "second_moment", "dsf", "max_omega"):
+            for name in ("moments", "log_kernel", "pair_weights", "second_moment", "centered_dsfs", "max_omega"):
                 assert getattr(frame, name) is getattr(frame, name)
         assert calls == {"moments": 2, "kernel": 2}
         first, second = frames
-        for name in ("moments", "log_kernel", "pair_weights", "dsf"):
+        for name in ("moments", "log_kernel", "pair_weights", "centered_dsfs"):
             assert getattr(first, name) is not getattr(second, name)
         assert first.moments == second.moments
 
@@ -442,7 +444,7 @@ class TestFrameMembers:
         exprel_neg = dsf._exprel_neg
         monkeypatch.setattr(dsf, "_exprel_neg", lambda *args: calls.append(1) or exprel_neg(*args))
         state, s = random_instance(5, 6)
-        spectrum = dsf._Frame(state, s).dsf
+        spectrum = dsf.build_dsf(state, s)
         values = [metrics.metric_from_dsf(spectrum, family).value for family in fam.named_families().values()]
         assert len(calls) == 1
         assert values == [
@@ -498,7 +500,7 @@ class TestPerJobFacts:
     def test_kept_pattern_gives_the_scanned_moments(self, tmp_path, build):
         T, S = build(tmp_path)
         basis = hb.eigendecompose(T)
-        table = dsf._PairTable(basis.eigenvalues, hb.to_eigenbasis(basis, S))
+        [table] = dsf._pair_tables(basis, S)
         for c in (0.3, 1.0, 2.5):
             state = hb._scaled_state(basis, T.matrix, c)
             moments = dsf._Frame(state, S, 12, table).moments

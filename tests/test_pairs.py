@@ -11,11 +11,11 @@ import sys
 import numpy as np
 import pytest
 
-from gibbsqfi import cli, dsf, metrics
+from gibbsqfi import cli, dsf, inequalities, metrics
 from gibbsqfi import families as fam
 from gibbsqfi import hilbert as hb
 from gibbsqfi.inequalities import random_instance
-from gibbsqfi.models import BosonModel, SpinModel, build_model
+from gibbsqfi.models import BosonModel, SpinModel, build_model, spin_matrices
 from test_dsf import _tied_diagonal_pair
 from test_hilbert import duhamel_kernel
 
@@ -36,6 +36,30 @@ class Grid:
         self.diagonal = np.diagonal(self.s_eig, axis1=-2, axis2=-1)
         self.mean = np.sum(state.weights * self.diagonal.real, axis=-1)
         self.centered = self.s_eig - self.mean[..., None, None] * np.eye(state.dim)
+
+
+def full_grid_table(eigenvalues, s_eig, *also):
+    """The table of rotated elements s_eig, scanned on the full grid: the pairs (n, m), n > m, where the squares
+    of s_eig or of an operator in ``also`` are not all 0, with |S_nm|^2 and |S_mn|^2 gathered from the grid's squares."""
+    n = s_eig.shape[-1]
+    abs2 = np.abs(s_eig) ** 2
+    either = (abs2 + sum(np.abs(a) ** 2 for a in also) > 0.0).reshape(-1, n, n).any(axis=0)
+    rows, cols = np.nonzero(either | either.T)
+    rows, cols = rows[rows > cols], cols[rows > cols]
+
+    def gather(a):
+        flat = a.reshape(*a.shape[:-2], -1)
+        return np.take(flat, rows * n + cols, axis=-1), np.take(flat, cols * n + rows, axis=-1)
+
+    down, up = gather(abs2)
+    diagonal, peak = np.diagonal(s_eig, axis1=-2, axis2=-1), np.max(abs2, axis=(-2, -1))
+    return dsf._PairTable(eigenvalues, rows, cols, gather(s_eig), down, up, down + up, diagonal, peak)
+
+
+def full_grid_tables(basis, *ops):
+    """full_grid_table of each operator, rotated by to_eigenbasis, over the pairs any of them couples."""
+    rotated = [hb.to_eigenbasis(basis, op) for op in ops]
+    return [full_grid_table(basis.eigenvalues, s_eig, *rotated[:i], *rotated[i + 1:]) for i, s_eig in enumerate(rotated)]
 
 
 def grid_spectral(grid, family):
@@ -135,14 +159,14 @@ class TestRoutesMatchTheFullGrid:
     def test_spectral_oracle_and_dsf(self, case):
         state, S, _ = case
         grid, frame = Grid(state, S), dsf._Frame(state, S)
-        lines = grid_lines(grid)
-        assert frame.dsf.omegas.shape == lines[0].shape
-        assert close(frame.dsf.omegas, lines[0]) and close(frame.dsf.weights, lines[1])
+        lines, spectrum = grid_lines(grid), dsf._assemble(frame, (), False)
+        assert spectrum.omegas.shape == lines[0].shape
+        assert close(spectrum.omegas, lines[0]) and close(spectrum.weights, lines[1])
         reference = dsf.LineSpectrum(*lines, "diagonal", state.dim, float(grid.mean), np.log(lines[1]) + np.maximum(0.0, -lines[0]))
         for family in FAMILIES:
             assert close(metrics._evaluate(frame, family, "spectral")[0].value, grid_spectral(grid, family)), family
             assert close(metrics._evaluate(frame, family, "oracle")[0].value, grid_oracle(grid, family)), family
-            dsf_value = metrics.metric_from_dsf(frame.dsf, family).value
+            dsf_value = metrics.metric_from_dsf(spectrum, family).value
             assert close(dsf_value, metrics.metric_from_dsf(reference, family).value), family
 
     def test_series_bases(self, case):
@@ -170,7 +194,7 @@ class TestEmptyTable:
         state = hb.gibbs_state(T)
         # the rotation leaves the off-diagonal at roundoff; the table of its diagonal is empty
         s_eig = np.diag(np.diag(hb.to_eigenbasis(state, S)))
-        frame = dsf._Frame(state, S, table=dsf._PairTable(state.decomposition.eigenvalues, s_eig))
+        frame = dsf._Frame(state, S, table=full_grid_table(state.decomposition.eigenvalues, s_eig))
         assert frame.table.rows.size == 0
         w, d = state.weights, frame.diagonal
         variance = float(np.dot(w, d ** 2) - np.dot(w, d) ** 2)
@@ -218,8 +242,8 @@ class TestOneTablePerJob:
         # every point of a sweep reads one table; no point sorts its lines:
         # the job sorts the diagonal S_z in eigendecompose and the table's pairs row-major, once each
         tables, sorts = [], []
-        table_builder, argsort = cli._pair_table, np.argsort
-        sorters = {hb.eigendecompose.__code__: "eigendecompose", dsf._PairTable._from_pattern.__func__.__code__: "table"}
+        table_builder, argsort = cli._pair_tables, np.argsort
+        sorters = {hb.eigendecompose.__code__: "eigendecompose", dsf._pair_tables.__code__: "table"}
 
         def sort_once_per_job(*args, **kwargs):
             caller = sorters.get(sys._getframe(1).f_code)
@@ -228,7 +252,7 @@ class TestOneTablePerJob:
             sorts.append(caller)
             return argsort(*args, **kwargs)
 
-        monkeypatch.setattr(cli, "_pair_table", lambda *args: tables.append(table_builder(*args)) or tables[-1])
+        monkeypatch.setattr(cli, "_pair_tables", lambda *args: tables.extend(table_builder(*args)) or tables[-1:])
         monkeypatch.setattr(np, "argsort", sort_once_per_job)
         config = cli.JobConfig.from_dict({
             "model": {"model": "spin", "S": 4, "omega0": 1.0},
@@ -257,8 +281,24 @@ def _same_bits(a, b):
     return a.dtype == b.dtype and a.shape == b.shape and a.tobytes() == b.tobytes()
 
 
+def _sparse_partner(T):
+    """A Hermitian operator of T's shape, a GUE draw at about one entry in five: a pattern other than S's."""
+    rng, shape = np.random.default_rng(T.dim), T.matrix.shape
+    g = (rng.normal(size=shape) + 1j * rng.normal(size=shape)) * (rng.random(shape) < 0.2)
+    return hb.HermitianOperator(g + np.swapaxes(g.conj(), -1, -2))
+
+
+def _stacked_pair():
+    rng = np.random.default_rng(33)
+    draws = [random_instance(rng, 5) for _ in range(3)]
+    return tuple(hb.HermitianOperator(np.stack([op.matrix for op in ops])) for ops in zip(*draws))
+
+
 class TestPatternTable:
-    """A basis that is a sort builds its table from S's pattern, with every bit of the rotated table."""
+    """The builder's table of each operator has every bit of the full-grid table of its rotated elements.
+
+    A basis that is a sort reads the pairs from the operators' patterns; an eigh basis scans the rotated squares.
+    """
 
     CASES = {
         **{f"spin-{s:g}": (lambda s=s: SpinModel(s, 0.7).unit_matrices()) for s in (0.5, 1.0, 3.5, 20.0, 200.0)},
@@ -267,19 +307,33 @@ class TestPatternTable:
         "tied-diagonal": _tied_diagonal_pair,
         "unsorted-tied-diagonal": _unsorted_tied_diagonal,
     }
-    FIELDS = ("rows", "cols", "down", "up", "abs2", "diagonal", "peak", "log_abs2", "order")
+    EIGH_CASES = {
+        **{f"dense-{dim}": (lambda dim=dim: random_instance(np.random.default_rng(dim), dim)) for dim in (2, 7)},
+        "stack": _stacked_pair,
+    }
+    FIELDS = ("rows", "cols", "elements", "down", "up", "abs2", "diagonal", "peak", "log_abs2", "order")
+
+    def _check_tables(self, T, S):
+        """Compare S's table, and both tables of S with a partner, with the full-grid tables; return S's table."""
+        basis = hb.eigendecompose(T)
+        fields = self.FIELDS if basis.eigenvalues.ndim == 1 else self.FIELDS[:-1]  # the line order is single-instance
+        with np.errstate(over="ignore"):  # |3e160|^2 is inf in both tables
+            for ops in ((S,), (S, _sparse_partner(T))):
+                for got, want in zip(dsf._pair_tables(basis, *ops), full_grid_tables(basis, *ops), strict=True):
+                    for field in fields:
+                        assert _same_bits(getattr(got, field), getattr(want, field)), (len(ops), field)
+            [table] = dsf._pair_tables(basis, S)
+        return basis, table
 
     @pytest.mark.parametrize("name", CASES)
     def test_equals_the_rotated_table(self, name):
-        T, S = self.CASES[name]()
-        basis = hb.eigendecompose(T)
-        assert basis.order is not None
-        with np.errstate(over="ignore"):  # |3e160|^2 is inf in both tables
-            got = dsf._pair_table(basis, S)
-            want = dsf._PairTable(basis.eigenvalues, hb.to_eigenbasis(basis, S))
-            for field in self.FIELDS:
-                assert _same_bits(getattr(got, field), getattr(want, field)), field
-        assert got.rows.size > 0
+        basis, table = self._check_tables(*self.CASES[name]())
+        assert basis.order is not None and table.rows.size > 0
+
+    @pytest.mark.parametrize("name", EIGH_CASES)
+    def test_eigh_table_equals_the_rotated_table(self, name):
+        basis, table = self._check_tables(*self.EIGH_CASES[name]())
+        assert basis.order is None and table.rows.size > 0
 
     @pytest.mark.parametrize("name", [name for name in CASES if "diagonal" not in name])
     def test_construction_pattern_is_the_scanned_one(self, name):
@@ -288,18 +342,60 @@ class TestPatternTable:
             scanned = hb.HermitianOperator.pattern.func(hb.HermitianOperator._trusted(op.matrix.copy()))
             assert all(_same_bits(got, want) for got, want in zip(op.pattern, scanned, strict=True))
 
-    @pytest.mark.parametrize("dim", [2, 4])
-    def test_dimension_mismatch_raises(self, dim):
-        state = hb.gibbs_state(np.diag([0.0, 1.0, 2.0]).astype(complex))
-        with pytest.raises(ValueError, match="dimension mismatch"):
-            metrics.metric_spectral(state, np.eye(dim), fam.BKM)
+    @pytest.mark.parametrize("shape", [(2, 2), (4, 4), (2, 3, 3)], ids=["2", "4", "stack"])
+    def test_dimension_mismatch_raises(self, shape):
+        # a wrong-dim S, or a stack of S against one state, on a sorted basis and on an eigh basis
+        T, good = np.diag([0.0, 1.0, 2.0]).astype(complex), hb.HermitianOperator(_gue(np.random.default_rng(5), 3))
+        S = np.broadcast_to(np.eye(shape[-1]), shape)
+        states = [hb.gibbs_state(T), hb.gibbs_state(T + good.matrix)]
+        assert [state.decomposition.order is None for state in states] == [False, True]
+        routes = {
+            "metric_spectral": lambda state: metrics.metric_spectral(state, S, fam.BKM),
+            "cross_metric": lambda state: metrics.cross_metric(state, good, S, fam.BKM),
+            "bogoliubov_duhamel": lambda state: dsf.bogoliubov_duhamel(state, S, good),
+            "build_dsf": lambda state: dsf.build_dsf(state, S),
+        }
+        for state in states:
+            for name, route in routes.items():
+                with pytest.raises(ValueError, match="dimension mismatch"):
+                    route(state)
+                    pytest.fail(name)
 
     def test_selection_reads_the_squares(self):
         # 2e-170 and 1e-300j are entries of the pattern, but their squares are 0: of 4 coupled pairs, 2 stay
         T, S = _unsorted_tied_diagonal()
         with np.errstate(over="ignore"):
-            table = dsf._pair_table(hb.eigendecompose(T), S)
+            [table] = dsf._pair_tables(hb.eigendecompose(T), S)
         assert S.pattern[0].size == 11 and table.rows.size == 2
+
+
+class TestCrossRoutesOnASort:
+    """The public cross routes on a diagonal generator read both operators' patterns: they rotate nothing,
+    and their values have every bit of the values on the full-grid tables of the rotated elements."""
+
+    CASES = {
+        "spin": lambda: (build_model(SpinModel(6.0, 0.9))[0], *spin_matrices(6.0)[:2]),
+        "boson-k2": lambda: (*build_model(BosonModel(2, 0.6, 50)), build_model(BosonModel(1, 0.6, 50))[1]),
+    }
+    ROUTES = {
+        "cross_metric": lambda state, A, B: [metrics.cross_metric(state, A, B, family) for family in FAMILIES],
+        "bogoliubov_duhamel": lambda state, A, B: dsf.bogoliubov_duhamel(state, A, B),
+        "cauchy_schwarz_cross": lambda state, A, B: inequalities.cauchy_schwarz_cross(state, A, B, fam.BURES, fam.MC),
+    }
+
+    @pytest.mark.parametrize("route", ROUTES)
+    @pytest.mark.parametrize("name", CASES)
+    def test_no_rotation_and_the_full_grid_bits(self, monkeypatch, name, route):
+        T, A, B = self.CASES[name]()
+        state, rotate, rotations = hb.gibbs_state(T), hb.to_eigenbasis, []
+        assert state.decomposition.order is not None
+        with monkeypatch.context() as patch:
+            for module in (dsf, hb):
+                patch.setattr(module, "to_eigenbasis", lambda *args: rotations.append(args) or rotate(*args))
+            got = self.ROUTES[route](state, A, B)
+        assert rotations == []
+        monkeypatch.setattr(dsf, "_pair_tables", full_grid_tables)
+        assert repr(got) == repr(self.ROUTES[route](state, A, B))
 
 
 class TestOracleOrientation:
