@@ -167,9 +167,7 @@ def _point_model(model: dict, point=(None, None)):
             raise UsageError(f"{kind} model: {exc}") from None
     if kind is None and "T" in spec and "S" in spec:
         return None
-    raise UsageError(
-        "model must be {'model': 'spin'|'boson', ...} or {'T': path, 'S': path}"
-    )
+    raise UsageError("model must be {'model': 'spin'|'boson', ...} or {'T': path, 'S': path}")
 
 
 def _resolve_model(model: dict, m):
@@ -181,7 +179,7 @@ def _resolve_model(model: dict, m):
     if m is not None:
         try:
             return (*m.unit_matrices(), m.frequency)
-        except ValueError as exc:  # numpy refuses a dimension past its size limit
+        except (ValueError, MemoryError) as exc:  # numpy refuses a dimension past its size limit, or one it cannot allocate
             raise UsageError(f"{model['model']} model: {exc}") from None
     try:
         T, _ = read_operator_json(model["T"])
@@ -216,7 +214,7 @@ def _decompose(T):
 def _gibbs(basis, T, c, where: str):
     """Gibbs state of c * T from T's decomposition (a stack for an array c); a c * T past double range is a usage error."""
     try:
-        return _scaled_state(basis, T.matrix, c)
+        return _scaled_state(basis, T, c)
     except ArithmeticError as exc:
         raise UsageError(f"beta * T at {where}: {exc}") from None
 
@@ -304,14 +302,8 @@ def _format_rows_csv(rows, header) -> str:
     writer = csv.DictWriter(buffer, fieldnames=header, lineterminator="\n")
     writer.writeheader()
     for row in rows:
-        writer.writerow({k: _csv_cell(row[k]) for k in header})
+        writer.writerow({k: repr(row[k]) if isinstance(row[k], float) else row[k] for k in header})
     return buffer.getvalue()
-
-
-def _csv_cell(value):
-    if isinstance(value, float):
-        return repr(value)
-    return value
 
 
 @contextlib.contextmanager

@@ -164,25 +164,24 @@ def _pair_tables(basis: SpectralDecomposition, *ops: HermitianOperator) -> list[
         index, inverse, keys = basis.order, np.empty_like(basis.order), []
         inverse[index] = np.arange(n)
         for S in ops:
-            if S.matrix.shape != (n, n):
-                raise ValueError(f"dimension mismatch: {S.matrix.shape} vs {(n, n)}")
+            if S.shape != (n, n):
+                raise ValueError(f"dimension mismatch: {S.shape} vs {(n, n)}")
             rows, cols, S_rc, S_cr = S.pattern
             rows, cols = inverse[rows], inverse[cols]
             keys.append((rows * n + cols)[(rows > cols) & (np.abs(S_rc) ** 2 + np.abs(S_cr) ** 2 > 0.0)])
         keys = np.concatenate(keys)
         keys = keys[np.argsort(keys)]
         rows, cols = np.divmod(keys[np.diff(keys, prepend=-1) > 0], n)  # the union, once each
-        flats = [S.matrix.reshape(-1) for S in ops]
+        columns = [((S._entries_at(index[rows], index[cols]), S._entries_at(index[cols], index[rows])), S.diagonal[index]) for S in ops]
     else:
-        index, rotated = np.arange(n), [to_eigenbasis(basis, S) for S in ops]
+        rotated = [to_eigenbasis(basis, S) for S in ops]
         either = np.any([(np.abs(s) ** 2 > 0.0).reshape(-1, n, n).any(axis=0) for s in rotated], axis=0)
         rows, cols = np.nonzero(np.tril(either | either.T, -1))
         flats = [s.reshape(*s.shape[:-2], -1) for s in rotated]
+        columns = [((np.take(f, rows * n + cols, axis=-1), np.take(f, cols * n + rows, axis=-1)), np.take(f, np.arange(n) * (n + 1), axis=-1)) for f in flats]
     tables = []
-    for flat in flats:
-        elements = np.take(flat, index[rows] * n + index[cols], axis=-1), np.take(flat, index[cols] * n + index[rows], axis=-1)
+    for elements, diagonal in columns:
         down, up = np.abs(elements[0]) ** 2, np.abs(elements[1]) ** 2
-        diagonal = np.take(flat, index * (n + 1), axis=-1)
         peak = np.max(np.concatenate((down, up, np.abs(diagonal) ** 2), axis=-1), axis=-1)
         tables.append(_PairTable(basis.eigenvalues, rows, cols, elements, down, up, down + up, diagonal, peak))
     return tables
@@ -352,13 +351,8 @@ def moment(Q: LineSpectrum, p: int) -> float:
     if p == -1:
         elastic = np.abs(Q.omegas) <= _MERGE_TOL
         if np.any(elastic) and np.any(Q.weights[elastic] > 0.0):
-            raise ZeroDivisionError(
-                "M_{-1} diverges: the spectrum has a nonzero elastic line"
-            )
-        mask = ~elastic
-        return float(np.sum(Q.weights[mask] / Q.omegas[mask]))
-    if p == 0:
-        return float(np.sum(Q.weights))
+            raise ZeroDivisionError("M_{-1} diverges: the spectrum has a nonzero elastic line")
+        return float(np.sum(Q.weights[~elastic] / Q.omegas[~elastic]))
     return float(np.sum(Q.omegas ** p * Q.weights))
 
 
@@ -367,7 +361,7 @@ def _chain_traces(state: GibbsState, S: HermitianOperator):
     rho_ii = exp(-c T_ii - logZ); another T's chain runs on dense arrays of c * T and the density matrix.
     """
     if state.decomposition.order is not None or _is_diagonal(state.generator):
-        diagonal = state.c * np.diagonal(state.T, axis1=-2, axis2=-1)
+        diagonal = state.c * state.T.diagonal
         rows, cols, R, S_transposed = S.pattern
         rho = np.exp(-diagonal.real - np.asarray(state.logZ)[..., None])
         P_transposed = S_transposed * np.take(rho, rows, axis=-1)

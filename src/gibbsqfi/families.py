@@ -418,11 +418,9 @@ def _series_of_scales(nums, dens, L, mp):
         ]
 
     def div(A, B):
-        # B[0] = 1 always holds for sinhc series
         Q = [mp.mpf(0)] * (L + 1)
-        for l in range(L + 1):
-            acc = A[l] - mp.fsum(Q[i] * B[l - i] for i in range(l))
-            Q[l] = acc / B[0]
+        for l in range(L + 1):  # B[0] = 1 for sinhc series
+            Q[l] = A[l] - mp.fsum(Q[i] * B[l - i] for i in range(l))
         return Q
 
     series = [mp.mpf(1)] + [mp.mpf(0)] * L
@@ -450,10 +448,7 @@ def taylor_coeffs(family: MonotoneFamily, kind: str = "g", L: int = 12):
     """
     if not isinstance(L, numbers.Integral) or L < 1:
         raise ValueError(f"L must be a positive integer, got {L!r}")
-    if kind == "g":
-        nums, dens = _g_scales(family)
-    elif kind == "g_hat":
-        nums, dens = _g_hat_scales(family)
-    else:
+    if kind not in ("g", "g_hat"):
         raise ValueError("kind must be 'g' or 'g_hat'")
+    nums, dens = (_g_scales if kind == "g" else _g_hat_scales)(family)
     return list(_taylor_cached(nums, dens, L))

@@ -41,11 +41,13 @@ class HermitianOperator:
     along leading axes, shape (..., n, n), is one operator per matrix.
     Matrices from outside are checked here, by ``as_operator`` on an array
     and by ``read_operator_json``; those the program builds exactly
-    Hermitian (model matrices, GUE draws) are wrapped by ``_trusted``.
+    Hermitian are wrapped by ``_trusted`` (GUE draws) or, as their nonzero
+    entries alone, by ``_held`` (the models' band matrices).
     """
 
     def __init__(self, entries, atol: float = 1e-12):
         m = np.array(entries, dtype=complex)
+        self.shape = m.shape
         if m.ndim < 2 or m.shape[-1] != m.shape[-2] or m.shape[-1] < 1:
             raise ValueError("expected a square matrix of dimension >= 1")
         if not np.all(np.isfinite(m)):
@@ -54,9 +56,7 @@ class HermitianOperator:
         with np.errstate(over="ignore"):
             self.asymmetry = asym = float(np.max(np.abs(m - m_dagger))) if m.size else 0.0
         if asym > atol:
-            raise ValueError(
-                f"matrix is not Hermitian: max|H - H^dagger| = {asym:.3e} > {atol:.1e}"
-            )
+            raise ValueError(f"matrix is not Hermitian: max|H - H^dagger| = {asym:.3e} > {atol:.1e}")
         with np.errstate(over="ignore", invalid="ignore"):
             self.matrix = 0.5 * (m + m_dagger)
         # H + H^dagger overflows for entries above about 9e307
@@ -64,42 +64,65 @@ class HermitianOperator:
             raise ValueError("Hermitian part (H + H^dagger)/2 has non-finite entries")
 
     @classmethod
-    def _trusted(cls, matrix: np.ndarray, support: tuple | None = None) -> "HermitianOperator":
+    def _trusted(cls, matrix: np.ndarray) -> "HermitianOperator":
         """Wrap, uncopied, a complex matrix or stack equal to its conjugate transpose, skipping the check
         unless an entry is non-finite or past half the double range, where the check rejects it.
-
-        ``support``, positions (rows, cols) in row-major order that hold every nonzero entry, sets the
-        ``pattern`` at construction; the range is then read on the pattern's entries alone.
         """
         op = cls.__new__(cls)
-        op.matrix, op.asymmetry = matrix, 0.0
-        if support is not None:
-            op.pattern = op._pattern_at(*support)
-        entries = matrix if support is None else op.pattern[2]
-        if not (np.abs(entries.view(float)) <= np.finfo(float).max / 2).all():
-            return cls(matrix)
-        return op
+        op.matrix, op.shape, op.asymmetry = matrix, matrix.shape, 0.0
+        return op._in_range(matrix)
+
+    @classmethod
+    def _held(cls, dim: int, pattern: tuple, diagonal: np.ndarray) -> "HermitianOperator":
+        """An operator that holds only its ``pattern`` (rows, cols, A_rc, A_cr: row-major, nonzero, exactly Hermitian) and
+        its ``diagonal``; ``matrix`` is formed on first read.  The range is checked as by ``_trusted``, on the pattern's entries.
+        """
+        op = cls.__new__(cls)
+        op.shape, op.asymmetry, op.pattern, op.diagonal = (dim, dim), 0.0, pattern, diagonal
+        return op._in_range(pattern[2])
+
+    def _in_range(self, entries: np.ndarray) -> "HermitianOperator":
+        """self if no entry is non-finite or past half the double range, else the checked operator, which rejects it."""
+        return self if (np.abs(entries.view(float)) <= np.finfo(float).max / 2).all() else type(self)(self.matrix)
+
+    @cached_property
+    def matrix(self) -> np.ndarray:
+        """The dense matrix: given at construction, or formed on first read from the pattern and the diagonal."""
+        rows, cols, A_rc, _ = self.pattern
+        matrix = np.zeros(self.shape, dtype=complex)
+        matrix[rows, cols] = A_rc
+        np.fill_diagonal(matrix, self.diagonal)  # a zero on it keeps its sign
+        return matrix
 
     @property
     def dim(self) -> int:
-        return self.matrix.shape[-1]
+        return self.shape[-1]
+
+    @cached_property
+    def diagonal(self) -> np.ndarray:
+        """The diagonal of the matrix, or of each matrix of the stack."""
+        return np.diagonal(self.matrix, axis1=-2, axis2=-1)
 
     @cached_property
     def pattern(self) -> tuple:
-        """(rows, cols, A_rc, A_cr) at the entries (r, c) where the matrix, or a matrix of the stack, is nonzero.
+        """(rows, cols, A_rc, A_cr) at the entries (r, c), row-major, where the matrix, or a matrix of the stack, is nonzero.
 
         Gathered with np.take, in C order, so a stack sums as its matrices do; set at construction, or scanned on first read.
         """
-        n = self.dim
-        return self._pattern_at(*np.nonzero(np.any(self.matrix.reshape(-1, n, n) != 0.0, axis=0)))
+        n, flat = self.dim, self.matrix.reshape(*self.shape[:-2], -1)
+        rows, cols = np.nonzero(np.any(self.matrix.reshape(-1, n, n) != 0.0, axis=0))
+        return rows, cols, np.take(flat, rows * n + cols, axis=-1), np.take(flat, cols * n + rows, axis=-1)
 
-    def _pattern_at(self, rows: np.ndarray, cols: np.ndarray) -> tuple:
-        """The pattern's entries among the positions (rows, cols), kept in their order."""
-        n, flat = self.dim, self.matrix.reshape(*self.matrix.shape[:-2], -1)
-        A_rc = np.take(flat, rows * n + cols, axis=-1)
-        nonzero = np.any(A_rc != 0.0, axis=tuple(range(A_rc.ndim - 1)))
-        rows, cols = rows[nonzero], cols[nonzero]
-        return rows, cols, A_rc[..., nonzero], np.take(flat, cols * n + rows, axis=-1)
+    def _entries_at(self, rows: np.ndarray, cols: np.ndarray) -> np.ndarray:
+        """The entries of one matrix at (rows, cols): gathered from it when it is formed, else read off the pattern, 0 outside it."""
+        n = self.dim
+        if "matrix" in vars(self):
+            return np.take(self.matrix, rows * n + cols)
+        pattern_rows, pattern_cols, A_rc, _ = self.pattern
+        keys, wanted = pattern_rows * n + pattern_cols, rows * n + cols
+        at = np.searchsorted(keys, wanted)
+        at[np.append(keys, -1)[at] != wanted] = keys.size  # a position outside the pattern reads the appended 0
+        return np.append(A_rc, 0.0)[at]
 
     def __repr__(self):
         return f"HermitianOperator(dim={self.dim})"
@@ -163,9 +186,9 @@ def eigendecompose(H) -> SpectralDecomposition:
     """
     op = as_operator(H)
     pattern = vars(op).get("pattern")  # a known pattern says whether the matrix is diagonal in O(nonzeros)
-    if op.matrix.ndim == 2 and (_is_diagonal(op.matrix) if pattern is None else np.array_equal(pattern[0], pattern[1])):
-        order = np.argsort(np.diagonal(op.matrix).real, kind="stable")
-        return SpectralDecomposition(np.diagonal(op.matrix).real[order], order=order)
+    if len(op.shape) == 2 and (_is_diagonal(op.matrix) if pattern is None else np.array_equal(pattern[0], pattern[1])):
+        order = np.argsort(op.diagonal.real, kind="stable")
+        return SpectralDecomposition(op.diagonal.real[order], order=order)
     vals, vecs = np.linalg.eigh(op.matrix)
     scale = np.maximum(np.max(np.abs(op.matrix), axis=(-2, -1)), 1e-300)
     recon = (vecs * vals[..., None, :]) @ _dagger(vecs)
@@ -192,7 +215,7 @@ class GibbsState:
     decomposition: SpectralDecomposition
     log_weights: np.ndarray
     logZ: float
-    T: np.ndarray = field(repr=False)  # the generator is c * T, T in the original basis as given
+    T: HermitianOperator = field(repr=False)  # the generator is c * T, T in the original basis as given
     c: float | np.ndarray = 1.0
     weights: np.ndarray = field(init=False)
     _rho_matrix: np.ndarray | None = field(default=None, repr=False)
@@ -203,7 +226,7 @@ class GibbsState:
     @cached_property
     def generator(self) -> np.ndarray:
         """c * T, formed on first read: only the dense commutator chain reads it."""
-        return np.expand_dims(self.c, -1) * self.T
+        return np.expand_dims(self.c, -1) * self.T.matrix
 
     @property
     def dim(self) -> int:
@@ -226,12 +249,12 @@ def gibbs_state(T) -> GibbsState:
     so a stack raises ValueError.
     """
     op = as_operator(T)
-    if op.matrix.ndim != 2:
-        raise ValueError(f"gibbs_state takes one generator, not a stack of shape {op.matrix.shape}")
-    return _scaled_state(eigendecompose(op), op.matrix, 1.0)
+    if len(op.shape) != 2:
+        raise ValueError(f"gibbs_state takes one generator, not a stack of shape {op.shape}")
+    return _scaled_state(eigendecompose(op), op, 1.0)
 
 
-def _scaled_state(decomposition: SpectralDecomposition, T: np.ndarray, c: float) -> GibbsState:
+def _scaled_state(decomposition: SpectralDecomposition, T, c: float) -> GibbsState:
     """The Gibbs state of c * T for c > 0 (T's eigenvectors, c times its eigenvalues), from T's checked decomposition.
 
     A scaled range past half the double range (the filters read gaps up to
@@ -252,7 +275,7 @@ def _scaled_state(decomposition: SpectralDecomposition, T: np.ndarray, c: float)
         decomposition=SpectralDecomposition(lam, vars(decomposition).get("eigenvectors"), decomposition.order),
         log_weights=log_w,
         logZ=(log_norm - shift)[..., 0],
-        T=T,
+        T=as_operator(T),
         c=c,
     )
     total = np.sum(state.weights, axis=-1)
@@ -271,8 +294,8 @@ def to_eigenbasis(state: GibbsState | SpectralDecomposition, A) -> np.ndarray:
     op = as_operator(A)
     basis = state.decomposition if isinstance(state, GibbsState) else state
     shape = (basis.dim, basis.dim) if basis.order is not None else basis.eigenvectors.shape
-    if op.matrix.shape != shape:
-        raise ValueError(f"dimension mismatch: {op.matrix.shape} vs {shape}")
+    if op.shape != shape:
+        raise ValueError(f"dimension mismatch: {op.shape} vs {shape}")
     if basis.order is not None:
         return op.matrix[np.ix_(basis.order, basis.order)]
     return _dagger(basis.eigenvectors) @ op.matrix @ basis.eigenvectors
@@ -299,9 +322,7 @@ def solve_xst(T, S) -> tuple[np.ndarray, SpectralDecomposition]:
     diag = np.abs(np.diag(S_eig))
     bad = np.nonzero(diag > 1e-12)[0]
     if bad.size:
-        raise ValueError(
-            f"S has nonzero diagonal in the T-eigenbasis at indices {bad.tolist()}"
-        )
+        raise ValueError(f"S has nonzero diagonal in the T-eigenbasis at indices {bad.tolist()}")
     lam = decomposition.eigenvalues
     gaps = lam[:, None] - lam[None, :]
     scale = max(float(np.max(np.abs(S_eig))), 1e-300)
@@ -309,10 +330,7 @@ def solve_xst(T, S) -> tuple[np.ndarray, SpectralDecomposition]:
     np.fill_diagonal(degenerate, False)
     if np.any(degenerate):
         m, n = np.argwhere(degenerate)[0]
-        raise ZeroDivisionError(
-            f"degenerate eigenvalue pair ({int(m)}, {int(n)}) carries a "
-            "nonzero S element; X is singular there"
-        )
+        raise ZeroDivisionError(f"degenerate eigenvalue pair ({int(m)}, {int(n)}) carries a nonzero S element; X is singular there")
     with np.errstate(divide="ignore", invalid="ignore"):
         X = np.where(np.abs(gaps) < 1e-10, 0.0, S_eig / np.where(gaps == 0.0, 1.0, gaps))
     np.fill_diagonal(X, 0.0)

@@ -317,7 +317,7 @@ def _group_checks(group: _Group) -> tuple[list[_Check], np.ndarray]:
     families whose parameter varies by trial are _Stacked.  Also returns,
     per trial, whether the geometric <= MC link is in its regime.
     """
-    state = _scaled_state(eigendecompose(group.T), group.T.matrix, 1.0)
+    state = _scaled_state(eigendecompose(group.T), group.T, 1.0)
     # C = 2 M_1 and the sum rules p <= 6 read the chain of S to M_5
     frame, frame_b = _frame_pair(state, group.S, group.B, chain_order=5)
     filters = _filters(frame)

@@ -75,12 +75,14 @@ def spin_matrices(s: float):
 
 
 def _band_operator(values: np.ndarray, k: int) -> HermitianOperator:
-    """The real symmetric operator with ``values`` at (n, n + k) and (n + k, n), k >= 0, and its pattern, gathered on the band."""
+    """The real symmetric operator with ``values`` at (n, n + k) and (n + k, n), k >= 0, held as its band: no n x n array."""
     dim = values.size + k
-    matrix, n = np.zeros((dim, dim), dtype=complex), np.arange(dim - k)
-    matrix[n, n + k] = matrix[n + k, n] = values
-    support = np.divmod(np.unique(np.concatenate((n * dim + n + k, (n + k) * dim + n))), dim)  # row-major
-    return HermitianOperator._trusted(matrix, support)
+    n = np.arange(dim - k)
+    rows, cols = np.divmod(np.unique(np.concatenate((n * dim + n + k, (n + k) * dim + n))), dim)  # row-major
+    entries = values.astype(complex)[np.minimum(rows, cols)]
+    nonzero = entries != 0.0
+    pattern = rows[nonzero], cols[nonzero], entries[nonzero], entries[nonzero]
+    return HermitianOperator._held(dim, pattern, entries if k == 0 else np.zeros(dim, dtype=complex))
 
 
 def _ladder_power(v: np.ndarray, k: int) -> np.ndarray:
@@ -179,9 +181,7 @@ class BosonModel:
             Z = float(np.sum(np.exp(-self.omega * n)))
         tail = math.exp(-self.omega * self.cutoff) / Z
         if tail >= 1e-12:
-            raise ValueError(
-                f"cutoff {self.cutoff} too small: Gibbs tail {tail:.3e} >= 1e-12"
-            )
+            raise ValueError(f"cutoff {self.cutoff} too small: Gibbs tail {tail:.3e} >= 1e-12")
 
     @property
     def dim(self) -> int:
@@ -206,7 +206,7 @@ class BosonModel:
 def build_model(model: SpinModel | BosonModel):
     """Generator frequency * T and observable S as operators, from the model's unit_matrices()."""
     unit, S = model.unit_matrices()
-    return HermitianOperator._trusted(model.frequency * unit.matrix, unit.pattern[:2]), S
+    return _band_operator(model.frequency * unit.diagonal, 0), S
 
 
 def _trace_against(state: GibbsState, X: np.ndarray) -> float:
@@ -262,9 +262,7 @@ def boson_constant_report(model: BosonModel) -> BosonConstantsReport:
     }
     K_ref, L_ref = refs.get(model.k, (None, None))
     def dev(num, ref):
-        if ref is None:
-            return None
-        return abs(num - ref) / max(abs(ref), 1e-300)
+        return None if ref is None else abs(num - ref) / max(abs(ref), 1e-300)
     return BosonConstantsReport(
         k=model.k,
         omega=model.omega,

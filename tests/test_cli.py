@@ -4,6 +4,7 @@ import csv
 import json
 import math
 import threading
+import tracemalloc
 import warnings
 
 import numpy as np
@@ -472,10 +473,15 @@ class TestMetricJobs:
             ({"model": "boson", "k": 1, "omega": math.inf, "cutoff": 40}, "boson model: omega must be positive and finite"),
             # np.arange refuses the 2e300 + 1 levels before it allocates anything
             ({"model": "spin", "S": 1e300, "omega0": 1.0}, "spin model: Maximum allowed size exceeded"),
+            # 2e15 + 1 levels of 8 bytes are past any 48-bit address space: refused before anything is allocated
+            (
+                {"model": "spin", "S": 1e15, "omega0": 1.0},
+                "spin model: Unable to allocate 14.2 PiB for an array with shape (2000000000000001,) and data type int64",
+            ),
         ],
         ids=[
             "spin-omega0-nan", "spin-omega0-inf", "spin-S-nan", "spin-S-inf", "boson-omega-nan", "boson-omega-inf",
-            "spin-S-1e300",
+            "spin-S-1e300", "spin-S-1e15",
         ],
     )
     def test_model_parameter_the_model_rejects_exits_2(self, tmp_path, capsys, model, message):
@@ -488,6 +494,50 @@ class TestMetricJobs:
         assert [str(w.message) for w in caught] == []
         assert not out.exists()
         assert capsys.readouterr().err == f"error: {message}\n"
+
+
+class TestLargeModels:
+    """A spin or boson job holds its operators as bands: no array of dim^2 entries is made, so dims of 10^5 run."""
+
+    @pytest.mark.parametrize("model", [
+        {"model": "spin", "S": 100000, "omega0": 1.0},
+        {"model": "boson", "k": 1, "omega": 1.0, "cutoff": 100000},
+    ], ids=["spin-S-100000", "boson-cutoff-100000"])
+    def test_routes_agree(self, tmp_path, model):
+        config = write_config(tmp_path, {
+            "model": model,
+            "families": ["mc", "bkm", "bures", "har", "wyd:0.3", "pdiff:-0.7"],
+            "methods": ["oracle", "spectral", "dsf"],
+        })
+        out = tmp_path / "table.csv"
+        assert main(["metric", "--config", config, "--out", str(out)]) == 0
+        values = {}
+        for row in read_csv(out):
+            values.setdefault(row["family"], []).append(float(row["value"]))
+        assert len(values) == 6
+        for family, routes in values.items():
+            assert len(routes) == 3 and max(routes) - min(routes) <= 1e-10 * max(routes), (family, routes)
+
+    @pytest.mark.parametrize("model, parameter, grid", [
+        ({"model": "spin", "S": 200, "omega0": 1.0}, "omega0", [0.25, 0.5, 1.0, 1.5]),
+        ({"model": "boson", "k": 2, "omega": 1.0, "cutoff": 200}, "omega", [1.0, 0.5, 1.5, 2.0]),
+    ], ids=["spin-401", "boson-201"])
+    def test_sweep_allocates_less_than_one_dense_matrix(self, model, parameter, grid):
+        config = cli.JobConfig.from_dict({
+            "model": model,
+            "families": ["har", "bures", "bkm", "mc", "geometric", "wyd:0.3"],
+            "methods": ["oracle", "spectral", "dsf", "seriesA:6"],
+            "sweep": {"parameter": parameter, "grid": grid},
+        })
+        dim = cli._point_model(config.model).dim
+        cli.run_metric_job(config)  # the first job imports mpmath for the series coefficients
+        tracemalloc.start()
+        try:
+            cli.run_metric_job(config)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < dim**2 * np.dtype(complex).itemsize
 
 
 def test_sweep_labels_tell_distinct_points_apart():

@@ -456,7 +456,7 @@ class TestFrameMembers:
 
 def _scanned_chain(state, S_matrix, order):
     """The diagonal chain as each sweep point ran it on its own: c * T formed, S scanned for its pattern."""
-    diagonal = np.diagonal(state.c * state.T)
+    diagonal = np.diagonal(state.c * state.T.matrix)
     n, flat = diagonal.shape[-1], S_matrix.reshape(-1)
     rows, cols = np.nonzero(S_matrix != 0.0)
     rho = np.exp(-diagonal.real - state.logZ)
@@ -514,14 +514,13 @@ class TestPerJobFacts:
         pattern = functools.cached_property(lambda S: scanned.append(S.dim) or build(S))
         pattern.__set_name__(hb.HermitianOperator, "pattern")
         monkeypatch.setattr(hb.HermitianOperator, "pattern", pattern)
-        supported, trusted = [], hb.HermitianOperator._trusted.__func__
+        supported, held = [], hb.HermitianOperator._held.__func__
 
-        def counting(cls, matrix, support=None):
-            if support is not None:
-                supported.append(matrix.shape[-1])
-            return trusted(cls, matrix, support)
+        def counting(cls, dim, pattern, diagonal):
+            supported.append(dim)
+            return held(cls, dim, pattern, diagonal)
 
-        monkeypatch.setattr(hb.HermitianOperator, "_trusted", classmethod(counting))
+        monkeypatch.setattr(hb.HermitianOperator, "_held", classmethod(counting))
         config = tmp_path / "job.json"
         config.write_text(json.dumps({
             "model": {"model": "spin", "S": 20, "omega0": 1.0},

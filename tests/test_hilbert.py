@@ -117,11 +117,9 @@ class TestTrustedSources:
 
     def test_pattern_entry_past_half_the_double_range_keeps_the_check(self):
         # a known pattern is where the range is read; an entry past half the range still fails the check
-        matrix = np.zeros((3, 3), dtype=complex)
-        matrix[0, 2] = matrix[2, 0] = 1e308
-        support = (np.array([0, 1, 2]), np.array([2, 1, 0]))
+        rows, cols, entries = np.array([0, 2]), np.array([2, 0]), np.array([1e308, 1e308], dtype=complex)
         with np.errstate(over="ignore"), pytest.raises(ValueError, match=r"Hermitian part .* non-finite"):
-            hb.HermitianOperator._trusted(matrix, support)
+            hb.HermitianOperator._held(3, (rows, cols, entries, entries), np.zeros(3, dtype=complex))
 
     def test_verify_draws(self):
         # verify wraps the stacks of these matrices

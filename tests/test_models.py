@@ -134,6 +134,73 @@ class TestBosonBuild:
                     models.BosonModel(1, value, 60)
 
 
+def _dense_band(values, k):
+    """The n x n build that the band operators replace: a zero matrix with values written at (n, n + k) and (n + k, n)."""
+    dim = values.size + k
+    matrix, n = np.zeros((dim, dim), dtype=complex), np.arange(dim - k)
+    matrix[n, n + k] = matrix[n + k, n] = values
+    return matrix
+
+
+def _dense_units(model):
+    """The unit generator and the observable of a model as dense matrices, by the dense build."""
+    if isinstance(model, models.SpinModel):
+        m = model.s - np.arange(model.dim)
+        return _dense_band(m, 0), _dense_band(0.5 * np.sqrt(model.s * (model.s + 1.0) - m[1:] * (m[1:] + 1.0)), 1)
+    n = np.arange(model.dim)
+    bk = np.linalg.matrix_power(np.diag(np.sqrt(n[1:]), 1).astype(complex), model.k)
+    return _dense_band(n, 0), bk + bk.conj().T
+
+
+def _bits(a):
+    return np.ascontiguousarray(a).view(np.uint8)
+
+
+BAND_MODELS = [models.SpinModel(s, 0.7) for s in (0.5, 1.0, 3.5, 20.0, 200.0)] + [models.BosonModel(k, 0.9, 60) for k in (1, 2, 3)]
+
+
+class TestBandOperators:
+    """The models' operators hold their band; the pattern, the diagonal and the matrix formed on first read have the bits of the dense build."""
+
+    @staticmethod
+    def _assert_holds_the_bits(op, dense):
+        rows, cols = np.nonzero(dense)
+        flat, n = dense.reshape(-1), dense.shape[0]
+        scanned = rows, cols, flat[rows * n + cols], flat[cols * n + rows]
+        assert "matrix" not in vars(op) and op.dim == n
+        for got, want in zip(op.pattern, scanned, strict=True):
+            assert got.dtype == want.dtype and np.array_equal(_bits(got), _bits(want))
+        assert np.array_equal(_bits(op.diagonal), _bits(np.diagonal(dense)))
+        assert "matrix" not in vars(op) and op.matrix.tobytes() == dense.tobytes()
+
+    @pytest.mark.parametrize("model", BAND_MODELS, ids=lambda m: repr(m))
+    def test_unit_matrices(self, model):
+        for op, dense in zip(model.unit_matrices(), _dense_units(model), strict=True):
+            self._assert_holds_the_bits(op, dense)
+
+    @pytest.mark.parametrize("model", BAND_MODELS, ids=lambda m: repr(m))
+    def test_scaled_generator(self, model):
+        T, S = models.build_model(model)
+        unit, drive = _dense_units(model)
+        self._assert_holds_the_bits(T, model.frequency * unit)
+        self._assert_holds_the_bits(S, drive)
+
+    def test_scaled_entry_that_underflows_leaves_the_pattern(self):
+        # 0.5 * 5e-324 rounds to 0: the dense build holds 0 there, and the pattern drops it
+        T, _ = models.build_model(models.SpinModel(1.5, 5e-324))
+        self._assert_holds_the_bits(T, 5e-324 * _dense_units(models.SpinModel(1.5, 1.0))[0])
+        assert T.pattern[0].tolist() == [0, 3]
+
+    @pytest.mark.parametrize("s", [0.5, 1.0, 3.5, 20.0, 200.0])
+    def test_spin_matrices_hold_the_dense_bits(self, s):
+        sz, sx = _dense_units(models.SpinModel(s, 1.0))
+        half, n = np.diagonal(sx, 1).real, np.arange(sx.shape[-1] - 1)
+        sy = np.zeros_like(sx)
+        sy[n, n + 1], sy[n + 1, n] = -1j * half, 1j * half
+        for got, want in zip(models.spin_matrices(s), (sx, sy, sz), strict=True):
+            assert got.tobytes() == want.tobytes()
+
+
 class TestBosonCorrelators:
     def test_k1_reference_constants(self):
         model = models.BosonModel(1, 1.0, 60)
