@@ -10,9 +10,11 @@ from __future__ import annotations
 import argparse
 import contextlib
 import csv
+import functools
 import io
 import json
 import math
+import operator
 import sys
 import warnings
 from dataclasses import asdict, dataclass
@@ -298,11 +300,11 @@ def run_metric_job(config: JobConfig) -> tuple[list[dict], list[str]]:
 
 
 def _format_rows_csv(rows, header) -> str:
+    """One csv line per row, of the header's fields taken as one tuple; csv writes a float as its repr."""
     buffer = io.StringIO()
-    writer = csv.DictWriter(buffer, fieldnames=header, lineterminator="\n")
-    writer.writeheader()
-    for row in rows:
-        writer.writerow({k: repr(row[k]) if isinstance(row[k], float) else row[k] for k in header})
+    writer = csv.writer(buffer, lineterminator="\n")
+    writer.writerow(header)
+    writer.writerows(map(operator.itemgetter(*header), rows))
     return buffer.getvalue()
 
 
@@ -407,9 +409,7 @@ def _cmd_model(args) -> int:
     summary = {
         "dim": state.dim,
         "beta": config.beta,
-        "spectral_range": float(
-            state.decomposition.eigenvalues[-1] - state.decomposition.eigenvalues[0]
-        ),
+        "spectral_range": float(state.decomposition.eigenvalues[-1] - state.decomposition.eigenvalues[0]),
         "dsf_lines": int(spectrum.omegas.size),
         "mean_S": spectrum.mean_s,
     }
@@ -461,9 +461,11 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+_parser = functools.cache(lambda: build_parser())  # built on a process's first main; parse_args keeps no state between calls
+
+
 def main(argv=None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
+    args = _parser().parse_args(argv)
     try:
         return args.func(args)
     except UsageError as exc:

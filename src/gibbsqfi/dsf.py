@@ -47,7 +47,8 @@ class LineSpectrum:
     Q(-w) = exp(-w) Q(w), with ``log_heavier``, the log of the heavier side
     max(q, q e^{-w}) of each line's pair; ``weights`` is its exp times
     e^{min(w, 0)}, and may underflow to 0.  kind "chi" holds the odd line
-    representation of chi''/pi: signed weights and no logs.
+    representation of chi''/pi: signed weights and no logs.  The spectra of
+    a stack (``_assemble``) hold one member's lines in each row.
     """
 
     omegas: np.ndarray
@@ -77,31 +78,44 @@ class LineSpectrum:
         return fam._g_columns(0.5 * self.omegas)
 
 
-def _assemble(frame: _Frame, i, centered: bool) -> LineSpectrum:
-    """The structure factor of S, or of S - <S> when centered, of member i of a frame's stack, merged and pruned in log form.
+def _assemble(frame: _Frame, centered: bool) -> list[tuple]:
+    """The structure factor of S, or of S - <S> when centered, of every member of a frame's stack, merged and pruned in log form.
 
     A pair (n, m) has lines rho_m |S_nm|^2 at omega_nm and rho_n |S_mn|^2
     at -omega_nm, of heavier sides rho_m |S_nm|^2 and rho_m |S_mn|^2; the
     elastic lines rho_n |S_nn - shift|^2 sit at 0.  Lines closer than
     _MERGE_TOL merge at their mean frequency, their heavier sides summed
     by logaddexp, and a line whose heavier side is below _PRUNE_REL of the
-    largest goes.  Detailed balance is checked on the pairs first.
+    largest goes.  Detailed balance is checked on the pairs first.  Returns
+    (members, spectrum) for the members that keep each number of lines, the
+    arrays over them: a row holds one member's lines, summed as alone.  One
+    (state, S) gives [((), spectrum)].
     """
     frame.lines  # raises unless the pairs keep detailed balance
-    t, lw_cols, mean = frame.table, frame.pair_log_weights[1][i], frame.mean[i]
-    shift, mean_s = (mean, 0.0) if centered else (0.0, mean)
+    t, (_, lw_cols), lw, mean = frame.table, frame.pair_log_weights, frame.state.log_weights, frame.mean
+    pairs = t.rows.size
     with np.errstate(divide="ignore"):  # a zero element is an empty line
-        log_abs2 = np.concatenate((t.log_abs2, np.log(np.abs(t.diagonal - shift) ** 2)))
-    lw = np.concatenate((lw_cols, lw_cols, frame.state.log_weights[i]))
-    om = np.concatenate((2.0 * frame.x[i], -2.0 * frame.x[i], np.zeros(frame.state.dim)))[t.order]
-    heavier = (lw + log_abs2)[t.order]
-    starts = np.concatenate(([0], np.nonzero(np.diff(om) > _MERGE_TOL)[0] + 1))
-    om = np.add.reduceat(om, starts) / np.diff(np.append(starts, om.size))
+        log_diagonal = np.log(np.abs(t.diagonal - (mean[..., None] if centered else 0.0)) ** 2)
+    heavier = np.concatenate((lw_cols + t.log_abs2[..., :pairs], lw_cols + t.log_abs2[..., pairs:], lw + log_diagonal), axis=-1)
+    om = np.concatenate((2.0 * frame.x, -2.0 * frame.x, np.zeros_like(lw)), axis=-1)
+    om, heavier = np.take(om, t.order, axis=-1).reshape(-1, t.order.size), np.take(heavier, t.order, axis=-1).ravel()
+    head = np.concatenate((np.ones((len(om), 1), bool), np.diff(om, axis=-1) > _MERGE_TOL), axis=-1)  # each row starts a group
+    starts, groups = np.flatnonzero(head), np.sum(head, axis=-1)
+    first = np.cumsum(groups) - groups  # each member's first group
+    om = np.add.reduceat(om.ravel(), starts) / np.diff(np.append(starts, om.size))
     heavier = np.logaddexp.reduceat(heavier, starts)
     with np.errstate(invalid="ignore"):  # -inf - -inf when every line is empty
-        keep = heavier - np.max(heavier) >= np.log(_PRUNE_REL)
-    om, heavier = om[keep], heavier[keep]
-    return LineSpectrum(om, np.exp(heavier + np.minimum(om, 0.0)), "diagonal", frame.state.dim, float(mean_s), heavier)
+        keep = heavier - np.repeat(np.maximum.reduceat(heavier, first), groups) >= np.log(_PRUNE_REL)
+    om, heavier, counts = om[keep], heavier[keep], np.add.reduceat(keep, first, dtype=np.intp)
+    weights, stacked, distinct = np.exp(heavier + np.minimum(om, 0.0)), np.ndim(mean) > 0, sorted(set(counts.tolist()))
+    blocks = []
+    for count in distinct:  # a model's stack keeps one number of lines in every member
+        members = np.flatnonzero(counts == count) if stacked else ()
+        lines = np.repeat(counts == count, counts) if len(distinct) > 1 else slice(None)  # one block is the arrays themselves
+        shape, mean_s = np.shape(mean[members]) + (count,), 0.0 if centered else mean[members] if stacked else float(mean)
+        spectrum = LineSpectrum(om[lines].reshape(shape), weights[lines].reshape(shape), "diagonal", frame.state.dim, mean_s, heavier[lines].reshape(shape))
+        blocks.append((members, spectrum))
+    return blocks
 
 
 def _dot(a, b):
@@ -209,11 +223,6 @@ class _Frame:
         self.degenerate_pairs = 2 * np.sum(2.0 * self.x < _DEGENERATE_WINDOW, axis=-1)
 
     @property
-    def members(self) -> list:
-        """The index of each member of the stack: [()] for one (state, S)."""
-        return list(np.ndindex(np.shape(self.mean)))
-
-    @property
     def diagonal(self) -> np.ndarray:
         """Real diagonal S_nn of the eigenbasis elements."""
         return self.table.diagonal.real
@@ -278,9 +287,9 @@ class _Frame:
         return positive, negative
 
     @cached_property
-    def centered_dsfs(self) -> list[LineSpectrum]:
-        """The structure factor of S - <S> of each member, which the dsf route reads: no line sum cancels <S>^2."""
-        return [_assemble(self, i, True) for i in self.members]
+    def centered_dsfs(self) -> list[tuple]:
+        """The structure factors of S - <S> over the stack, which the dsf route reads (_assemble): no line sum cancels <S>^2."""
+        return _assemble(self, True)
 
     @cached_property
     def max_omega(self):
@@ -335,7 +344,8 @@ def build_dsf(state: GibbsState, S, centered: bool = False) -> LineSpectrum:
     ``centered`` the observable is replaced by S - <S> first (which only
     changes the elastic weight).
     """
-    return _assemble(_Frame(state, S), (), centered)
+    [(_, spectrum)] = _assemble(_Frame(state, S), centered)
+    return spectrum
 
 
 def moment(Q: LineSpectrum, p: int) -> float:
@@ -411,11 +421,7 @@ def bogoliubov_duhamel(state: GibbsState, A, B) -> float:
     diagonal = frame_a.table.diagonal * frame_b.table.diagonal
     value = complex(_dot_exp(frame_a.log_kernel, _pair_products(frame_a, frame_b)) + _dot(state.weights, diagonal))
     if abs(value.imag) > 1e-12 * max(1.0, abs(value.real)):
-        warnings.warn(
-            f"Duhamel product has imaginary residue {value.imag:.3e}",
-            RuntimeWarning,
-            stacklevel=2,
-        )
+        warnings.warn(f"Duhamel product has imaginary residue {value.imag:.3e}", RuntimeWarning, stacklevel=2)
     return value.real
 
 

@@ -406,45 +406,33 @@ def g_hat_series_radius(family: MonotoneFamily) -> float:
     return math.pi / max(dens) if dens else math.inf
 
 
-def _series_of_scales(nums, dens, L, mp):
-    """Coefficients of x^{2l}, l = 0..L, of prod sinhc(a x)/prod sinhc(d x)."""
-    def sinhc_series(a):
-        a2 = mp.mpf(a) ** 2
-        return [a2 ** l / mp.factorial(2 * l + 1) for l in range(L + 1)]
+def _series_of_scales(nums, dens, L):
+    """Exact rational coefficients of x^{2l}, l = 0..L, of prod sinhc(a x)/prod sinhc(d x); a float scale is read exactly.
 
-    def mul(A, B):
-        return [
-            mp.fsum(A[i] * B[l - i] for i in range(l + 1)) for l in range(L + 1)
-        ]
-
-    def div(A, B):
-        Q = [mp.mpf(0)] * (L + 1)
-        for l in range(L + 1):  # B[0] = 1 for sinhc series
-            Q[l] = A[l] - mp.fsum(Q[i] * B[l - i] for i in range(l))
-        return Q
-
-    series = [mp.mpf(1)] + [mp.mpf(0)] * L
-    for a in nums:
-        series = mul(series, sinhc_series(a))
-    for d in dens:
-        series = div(series, sinhc_series(d))
+    Each factor's series b has b_0 = 1, so a product updates the coefficients in place from the top, and a quotient from the bottom.
+    """
+    from fractions import Fraction  # only the series coefficients need it, so no other job loads it
+    series = [Fraction(1)] + [Fraction(0)] * L
+    for scales, sign, order in ((nums, 1, range(L, 0, -1)), (dens, -1, range(1, L + 1))):
+        for a in scales:
+            b = [Fraction(a) ** (2 * l) / math.factorial(2 * l + 1) for l in range(L + 1)]
+            for l in order:
+                series[l] += sign * sum(series[i] * b[l - i] for i in range(l))
     return series
 
 
 @functools.lru_cache(maxsize=256)
 def _taylor_cached(nums, dens, L: int) -> tuple[float, ...]:
-    import mpmath  # only the series coefficients need it, so no other job loads it
-    with mpmath.workdps(60):
-        series = _series_of_scales(nums, dens, L, mpmath.mp)
-        return tuple(float(c) for c in series[1:])
+    """The float coefficients of x^{2l}, l = 1..L: float() of an exact rational is correctly rounded."""
+    return tuple(float(c) for c in _series_of_scales(nums, dens, L)[1:])
 
 
 def taylor_coeffs(family: MonotoneFamily, kind: str = "g", L: int = 12):
     """Taylor coefficients of x^{2l}, l = 1..L, of g_f or ghat_f.
 
     Computed by exact power-series arithmetic on the sinhc factorization in
-    extended precision, so named and parametric families share one code
-    path.  kind is "g" or "g_hat".
+    rationals, so named and parametric families share one code path.  kind
+    is "g" or "g_hat".
     """
     if not isinstance(L, numbers.Integral) or L < 1:
         raise ValueError(f"L must be a positive integer, got {L!r}")

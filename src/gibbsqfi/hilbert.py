@@ -302,8 +302,10 @@ def to_eigenbasis(state: GibbsState | SpectralDecomposition, A) -> np.ndarray:
 
 
 def thermal_average(state: GibbsState, A) -> float:
-    """Thermal expectation <A> = sum_m rho_m <m|A|m> for Hermitian A."""
-    return float(np.dot(state.weights, np.diag(to_eigenbasis(state, A)).real))
+    """Thermal expectation <A> = sum_m rho_m <m|A|m> for Hermitian A; a sorted basis reads A's diagonal in its order."""
+    op, order = as_operator(A), state.decomposition.order
+    sorted_diagonal = order is not None and op.shape == (order.size, order.size)
+    return float(np.dot(state.weights, (op.diagonal[order] if sorted_diagonal else np.diag(to_eigenbasis(state, op))).real))
 
 
 def solve_xst(T, S) -> tuple[np.ndarray, SpectralDecomposition]:

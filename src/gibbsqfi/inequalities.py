@@ -297,7 +297,7 @@ def _draw_groups(streams, dims):
     rngs = [np.random.default_rng(stream) for stream in streams]
     dim_of = np.array([dims[rng.integers(len(dims))] for rng in rngs])  # the index rng.choice(dims) draws
     spreads = np.array([10.0 ** (2.0 * rng.random() - 1.0) for rng in rngs])  # uniform(lo, hi) is lo + (hi - lo) * random()
-    for dim in np.unique(dim_of):
+    for dim in sorted(set(dim_of.tolist())):
         members = np.flatnonzero(dim_of == dim)
         stack, u = np.empty((3, len(members), dim, dim), complex), np.empty((len(members), 2))
         re, im = stack.real, stack.imag

@@ -98,24 +98,22 @@ def _oracle_value(frame: _Frame, family):
     return _nonnegative(0.25 * gross, 0.25 * gross, "oracle")
 
 
-def _evaluate(
-    frame: _Frame, family: fam.MonotoneFamily, method: str, L: int | None = None
-) -> list[MetricResult]:
+def _evaluate(frame: _Frame, family: fam.MonotoneFamily, method: str, L: int | None = None) -> list[MetricResult]:
     """The metric by one of METHODS on a prepared frame (L for the series), one result per member of its stack."""
-    if method == "dsf":
-        return [metric_from_dsf(Q, family) for Q in frame.centered_dsfs]
     if method in ("seriesA", "seriesB"):
         return _series(frame, family, method, L)
+    pairs = frame.degenerate_pairs
     if method == "spectral":
         value = _spectral_value(frame, fam._log_g(family, frame.g_columns))
     elif method == "oracle":
         value = _oracle_value(frame, family)
+    elif method == "dsf":  # the structure factor merges degenerate lines: no pair is handled apart
+        value, pairs = np.empty(np.shape(frame.mean)), np.zeros_like(pairs)
+        for members, Q in frame.centered_dsfs:
+            value[members] = _dsf_value(Q, family)
     else:
         raise ValueError(f"unknown method {method!r}")
-    return [
-        MetricResult(float(value[i]), method, MetricDiagnostics(degenerate_pairs_handled=int(frame.degenerate_pairs[i])))
-        for i in frame.members
-    ]
+    return [MetricResult(float(v), method, MetricDiagnostics(degenerate_pairs_handled=int(p))) for v, p in zip(np.ravel(value), np.ravel(pairs))]
 
 
 def metric_spectral(state: GibbsState, S, family: fam.MonotoneFamily) -> MetricResult:
@@ -151,9 +149,13 @@ def metric_from_dsf(Q: LineSpectrum, family: fam.MonotoneFamily) -> MetricResult
     """
     if Q.kind != "diagonal":
         raise ValueError("metric_from_dsf expects a diagonal spectrum")
-    gross = float(_dot_exp(fam._log_g(family, Q.g_columns) + Q.log_kernel, 1.0))
-    value = float(_nonnegative(0.25 * (gross - Q.mean_s ** 2), 0.25 * gross, "dsf"))
-    return MetricResult(value, "dsf", MetricDiagnostics())
+    return MetricResult(float(_dsf_value(Q, family)), "dsf", MetricDiagnostics())
+
+
+def _dsf_value(Q: LineSpectrum, family: fam.MonotoneFamily):
+    """metric_from_dsf's value, or one per row of a stack of spectra: one filter evaluation and one line sum."""
+    gross = _dot_exp(fam._log_g(family, Q.g_columns) + Q.log_kernel, 1.0)
+    return _nonnegative(0.25 * (gross - Q.mean_s ** 2), 0.25 * gross, "dsf")
 
 
 def _moment_order(method: str, L: int) -> int:
@@ -184,14 +186,12 @@ def _series(frame: _Frame, family: fam.MonotoneFamily, method: str, L: int) -> l
     ok = 0.5 * frame.max_omega < radius
     value = _nonnegative(total, 0.25 * base, method)
     return [
-        MetricResult(float(value[i]), method, MetricDiagnostics(truncation=L, convergence_radius_ok=bool(ok[i]), last_term=float(abs(term[i]))))
-        for i in frame.members
+        MetricResult(float(v), method, MetricDiagnostics(truncation=L, convergence_radius_ok=bool(o), last_term=float(abs(t))))
+        for v, o, t in zip(np.ravel(value), np.ravel(ok), np.ravel(term))
     ]
 
 
-def metric_series_A(
-    state: GibbsState, S, family: fam.MonotoneFamily, L: int
-) -> MetricResult:
+def metric_series_A(state: GibbsState, S, family: fam.MonotoneFamily, L: int) -> MetricResult:
     """Truncated odd-moment expansion around the BKM metric.
 
     d^2_f ~ d^2_BKM + (1/4) sum_{l=1}^{L} (1/2)^{2l-1} a_{2l-1}(f) M_{2l-1}
@@ -202,9 +202,7 @@ def metric_series_A(
     return _evaluate(_Frame(state, S, _moment_order("seriesA", L)), family, "seriesA", L)[0]
 
 
-def metric_series_B(
-    state: GibbsState, S, family: fam.MonotoneFamily, L: int
-) -> MetricResult:
+def metric_series_B(state: GibbsState, S, family: fam.MonotoneFamily, L: int) -> MetricResult:
     """Truncated even-moment expansion around the MC metric (the variance).
 
     d^2_f ~ d^2_MC + (1/4) sum_{l=1}^{L} (1/2)^{2l} a_{2l}(f) M_{2l} with

@@ -78,7 +78,8 @@ def _band_operator(values: np.ndarray, k: int) -> HermitianOperator:
     """The real symmetric operator with ``values`` at (n, n + k) and (n + k, n), k >= 0, held as its band: no n x n array."""
     dim = values.size + k
     n = np.arange(dim - k)
-    rows, cols = np.divmod(np.unique(np.concatenate((n * dim + n + k, (n + k) * dim + n))), dim)  # row-major
+    keys = np.sort(np.concatenate((n * dim + n + k, (n + k) * dim + n)))  # distinct for k >= 1, each twice for k = 0
+    rows, cols = np.divmod(keys[np.diff(keys, prepend=-1) > 0], dim)  # row-major
     entries = values.astype(complex)[np.minimum(rows, cols)]
     nonzero = entries != 0.0
     pattern = rows[nonzero], cols[nonzero], entries[nonzero], entries[nonzero]
@@ -134,7 +135,8 @@ def spin_ratio_property(model: SpinModel, family: fam.MonotoneFamily) -> SpinRat
     """
     T, S = build_model(model)
     frame = _Frame(gibbs_state(T), S)
-    omegas = _assemble(frame, (), False).omegas
+    [(_, spectrum)] = _assemble(frame, False)
+    omegas = spectrum.omegas
     off = np.minimum(np.abs(np.abs(omegas) - model.omega0), np.abs(omegas))
     support_ok = bool(np.all(off < 1e-9))
     brute = _evaluate(frame, family, "spectral")[0].value

@@ -12,9 +12,10 @@ import warnings
 import numpy as np
 import pytest
 
-from gibbsqfi import cli, dsf, hilbert as hb
+from gibbsqfi import cli, dsf, families as fam, hilbert as hb, metrics
 from gibbsqfi.cli import main
 from gibbsqfi.inequalities import random_instance
+from gibbsqfi.models import BosonModel, SpinModel
 
 FAMILIES = ["har", "bures", "bkm", "mc", "geometric", "wyd:0.3", "pdiff:-0.7"]
 METHODS = ["oracle", "spectral", "dsf", "seriesA:4", "seriesB:3"]
@@ -262,3 +263,77 @@ def test_spin_sweep_never_forms_eigenvectors(monkeypatch):
     T = hb.as_operator(np.diag([0.5, -1.0, 0.5, 0.0]).astype(complex))
     basis = hb.gibbs_state(T).decomposition
     assert np.array_equal(basis.eigenvectors, np.eye(4)[:, basis.order]) and len(formed) == 1
+
+
+class TestStackedStructureFactor:
+    """A chunk's dsf route is one assembly of the stack and one line sum per family, with each point's bits."""
+
+    def test_one_assembly_and_one_line_sum_per_family(self, monkeypatch):
+        calls = {"assemble": 0, "line sums": 0}
+        assemble, dsf_value = dsf._assemble, metrics._dsf_value
+
+        def counting(name, function):
+            return lambda *args: calls.__setitem__(name, calls[name] + 1) or function(*args)
+
+        monkeypatch.setattr(dsf, "_assemble", counting("assemble", assemble))
+        monkeypatch.setattr(metrics, "_dsf_value", counting("line sums", dsf_value))
+        config = cli.JobConfig.from_dict({
+            "model": {"model": "spin", "S": 200, "omega0": 1.0},
+            "families": ["har", "bures", "bkm", "mc", "geometric", "wyd:0.3"],
+            "methods": ["oracle", "spectral", "dsf", "seriesA:6"],
+            "sweep": {"parameter": "omega0", "grid": [0.25, 0.5, 1.0, 1.5]},
+        })
+        rows, _ = cli.run_metric_job(config)
+        assert len(rows) == 96 and calls == {"assemble": 1, "line sums": 6}
+
+    @staticmethod
+    def _stacked_and_single(T, S, cs):
+        """The dsf results of every family on one frame of the stack c * T, and on the public single-spectrum route."""
+        basis, S = hb.eigendecompose(T), hb.as_operator(S)
+        table = dsf._pair_tables(basis, S)[0]
+        frame = dsf._Frame(hb._scaled_state(basis, T, cs), S, 0, table)
+        for family in map(fam.parse_family, FAMILIES):
+            stacked = [result.value for result in metrics._evaluate(frame, family, "dsf")]
+            single = [metrics.metric_from_dsf(dsf.build_dsf(hb._scaled_state(basis, T, c), S, centered=True), family).value for c in cs]
+            yield frame, family, stacked, single
+
+    @pytest.mark.parametrize("model", [SpinModel(20, 1.0), BosonModel(1, 1.0, 80), BosonModel(2, 1.0, 80)], ids=["spin", "boson-k1", "boson-k2"])
+    def test_model_stack_has_each_points_bits(self, model):
+        for frame, family, stacked, single in self._stacked_and_single(*model.unit_matrices(), [0.25, 1.0, 3.0, 0.5]):
+            assert [members.tolist() for members, _ in frame.centered_dsfs] == [[0, 1, 2, 3]]
+            assert stacked == single, family.label
+
+    def test_members_that_keep_different_numbers_of_lines(self):
+        # 12 levels spread over 12: at c = 4 and 6 the lines between high levels fall below 1e-16 of the heaviest and go
+        rng = np.random.default_rng(12)
+        T = np.diag(np.sort(rng.uniform(0.0, 12.0, 12))).astype(complex)
+        for frame, family, stacked, single in self._stacked_and_single(T, _gue(rng, 12), [0.1, 4.0, 1.0, 6.0]):
+            blocks = [(members.tolist(), Q.omegas.shape) for members, Q in frame.centered_dsfs]
+            assert blocks == [([3], (1, 113)), ([1], (1, 127)), ([0, 2], (2, 133))]
+            assert stacked == single, family.label  # each row holds one member's lines: no padding moves a bit
+
+    @pytest.mark.parametrize("failure, message", [
+        ("nan", "the metric is nan"),
+        ("negative", "dsf produced a negative metric: -1.0"),
+    ])
+    def test_failing_middle_point_is_named(self, tmp_path, monkeypatch, capsys, failure, message):
+        dsf_value = metrics._dsf_value
+
+        def failing(Q, family):  # the spin lines sit at +-omega0 at beta = 1
+            middle = np.max(Q.omegas, axis=-1) == 1.0
+            if failure == "nan":
+                return np.where(middle, np.nan, dsf_value(Q, family))
+            return metrics._nonnegative(np.where(middle, -1.0, dsf_value(Q, family)), 1.0, "dsf")
+
+        monkeypatch.setattr(metrics, "_dsf_value", failing)
+        sizes, stack_rows = [], cli._stack_rows
+        monkeypatch.setattr(cli, "_stack_rows", lambda config, routes, labels, *args: sizes.append(len(labels)) or stack_rows(config, routes, labels, *args))
+        (tmp_path / "job.json").write_text(json.dumps({
+            "model": {"model": "spin", "S": 20, "omega0": 1.0},
+            "families": ["bkm"],
+            "methods": ["spectral", "dsf"],
+            "sweep": {"parameter": "omega0", "grid": [0.5, 1.0, 2.0]},
+        }))
+        assert main(["sweep", "--config", str(tmp_path / "job.json"), "--out", str(tmp_path / "never.csv")]) == 2
+        assert capsys.readouterr().err == f"error: bkm dsf omega0=1: {message}\n"
+        assert sizes == [3, 1, 1] and not (tmp_path / "never.csv").exists()

@@ -193,7 +193,7 @@ class TestMetricJobs:
         # made the structure-factor route read nan (beta = 1e308 for S=1/2)
         # is now rejected as a range (test_range_past_half_the_double_range_exits_2);
         # a route that reads nan still exits 2
-        monkeypatch.setattr(metrics, "metric_from_dsf", lambda Q, family: metrics.MetricResult(math.nan, "dsf"))
+        monkeypatch.setattr(metrics, "_dsf_value", lambda Q, family: math.nan)
         payload = {
             "model": {"model": "spin", "S": 0.5, "omega0": 1.0},
             "families": ["mc"],
@@ -530,7 +530,7 @@ class TestLargeModels:
             "sweep": {"parameter": parameter, "grid": grid},
         })
         dim = cli._point_model(config.model).dim
-        cli.run_metric_job(config)  # the first job imports mpmath for the series coefficients
+        cli.run_metric_job(config)  # the first job fills the series coefficient cache
         tracemalloc.start()
         try:
             cli.run_metric_job(config)
@@ -1011,3 +1011,18 @@ class TestModelExport:
         summary = json.loads(path.read_text())
         assert summary["dim"] == 3
         assert summary["written"] == [f"{prefix}_T.json", f"{prefix}_S.json"]
+
+
+def test_parser_is_built_once_and_keeps_no_options(tmp_path, monkeypatch):
+    built, build_parser = [], cli.build_parser
+    monkeypatch.setattr(cli, "build_parser", lambda: built.append(1) or build_parser())
+    cli._parser.cache_clear()
+    try:
+        config = write_config(tmp_path, {"model": {"model": "spin", "S": 1, "omega0": 1.0}, "families": ["bkm"]})
+        assert main(["metric", "--config", config, "--format", "json", "--out", str(tmp_path / "a")]) == 0
+        assert main(["metric", "--config", config, "--out", str(tmp_path / "b")]) == 0
+    finally:
+        cli._parser.cache_clear()
+    assert built == [1]
+    assert json.loads((tmp_path / "a").read_text())["rows"][0]["family"] == "bkm"
+    assert (tmp_path / "b").read_text().startswith("family,parameter,method,value,L,radius_ok\nbkm,,spectral,")

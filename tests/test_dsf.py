@@ -126,13 +126,13 @@ class TestBuildDsf:
         # build_dsf is the spectrum of a frame's pre-rotated elements
         state, s = random_instance(21, 5)
         frame = dsf._Frame(state, s)
-        direct, given = dsf.build_dsf(state, s), dsf._assemble(frame, (), False)
+        direct, [((), given)] = dsf.build_dsf(state, s), dsf._assemble(frame, False)
         assert np.array_equal(direct.omegas, given.omegas)
         assert np.array_equal(direct.weights, given.weights)
         assert direct.mean_s == given.mean_s == frame.mean
-        centered, [given] = dsf.build_dsf(state, s, centered=True), frame.centered_dsfs
+        centered, [((), given)] = dsf.build_dsf(state, s, centered=True), frame.centered_dsfs
         assert np.array_equal(centered.omegas, given.omegas) and np.array_equal(centered.weights, given.weights)
-        assert frame.centered_dsfs[0] is given
+        assert frame.centered_dsfs[0][1] is given
 
     def test_unbalanced_rotated_input_rejected(self, qubit):
         # |S_01| != |S_10|: elements that are not Hermitian are caught by
@@ -140,7 +140,7 @@ class TestBuildDsf:
         s_eig = np.array([[0.0, 1.0], [0.5, 0.0]], dtype=complex)
         [table] = dsf._pair_tables(qubit.decomposition, hb.HermitianOperator._trusted(s_eig))
         with pytest.raises(ArithmeticError, match="detailed balance"):
-            dsf._assemble(dsf._Frame(qubit, SX, table=table), (), False)
+            dsf._assemble(dsf._Frame(qubit, SX, table=table), False)
 
     def test_violating_input_rejected(self):
         # the line at omega = -1 must weigh e^{-1} times its partner at +1
@@ -612,7 +612,7 @@ class TestSharedColumns:
         g_scales = {k for family in self.FAMILIES for k in sum(fam._g_scales(family), ())}
         f_scales = {k for family in self.FAMILIES for k in fam._F_FORMS[family.kind](family.param)[2]}
         assert len(calls) == 2 * len(g_scales) + len(f_scales)
-        assert set(frame.g_columns) == set(frame.centered_dsfs[0].g_columns) == g_scales
+        assert set(frame.g_columns) == set(frame.centered_dsfs[0][1].g_columns) == g_scales
         assert set(frame.f_columns) == f_scales
 
     def test_stacked_scales_are_not_kept(self):

@@ -700,3 +700,40 @@ class TestIdentifiers:
             fam.eval_g(fam.half_pair(0.25), 1.0)
         with pytest.raises(ValueError):
             fam.BKM.members
+
+
+def mp_series_of_scales(nums, dens, L):
+    """Reference coefficients of x^{2l}, l = 1..L, of prod sinhc(a x)/prod sinhc(d x), from mpmath at 60 digits."""
+    with mpmath.workdps(60):
+        def sinhc_series(a):
+            a2 = mpmath.mpf(a) ** 2
+            return [a2 ** l / mpmath.factorial(2 * l + 1) for l in range(L + 1)]
+
+        series = [mpmath.mpf(1)] + [mpmath.mpf(0)] * L
+        for a in nums:
+            b = sinhc_series(a)
+            series = [mpmath.fsum(series[i] * b[l - i] for i in range(l + 1)) for l in range(L + 1)]
+        for d in dens:
+            b, quotient = sinhc_series(d), [mpmath.mpf(0)] * (L + 1)
+            for l in range(L + 1):
+                quotient[l] = series[l] - mpmath.fsum(quotient[i] * b[l - i] for i in range(l))
+            series = quotient
+        return [float(c) for c in series[1:]]
+
+
+SERIES_FAMILIES = [
+    *fam.named_families().values(),
+    *(fam.wyd(a / 10) for a in range(1, 10)),
+    *(fam.power_difference(p) for p in (-0.7, -0.3, 0.25, 0.75, 1.3, 2.0)),
+    *fam.half_pair(0.3).members,
+]
+
+
+@pytest.mark.parametrize("kind", ["g", "g_hat"])
+def test_rational_coefficients_are_the_mpmath_ones(kind):
+    # float(Fraction) is correctly rounded; the 60-digit mpmath sums rounded the same 23 families the same way
+    assert len(SERIES_FAMILIES) == 23
+    for family in SERIES_FAMILIES:
+        scales = (fam._g_scales if kind == "g" else fam._g_hat_scales)(family)
+        for L in (1, 3, 6, 8, 12, 20):
+            assert fam.taylor_coeffs(family, kind, L) == mp_series_of_scales(*scales, L), (family.label, L)

@@ -2,6 +2,7 @@
 
 import json
 import math
+import tracemalloc
 import warnings
 from decimal import Decimal
 from fractions import Fraction
@@ -321,6 +322,20 @@ class TestThermalAverage:
     def test_dimension_mismatch(self):
         with pytest.raises(ValueError, match="dimension mismatch"):
             hb.thermal_average(self.state, np.eye(3, dtype=complex))
+
+    def test_sorted_basis_reads_the_diagonal(self):
+        # S = 1000 (dim 2001): the rotated matrix and its permuted copy took two 64 MB complex matrices
+        T, S = models.build_model(models.SpinModel(1000, 1.0))
+        state = hb.gibbs_state(T)
+        tracemalloc.start()
+        try:
+            value = hb.thermal_average(state, T)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < state.dim**2 * np.dtype(complex).itemsize
+        assert value == float(np.dot(state.weights, np.diag(hb.to_eigenbasis(state, T)).real))
+        assert hb.thermal_average(state, S) == float(np.dot(state.weights, np.diag(hb.to_eigenbasis(state, S)).real))
 
     def test_commutator_average_vanishes(self):
         # <[T, A]> = 0 by cyclicity, for any Hermitian A

@@ -1,4 +1,4 @@
-"""Package surface: the README quick start runs, every exported name resolves, and CLI jobs load no scipy, nor mpmath outside the series."""
+"""Package surface: the README quick start runs, every exported name resolves, and CLI jobs load no scipy, mpmath or numpy.ma."""
 
 import importlib
 import json
@@ -69,8 +69,7 @@ def test_removed_names_are_gone():
     assert not hasattr(dsf.LineSpectrum, "total_weight")
 
 
-# the CLI's jobs, run in a fresh interpreter, which lists the scipy modules they loaded and
-# whether mpmath was loaded before the first series job
+# the CLI's jobs, run in a fresh interpreter, which lists the scipy, mpmath and numpy.ma modules they loaded
 COLD_START = """
 import json, sys
 from pathlib import Path
@@ -94,20 +93,17 @@ jobs = [
 ]
 codes = [cli.main(["verify", "--trials", "20", "--out", str(work / "verify.json")])]
 for i, (command, config) in enumerate(jobs):
-    if i == 1:
-        mpmath_before_series = "mpmath" in sys.modules
     (work / f"job{i}.json").write_text(json.dumps(config))
     codes.append(cli.main([command, "--config", str(work / f"job{i}.json"), "--out", str(work / f"out{i}.csv")]))
 print(json.dumps({
     "codes": codes,
-    "scipy": sorted(m for m in sys.modules if m.startswith("scipy")),
-    "mpmath_before_series": mpmath_before_series,
+    "loaded": sorted(m for m in sys.modules if m.split(".")[0] in ("scipy", "mpmath") or m.split(".")[:2] == ["numpy", "ma"]),
 }))
 """
 
 
 def test_cli_jobs_load_no_scipy(tmp_path):
-    # verify, a matrix-file sweep, then a spin sweep with every route and a boson metric;
-    # only the series coefficients import mpmath
+    # verify, a matrix-file sweep, then a spin sweep with every route and a boson metric; the series coefficients
+    # are exact rationals, and no np.unique pulls in numpy.ma
     run = subprocess.run([sys.executable, "-c", COLD_START, str(tmp_path)], capture_output=True, text=True, check=True)
-    assert json.loads(run.stdout.splitlines()[-1]) == {"codes": [0, 0, 0, 0], "scipy": [], "mpmath_before_series": False}
+    assert json.loads(run.stdout.splitlines()[-1]) == {"codes": [0, 0, 0, 0], "loaded": []}

@@ -159,7 +159,7 @@ class TestRoutesMatchTheFullGrid:
     def test_spectral_oracle_and_dsf(self, case):
         state, S, _ = case
         grid, frame = Grid(state, S), dsf._Frame(state, S)
-        lines, spectrum = grid_lines(grid), dsf._assemble(frame, (), False)
+        lines, [((), spectrum)] = grid_lines(grid), dsf._assemble(frame, False)
         assert spectrum.omegas.shape == lines[0].shape
         assert close(spectrum.omegas, lines[0]) and close(spectrum.weights, lines[1])
         reference = dsf.LineSpectrum(*lines, "diagonal", state.dim, float(grid.mean), np.log(lines[1]) + np.maximum(0.0, -lines[0]))
