@@ -435,12 +435,14 @@ class TestAbstractDefinitionOracle:
         return f
 
     def _petz_metric(self, t, s, label, alpha=None, eps=1e-4):
-        from scipy.linalg import expm
-
         d = t.shape[0]
 
+        def matfun(m, fn):
+            vals, vecs = np.linalg.eigh(m)
+            return (vecs * np.array([fn(v) for v in vals])) @ vecs.conj().T
+
         def rho_of(h):
-            m = expm(-(t - h * s))
+            m = matfun(-(t - h * s), np.exp)
             return m / np.trace(m).real
 
         drho = (rho_of(eps) - rho_of(-eps)) / (2 * eps)
@@ -448,10 +450,6 @@ class TestAbstractDefinitionOracle:
         # row-major vec: L_rho -> rho (x) I, R_rho -> I (x) rho^T
         L = np.kron(rho, np.eye(d))
         R = np.kron(np.eye(d), rho.T)
-
-        def matfun(m, fn):
-            vals, vecs = np.linalg.eigh(m)
-            return (vecs * np.array([fn(v) for v in vals])) @ vecs.conj().T
 
         a_half = matfun(L, np.sqrt)
         a_ihalf = matfun(L, lambda v: 1.0 / np.sqrt(v))

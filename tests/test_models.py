@@ -1,6 +1,7 @@
 """Benchmark model tests: spin ladders and truncated bosonic modes."""
 
 import math
+import tracemalloc
 import warnings
 
 import numpy as np
@@ -214,6 +215,19 @@ class TestBosonCorrelators:
         model = models.BosonModel(1, 30.0, 5)
         _, L = models.boson_correlators(model)
         assert L == pytest.approx(1.0, rel=1e-10)
+
+    def test_band_sums_form_no_dense_matrix(self):
+        # cutoff 1000 (dim 1001): the density matrix and the dense products took 112 MB, where one dense complex matrix is 16 MB
+        model = models.BosonModel(1, 1.0, 1000)
+        tracemalloc.start()
+        try:
+            K, L = models.boson_correlators(model)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < model.dim**2 * np.dtype(complex).itemsize
+        assert K == pytest.approx(-1.0, rel=1e-12)
+        assert L == pytest.approx(2 * model.nbar + 1, rel=1e-12)
 
     def test_k2_constants_and_reported_discrepancy(self):
         model = models.BosonModel(2, 1.0, 80)

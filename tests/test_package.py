@@ -1,4 +1,4 @@
-"""Package surface: the README quick start runs, every exported name resolves, and CLI jobs load no scipy, mpmath or numpy.ma."""
+"""Package surface: the README quick start runs, every exported name resolves, and the quadrature checks and CLI jobs load no scipy, mpmath or numpy.ma."""
 
 import importlib
 import json
@@ -69,17 +69,20 @@ def test_removed_names_are_gone():
     assert not hasattr(dsf.LineSpectrum, "total_weight")
 
 
-# the CLI's jobs, run in a fresh interpreter, which lists the scipy, mpmath and numpy.ma modules they loaded
+# the library's two quadrature checks and the CLI's jobs, run in a fresh interpreter, which lists the scipy, mpmath
+# and numpy.ma modules they loaded
 COLD_START = """
 import json, sys
 from pathlib import Path
 import numpy as np
 import gibbsqfi
-from gibbsqfi import cli, hilbert as hb
+from gibbsqfi import cli, dsf, hilbert as hb, skew
 from gibbsqfi.inequalities import random_instance
 
 work = Path(sys.argv[1])
 T, S = random_instance(np.random.default_rng(0), 12)
+state = hb.gibbs_state(T)
+skew.integrated_wyd(state, S), dsf.bogoliubov_duhamel_quadrature(state, S, S)
 hb.write_operator_json(T, work / "T.json")
 hb.write_operator_json(S, work / "S.json")
 jobs = [
@@ -103,7 +106,8 @@ print(json.dumps({
 
 
 def test_cli_jobs_load_no_scipy(tmp_path):
-    # verify, a matrix-file sweep, then a spin sweep with every route and a boson metric; the series coefficients
-    # are exact rationals, and no np.unique pulls in numpy.ma
+    # integrated_wyd and the Duhamel quadrature, then verify, a matrix-file sweep, a spin sweep with every route and a
+    # boson metric; both quadratures run one Gauss-Legendre rule, the series coefficients are exact rationals, and no
+    # np.unique pulls in numpy.ma
     run = subprocess.run([sys.executable, "-c", COLD_START, str(tmp_path)], capture_output=True, text=True, check=True)
     assert json.loads(run.stdout.splitlines()[-1]) == {"codes": [0, 0, 0, 0], "loaded": []}

@@ -2,9 +2,10 @@
 
 import numpy as np
 import pytest
-from scipy import integrate
 
 from gibbsqfi import dsf, families as fam, hilbert as hb, metrics, skew
+from gibbsqfi.inequalities import random_instance as gue_instance
+from test_dsf import _forbid_scipy
 from test_hilbert import duhamel_kernel
 
 SX = np.array([[0, 1], [1, 0]], dtype=complex)
@@ -151,19 +152,28 @@ class TestIntegratedWyd:
         assert skew.integrated_wyd(qubit, SZ) == pytest.approx(0.0, abs=1e-12)
 
     def test_qubit_value(self, qubit):
-        assert skew.integrated_wyd(qubit, SX) == pytest.approx(GAP_QUBIT, rel=1e-7)
+        assert skew.integrated_wyd(qubit, SX) == pytest.approx(GAP_QUBIT, rel=1e-10)
 
-    def test_equals_variance_minus_duhamel(self):
+    def test_equals_variance_minus_duhamel(self, monkeypatch):
+        _forbid_scipy(monkeypatch)
         for seed in (9, 10):
             state, s = random_instance(seed, 5)
             assert skew.integrated_wyd(state, s) == pytest.approx(
-                skew.variance_minus_duhamel(state, s), rel=1e-7
+                skew.variance_minus_duhamel(state, s), rel=1e-10
             )
             gap = 4.0 * (
                 metrics.metric_spectral(state, s, fam.MC).value
                 - metrics.metric_spectral(state, s, fam.BKM).value
             )
-            assert skew.integrated_wyd(state, s) == pytest.approx(gap, rel=1e-7)
+            assert skew.integrated_wyd(state, s) == pytest.approx(gap, rel=1e-10)
+        # the panels follow the log-weight gap, so wide spreads hold rounding too
+        for spread in (100.0, 300.0, 1000.0):
+            for seed in range(3):
+                T, s = gue_instance(np.random.default_rng(seed), 8, spread=spread)
+                state = hb.gibbs_state(T)
+                assert skew.integrated_wyd(state, s) == pytest.approx(
+                    skew.variance_minus_duhamel(state, s), rel=1e-10
+                ), (spread, seed)
 
     def test_commutator_bound(self):
         # integral of I^WYD over alpha <= (1/12) <[[S, T], S]>
@@ -184,14 +194,10 @@ class TestIntegratedWyd:
             metrics.metric_spectral(state, s, fam.MC).value
             - metrics.metric_spectral(state, s, fam.BKM).value
         )
-        weighted, _ = integrate.quad(
-            lambda a: 2 * a * (1 - a) * skew.tilde_metric(state, s, fam.wyd(a)).value,
-            0.0,
-            1.0,
-            epsabs=1e-10,
+        frame = dsf._Frame(state, s)
+        weighted = dsf._gauss_legendre(
+            frame, lambda a: 2 * a * (1 - a) * skew.tilde_metric(state, s, fam.wyd(a)).value
         )
-        assert weighted == pytest.approx(gap, rel=1e-7)
-        unweighted, _ = integrate.quad(
-            lambda a: skew.tilde_metric(state, s, fam.wyd(a)).value, 0.0, 1.0, epsabs=1e-10
-        )
+        assert weighted == pytest.approx(gap, rel=1e-10)
+        unweighted = dsf._gauss_legendre(frame, lambda a: skew.tilde_metric(state, s, fam.wyd(a)).value)
         assert abs(unweighted / 8.0 - (gap / 4.0)) > 1e-3 * abs(gap)
