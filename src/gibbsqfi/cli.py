@@ -122,11 +122,15 @@ class JobConfig:
 
 
 def parse_family_expanding(text: str) -> list[fam.MonotoneFamily]:
-    """Parse a family identifier, expanding pair:d into its two members."""
-    family = fam.parse_family(text)
-    if family.kind == "pair":
-        return list(family.members)
-    return [family]
+    """Parse a family identifier; the config identifier pair:d names the two families of fam.half_pair(d)."""
+    kind, colon, arg = text.strip().lower().partition(":")
+    if kind != "pair":
+        return [fam.parse_family(text)]
+    try:
+        d = float(arg) if colon else math.nan  # a bare "pair" has no offset, so none in range
+    except ValueError:
+        raise ValueError(f"bad family parameter in {text!r}") from None
+    return list(fam.half_pair(d))
 
 
 def _parse_method(spec: str):
@@ -190,6 +194,8 @@ def _resolve_model(model: dict, m):
         raise UsageError(f"matrix file not found: {exc.filename}") from None
     except (KeyError, ValueError) as exc:
         raise UsageError(f"bad matrix file: {exc}") from None
+    if T.dim != S.dim:
+        raise UsageError(f"matrix files: T is {T.dim}x{T.dim} but S is {S.dim}x{S.dim}")
     return T, S, 1.0
 
 

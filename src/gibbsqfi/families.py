@@ -65,17 +65,17 @@ __all__ = [
     "g_hat_series_radius",
 ]
 
-_KINDS = ("har", "bures", "bkm", "mc", "geometric", "wyd", "pdiff", "pair")
+_KINDS = ("har", "bures", "bkm", "mc", "geometric", "wyd", "pdiff")
 
 
 @dataclass(frozen=True)
 class MonotoneFamily:
-    """One member of the catalog, identified by kind and optional parameter.
+    """One member of the catalog, one operator monotone function, identified by kind and optional parameter.
 
     kind is one of "har", "bures", "bkm", "mc", "geometric", "wyd",
-    "pdiff", "pair".  The parameter is the WYD alpha in (0, 1), the
-    power-difference exponent p in [-1, 2], or the pair offset d in
-    [0, 3/2]; it is None for the parameter-free kinds.
+    "pdiff".  The parameter is the WYD alpha in (0, 1) or the
+    power-difference exponent p in [-1, 2]; it is None for the
+    parameter-free kinds.
     """
 
     kind: str
@@ -90,9 +90,6 @@ class MonotoneFamily:
         elif self.kind == "pdiff":
             if self.param is None or not -1.0 <= self.param <= 2.0:
                 raise ValueError("pdiff requires p in [-1, 2]")
-        elif self.kind == "pair":
-            if self.param is None or not 0.0 <= self.param <= 1.5:
-                raise ValueError("pair requires d in [0, 3/2]")
         elif self.param is not None:
             raise ValueError(f"family {self.kind!r} takes no parameter")
 
@@ -102,14 +99,6 @@ class MonotoneFamily:
         if self.param is None:
             return self.kind
         return f"{self.kind}:{self.param:g}"
-
-    @property
-    def members(self) -> tuple["MonotoneFamily", "MonotoneFamily"]:
-        """The two power-difference members of a pair family."""
-        if self.kind != "pair":
-            raise ValueError("members is defined only for pair families")
-        d = self.param
-        return (power_difference(0.5 - d), power_difference(0.5 + d))
 
     def __str__(self):
         return self.label
@@ -136,9 +125,11 @@ def power_difference(p: float) -> MonotoneFamily:
     return MonotoneFamily("pdiff", float(p))
 
 
-def half_pair(d: float) -> MonotoneFamily:
-    """The ordered pair (f_{1/2-d}, f_{1/2+d}) used in joint inequalities."""
-    return MonotoneFamily("pair", float(d))
+def half_pair(d: float) -> tuple[MonotoneFamily, MonotoneFamily]:
+    """The ordered pair (f_{1/2-d}, f_{1/2+d}) used in joint inequalities, for d in [0, 3/2]."""
+    if not 0.0 <= d <= 1.5:
+        raise ValueError("pair requires d in [0, 3/2]")
+    return power_difference(0.5 - d), power_difference(0.5 + d)
 
 
 WY = wyd(0.5)
@@ -161,13 +152,6 @@ class _Stacked:
 
     def __getitem__(self, i) -> MonotoneFamily:
         return MonotoneFamily(self.kind, float(self.param[i]))
-
-    @functools.cached_property
-    def members(self) -> tuple["_Stacked", "_Stacked"]:
-        """The stacks of the two power-difference members of a stack of pair families."""
-        if self.kind != "pair":
-            raise ValueError("members is defined only for pair families")
-        return _Stacked("pdiff", 0.5 - self.param), _Stacked("pdiff", 0.5 + self.param)
 
     def column(self, v):
         """The parameters shaped to broadcast along the leading axis of v."""
@@ -192,11 +176,6 @@ def named_families() -> dict[str, MonotoneFamily]:
     return {"bures": BURES, "wy": WY, "bkm": BKM, "geometric": GEOMETRIC, "mc": MC, "har": HAR}
 
 
-def _require_single(family: MonotoneFamily):
-    if family.kind == "pair":
-        raise ValueError("pair families have no single monotone function; use .members")
-
-
 # each kind's sinhc scales (numerators, denominators) of g_f from its parameter, a number or an array (_Stacked)
 _G_SCALES = {
     "har": lambda p: ((2.0,), ()),
@@ -212,7 +191,6 @@ _G_SCALES = {
 @functools.cache
 def _g_scales(family: MonotoneFamily) -> tuple[tuple[float, ...], tuple[float, ...]]:
     """Sinhc scales (numerators, denominators) of the filter function, simplified once per family."""
-    _require_single(family)
     return _simplify_scales(*_G_SCALES[family.kind](family.param))
 
 
@@ -307,7 +285,6 @@ def _log_g(family, x):
     """
     if not isinstance(family, _Stacked):
         return sum(_g_parts(family, x))
-    _require_single(family)
     y = _g_columns(x)
     nums, dens = _G_SCALES[family.kind](family.column(y.v))
     half = 0.5 * (sum(map(np.abs, nums)) - sum(map(np.abs, dens)))
@@ -348,7 +325,6 @@ _F_FORMS = {
 
 def _log_f(family, u):
     """log f(e^u) for real u, given as an array or its _Columns; ``family`` may also be a _Stacked family, entry i for entry i of the leading axis of u."""
-    _require_single(family)
     u = u if isinstance(u, _Columns) else _Columns(u)
     a, ws, ks = _F_FORMS[family.kind](family.column(u.v) if isinstance(family, _Stacked) else family.param)
     return sum(_log_form((a, 1.0 - a, ws, ks), u))
@@ -361,7 +337,6 @@ def eval_f(family: MonotoneFamily, x):
     removable singularities at x = 1 (BKM, MC, WYD, power-difference)
     lose no accuracy, and f(1) = 1 exactly.
     """
-    _require_single(family)
     x_arr = np.asarray(x, dtype=float)
     if not np.all((x_arr > 0.0) & (x_arr < np.inf)):
         raise ValueError("operator monotone functions are defined for finite x > 0")
@@ -370,7 +345,6 @@ def eval_f(family: MonotoneFamily, x):
 
 def eval_f_at_zero(family: MonotoneFamily) -> float:
     """Limit of f at 0+; positive only for the regular families."""
-    _require_single(family)
     k, p = family.kind, family.param
     if k == "bures":
         return 0.5

@@ -1,10 +1,14 @@
-"""Dense Hermitian operators, Gibbs states and thermal averages.
+"""Hermitian operators, Gibbs states and thermal averages.
 
-Everything is exact diagonalization at desk scale (dims up to a few
-thousand): operators, eigenvectors and the density matrix are stored
-dense.  The inverse temperature is absorbed into the generator: a Gibbs
-state is rho = exp(-T)/Z for a Hermitian T, so callers that think in
-(H, beta) should pass beta*H.
+Everything is exact diagonalization.  An operator from outside is a dense
+matrix; a model's operator holds only its nonzero bands and forms its
+dense matrix only when read.  A diagonal generator is sorted, not
+diagonalized, and its permutation eigenvectors, like the density matrix,
+are formed only when read, so a banded model job runs at dims where no
+n x n array fits (a spin S = 100000 job, dim 200001).  The inverse
+temperature is absorbed into the generator: a Gibbs state is
+rho = exp(-T)/Z for a Hermitian T, so callers that think in (H, beta)
+should pass beta*H.
 """
 
 from __future__ import annotations
@@ -33,7 +37,7 @@ __all__ = [
 
 
 class HermitianOperator:
-    """A dense complex square matrix asserted Hermitian at construction.
+    """A complex square matrix asserted Hermitian at construction, held dense or as its nonzero entries.
 
     The stored matrix is the Hermitian part (H + H^dagger)/2; construction
     fails on a non-finite entry or if the ``asymmetry`` max|H - H^dagger|

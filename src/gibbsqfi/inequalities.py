@@ -156,24 +156,21 @@ def commutator_bounds(state: GibbsState, S) -> list[InequalityReport]:
     return [check.report() for check in _commutator_checks(v, 2.0 * frame.moments[1])]
 
 
-def _geometric_mean_checks(v: dict, pair) -> list[_Check]:
-    """``pair`` is one half_pair family, or a _Stacked one with one per matrix."""
-    lo, hi = pair.members
+def _geometric_mean_checks(v: dict, d, lo, hi) -> list[_Check]:
+    """``lo, hi`` are half_pair(d), or for an array d the two _Stacked power-difference families 1/2 -+ d, one per matrix."""
     return [
         _Check("bkm<=geomean(bures,mc)", v[fam.BKM], np.sqrt(v[fam.BURES] * v[fam.MC])),
         _Check("geo<=geomean(bures,har)", v[fam.GEOMETRIC], np.sqrt(v[fam.BURES] * v[fam.HAR])),
-        _Check(lambda i: f"geo<=geomean({_at(pair, i).label})", v[fam.GEOMETRIC], np.sqrt(v[lo] * v[hi])),
+        _Check(lambda i: f"geo<=geomean(pair:{np.asarray(d)[i]:g})", v[fam.GEOMETRIC], np.sqrt(v[lo] * v[hi])),
     ]
 
 
 def geometric_mean_checks(state: GibbsState, S, d: float) -> list[InequalityReport]:
     """Geometric-mean bounds, including the power-difference pair at offset d."""
-    if not 0.0 <= d <= 1.5:
-        raise ValueError("pair offset d must lie in [0, 3/2]")
-    frame = _Frame(state, S)
     pair = fam.half_pair(d)
-    v = _values(frame, _filters(frame), *fam.named_families().values(), *pair.members)
-    return [check.report() for check in _geometric_mean_checks(v, pair)]
+    frame = _Frame(state, S)
+    v = _values(frame, _filters(frame), *fam.named_families().values(), *pair)
+    return [check.report() for check in _geometric_mean_checks(v, d, *pair)]
 
 
 def _geometric_mean_family(f: fam.MonotoneFamily, f_bar: fam.MonotoneFamily):
@@ -321,11 +318,11 @@ def _group_checks(group: _Group) -> tuple[list[_Check], np.ndarray]:
     # C = 2 M_1 and the sum rules p <= 6 read the chain of S to M_5
     frame, frame_b = _frame_pair(state, group.S, group.B, chain_order=5)
     filters = _filters(frame)
-    pair = fam._Stacked("pair", group.d)
-    values = _values(frame, filters, *fam.named_families().values(), *pair.members)
+    pair = fam._Stacked("pdiff", 0.5 - group.d), fam._Stacked("pdiff", 0.5 + group.d)
+    values = _values(frame, filters, *fam.named_families().values(), *pair)
     checks = _chain_checks(values)
     checks += _commutator_checks(values, 2.0 * frame.moments[1])
-    checks += _geometric_mean_checks(values, pair)
+    checks += _geometric_mean_checks(values, group.d, *pair)
     power, co_power = fam._Stacked("pdiff", group.p), fam._Stacked("pdiff", 1.0 - group.p)
     for f, f_bar in ((fam.BURES, fam.MC), (fam.BURES, fam.HAR), (power, co_power)):
         checks += _cauchy_schwarz_checks(frame, frame_b, f, f_bar, filters)

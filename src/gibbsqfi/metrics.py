@@ -23,6 +23,7 @@ quarter of the fidelity susceptibility (see fidelity_susceptibility).
 
 from __future__ import annotations
 
+import numbers
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -172,16 +173,17 @@ def _series(frame: _Frame, family: fam.MonotoneFamily, method: str, L: int) -> l
     The value is base + (1/4) sum_{l=1}^{L} (1/2)^q a_l(f) M_q; one
     below zero by more than rounding raises ArithmeticError, as on every route.
     """
-    if L < 1:
-        raise ValueError("L must be a positive integer")
+    if not isinstance(L, numbers.Integral) or L < 1:
+        raise ValueError(f"L must be a positive integer, got {L!r}")
     odd = method == "seriesA"
+    moments = frame.moments  # a moment past double range raises before the exact coefficients, slow at large L, are formed
     base = frame.filtered if odd else frame.second_moment
     coeffs = fam.taylor_coeffs(family, "g" if odd else "g_hat", L)
     radius = (fam.g_series_radius if odd else fam.g_hat_series_radius)(family)
     total = 0.25 * (base - frame.mean ** 2)
     for l in range(1, L + 1):
         q = 2 * l - odd
-        term = 0.25 * 0.5 ** q * coeffs[l - 1] * frame.moments[q]
+        term = 0.25 * 0.5 ** q * coeffs[l - 1] * moments[q]
         total = total + term
     ok = 0.5 * frame.max_omega < radius
     value = _nonnegative(total, 0.25 * base, method)

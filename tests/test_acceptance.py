@@ -19,6 +19,7 @@ from gibbsqfi import (
     models,
     skew,
 )
+from gibbsqfi.cli import parse_family_expanding
 
 CORPUS_SEED = 20260810
 
@@ -37,11 +38,7 @@ EIGHT_FAMILIES = [
 
 
 def expanded_families():
-    out = []
-    for label in EIGHT_FAMILIES:
-        family = fam.parse_family(label)
-        out.extend(family.members if family.kind == "pair" else [family])
-    return out
+    return [family for label in EIGHT_FAMILIES for family in parse_family_expanding(label)]
 
 
 def _announce(number, name, ok):

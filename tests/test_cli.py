@@ -104,6 +104,39 @@ class TestMetricJobs:
         rows = read_csv(out)
         assert [r["family"] for r in rows] == ["pdiff:0.25", "pdiff:0.75"]
 
+    @pytest.mark.parametrize("text, problem", [
+        ("pair:2", "pair requires d in [0, 3/2]"),
+        ("pair", "pair requires d in [0, 3/2]"),
+        ("pair:x", "bad family parameter in 'pair:x'"),
+        ("pair:", "bad family parameter in 'pair:'"),
+    ])
+    def test_malformed_pair_identifier_exits_2(self, tmp_path, capsys, text, problem):
+        config = write_config(tmp_path, {"model": {"model": "spin", "S": 0.5, "omega0": 1.0}, "families": [text, "bkm"]})
+        assert main(["metric", "--config", config]) == 2
+        assert capsys.readouterr().err == f"error: invalid config:\n  families: {problem}\n"
+
+    @pytest.mark.parametrize("text", ["PAIR:0.3", " pair:0.3 "])
+    def test_pair_identifier_is_read_as_parse_family_reads_one(self, tmp_path, capsys, text):
+        config = write_config(tmp_path, {"model": {"model": "spin", "S": 0.5, "omega0": 1.0}, "families": [text]})
+        assert main(["metric", "--config", config]) == 0
+        assert [line.split(",")[0] for line in capsys.readouterr().out.splitlines()[1:]] == ["pdiff:0.2", "pdiff:0.8"]
+
+    @pytest.mark.parametrize("command", ["metric", "sweep", "moments", "model"])
+    @pytest.mark.parametrize("dense", [True, False], ids=["dense-T", "diagonal-T"])
+    def test_matrix_files_of_different_sizes_exit_2(self, tmp_path, capsys, command, dense):
+        T = np.diag([0.0, 1.0, 2.0]).astype(complex)
+        if dense:
+            T[0, 1] = T[1, 0] = 0.5
+        hb.write_operator_json(T, tmp_path / "T.json")
+        hb.write_operator_json(np.ones((4, 4), complex), tmp_path / "S.json")
+        payload = {
+            "model": {"T": str(tmp_path / "T.json"), "S": str(tmp_path / "S.json")},
+            "families": ["bkm"],
+            "sweep": {"parameter": "beta", "grid": [0.5, 1.0]},
+        }
+        assert main([command, "--config", write_config(tmp_path, payload)]) == 2
+        assert capsys.readouterr().err == "error: matrix files: T is 3x3 but S is 4x4\n"
+
     def test_missing_matrix_file_exits_2_without_output(self, tmp_path, capsys):
         config = write_config(
             tmp_path,
@@ -393,6 +426,17 @@ class TestMetricJobs:
             assert main(["metric", "--config", config, "--out", str(out)]) == 2
         assert not out.exists()
         assert "bkm seriesA:600: commutator moment M_1023 is not finite" in capsys.readouterr().err
+
+    def test_series_reads_its_chain_before_forming_its_coefficients(self, tmp_path, capsys, monkeypatch):
+        # wyd:0.3's exact coefficients take seconds at L = 160, far longer at 600; the chain overflows at M_1023 first
+        def never(*args):
+            raise AssertionError("series coefficients formed before the commutator chain was read")
+
+        monkeypatch.setattr(fam, "taylor_coeffs", never)
+        config = write_config(tmp_path, {**OVERFLOW_SPIN, "families": ["wyd:0.3"]})
+        with np.errstate(over="ignore", invalid="ignore"):
+            assert main(["metric", "--config", config]) == 2
+        assert "wyd:0.3 seriesA:600: commutator moment M_1023 is not finite" in capsys.readouterr().err
 
     def test_negative_series_value_exits_2(self, tmp_path, capsys):
         # w_max/2 = 1.5 is inside Bures' radius pi/2, but the terms shrink by

@@ -5,6 +5,7 @@ independent of the package's stable evaluation paths.
 """
 
 import math
+import re
 import warnings
 
 import mpmath
@@ -339,7 +340,7 @@ class TestEvalG:
     def test_pair_product_identity(self):
         xs = np.linspace(-4, 4, 21)
         for d in (0.0, 0.3, 0.7, 1.2, 1.5):
-            lo, hi = fam.half_pair(d).members
+            lo, hi = fam.half_pair(d)
             prod = fam.eval_g(lo, xs) * fam.eval_g(hi, xs)
             assert np.allclose(prod, fam.eval_g(fam.GEOMETRIC, xs) ** 2, rtol=1e-12)
 
@@ -525,11 +526,9 @@ class TestStackedFamilies:
         assert np.array_equal(got, expected)
 
     def test_entries_and_labels(self):
-        pair = fam._Stacked("pair", np.array([0.25, 1.5]))
-        assert [pair[i] for i in range(2)] == [fam.half_pair(0.25), fam.half_pair(1.5)]
-        assert pair[0].label == "pair:0.25"
-        lo, hi = pair.members
-        assert pair.members is pair.members  # one object each, so each member's filter is computed once
+        d = np.array([0.25, 1.5])
+        lo, hi = fam._Stacked("pdiff", 0.5 - d), fam._Stacked("pdiff", 0.5 + d)
+        assert [(lo[i], hi[i]) for i in range(2)] == [fam.half_pair(0.25), fam.half_pair(1.5)]
         assert [lo[1].label, hi[1].label] == ["pdiff:-1", "pdiff:2"]
         p = np.array([0.7])
         assert (fam._Stacked("pdiff", p)[0].label, fam._Stacked("pdiff", 1.0 - p)[0].label) == ("pdiff:0.7", "pdiff:0.3")
@@ -539,10 +538,6 @@ class TestStackedFamilies:
             fam._Stacked("pdiff", np.array([0.5, 2.5]))
         with pytest.raises(ValueError, match="wyd requires alpha"):
             fam._Stacked("wyd", np.array([0.5, math.nan]))
-        with pytest.raises(ValueError, match="pair families have no single monotone function"):
-            fam._log_g(fam._Stacked("pair", np.array([0.5])), np.zeros((1, 3)))
-        with pytest.raises(ValueError, match="members is defined only for pair families"):
-            fam._Stacked("pdiff", np.array([0.5])).members
 
 
 class TestEvalGHat:
@@ -669,7 +664,7 @@ class TestVerifyStandard:
 
 class TestIdentifiers:
     def test_round_trip(self):
-        for text in ["har", "bures", "bkm", "mc", "geometric", "wyd:0.3", "pdiff:1.5", "pair:0.5"]:
+        for text in ["har", "bures", "bkm", "mc", "geometric", "wyd:0.3", "pdiff:1.5"]:
             assert fam.parse_family(text).label == text
 
     def test_parse_errors(self):
@@ -691,15 +686,20 @@ class TestIdentifiers:
             fam.MonotoneFamily("har", 0.3)
 
     def test_pair_members(self):
-        lo, hi = fam.half_pair(0.25).members
+        lo, hi = fam.half_pair(0.25)
         assert (lo.kind, lo.param) == ("pdiff", 0.25)
         assert (hi.kind, hi.param) == ("pdiff", 0.75)
-        with pytest.raises(ValueError):
-            fam.eval_f(fam.half_pair(0.25), 2.0)
-        with pytest.raises(ValueError):
-            fam.eval_g(fam.half_pair(0.25), 1.0)
-        with pytest.raises(ValueError):
-            fam.BKM.members
+        assert fam.half_pair(1.5) == (fam.power_difference(-1.0), fam.power_difference(2.0))
+        for d in (-0.1, 1.6, math.nan, math.inf):
+            with pytest.raises(ValueError, match=re.escape("pair requires d in [0, 3/2]")):
+                fam.half_pair(d)
+
+    def test_pair_is_no_family_kind(self):
+        # every family is one operator monotone function; pair:d is a config identifier the CLI expands
+        assert "pair" not in fam._KINDS
+        for build in (lambda: fam.MonotoneFamily("pair", 0.5), lambda: fam._Stacked("pair", np.array([0.5])), lambda: fam.parse_family("pair:0.5")):
+            with pytest.raises(ValueError, match="unknown family kind 'pair'"):
+                build()
 
 
 def mp_series_of_scales(nums, dens, L):
@@ -725,7 +725,7 @@ SERIES_FAMILIES = [
     *fam.named_families().values(),
     *(fam.wyd(a / 10) for a in range(1, 10)),
     *(fam.power_difference(p) for p in (-0.7, -0.3, 0.25, 0.75, 1.3, 2.0)),
-    *fam.half_pair(0.3).members,
+    *fam.half_pair(0.3),
 ]
 
 

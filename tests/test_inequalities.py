@@ -2,6 +2,7 @@
 
 import json
 import math
+import re
 import warnings
 from pathlib import Path
 
@@ -145,8 +146,9 @@ class TestGeometricMeanChecks:
             assert report.slack > 0.0
 
     def test_offset_domain(self, qubit):
-        with pytest.raises(ValueError):
-            ineq.geometric_mean_checks(qubit, SX, 1.6)
+        for d in (-0.1, 1.6, float("nan")):
+            with pytest.raises(ValueError, match=re.escape("pair requires d in [0, 3/2]")):
+                ineq.geometric_mean_checks(qubit, SX, d)
 
 
 class TestCauchySchwarzCross:
