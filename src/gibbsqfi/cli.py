@@ -23,7 +23,7 @@ from . import families as fam
 from .dsf import _Frame, _pair_tables, build_dsf, sum_rule_report
 from .hilbert import _scaled_state, eigendecompose, read_operator_json, write_operator_json
 from .inequalities import run_verification_suite
-from .metrics import METHODS, _evaluate, _moment_order
+from .metrics import METHODS, _evaluate
 from .models import BosonModel, SpinModel
 
 __all__ = ["main", "JobConfig", "run_metric_job"]
@@ -245,8 +245,7 @@ def _label(point) -> str:
 
 def _stack_rows(config: JobConfig, routes, labels, state, S, table):
     """Rows of the points of a (stacked) state, point by point, from one frame and one call per (family, method); an error names the first point."""
-    chain_order = max((_moment_order(route, L) for _, route, L in routes if L), default=0)
-    frame = _Frame(state, S, chain_order, table)
+    frame = _Frame(state, S, table)
     results = []
     for family in config.families:
         for method_spec, route, L in routes:

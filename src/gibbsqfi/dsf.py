@@ -201,26 +201,46 @@ def _pair_tables(basis: SpectralDecomposition, *ops: HermitianOperator) -> list[
     return tables
 
 
-class _Frame:
-    """Family-independent data of one (state, S), shared by every consumer.
+class _Chain:
+    """One (state, S) and its commutator chain (_chain_traces), which ``moment`` starts on its first read and runs on as far
+    as it is asked, checking each moment once: one that is not finite stops the chain, and every read that reaches it raises
+    its OverflowError naming its order; an imaginary residue above 1e-10 relative warns once per member of a stack."""
 
-    Every sum runs over the pairs of the ``table`` (S's own when omitted) and
-    the diagonal; lazy members are computed on first read, and chain_order is
-    the highest commutator moment the frame provides.  The frame of a stack of
-    states, with one S or a stack of S, holds every array with the stack's
-    leading axes, and its scalar members become arrays over the stack.
+    def __init__(self, state: GibbsState, S: HermitianOperator):
+        self.state, self.S, self._moments, self._overflow = state, S, [], None
+
+    def moment(self, q: int):
+        """M_q = (-1)^q <R_q(S) S>, an array over the stack of a stacked state; a zero moment is +0.0."""
+        while len(self._moments) <= q and self._overflow is None:
+            p = len(self._moments)
+            if p == 0:
+                self._traces = _chain_traces(self.state, self.S)
+            with np.errstate(over="ignore", invalid="ignore"):  # a non-finite moment is checked below
+                value = np.asarray(next(self._traces), dtype=complex)
+            if np.all(np.isfinite(value)):
+                for imag in value.imag[np.abs(value.imag) > 1e-10 * np.maximum(1.0, np.abs(value.real))]:
+                    warnings.warn(f"commutator moment M_{p} has imaginary residue {imag:.3e}", RuntimeWarning, stacklevel=3)
+                self._moments.append((-1.0) ** p * value.real + 0.0)
+            else:
+                self._overflow = f"commutator moment M_{p} is not finite ({float(value.real[~np.isfinite(value)][0])!r})"
+        if q >= len(self._moments):
+            raise OverflowError(self._overflow)
+        return self._moments[q]
+
+
+class _Frame(_Chain):
+    """Family-independent data of one (state, S), shared by every consumer: sums over the pairs of the ``table`` (S's own
+    when omitted) and the diagonal, lazy members computed on first read, and the chain (_Chain), run on to the highest
+    moment any reader asks for.  The frame of a stack of states, with one S or a stack of S, holds every array with the
+    stack's leading axes, and its scalar members become arrays over the stack.
     """
 
-    def __init__(self, state: GibbsState, S, chain_order: int = 0, table: _PairTable | None = None):
-        self.state = state
-        self.S = S = as_operator(S)  # checked once; the commutator chain reads it in the original basis
-        self.chain_order = chain_order
+    def __init__(self, state: GibbsState, S, table: _PairTable | None = None):
+        super().__init__(state, as_operator(S))  # S checked once; the commutator chain reads it in the original basis
         lam = state.decomposition.eigenvalues
-        self.table = t = _pair_tables(state.decomposition, S)[0] if table is None else table
+        self.table = t = _pair_tables(state.decomposition, self.S)[0] if table is None else table
         self.x = 0.5 * (np.take(lam, t.rows, axis=-1) - np.take(lam, t.cols, axis=-1))  # omega_nm/2 >= 0 at each pair
         self.mean = _dot(state.weights, self.diagonal)
-        # both (n, m) and (m, n) of each coupled pair closer than the window
-        self.degenerate_pairs = 2 * np.sum(2.0 * self.x < _DEGENERATE_WINDOW, axis=-1)
 
     @property
     def diagonal(self) -> np.ndarray:
@@ -299,19 +319,20 @@ class _Frame:
         return np.max(np.where(coupled, 2.0 * self.x, 0.0), axis=-1, initial=0.0)
 
     @cached_property
-    def moments(self) -> list:
-        """M_0..M_chain_order from one commutator chain."""
-        return commutator_moments(self.state, self.S, self.chain_order)
+    def degenerate_pairs(self):
+        """Both (n, m) and (m, n) of each coupled pair closer than _DEGENERATE_WINDOW."""
+        return 2 * np.sum(2.0 * self.x < _DEGENERATE_WINDOW, axis=-1)
 
 
-def _frame_pair(state: GibbsState, A, B, chain_order: int = 0) -> tuple[_Frame, _Frame]:
-    """Frames of A (to chain_order) and B over the pairs either couples; one frame when B is A."""
-    if B is A:
-        frame = _Frame(state, A, chain_order)
-        return frame, frame
+def _frame_pair(state: GibbsState, A, B) -> tuple[_Frame, _Frame]:
+    """Frames of A and B over the pairs either couples; one frame when B is A or its matrix equals A's, which the diagonals
+    and then the nonzero entries (``pattern``) decide: O(nonzeros) for a model's banded operators, with no dense matrix formed."""
     A, B = as_operator(A), as_operator(B)
+    if B is A or (A.shape == B.shape and np.array_equal(A.diagonal, B.diagonal) and all(map(np.array_equal, A.pattern, B.pattern))):
+        frame = _Frame(state, A)
+        return frame, frame
     table_a, table_b = _pair_tables(state.decomposition, A, B)
-    return _Frame(state, A, chain_order, table_a), _Frame(state, B, 0, table_b)
+    return _Frame(state, A, table_a), _Frame(state, B, table_b)
 
 
 def _pair_products(frame_a: _Frame, frame_b: _Frame) -> np.ndarray:
@@ -386,28 +407,13 @@ def _chain_traces(state: GibbsState, S: HermitianOperator):
 
 
 def commutator_moments(state: GibbsState, S, order: int) -> list:
-    """Moments M_q = (-1)^q <R_q(S) S>, q = 0..order, from iterated commutators.
-
-    R_q = [T, R_{q-1}] stays in the original basis and reads the generator
-    as given, independent of the eigenvectors behind ``moment``.
-    <R_q S> = tr(R_q P) with P = S rho (_chain_traces).  The state of a
-    stack runs one chain for the whole stack, and each moment is an array
-    over it.  A moment that is not finite raises OverflowError naming its
-    order; a zero one is +0.0.  This is the one commutator chain:
-    functional_F, sum_rule_report and the metric series all read it.
+    """Moments M_q = (-1)^q <R_q(S) S>, q = 0..order, of the one commutator chain (_Chain), which functional_F,
+    sum_rule_report and the metric series read: R_q = [T, R_{q-1}] stays in the original basis and reads the generator as
+    given, independent of the eigenvectors behind ``moment``, and <R_q S> = tr(R_q P), P = S rho.  The state of a stack
+    runs one chain for the whole stack, each moment an array over it; a moment that is not finite raises OverflowError.
     """
-    out, traces = [], _chain_traces(state, as_operator(S))
-    for q in range(order + 1):
-        with np.errstate(over="ignore", invalid="ignore"):  # a non-finite moment raises below
-            value = np.asarray(next(traces), dtype=complex)
-        bad = ~np.isfinite(value)
-        if np.any(bad):
-            raise OverflowError(f"commutator moment M_{q} is not finite ({float(value.real[bad][0])!r})")
-        residue = np.abs(value.imag) > 1e-10 * np.maximum(1.0, np.abs(value.real))
-        for imag in value.imag[residue]:  # one warning per member of a stack
-            warnings.warn(f"commutator moment M_{q} has imaginary residue {imag:.3e}", RuntimeWarning, stacklevel=2)
-        out.append((-1.0) ** q * value.real + 0.0)
-    return out
+    chain = _Chain(state, as_operator(S))
+    return [chain.moment(q) for q in range(order + 1)]
 
 
 def bogoliubov_duhamel(state: GibbsState, A, B) -> float:
@@ -498,7 +504,7 @@ class SumRuleRow:
 
 
 def _sum_rule_values(frame: _Frame, p_max: int) -> list[tuple]:
-    """(F_p, 2 M_{p-1}, relative error) for p = 0..p_max; the chain must reach p_max - 1.
+    """(F_p, 2 M_{p-1}, relative error) for p = 0..p_max, F_p from the frame's chain, which runs on to M_{p_max - 1}.
 
     The moments are sums over the eigenbasis pairs, whose lines (weight
     rho_m |S_nm|^2 at omega_nm) are checked for detailed balance first.
@@ -518,7 +524,7 @@ def _sum_rule_values(frame: _Frame, p_max: int) -> list[tuple]:
     for p in range(1, p_max + 1):
         # the diagonal's lines sit at omega = 0 and count only in M_0
         moment = _dot(omega ** (p - 1), positive + (-1.0) ** (p - 1) * negative)
-        pairs.append((2.0 * frame.moments[p - 1], 2.0 * (moment + frame.on_diagonal if p == 1 else moment)))
+        pairs.append((2.0 * frame.moment(p - 1), 2.0 * (moment + frame.on_diagonal if p == 1 else moment)))
     return [
         (f_val, m_val, np.abs(f_val - m_val) / np.maximum(np.maximum(np.abs(f_val), np.abs(m_val)), 1e-300))
         for f_val, m_val in pairs
@@ -536,5 +542,5 @@ def sum_rule_report(state: GibbsState, S, p_max: int = 6) -> list[SumRuleRow]:
     """
     if p_max < 0:
         raise ValueError(f"p_max must be >= 0, got {p_max}")
-    values = _sum_rule_values(_Frame(state, S, p_max - 1), p_max)
+    values = _sum_rule_values(_Frame(state, S), p_max)
     return [SumRuleRow(p, *map(float, row)) for p, row in enumerate(values)]

@@ -318,28 +318,29 @@ def solve_xst(T, S) -> tuple[np.ndarray, SpectralDecomposition]:
     Requires S to have (numerically) zero diagonal there, and no nonzero
     element across a degenerate eigenvalue pair of T.  Returns the elements
     of X in that eigenbasis and T's decomposition, which fixes the basis.
-    X is anti-Hermitian for Hermitian S.
+    X, anti-Hermitian for Hermitian S, is the one n x n array formed: it is filled at the pairs S couples (dsf._pair_tables).
     """
+    from .dsf import _pair_tables  # dsf imports this module
+
     T_op, S_op = as_operator(T), as_operator(S)
     if T_op.dim != S_op.dim:
         raise ValueError(f"dimension mismatch: {T_op.dim} vs {S_op.dim}")
     decomposition = eigendecompose(T_op)
-    S_eig = to_eigenbasis(decomposition, S_op)
-    diag = np.abs(np.diag(S_eig))
-    bad = np.nonzero(diag > 1e-12)[0]
+    [t] = _pair_tables(decomposition, S_op)
+    bad = np.nonzero(np.abs(t.diagonal) > 1e-12)[0]
     if bad.size:
         raise ValueError(f"S has nonzero diagonal in the T-eigenbasis at indices {bad.tolist()}")
-    lam = decomposition.eigenvalues
-    gaps = lam[:, None] - lam[None, :]
-    scale = max(float(np.max(np.abs(S_eig))), 1e-300)
-    degenerate = (np.abs(gaps) < 1e-10) & (np.abs(S_eig) > 1e-14 * scale)
-    np.fill_diagonal(degenerate, False)
-    if np.any(degenerate):
-        m, n = np.argwhere(degenerate)[0]
-        raise ZeroDivisionError(f"degenerate eigenvalue pair ({int(m)}, {int(n)}) carries a nonzero S element; X is singular there")
+    lam, n = decomposition.eigenvalues, decomposition.dim
+    gaps, elements = lam[t.rows] - lam[t.cols], np.concatenate(t.elements)  # S_rc then S_cr at the pairs (r, c)
+    scale = max(float(np.max(np.abs(np.append(elements, t.diagonal)))), 1e-300)
+    close = np.abs(gaps) < 1e-10
+    degenerate = np.tile(close, 2) & (np.abs(elements) > 1e-14 * scale)
+    if np.any(degenerate):  # the first in row-major order is named
+        m, k = divmod(int(np.min(np.concatenate((t.rows * n + t.cols, t.cols * n + t.rows))[degenerate])), n)
+        raise ZeroDivisionError(f"degenerate eigenvalue pair ({m}, {k}) carries a nonzero S element; X is singular there")
+    X = np.zeros((n, n), dtype=complex)
     with np.errstate(divide="ignore", invalid="ignore"):
-        X = np.where(np.abs(gaps) < 1e-10, 0.0, S_eig / np.where(gaps == 0.0, 1.0, gaps))
-    np.fill_diagonal(X, 0.0)
+        X[t.rows, t.cols], X[t.cols, t.rows] = (np.where(close, 0.0, e / g) for e, g in zip(t.elements, (gaps, -gaps)))
     return X, decomposition
 
 

@@ -20,7 +20,7 @@ import numpy as np
 
 from . import families as fam
 from .dsf import _dot, _dot_exp, _Frame, _frame_pair, _sum_rule_values
-from .hilbert import GibbsState, HermitianOperator, _scaled_state, as_operator, eigendecompose
+from .hilbert import GibbsState, HermitianOperator, _scaled_state, eigendecompose
 from .metrics import _cross_value, _oracle_value, _spectral_value
 
 __all__ = [
@@ -151,9 +151,9 @@ def commutator_bounds(state: GibbsState, S) -> list[InequalityReport]:
     moment of the commutator chain; each bound yields a nonnegativity and
     an upper-bound report.
     """
-    frame = _Frame(state, S, chain_order=1)
+    frame = _Frame(state, S)
     v = _values(frame, _filters(frame), fam.BURES, fam.BKM, fam.MC)
-    return [check.report() for check in _commutator_checks(v, 2.0 * frame.moments[1])]
+    return [check.report() for check in _commutator_checks(v, 2.0 * frame.moment(1))]
 
 
 def _geometric_mean_checks(v: dict, d, lo, hi) -> list[_Check]:
@@ -214,8 +214,7 @@ def cauchy_schwarz_cross(state: GibbsState, A, B, f: fam.MonotoneFamily, f_bar: 
     coincide, the classical-regime upper bound (dropping the (x coth x)^-1
     factor) and the Bures <= BKM cross bound are reported as well.
     """
-    a_op, b_op = as_operator(A), as_operator(B)
-    frame_a, frame_b = _frame_pair(state, a_op, a_op if np.array_equal(a_op.matrix, b_op.matrix) else b_op)
+    frame_a, frame_b = _frame_pair(state, A, B)
     return [check.report() for check in _cauchy_schwarz_checks(frame_a, frame_b, f, f_bar, _filters(frame_a))]
 
 
@@ -315,13 +314,12 @@ def _group_checks(group: _Group) -> tuple[list[_Check], np.ndarray]:
     per trial, whether the geometric <= MC link is in its regime.
     """
     state = _scaled_state(eigendecompose(group.T), group.T, 1.0)
-    # C = 2 M_1 and the sum rules p <= 6 read the chain of S to M_5
-    frame, frame_b = _frame_pair(state, group.S, group.B, chain_order=5)
+    frame, frame_b = _frame_pair(state, group.S, group.B)
     filters = _filters(frame)
     pair = fam._Stacked("pdiff", 0.5 - group.d), fam._Stacked("pdiff", 0.5 + group.d)
     values = _values(frame, filters, *fam.named_families().values(), *pair)
     checks = _chain_checks(values)
-    checks += _commutator_checks(values, 2.0 * frame.moments[1])
+    checks += _commutator_checks(values, 2.0 * frame.moment(1))
     checks += _geometric_mean_checks(values, group.d, *pair)
     power, co_power = fam._Stacked("pdiff", group.p), fam._Stacked("pdiff", 1.0 - group.p)
     for f, f_bar in ((fam.BURES, fam.MC), (fam.BURES, fam.HAR), (power, co_power)):

@@ -159,11 +159,6 @@ def _dsf_value(Q: LineSpectrum, family: fam.MonotoneFamily):
     return _nonnegative(0.25 * (gross - Q.mean_s ** 2), 0.25 * gross, "dsf")
 
 
-def _moment_order(method: str, L: int) -> int:
-    """Highest commutator moment seriesA or seriesB reads at truncation L."""
-    return 2 * L - (method == "seriesA")
-
-
 def _series(frame: _Frame, family: fam.MonotoneFamily, method: str, L: int) -> list[MetricResult]:
     """Truncated moment expansion around a base metric, on a frame: one result per member of its stack.
 
@@ -172,18 +167,20 @@ def _series(frame: _Frame, family: fam.MonotoneFamily, method: str, L: int) -> l
     (1/4)[<S^2> - <S>^2], moments M_{2l} and ghat-series coefficients.
     The value is base + (1/4) sum_{l=1}^{L} (1/2)^q a_l(f) M_q; one
     below zero by more than rounding raises ArithmeticError, as on every route.
+    The frame's chain runs on to the highest M_q first, so one past double
+    range raises before the exact coefficients, slow at large L, are formed.
     """
     if not isinstance(L, numbers.Integral) or L < 1:
         raise ValueError(f"L must be a positive integer, got {L!r}")
     odd = method == "seriesA"
-    moments = frame.moments  # a moment past double range raises before the exact coefficients, slow at large L, are formed
+    frame.moment(2 * L - odd)
     base = frame.filtered if odd else frame.second_moment
     coeffs = fam.taylor_coeffs(family, "g" if odd else "g_hat", L)
     radius = (fam.g_series_radius if odd else fam.g_hat_series_radius)(family)
     total = 0.25 * (base - frame.mean ** 2)
     for l in range(1, L + 1):
         q = 2 * l - odd
-        term = 0.25 * 0.5 ** q * coeffs[l - 1] * moments[q]
+        term = 0.25 * 0.5 ** q * coeffs[l - 1] * frame.moment(q)
         total = total + term
     ok = 0.5 * frame.max_omega < radius
     value = _nonnegative(total, 0.25 * base, method)
@@ -201,7 +198,7 @@ def metric_series_A(state: GibbsState, S, family: fam.MonotoneFamily, L: int) ->
     The radius flag reports whether max|w|/2 lies inside the convergence
     radius of the g-series; outside it the value is reported but suspect.
     """
-    return _evaluate(_Frame(state, S, _moment_order("seriesA", L)), family, "seriesA", L)[0]
+    return _evaluate(_Frame(state, S), family, "seriesA", L)[0]
 
 
 def metric_series_B(state: GibbsState, S, family: fam.MonotoneFamily, L: int) -> MetricResult:
@@ -210,7 +207,7 @@ def metric_series_B(state: GibbsState, S, family: fam.MonotoneFamily, L: int) ->
     d^2_f ~ d^2_MC + (1/4) sum_{l=1}^{L} (1/2)^{2l} a_{2l}(f) M_{2l} with
     the ghat-series coefficients; radius diagnostics as in series A.
     """
-    return _evaluate(_Frame(state, S, _moment_order("seriesB", L)), family, "seriesB", L)[0]
+    return _evaluate(_Frame(state, S), family, "seriesB", L)[0]
 
 
 def metric_difference_to_bkm(state: GibbsState, S, family: fam.MonotoneFamily) -> float:

@@ -179,10 +179,8 @@ class BosonModel:
             raise ValueError("omega must be positive and finite")
         if self.cutoff < self.k:
             raise ValueError("cutoff must be at least k")
-        n = np.arange(self.cutoff + 1)
-        with np.errstate(over="ignore"):  # omega n past double range is inf, and its weight the exact 0
-            Z = float(np.sum(np.exp(-self.omega * n)))
-        tail = math.exp(-self.omega * self.cutoff) / Z
+        # Z = sum_{n <= cutoff} e^{-omega n} = expm1(-omega (cutoff + 1)) / expm1(-omega), summed in closed form: no level is formed
+        tail = math.exp(-self.omega * self.cutoff) * math.expm1(-self.omega) / math.expm1(-self.omega * (self.cutoff + 1))
         if tail >= 1e-12:
             raise ValueError(f"cutoff {self.cutoff} too small: Gibbs tail {tail:.3e} >= 1e-12")
 

@@ -291,7 +291,7 @@ class TestStackedStructureFactor:
         """The dsf results of every family on one frame of the stack c * T, and on the public single-spectrum route."""
         basis, S = hb.eigendecompose(T), hb.as_operator(S)
         table = dsf._pair_tables(basis, S)[0]
-        frame = dsf._Frame(hb._scaled_state(basis, T, cs), S, 0, table)
+        frame = dsf._Frame(hb._scaled_state(basis, T, cs), S, table)
         for family in map(fam.parse_family, FAMILIES):
             stacked = [result.value for result in metrics._evaluate(frame, family, "dsf")]
             single = [metrics.metric_from_dsf(dsf.build_dsf(hb._scaled_state(basis, T, c), S, centered=True), family).value for c in cs]

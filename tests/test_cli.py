@@ -427,6 +427,15 @@ class TestMetricJobs:
         assert not out.exists()
         assert "bkm seriesA:600: commutator moment M_1023 is not finite" in capsys.readouterr().err
 
+    def test_series_error_names_the_method_that_reads_the_moment(self, tmp_path, capsys):
+        # seriesB:4 reads the chain to M_8 and runs; seriesA:600 then runs it on to M_1023, past double range
+        config = write_config(tmp_path, {**OVERFLOW_SPIN, "methods": ["seriesB:4", "seriesA:600"]})
+        with np.errstate(over="ignore", invalid="ignore"):
+            assert main(["metric", "--config", config]) == 2
+        assert capsys.readouterr().err == "error: bkm seriesA:600: commutator moment M_1023 is not finite (nan)\n"
+        alone = write_config(tmp_path, {**OVERFLOW_SPIN, "methods": ["seriesB:4"]}, name="alone.json")
+        assert main(["metric", "--config", alone]) == 0
+
     def test_series_reads_its_chain_before_forming_its_coefficients(self, tmp_path, capsys, monkeypatch):
         # wyd:0.3's exact coefficients take seconds at L = 160, far longer at 600; the chain overflows at M_1023 first
         def never(*args):
@@ -522,10 +531,15 @@ class TestMetricJobs:
                 {"model": "spin", "S": 1e15, "omega0": 1.0},
                 "spin model: Unable to allocate 14.2 PiB for an array with shape (2000000000000001,) and data type int64",
             ),
+            # and the boson's 10^15 + 1 levels, which its Gibbs tail check once allocated in the model itself
+            (
+                {"model": "boson", "k": 1, "omega": 1.0, "cutoff": 10**15},
+                "boson model: Unable to allocate 7.11 PiB for an array with shape (1000000000000001,) and data type int64",
+            ),
         ],
         ids=[
             "spin-omega0-nan", "spin-omega0-inf", "spin-S-nan", "spin-S-inf", "boson-omega-nan", "boson-omega-inf",
-            "spin-S-1e300", "spin-S-1e15",
+            "spin-S-1e300", "spin-S-1e15", "boson-cutoff-1e15",
         ],
     )
     def test_model_parameter_the_model_rejects_exits_2(self, tmp_path, capsys, model, message):
@@ -945,7 +959,64 @@ class TestVerify:
         assert not out.exists()
 
 
+SPIN_JOB = {"model": {"model": "spin", "S": 1, "omega0": 1.0}, "families": ["bkm"]}
+
+
+class TestUsageErrors:
+    """Each usage error exits 2 with its one error message and writes nothing."""
+
+    @pytest.mark.parametrize("changes, problem", [
+        ({"methods": ["nosuch"]}, "methods: unknown method 'nosuch'"),
+        ({"methods": ["seriesA:x"]}, "methods: method 'seriesA:x': truncation L must be an integer"),
+        ({"methods": ["seriesA:0"]}, "methods: method 'seriesA:0': truncation L must be >= 1"),
+        ({"model": "spin"}, "model: required object (model spec or matrix paths)"),
+        ({"model": ["spin", 1, 1.0]}, "model: required object (model spec or matrix paths)"),
+        ({"sweep": {"parameter": "beta"}}, "sweep: needs {'parameter': name, 'grid': [values...]}"),
+        ({"sweep": {"grid": [1.0]}}, "sweep: needs {'parameter': name, 'grid': [values...]}"),
+        ({"sweep": {"parameter": "beta", "grid": []}}, "sweep: needs {'parameter': name, 'grid': [values...]}"),
+        ({"sweep": [0.5, 1.0]}, "sweep: needs {'parameter': name, 'grid': [values...]}"),
+    ], ids=["method-nosuch", "series-L-x", "series-L-0", "model-string", "model-list", "sweep-no-grid", "sweep-no-parameter",
+            "sweep-empty-grid", "sweep-list"])
+    def test_invalid_config_field(self, tmp_path, capsys, changes, problem):
+        config = write_config(tmp_path, {**SPIN_JOB, **changes})
+        out = tmp_path / "never.csv"
+        assert main(["metric", "--config", config, "--out", str(out)]) == 2
+        assert capsys.readouterr().err == f"error: invalid config:\n  {problem}\n"
+        assert not out.exists()
+
+    @pytest.mark.parametrize("command", ["metric", "sweep", "moments", "model"])
+    def test_command_without_config(self, tmp_path, capsys, command):
+        out = tmp_path / "never.csv"
+        assert main([command, "--out", str(out)]) == 2
+        assert capsys.readouterr().err == "error: --config is required for this subcommand\n"
+        assert not out.exists()
+
+    def test_missing_config_file(self, tmp_path, capsys):
+        path = tmp_path / "absent.json"
+        assert main(["metric", "--config", str(path)]) == 2
+        assert capsys.readouterr().err == f"error: config file not found: {path}\n"
+
+    @pytest.mark.parametrize("text", ["{not json", "", '{"model": {"model": "spin"},}', "[1, 2"])
+    def test_config_that_is_not_json(self, tmp_path, capsys, text):
+        path = tmp_path / "job.json"
+        path.write_text(text)
+        with pytest.raises(json.JSONDecodeError) as raised:
+            json.loads(text)
+        assert main(["metric", "--config", str(path)]) == 2
+        assert capsys.readouterr().err == f"error: config is not valid JSON: {raised.value}\n"
+
+
 class TestMoments:
+    def test_json_rows_are_the_csv_rows(self, tmp_path):
+        config = write_config(tmp_path, SPIN_JOB)
+        csv_out, json_out = tmp_path / "moments.csv", tmp_path / "moments.json"
+        assert main(["moments", "--config", config, "--pmax", "5", "--out", str(csv_out)]) == 0
+        assert main(["moments", "--config", config, "--pmax", "5", "--format", "json", "--out", str(json_out)]) == 0
+        rows = json.loads(json_out.read_text())["rows"]
+        assert [row["p"] for row in rows] == list(range(6))
+        # csv writes each number as its repr, which json reads back to the same float
+        assert [{key: str(value) for key, value in row.items()} for row in rows] == read_csv(csv_out)
+
     def test_table(self, tmp_path):
         config = write_config(
             tmp_path,

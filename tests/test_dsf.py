@@ -410,11 +410,68 @@ class TestSparseChain:
                 dsf.commutator_moments(state, S, 1100)
 
 
+class TestChainOnDemand:
+    """A frame's commutator chain runs on to the highest moment its readers ask for, and no further."""
+
+    @pytest.mark.parametrize("build", [
+        lambda: build_model(SpinModel(3.0, 0.7)),
+        lambda: build_model(BosonModel(2, 0.9, 40)),
+        lambda: gue_instance(np.random.default_rng(11), 7, spread=4.0),
+    ], ids=["spin", "boson", "dense"])
+    def test_frame_read_in_steps_holds_the_chains_bits(self, build, monkeypatch):
+        T, S = build()
+        state = hb.gibbs_state(T)
+        reference = dsf.commutator_moments(state, S, 11)
+        steps = []
+        traces = dsf._chain_traces
+
+        def counted(*args):
+            for trace in traces(*args):
+                steps.append(1)
+                yield trace
+
+        monkeypatch.setattr(dsf, "_chain_traces", counted)
+        frame = dsf._Frame(state, S)
+        assert frame.moment(5) == reference[5] and len(steps) == 6
+        assert frame.moment(2) == reference[2] and len(steps) == 6
+        assert [frame.moment(q) for q in range(12)] == reference and len(steps) == 12
+        assert all(np.array_equal(frame.moment(q), want) for q, want in enumerate(reference))
+
+    @pytest.mark.parametrize("build", [
+        lambda: build_model(SpinModel(3.0, 2.0)),
+        lambda: gue_instance(np.random.default_rng(11), 7, spread=10.0),
+    ], ids=["diagonal", "dense"])
+    def test_overflowing_moment_raises_on_every_read(self, build):
+        T, S = build()
+        state = hb.gibbs_state(T)
+        with np.errstate(over="ignore", invalid="ignore"), pytest.raises(OverflowError) as first:
+            dsf.commutator_moments(state, S, 1100)
+        q = int(str(first.value).split("M_")[1].split()[0])
+        frame = dsf._Frame(state, S)
+        below = frame.moment(q - 1)
+        for wanted in (1100, q, q + 1, q, 2000):  # never the next moment in its place
+            with pytest.raises(OverflowError) as raised:
+                frame.moment(wanted)
+            assert str(raised.value) == str(first.value)
+        assert frame.moment(q - 1) is below and np.isfinite(below)
+
+    @pytest.mark.parametrize("method", ["seriesA", "seriesB"])
+    def test_series_on_a_plain_frame(self, method):
+        T, S = build_model(SpinModel(3.0, 0.7))
+        state = hb.gibbs_state(T)
+        series = metrics.metric_series_A if method == "seriesA" else metrics.metric_series_B
+        for family in (fam.BURES, fam.MC, fam.wyd(0.3)):
+            frame = dsf._Frame(state, S)
+            [result] = metrics._evaluate(frame, family, method, 6)
+            assert result == series(state, S, family, 6)
+            assert result.value == pytest.approx(metrics.metric_spectral(state, S, family).value, rel=1e-6)
+
+
 class TestFrameMembers:
     """Each lazy member of a frame is computed once and owned by that frame."""
 
     def test_computed_once_per_frame(self, monkeypatch):
-        calls = {"moments": 0, "kernel": 0}
+        calls = {"chain": 0, "kernel": 0}
 
         def counting(name, function):
             def wrapped(*args):
@@ -422,21 +479,24 @@ class TestFrameMembers:
                 return function(*args)
             return wrapped
 
-        monkeypatch.setattr(dsf, "commutator_moments", counting("moments", dsf.commutator_moments))
+        # a frame runs one commutator chain, however far and in whatever order its readers read it
+        monkeypatch.setattr(dsf, "_chain_traces", counting("chain", dsf._chain_traces))
         # the kernel is formed by the frame's log_kernel member, once per frame
         kernel = functools.cached_property(counting("kernel", dsf._Frame.log_kernel.func))
         kernel.__set_name__(dsf._Frame, "log_kernel")
         monkeypatch.setattr(dsf._Frame, "log_kernel", kernel)
         state, s = random_instance(5, 5)
-        frames = [dsf._Frame(state, s, 3), dsf._Frame(state, s, 3)]
+        frames = [dsf._Frame(state, s), dsf._Frame(state, s)]
         for frame in frames:
-            for name in ("moments", "log_kernel", "pair_weights", "second_moment", "centered_dsfs", "max_omega"):
+            for name in ("log_kernel", "pair_weights", "second_moment", "centered_dsfs", "max_omega", "degenerate_pairs"):
                 assert getattr(frame, name) is getattr(frame, name)
-        assert calls == {"moments": 2, "kernel": 2}
+            for q in (3, 1, 5, 3):
+                assert frame.moment(q) is frame.moment(q)
+        assert calls == {"chain": 2, "kernel": 2}
         first, second = frames
-        for name in ("moments", "log_kernel", "pair_weights", "centered_dsfs"):
+        for name in ("log_kernel", "pair_weights", "centered_dsfs"):
             assert getattr(first, name) is not getattr(second, name)
-        assert first.moments == second.moments
+        assert [first.moment(q) for q in range(6)] == [second.moment(q) for q in range(6)]
 
     def test_line_kernel_once_per_spectrum(self, monkeypatch):
         # the line kernel does not depend on the family, so every family's
@@ -504,7 +564,8 @@ class TestPerJobFacts:
         [table] = dsf._pair_tables(basis, S)
         for c in (0.3, 1.0, 2.5):
             state = hb._scaled_state(basis, T.matrix, c)
-            moments = dsf._Frame(state, S, 12, table).moments
+            frame = dsf._Frame(state, S, table)
+            moments = [frame.moment(q) for q in range(13)]
             reference = _scanned_chain(state, S.matrix, 12)
             assert all(np.array_equal(got, want) for got, want in zip(moments, reference, strict=True))
         assert "generator" not in vars(state) and "pattern" in vars(S)

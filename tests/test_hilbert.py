@@ -386,6 +386,76 @@ class TestSolveXst:
         with pytest.raises(ValueError, match="diagonal"):
             hb.solve_xst(np.diag([0.0, 1.0]).astype(complex), SZ)
 
+    @staticmethod
+    def _dense_xst(T, S):
+        """X on the full grid: S's dense eigenbasis elements over the dense gaps, the reference solution."""
+        basis = hb.eigendecompose(T)
+        S_eig = hb.to_eigenbasis(basis, S)
+        bad = np.nonzero(np.abs(np.diag(S_eig)) > 1e-12)[0]
+        if bad.size:
+            return f"S has nonzero diagonal in the T-eigenbasis at indices {bad.tolist()}"
+        lam = basis.eigenvalues
+        gaps = lam[:, None] - lam[None, :]
+        degenerate = (np.abs(gaps) < 1e-10) & (np.abs(S_eig) > 1e-14 * max(float(np.max(np.abs(S_eig))), 1e-300))
+        np.fill_diagonal(degenerate, False)
+        if np.any(degenerate):
+            m, n = np.argwhere(degenerate)[0]
+            return f"degenerate eigenvalue pair ({int(m)}, {int(n)}) carries a nonzero S element; X is singular there"
+        with np.errstate(divide="ignore", invalid="ignore"):
+            X = np.where(np.abs(gaps) < 1e-10, 0.0, S_eig / np.where(gaps == 0.0, 1.0, gaps))
+        np.fill_diagonal(X, 0.0)
+        return X
+
+    @staticmethod
+    def _corpus():
+        """The (T, S) pairs above, a sorted and a rotated basis with degenerate levels, and a spin model."""
+        yield np.diag([0.0, 1.0]).astype(complex), SX
+        yield np.diag([0.0, 1.0]).astype(complex), np.zeros((2, 2), dtype=complex)
+        yield np.eye(2, dtype=complex), SX
+        yield np.diag([0.0, 1.0]).astype(complex), SZ
+        rng = np.random.default_rng(5)
+        for _ in range(10):
+            dim = int(rng.integers(2, 7))
+            t = random_hermitian(rng, dim)
+            u = hb.eigendecompose(t).eigenvectors
+            s_eig = random_hermitian(rng, dim)
+            np.fill_diagonal(s_eig, 0.0)
+            yield t, u @ s_eig @ u.conj().T
+        levels = np.array([2.0, 0.0, 1.0, 0.0, 1.0, 3.0])
+        s = random_hermitian(rng, 6)
+        np.fill_diagonal(s, 0.0)
+        yield np.diag(levels).astype(complex), s  # pairs (0, 1) and (2, 3) of the sorted levels are degenerate
+        keep = np.abs(levels[:, None] - levels[None, :]) > 0.5
+        yield np.diag(levels).astype(complex), s * keep  # and carry nothing
+        u = hb.eigendecompose(random_hermitian(rng, 6)).eigenvectors
+        s_eig = random_hermitian(rng, 6) * (np.abs(np.sort(levels)[:, None] - np.sort(levels)[None, :]) > 0.5)
+        np.fill_diagonal(s_eig, 0.0)
+        yield u @ np.diag(np.sort(levels)) @ u.conj().T, u @ s_eig @ u.conj().T
+        yield models.build_model(models.SpinModel(4, 0.7))
+
+    def test_pairs_give_the_dense_solution_and_messages(self):
+        for T, S in self._corpus():
+            expected = self._dense_xst(T, S)
+            if isinstance(expected, str):
+                with pytest.raises((ValueError, ZeroDivisionError)) as raised:
+                    hb.solve_xst(T, S)
+                assert str(raised.value) == expected
+                continue
+            x, basis = hb.solve_xst(T, S)
+            assert np.array_equal(x, expected)
+            assert np.array_equal(basis.eigenvalues, hb.eigendecompose(T).eigenvalues)
+
+    def test_forms_no_dense_matrix_but_x(self):
+        T, S = models.build_model(models.SpinModel(500, 1.0))
+        tracemalloc.start()
+        try:
+            x, _ = hb.solve_xst(T, S)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert x.shape == (1001, 1001) and peak < 1.1 * x.nbytes
+        assert "matrix" not in vars(S)
+
 
 class TestDuhamelWeights:
     def test_qubit_values(self):

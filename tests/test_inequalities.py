@@ -3,6 +3,7 @@
 import json
 import math
 import re
+import tracemalloc
 import warnings
 from pathlib import Path
 
@@ -11,6 +12,7 @@ import numpy as np
 import pytest
 
 from gibbsqfi import dsf, families as fam, hilbert as hb, inequalities as ineq, metrics
+from gibbsqfi.models import SpinModel, build_model
 
 SX = np.array([[0, 1], [1, 0]], dtype=complex)
 SZ = np.diag([1.0, -1.0]).astype(complex)
@@ -179,6 +181,37 @@ class TestCauchySchwarzCross:
         with pytest.raises(ValueError, match="no catalog family"):
             ineq.cauchy_schwarz_cross(qubit, SX, SX, fam.MC, fam.HAR)
 
+    def test_equal_operators_are_one_observable(self):
+        # A = B is decided by the values of the matrices, whether they are held as bands, dense, or the same object
+        T, S = build_model(SpinModel(3, 0.7))
+        state = hb.gibbs_state(T)
+        same = ineq.cauchy_schwarz_cross(state, S, S, fam.BURES, fam.MC)
+        assert len(same) == 4
+        for B in (build_model(SpinModel(3, 0.7))[1], S.matrix.copy(), hb.as_operator(S.matrix)):
+            assert ineq.cauchy_schwarz_cross(state, S, B, fam.BURES, fam.MC) == same
+            assert ineq.cauchy_schwarz_cross(state, hb.as_operator(S.matrix), B, fam.BURES, fam.MC) == same
+        other = S.matrix.copy()
+        other[0, 1] = other[1, 0] = 1.5 * other[0, 1]
+        for B in (other, 2.0 * S.matrix, SpinModel(3, 0.7).unit_matrices()[0]):
+            assert len(ineq.cauchy_schwarz_cross(state, S, B, fam.BURES, fam.MC)) == 1
+        # the other pair routes read one frame for equal operators, with the values of two
+        for route in (dsf.bogoliubov_duhamel, dsf.bogoliubov_duhamel_quadrature, lambda *a: metrics.cross_metric(*a, fam.BURES)):
+            assert route(state, S, S.matrix.copy()) == route(state, S, S) == route(state, S.matrix, hb.as_operator(S.matrix))
+
+    def test_model_operators_form_no_dense_matrix(self):
+        # two held copies of S_x at dim 2001 are compared by their bands; a dense matrix would take 64 MB
+        T, S = build_model(SpinModel(1000, 1.0))
+        B = build_model(SpinModel(1000, 1.0))[1]
+        state = hb.gibbs_state(T)
+        tracemalloc.start()
+        try:
+            reports = ineq.cauchy_schwarz_cross(state, S, B, fam.BURES, fam.MC)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert len(reports) == 4 and all(report.passed for report in reports)
+        assert peak < 4e6 and "matrix" not in vars(S) and "matrix" not in vars(B)
+
 
 class TestGeometricMcCrossover:
     def test_constant_against_root_finder(self):
@@ -240,7 +273,7 @@ class TestVerificationSuite:
         patched = {
             "to_eigenbasis": counting("rotate", hb.to_eigenbasis),
             "_assemble": counting("assemble", dsf._assemble),
-            "commutator_moments": counting("chain", dsf.commutator_moments),
+            "_chain_traces": counting("chain", dsf._chain_traces),
         }
         for module in (hb, dsf, metrics, ineq):
             for name, wrapper in patched.items():
