@@ -14,16 +14,20 @@ the even filter function
 
 together with its companion ghat_f(x) = g_f(x) * tanh(x)/x.
 
-Every family in the catalog has a filter function that reduces to a ratio
-of sinhc factors, g_f(x) = prod_i sinhc(a_i x) / prod_j sinhc(d_j x) with
-sinhc(y) = sinh(y)/y.  This representation is used throughout: it is
+Each kind has one entry in one table, _F_FORMS: f(x) as a power x^a
+times a product of factors exprel(k ln x)^w, exprel(v) = (e^v - 1)/v.
+Everything about g_f and ghat_f is read off that form.  As
+g_f(x) = exprel(2x)/f(e^{2x}), the filter is a ratio of sinhc factors,
+g_f(x) = prod_i sinhc(a_i x) / prod_j sinhc(d_j x) with sinhc(y) =
+sinh(y)/y, whose scales are the form's |k| and whose linear exponent
+on y = 2|x| is 1 - a.  This representation is used throughout: it is
 positive, manifestly even, free of removable singularities, and makes the
 Taylor coefficients and the convergence radius of the g-series uniform
-across named and parametric families.  It is evaluated on one path for
-every x, as a log form built on the log-mean kernel (1 - e^{-z})/z of the
-Duhamel weights; f has a log form of its own.  The routes add these logs
-to the log weights and exponentiate each pair term once, and eval_g,
-eval_f and eval_c are inf only where the value itself is past double range.
+across named and parametric families.  f and g are evaluated on one path
+for every argument, as log forms built on the log-mean kernel
+(1 - e^{-z})/z of the Duhamel weights.  The routes add these logs to the
+log weights and exponentiate each pair term once, and eval_g, eval_f and
+eval_c are inf only where the value itself is past double range.
 
 Sign convention: the Wigner-Yanase-Dyson prefactor is alpha*(1-alpha),
 which is forced by positivity and f(1) = 1; sources quoting alpha*(alpha-1)
@@ -139,8 +143,9 @@ WY = wyd(0.5)
 class _Stacked:
     """Families of one kind, one per matrix of a frame's stack: entry i is MonotoneFamily(kind, param[i]).
 
-    _log_g and _log_f evaluate a stack in one call.  Compared and hashed
-    by identity, so each stack's filter is computed once.
+    _log_g and _log_f evaluate a stack in one call, from the kind's one
+    form in _F_FORMS with array entries.  Compared and hashed by identity,
+    so each stack's filter is computed once.
     """
 
     kind: str
@@ -174,46 +179,6 @@ def parse_family(text: str) -> MonotoneFamily:
 def named_families() -> dict[str, MonotoneFamily]:
     """The six parameter-free chain members keyed by label (WY = wyd:0.5)."""
     return {"bures": BURES, "wy": WY, "bkm": BKM, "geometric": GEOMETRIC, "mc": MC, "har": HAR}
-
-
-# each kind's sinhc scales (numerators, denominators) of g_f from its parameter, a number or an array (_Stacked)
-_G_SCALES = {
-    "har": lambda p: ((2.0,), ()),
-    "bures": lambda p: ((1.0, 1.0), (2.0,)),
-    "bkm": lambda p: ((), ()),
-    "mc": lambda p: ((2.0,), (1.0, 1.0)),
-    "geometric": lambda p: ((1.0,), ()),
-    "wyd": lambda p: ((p, 1.0 - p), (1.0,)),
-    "pdiff": lambda p: ((1.0, p - 1.0), (p,)),
-}
-
-
-@functools.cache
-def _g_scales(family: MonotoneFamily) -> tuple[tuple[float, ...], tuple[float, ...]]:
-    """Sinhc scales (numerators, denominators) of the filter function, simplified once per family."""
-    return _simplify_scales(*_G_SCALES[family.kind](family.param))
-
-
-@functools.cache
-def _g_hat_scales(family: MonotoneFamily):
-    """Scales of ghat_f = g_f * tanh(x)/x  (tanh(x)/x = sinhc(x)^2/sinhc(2x))."""
-    nums, dens = _g_scales(family)
-    return _simplify_scales(nums + (1.0, 1.0), dens + (2.0,))
-
-
-def _simplify_scales(nums, dens):
-    """Drop zero scales (sinhc(0) = 1) and cancel equal |scale| pairs."""
-    nums = sorted(abs(a) for a in nums if a != 0.0)
-    dens = sorted(abs(d) for d in dens if d != 0.0)
-    out_n, out_d = [], list(dens)
-    for a in nums:
-        for i, d in enumerate(out_d):
-            if abs(a - d) < 1e-12:
-                del out_d[i]
-                break
-        else:
-            out_n.append(a)
-    return tuple(out_n), tuple(out_d)
 
 
 class _Columns(dict):
@@ -267,49 +232,12 @@ def _exp(a, b=0.0):
     return float(out) if np.ndim(out) == 0 else out
 
 
-def _g_parts(family, x, scales=_g_scales):
-    """The parts of log g_f(x), or of log ghat_f(x) with _g_hat_scales.
-
-    sinhc(a x) = e^{|a| y/2} _exprel_neg(|a| y) with y = 2|x|: the form has
-    the exponent (sum |a| - sum |d|)/2, rounded once, and terms (1, a), (-1, d).
-    """
-    nums, dens = scales(family)
-    half = 0.5 * math.fsum(nums + tuple(-d for d in dens))
-    return _log_form((half, half, (1.0,) * len(nums) + (-1.0,) * len(dens), nums + dens), _g_columns(x))
-
-
-def _log_g(family, x):
-    """log g_f(x), x given as an array or its _g_columns; ``family`` may also be a _Stacked family, entry i for entry i of the leading axis of x.
-
-    A stack keeps the zero scales (log _exprel_neg(0) = 0) and equal pairs (cancelling to rounding) that _g_scales drops.
-    """
-    if not isinstance(family, _Stacked):
-        return sum(_g_parts(family, x))
-    y = _g_columns(x)
-    nums, dens = _G_SCALES[family.kind](family.column(y.v))
-    half = 0.5 * (sum(map(np.abs, nums)) - sum(map(np.abs, dens)))
-    return sum(_log_form((half, half, (1.0,) * len(nums) + (-1.0,) * len(dens), nums + dens), y))
-
-
-def eval_g(family: MonotoneFamily, x):
-    """Filter function g_f(x) = (e^{2x}-1)/(2x f(e^{2x})); even, g_f(0) = 1.
-
-    Accepts scalars or arrays; defined for all real x, inf only past
-    double range.
-    """
-    return _exp(*_g_parts(family, x))
-
-
-def eval_g_hat(family: MonotoneFamily, x):
-    """Companion filter ghat_f(x) = g_f(x) tanh(x)/x; ghat_MC is identically 1."""
-    return _exp(*_g_parts(family, x, _g_hat_scales))
-
-
 # f(x) = x^c prod exprel(k u)^w with u = ln x and exprel(v) = (e^v - 1)/v,
 # whose factors carry each removable singularity (x = 1) and limit.  As
 # log exprel(v) = max(v, 0) + log _exprel_neg(|v|), log f(e^u) is the sum
 # of w log _exprel_neg(|k u|) and a u for u > 0, (1 - a) u for u < 0
-# (f(1/x) = f(x)/x): each entry maps p to (a, (w, ...), (k, ...))
+# (f(1/x) = f(x)/x): each entry maps p to (a, (w, ...), (k, ...)).  It is
+# the one table per kind: g_f and ghat_f are read off it.
 _F_FORMS = {
     "har": lambda p: (0.0, (1.0, -1.0), (1.0, 2.0)),  # 2x/(x + 1) = x exprel(u)/exprel(2u)
     "bures": lambda p: (1.0, (1.0, -1.0), (2.0, 1.0)),  # (x + 1)/2 = exprel(2u)/exprel(u)
@@ -323,10 +251,77 @@ _F_FORMS = {
 }
 
 
+def _f_form(family, v):
+    """f's form; a _Stacked family's has array entries, shaped to broadcast along the leading axis of v."""
+    return _F_FORMS[family.kind](family.column(v) if isinstance(family, _Stacked) else family.param)
+
+
+def _sinhc_scales(form, hat=False):
+    """Sinhc scales (numerators, denominators) of g_f, or of ghat_f with hat, from f's form (a, (w, ...), (k, ...)).
+
+    g_f(x) = exprel(2x)/f(e^{2x}) and exprel(2kx) = e^{kx} sinhc(kx), so
+    sinhc(x) has the power 1 from exprel(2x), sinhc(|k| x) the power -w of
+    each factor of f, and ghat_f adds tanh(x)/x = sinhc(x)^2/sinhc(2x).  A
+    number scale's powers are summed exactly, k = 0 (sinhc(0) = 1) is
+    dropped, and the others are listed once per unit of their net power,
+    ascending; an array scale (a _Stacked family's) follows them, in the
+    form's order.
+    """
+    _, ws, ks = form
+    powers, arrays = {}, []
+    for k, w in [(1.0, 1.0), *zip(ks, (-w for w in ws)), *([(1.0, 2.0), (2.0, -1.0)] if hat else [])]:
+        if isinstance(k, np.ndarray):
+            arrays.append((k, w))
+        else:
+            powers[abs(k)] = powers.get(abs(k), 0.0) + w
+    listed = [(k, w) for k, w in sorted(powers.items()) if k != 0.0] + arrays
+    return tuple(tuple(k for k, w in listed for _ in range(int(sign * w))) for sign in (1.0, -1.0))
+
+
+@functools.cache
+def _g_scales(family: MonotoneFamily, hat: bool = False) -> tuple[tuple[float, ...], tuple[float, ...]]:
+    """_sinhc_scales of the family's form, formed once per family."""
+    return _sinhc_scales(_F_FORMS[family.kind](family.param), hat)
+
+
+def _g_parts(family, x, hat=False):
+    """The parts of log g_f(x), or of log ghat_f(x) with hat; ``family`` may also be a _Stacked family, entry i for entry i of the leading axis of x.
+
+    sinhc(k x) = e^{|k| y/2} _exprel_neg(|k| y) with y = 2|x|: the log form
+    has the term (1, k) of each numerator scale and (-1, k) of each
+    denominator scale, and the exponent 1 - a of f's form (a, ...), as
+    log g_f = log exprel(y) - log f(e^y), which tanh(x)/x leaves as it is.
+    """
+    y = _g_columns(x)
+    form = _f_form(family, y.v)
+    nums, dens = _sinhc_scales(form, hat) if isinstance(family, _Stacked) else _g_scales(family, hat)
+    exponent = 1.0 - form[0]
+    return _log_form((exponent, exponent, (1.0,) * len(nums) + (-1.0,) * len(dens), nums + dens), y)
+
+
+def _log_g(family, x):
+    """log g_f(x), x given as an array or its _g_columns; ``family`` may also be a _Stacked family, entry i for entry i of the leading axis of x."""
+    return sum(_g_parts(family, x))
+
+
+def eval_g(family: MonotoneFamily, x):
+    """Filter function g_f(x) = (e^{2x}-1)/(2x f(e^{2x})); even, g_f(0) = 1.
+
+    Accepts scalars or arrays; defined for all real x, inf only past
+    double range.
+    """
+    return _exp(*_g_parts(family, x))
+
+
+def eval_g_hat(family: MonotoneFamily, x):
+    """Companion filter ghat_f(x) = g_f(x) tanh(x)/x; ghat_MC is identically 1."""
+    return _exp(*_g_parts(family, x, hat=True))
+
+
 def _log_f(family, u):
     """log f(e^u) for real u, given as an array or its _Columns; ``family`` may also be a _Stacked family, entry i for entry i of the leading axis of u."""
     u = u if isinstance(u, _Columns) else _Columns(u)
-    a, ws, ks = _F_FORMS[family.kind](family.column(u.v) if isinstance(family, _Stacked) else family.param)
+    a, ws, ks = _f_form(family, u.v)
     return sum(_log_form((a, 1.0 - a, ws, ks), u))
 
 
@@ -376,7 +371,7 @@ def g_series_radius(family: MonotoneFamily) -> float:
 
 def g_hat_series_radius(family: MonotoneFamily) -> float:
     """Convergence radius of the Taylor series of ghat_f around 0."""
-    _, dens = _g_hat_scales(family)
+    _, dens = _g_scales(family, hat=True)
     return math.pi / max(dens) if dens else math.inf
 
 
@@ -412,5 +407,5 @@ def taylor_coeffs(family: MonotoneFamily, kind: str = "g", L: int = 12):
         raise ValueError(f"L must be a positive integer, got {L!r}")
     if kind not in ("g", "g_hat"):
         raise ValueError("kind must be 'g' or 'g_hat'")
-    nums, dens = (_g_scales if kind == "g" else _g_hat_scales)(family)
+    nums, dens = _g_scales(family, kind == "g_hat")
     return list(_taylor_cached(nums, dens, L))

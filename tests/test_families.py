@@ -486,15 +486,18 @@ class TestLogForms:
 class TestStackedFamilies:
     """A _Stacked family, one parameter per leading index, against per-family evaluation.
 
-    _log_f is the same arithmetic entry by entry.  _log_g keeps the scales
-    that _simplify_scales drops (zero) or cancels (equal), which moves its
-    sum by a few roundings, so g is compared to 1e-13 relative.
+    _log_f is the same arithmetic entry by entry.  _log_g reads both from
+    f's one form, but a stack's array scales are not merged: it keeps the
+    zero scales that _g_scales drops and the equal scales whose powers it
+    sums, which moves its sum by a few roundings, so g is compared to 1e-13
+    relative.
     """
 
     # p = 0 and 1 drop a zero scale, p = -1, 0.5 and 1 cancel an equal
-    # pair; then the pair members 1/2 -+ d at d = 0, 0.5, 1 and 1.5
+    # pair, and p = 1 -+ 1e-13 keep scales 1e-13 apart; then the pair
+    # members 1/2 -+ d at d = 0, 0.5, 1 and 1.5
     STACKS = {
-        "pdiff": [-1.0, 0.0, 0.5, 1.0, 2.0, *(0.5 + s * d for d in (0.0, 0.5, 1.0, 1.5) for s in (-1.0, 1.0)), -0.7, 1.7],
+        "pdiff": [-1.0, 0.0, 0.5, 1.0, 2.0, 1.0 - 1e-13, 1.0 + 1e-13, *(0.5 + s * d for d in (0.0, 0.5, 1.0, 1.5) for s in (-1.0, 1.0)), -0.7, 1.7],
         "wyd": [0.1, 0.3, 0.5, 0.9],
     }
 
@@ -538,6 +541,38 @@ class TestStackedFamilies:
             fam._Stacked("pdiff", np.array([0.5, 2.5]))
         with pytest.raises(ValueError, match="wyd requires alpha"):
             fam._Stacked("wyd", np.array([0.5, math.nan]))
+
+
+class TestPinnedFilterValues:
+    """Far-tail filter values that the scales of f's form fix: the linear exponent is 1 - a, not a sum of rounded scales, and no scale is cancelled against a near-equal one."""
+
+    @pytest.mark.parametrize("alpha", [0.1, 0.3])
+    def test_wyd_tail_is_its_limit(self, alpha):
+        # sinhc(a x) sinhc((1 - a) x)/sinhc(x) -> 1/(2 a (1 - a) x); the exponent
+        # summed as a + (1 - a) - 1 rounds off 0, which read inf and 0.0 at 5e19
+        x = 5e19
+        assert fam.eval_g(fam.wyd(alpha), x) == pytest.approx(1.0 / (2.0 * alpha * (1.0 - alpha) * x), rel=1e-13, abs=0.0)
+
+    @pytest.mark.parametrize("p, expected", [(1.0 + 1e-13, 0.05003999575487506), (1.0 - 1e-13, 24402001.88314164)])
+    def test_pdiff_next_to_bkm(self, p, expected):
+        # sinhc(x) sinhc((p - 1) x)/sinhc(p x): cancelling sinhc(x) against
+        # sinhc(p x) as equal scales read 1093.43 and 1104.41 at x = 1e14
+        with mpmath.workdps(60):
+            x = mpmath.mpf(1e14)
+
+            def sinhc(a):
+                return mpmath.sinh(a * x) / (a * x)
+
+            reference = float(sinhc(1) * sinhc(mpmath.mpf(p) - 1) / sinhc(mpmath.mpf(p)))
+        assert reference == pytest.approx(expected, rel=1e-15)
+        assert fam.eval_g(fam.power_difference(p), 1e14) == pytest.approx(reference, rel=1e-13, abs=0.0)
+
+    @pytest.mark.parametrize("kind, params, x", [("wyd", (0.1, 0.3), 5e19), ("pdiff", (1.0 + 1e-13, 1.0 - 1e-13), 1e14)])
+    def test_stacked_tails_match(self, kind, params, x):
+        # a stack, as verify builds its per-trial families, reads the same exponent 1 - a
+        got = np.exp(fam._log_g(fam._Stacked(kind, np.array(params)), np.full((len(params), 1), x)))
+        expected = [fam.eval_g(fam.MonotoneFamily(kind, p), x) for p in params]
+        np.testing.assert_allclose(got[:, 0], expected, rtol=1e-13, atol=0.0)
 
 
 class TestEvalGHat:
@@ -734,6 +769,6 @@ def test_rational_coefficients_are_the_mpmath_ones(kind):
     # float(Fraction) is correctly rounded; the 60-digit mpmath sums rounded the same 23 families the same way
     assert len(SERIES_FAMILIES) == 23
     for family in SERIES_FAMILIES:
-        scales = (fam._g_scales if kind == "g" else fam._g_hat_scales)(family)
+        scales = fam._g_scales(family, hat=kind == "g_hat")
         for L in (1, 3, 6, 8, 12, 20):
             assert fam.taylor_coeffs(family, kind, L) == mp_series_of_scales(*scales, L), (family.label, L)
